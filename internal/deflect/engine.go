@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -30,12 +29,11 @@ import (
 // random choice draws from the seeded generator. Not safe for
 // concurrent use.
 type Engine struct {
-	cfg    Config
-	g      *graph.Graph
-	rng    *rand.Rand
-	sites  []word.Word // vertex → word
-	cache  *LayerCache
-	router *core.Router // undirected Theorem-2 evals for PolicyMinIncrease
+	cfg   Config
+	g     *graph.Graph
+	rng   *rand.Rand
+	sites []word.Word // vertex → word
+	cache *LayerCache
 
 	resident [][]*msg
 	inflight int
@@ -124,7 +122,6 @@ func New(cfg Config) (*Engine, error) {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		sites:    sites,
 		cache:    NewLayerCache(g),
-		router:   core.NewRouter(cfg.K),
 		resident: make([][]*msg, n),
 		m:        newDeflectMetrics(cfg.Obs),
 	}, nil
@@ -305,16 +302,6 @@ func (e *Engine) deliver(m *msg) {
 	if lat > e.maxLatency {
 		e.maxLatency = lat
 	}
-}
-
-// distanceTo evaluates the closed-form distance from vertex v to dst:
-// Property 1 (directed) or Theorem 2 via the reusable router
-// (undirected). PolicyMinIncrease ranks deflection candidates with it.
-func (e *Engine) distanceTo(v int, dst word.Word) (int, error) {
-	if e.cfg.Unidirectional {
-		return core.DirectedDistance(e.sites[v], dst)
-	}
-	return e.router.Distance(e.sites[v], dst)
 }
 
 // Stats summarizes the run so far.

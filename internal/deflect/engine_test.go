@@ -347,6 +347,46 @@ func TestRunLoadDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunLoadPinned pins RunLoad's results to golden values: every
+// policy at a light and a saturating rate on undirected DG(2,6), plus
+// one directed DG(2,5) run. TestRunLoadDeterministic only compares a
+// run with itself; this catches a refactor that changes behaviour.
+func TestRunLoadPinned(t *testing.T) {
+	cases := []struct {
+		unidirectional bool
+		k              int
+		policy         string
+		rate           float64
+		seed           int64
+		want           LoadResult
+	}{
+		{false, 6, "random", 0.05, 1, LoadResult{Offered: 152, DrainRounds: 4, Stats: Stats{Rounds: 44, Injected: 152, Refused: 0, Delivered: 152, GuardDropped: 0, Inflight: 0, Deflections: 3, HopsMoved: 524, MeanLatency: 3.4473684210526314, P99Latency: 6, MaxLatency: 6, MeanDeflections: 0.019736842105263157, DeflectionRate: 0.0057251908396946565, Throughput: 3.4545454545454546}}},
+		{false, 6, "random", 0.05, 7, LoadResult{Offered: 138, DrainRounds: 4, Stats: Stats{Rounds: 44, Injected: 138, Refused: 0, Delivered: 138, GuardDropped: 0, Inflight: 0, Deflections: 8, HopsMoved: 470, MeanLatency: 3.4057971014492754, P99Latency: 6, MaxLatency: 7, MeanDeflections: 0.057971014492753624, DeflectionRate: 0.01702127659574468, Throughput: 3.1363636363636362}}},
+		{false, 6, "random", 0.9, 1, LoadResult{Offered: 2317, DrainRounds: 12, Stats: Stats{Rounds: 52, Injected: 1494, Refused: 823, Delivered: 1494, GuardDropped: 0, Inflight: 0, Deflections: 2656, HopsMoved: 9675, MeanLatency: 6.475903614457831, P99Latency: 12, MaxLatency: 14, MeanDeflections: 1.7777777777777777, DeflectionRate: 0.2745219638242894, Throughput: 28.73076923076923}}},
+		{false, 6, "random", 0.9, 7, LoadResult{Offered: 2322, DrainRounds: 12, Stats: Stats{Rounds: 52, Injected: 1450, Refused: 872, Delivered: 1450, GuardDropped: 0, Inflight: 0, Deflections: 2714, HopsMoved: 9720, MeanLatency: 6.703448275862069, P99Latency: 13, MaxLatency: 15, MeanDeflections: 1.8717241379310345, DeflectionRate: 0.2792181069958848, Throughput: 27.884615384615383}}},
+		{false, 6, "min-increase", 0.05, 1, LoadResult{Offered: 152, DrainRounds: 4, Stats: Stats{Rounds: 44, Injected: 152, Refused: 0, Delivered: 152, GuardDropped: 0, Inflight: 0, Deflections: 5, HopsMoved: 527, MeanLatency: 3.4671052631578947, P99Latency: 6, MaxLatency: 7, MeanDeflections: 0.03289473684210526, DeflectionRate: 0.009487666034155597, Throughput: 3.4545454545454546}}},
+		{false, 6, "min-increase", 0.05, 7, LoadResult{Offered: 138, DrainRounds: 4, Stats: Stats{Rounds: 44, Injected: 138, Refused: 0, Delivered: 138, GuardDropped: 0, Inflight: 0, Deflections: 8, HopsMoved: 471, MeanLatency: 3.4130434782608696, P99Latency: 6, MaxLatency: 6, MeanDeflections: 0.057971014492753624, DeflectionRate: 0.016985138004246284, Throughput: 3.1363636363636362}}},
+		{false, 6, "min-increase", 0.9, 1, LoadResult{Offered: 2317, DrainRounds: 11, Stats: Stats{Rounds: 51, Injected: 1522, Refused: 795, Delivered: 1522, GuardDropped: 0, Inflight: 0, Deflections: 2686, HopsMoved: 9619, MeanLatency: 6.319973718791064, P99Latency: 12, MaxLatency: 16, MeanDeflections: 1.7647831800262812, DeflectionRate: 0.27923900613369373, Throughput: 29.84313725490196}}},
+		{false, 6, "min-increase", 0.9, 7, LoadResult{Offered: 2322, DrainRounds: 10, Stats: Stats{Rounds: 50, Injected: 1487, Refused: 835, Delivered: 1487, GuardDropped: 0, Inflight: 0, Deflections: 2654, HopsMoved: 9495, MeanLatency: 6.385339609952926, P99Latency: 13, MaxLatency: 16, MeanDeflections: 1.784801613987895, DeflectionRate: 0.2795155344918378, Throughput: 29.74}}},
+		{false, 6, "layer-aware", 0.05, 1, LoadResult{Offered: 152, DrainRounds: 4, Stats: Stats{Rounds: 44, Injected: 152, Refused: 0, Delivered: 152, GuardDropped: 0, Inflight: 0, Deflections: 3, HopsMoved: 524, MeanLatency: 3.4473684210526314, P99Latency: 6, MaxLatency: 6, MeanDeflections: 0.019736842105263157, DeflectionRate: 0.0057251908396946565, Throughput: 3.4545454545454546}}},
+		{false, 6, "layer-aware", 0.05, 7, LoadResult{Offered: 138, DrainRounds: 4, Stats: Stats{Rounds: 44, Injected: 138, Refused: 0, Delivered: 138, GuardDropped: 0, Inflight: 0, Deflections: 8, HopsMoved: 470, MeanLatency: 3.4057971014492754, P99Latency: 6, MaxLatency: 6, MeanDeflections: 0.057971014492753624, DeflectionRate: 0.01702127659574468, Throughput: 3.1363636363636362}}},
+		{false, 6, "layer-aware", 0.9, 1, LoadResult{Offered: 2317, DrainRounds: 12, Stats: Stats{Rounds: 52, Injected: 1507, Refused: 810, Delivered: 1507, GuardDropped: 0, Inflight: 0, Deflections: 2689, HopsMoved: 9569, MeanLatency: 6.349701393497014, P99Latency: 12, MaxLatency: 13, MeanDeflections: 1.7843397478433976, DeflectionRate: 0.28101159995819835, Throughput: 28.98076923076923}}},
+		{false, 6, "layer-aware", 0.9, 7, LoadResult{Offered: 2322, DrainRounds: 11, Stats: Stats{Rounds: 51, Injected: 1523, Refused: 799, Delivered: 1523, GuardDropped: 0, Inflight: 0, Deflections: 2690, HopsMoved: 9624, MeanLatency: 6.319107025607354, P99Latency: 12, MaxLatency: 14, MeanDeflections: 1.7662508207485226, DeflectionRate: 0.2795095594347465, Throughput: 29.862745098039216}}},
+		{true, 5, "min-increase", 0.9, 3, LoadResult{Offered: 1145, DrainRounds: 11, Stats: Stats{Rounds: 51, Injected: 395, Refused: 750, Delivered: 395, GuardDropped: 0, Inflight: 0, Deflections: 647, HopsMoved: 2578, MeanLatency: 6.526582278481013, P99Latency: 15, MaxLatency: 16, MeanDeflections: 1.6379746835443039, DeflectionRate: 0.25096974398758726, Throughput: 7.745098039215686}}},
+	}
+	for _, c := range cases {
+		got, err := RunLoad(LoadConfig{D: 2, K: c.k, Unidirectional: c.unidirectional,
+			Policy: PolicyByName(c.policy), Rate: c.rate, Rounds: 40, Seed: c.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("directed=%v k=%d %s rate=%v seed=%d:\n got %+v\nwant %+v",
+				c.unidirectional, c.k, c.policy, c.rate, c.seed, got, c.want)
+		}
+	}
+}
+
 // TestPolicyByName covers the CLI resolution path.
 func TestPolicyByName(t *testing.T) {
 	for _, p := range Policies() {

@@ -53,19 +53,24 @@ type Link struct {
 // Theorem 2 for the undirected one), not from graph search; the tests
 // assert the two agree on every graph up to 4096 vertices.
 type Layers struct {
-	dst    word.Word
-	dstV   int
-	dist   []int32   // dist[v] = D(v, dst)
-	layers [][]int32 // layers[i] = sorted vertices of B_i
-	links  [][]Link  // links[v] = classified out-links of v
+	g     *graph.Graph
+	dst   word.Word
+	dstV  int
+	dist  []int32 // dist[v] = D(v, dst)
+	order []int32 // vertices bucketed by layer, ascending within each
+	off   []int32 // B_i = order[off[i]:off[i+1]]
 }
 
 // NewLayers computes the decomposition of g — a de Bruijn graph built
 // by graph.DeBruijn with matching d and k — toward dst. Directed
-// graphs use Property 1, undirected ones Theorem 2 (evaluated with a
-// reusable core.Router, the low-constant-factor form of the §4
-// remark). Cost: O(N·k) directed, O(N·k²) undirected.
+// graphs use Property 1, undirected ones Theorem 2, both evaluated
+// through a core.Kernels: one O(k) kernel call per vertex, a rank
+// lookup into the shared table on table-eligible graphs. Cost: O(N·k).
 func NewLayers(g *graph.Graph, dst word.Word) (*Layers, error) {
+	return newLayers(g, dst, core.NewKernels(core.KernelConfig{}))
+}
+
+func newLayers(g *graph.Graph, dst word.Word, kn *core.Kernels) (*Layers, error) {
 	n, err := word.Count(dst.Base(), dst.Len())
 	if err != nil {
 		return nil, fmt.Errorf("deflect: %w", err)
@@ -76,30 +81,27 @@ func NewLayers(g *graph.Graph, dst word.Word) (*Layers, error) {
 	}
 	k := dst.Len()
 	ly := &Layers{
-		dst:    dst,
-		dstV:   graph.DeBruijnVertex(dst),
-		dist:   make([]int32, n),
-		layers: make([][]int32, k+1),
-		links:  make([][]Link, n),
+		g:     g,
+		dst:   dst,
+		dstV:  graph.DeBruijnVertex(dst),
+		dist:  make([]int32, n),
+		order: make([]int32, n),
+		off:   make([]int32, k+2),
 	}
-	var router *core.Router
-	if g.Kind() == graph.Undirected {
-		router = core.NewRouter(k)
+	distance := kn.UndirectedDistance
+	if g.Kind() == graph.Directed {
+		distance = kn.DirectedDistance
 	}
+	v := 0
 	var derr error
-	if _, err := word.ForEach(dst.Base(), k, func(w word.Word) bool {
-		v := graph.DeBruijnVertex(w)
+	if _, err := word.ForEachInPlace(dst.Base(), k, func(w word.Word) bool {
 		var dv int
-		if router != nil {
-			dv, derr = router.Distance(w, dst)
-		} else {
-			dv, derr = core.DirectedDistance(w, dst)
-		}
-		if derr != nil {
+		if dv, derr = distance(w, dst); derr != nil {
 			return false
 		}
 		ly.dist[v] = int32(dv)
-		ly.layers[dv] = append(ly.layers[dv], int32(v))
+		ly.off[dv+1]++
+		v++
 		return true
 	}); err != nil {
 		return nil, fmt.Errorf("deflect: %w", err)
@@ -107,14 +109,18 @@ func NewLayers(g *graph.Graph, dst word.Word) (*Layers, error) {
 	if derr != nil {
 		return nil, fmt.Errorf("deflect: %w", derr)
 	}
-	for v := 0; v < n; v++ {
-		outs := g.OutNeighbors(v)
-		links := make([]Link, len(outs))
-		for i, u := range outs {
-			links[i] = Link{To: u, Advancing: ly.dist[u] == ly.dist[v]-1}
-		}
-		ly.links[v] = links
+	// Counting sort: off[i+1] holds |B_i|, prefix sums make off[i] the
+	// start of B_i, filling in vertex order (so each layer ascends)
+	// moves it to the end of B_i, and one shift restores the starts.
+	for i := 1; i <= k+1; i++ {
+		ly.off[i] += ly.off[i-1]
 	}
+	for u, du := range ly.dist {
+		ly.order[ly.off[du]] = int32(u)
+		ly.off[du]++
+	}
+	copy(ly.off[1:], ly.off[:k+1])
+	ly.off[0] = 0
 	return ly, nil
 }
 
@@ -128,23 +134,29 @@ func (l *Layers) DstVertex() int { return l.dstV }
 func (l *Layers) Dist(v int) int { return int(l.dist[v]) }
 
 // NumLayers returns k+1, the number of (possibly empty) layers B_0..B_k.
-func (l *Layers) NumLayers() int { return len(l.layers) }
+func (l *Layers) NumLayers() int { return len(l.off) - 1 }
 
 // Layer returns the vertices of B_i in ascending order. The returned
 // slice must not be modified.
-func (l *Layers) Layer(i int) []int32 { return l.layers[i] }
+func (l *Layers) Layer(i int) []int32 { return l.order[l.off[i]:l.off[i+1]] }
 
 // Links returns the classified out-links of v, in the adjacency order
-// of the underlying graph (ascending neighbor). The returned slice
-// must not be modified.
-func (l *Layers) Links(v int) []Link { return l.links[v] }
+// of the underlying graph (ascending neighbor), in a fresh slice.
+func (l *Layers) Links(v int) []Link {
+	outs := l.g.OutNeighbors(v)
+	links := make([]Link, len(outs))
+	for i, u := range outs {
+		links[i] = Link{To: u, Advancing: l.dist[u] == l.dist[v]-1}
+	}
+	return links
+}
 
 // Advancing returns how many out-links of v decrease the distance —
 // the shortest-path out-diversity the deflection engine can exploit.
 func (l *Layers) Advancing(v int) int {
 	n := 0
-	for _, lk := range l.links[v] {
-		if lk.Advancing {
+	for _, u := range l.g.OutNeighbors(v) {
+		if l.dist[u] == l.dist[v]-1 {
 			n++
 		}
 	}
@@ -153,16 +165,17 @@ func (l *Layers) Advancing(v int) int {
 
 // LayerCache lazily builds and memoizes one Layers per destination.
 // The deflection engine resolves every contention through it, so each
-// destination pays the O(N·k) (directed) or O(N·k²) (undirected)
-// decomposition exactly once per run. Not safe for concurrent use.
+// destination pays for its decomposition once per run, and every build
+// shares the cache's core.Kernels. Not safe for concurrent use.
 type LayerCache struct {
-	g *graph.Graph
-	m map[int]*Layers
+	g  *graph.Graph
+	kn *core.Kernels
+	m  map[int]*Layers
 }
 
 // NewLayerCache returns an empty cache over g.
 func NewLayerCache(g *graph.Graph) *LayerCache {
-	return &LayerCache{g: g, m: make(map[int]*Layers)}
+	return &LayerCache{g: g, kn: core.NewKernels(core.KernelConfig{}), m: make(map[int]*Layers)}
 }
 
 // For returns the (possibly newly computed) decomposition toward dst.
@@ -171,7 +184,7 @@ func (c *LayerCache) For(dst word.Word) (*Layers, error) {
 	if ly, ok := c.m[v]; ok {
 		return ly, nil
 	}
-	ly, err := NewLayers(c.g, dst)
+	ly, err := newLayers(c.g, dst, c.kn)
 	if err != nil {
 		return nil, err
 	}

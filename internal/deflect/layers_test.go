@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/word"
 )
@@ -173,5 +174,37 @@ func TestNewLayersRejectsMismatchedGraph(t *testing.T) {
 	}
 	if _, err := NewLayers(g, word.MustParse(2, "10101")); err == nil {
 		t.Fatal("NewLayers accepted a destination word of the wrong length")
+	}
+}
+
+// TestAllocBudgets: once DG(2,6)'s shared distance table exists,
+// NewLayers allocates a constant five objects, independent of N — the
+// Layers, its dist, order and offset arrays, and the enumeration's one
+// digit buffer — and PolicyMinIncrease reads candidate distances from
+// the layer without allocating.
+func TestAllocBudgets(t *testing.T) {
+	if tier := core.NewKernels(core.KernelConfig{SyncTableBuild: true}).TierFor(2, 6); tier != core.TierTable {
+		t.Fatalf("DG(2,6) resolves to the %v tier, want table", tier)
+	}
+	g, err := graph.DeBruijn(graph.Undirected, 2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := word.MustParse(2, "011010")
+	var ly *Layers
+	if a := testing.AllocsPerRun(20, func() {
+		if ly, err = NewLayers(g, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 5 {
+		t.Errorf("NewLayers on DG(2,6): %v allocs, budget 5", a)
+	}
+	cand := []int32{0, 21, 42, 63}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := (PolicyMinIncrease{}).Choose(nil, ly, 0, cand); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("PolicyMinIncrease.Choose: %v allocs, want 0", a)
 	}
 }

@@ -323,30 +323,34 @@ func Random(base, k int, rng *rand.Rand) Word {
 // ForEach enumerates every word of length k over base d in
 // lexicographic order, invoking fn for each; enumeration stops early if
 // fn returns false. It reports whether the enumeration ran to
-// completion.
+// completion. Each word fn receives is its own copy and may be kept.
 func ForEach(base, k int, fn func(Word) bool) (bool, error) {
+	return ForEachInPlace(base, k, func(w Word) bool {
+		return fn(Word{base: w.base, digits: append([]byte(nil), w.digits...)})
+	})
+}
+
+// ForEachInPlace is ForEach without the per-word copy: every call of
+// fn sees the same digit buffer, advanced in place once fn returns, so
+// fn must not keep the word past the call. The i-th word fn receives
+// has rank i.
+func ForEachInPlace(base, k int, fn func(Word) bool) (bool, error) {
 	n, err := Count(base, k)
 	if err != nil {
 		return false, err
 	}
-	digits := make([]byte, k)
+	w := Word{base: base, digits: make([]byte, k)}
 	for i := 0; i < n; i++ {
-		w := Word{base: base, digits: digits}
-		// fn receives a copy-on-write view: hand it a fresh slice so
-		// the in-place increment below cannot mutate a retained Word.
-		cp := make([]byte, k)
-		copy(cp, digits)
-		w.digits = cp
 		if !fn(w) {
 			return false, nil
 		}
 		// Increment digits as a base-d counter.
 		for j := k - 1; j >= 0; j-- {
-			digits[j]++
-			if int(digits[j]) < base {
+			w.digits[j]++
+			if int(w.digits[j]) < base {
 				break
 			}
-			digits[j] = 0
+			w.digits[j] = 0
 		}
 	}
 	return true, nil

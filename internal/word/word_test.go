@@ -248,6 +248,26 @@ func TestForEachWordsAreIndependent(t *testing.T) {
 	}
 }
 
+// TestForEachInPlaceRanks: the i-th word ForEachInPlace hands out has
+// rank i, and the whole enumeration allocates only its digit buffer.
+func TestForEachInPlaceRanks(t *testing.T) {
+	i := uint64(0)
+	if _, err := ForEachInPlace(3, 4, func(w Word) bool {
+		if r := w.MustRank(); r != i {
+			t.Fatalf("word %d = %v has rank %d", i, w, r)
+		}
+		i++
+		return true
+	}); err != nil || i != 81 {
+		t.Fatalf("ForEachInPlace: %d words, err %v", i, err)
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		_, _ = ForEachInPlace(2, 8, func(Word) bool { return true })
+	}); a != 1 {
+		t.Errorf("ForEachInPlace: %v allocs, want 1", a)
+	}
+}
+
 func TestPrefixSuffix(t *testing.T) {
 	w := MustParse(2, "01101")
 	if got := string(mustStr(w.Prefix(3))); got != "011" {
