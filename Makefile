@@ -85,7 +85,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseRoundTrip -fuzztime=30s ./internal/word/
 	$(GO) test -fuzz=FuzzDeflectInvariant -fuzztime=30s ./internal/deflect/
 	$(GO) test -fuzz=FuzzCheckRoutes -fuzztime=30s ./internal/check/
-	$(GO) test -fuzz=FuzzEngineEquivalence -fuzztime=30s ./internal/check/
 	$(GO) test -fuzz=FuzzServeDecode -fuzztime=30s ./internal/serve/
 
 # Regenerates every experiment table (EXPERIMENTS.md source data).

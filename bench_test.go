@@ -9,7 +9,7 @@
 // E2: BenchmarkBFSBaseline vs BenchmarkDistance shows the exponential
 // separation justifying the closed-form distance functions.
 // E3/E4: the mean-distance computations behind eq. (5) and Figure 2.
-// E7: the network simulator engines. E8: fault tolerance. E9: the
+// E7: the network simulator. E8: fault tolerance. E9: the
 // sequence/embedding substrate.
 package debruijn_test
 
@@ -242,28 +242,6 @@ func BenchmarkSimulator(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkCluster pushes traffic through the concurrent engine (E7).
-func BenchmarkCluster(b *testing.B) {
-	c, err := network.NewCluster(network.ClusterConfig{D: 2, K: 8, Seed: 9, MaxInflight: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
-	rng := rand.New(rand.NewSource(10))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, d := word.Random(2, 8, rng), word.Random(2, 8, rng)
-		if err := c.Send(s, d, "b"); err != nil {
-			b.Fatal(err)
-		}
-		if i%256 == 255 {
-			c.Drain()
-		}
-	}
-	c.Drain()
 }
 
 // BenchmarkFaultTolerance measures the E8 connectivity sweep.

@@ -71,7 +71,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("dbcheck", flag.ContinueOnError)
 	d := fs.Int("d", 0, "alphabet size (0 with -k 0: sweep all graphs under -max-vertices)")
 	k := fs.Int("k", 0, "word length")
-	mode := fs.String("mode", "all", "oracle selection: routes | engines | invariants | kernels | faultroutes | cluster | chaos | all")
+	mode := fs.String("mode", "all", "oracle selection: routes | invariants | kernels | faultroutes | cluster | chaos | all")
 	maxVertices := fs.Int("max-vertices", 4096, "sweep bound on d^k when -d/-k are not given")
 	seed := fs.Int64("seed", 1, "seed for sampling, workloads and fault plans")
 	samplePairs := fs.Int("sample-pairs", 4096, "route-oracle pairs sampled per graph above -sample-above vertices")
@@ -87,9 +87,9 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("give both -d and -k, or neither (sweep)")
 	}
 	switch *mode {
-	case "routes", "engines", "invariants", "kernels", "faultroutes", "cluster", "chaos", "all":
+	case "routes", "invariants", "kernels", "faultroutes", "cluster", "chaos", "all":
 	default:
-		return fmt.Errorf("unknown -mode %q (routes | engines | invariants | kernels | faultroutes | cluster | chaos | all)", *mode)
+		return fmt.Errorf("unknown -mode %q (routes | invariants | kernels | faultroutes | cluster | chaos | all)", *mode)
 	}
 
 	var graphs [][2]int
@@ -133,11 +133,6 @@ func run(args []string, out io.Writer) error {
 			SamplePairs: *samplePairs,
 			MaxFindings: *maxFindings,
 			Workers:     *workers,
-		}, check.EnginesOptions{
-			Seed:        *seed,
-			Messages:    *messages,
-			MaxFindings: *maxFindings,
-			Workers:     *workers,
 		}, check.InvariantsOptions{
 			Seed:        *seed,
 			Messages:    *messages,
@@ -176,17 +171,10 @@ func run(args []string, out io.Writer) error {
 }
 
 // runGraph runs the selected oracles on one DG(d,k).
-func runGraph(d, k int, mode string, ro check.RoutesOptions, eo check.EnginesOptions, vo check.InvariantsOptions, ko check.KernelsOptions, fo check.FaultRoutesOptions) ([]check.Report, error) {
+func runGraph(d, k int, mode string, ro check.RoutesOptions, vo check.InvariantsOptions, ko check.KernelsOptions, fo check.FaultRoutesOptions) ([]check.Report, error) {
 	var reps []check.Report
 	if mode == "routes" || mode == "all" {
 		r, err := check.Routes(d, k, ro)
-		if err != nil {
-			return nil, err
-		}
-		reps = append(reps, r)
-	}
-	if mode == "engines" || mode == "all" {
-		r, err := check.Engines(d, k, eo)
 		if err != nil {
 			return nil, err
 		}

@@ -19,10 +19,10 @@ func TestRunSingleGraph(t *testing.T) {
 	if !v.OK || v.Findings != 0 {
 		t.Fatalf("DG(2,3) not clean: %+v", v)
 	}
-	if v.Graphs != 1 || len(v.Reports) != 7 {
-		t.Fatalf("want 1 graph and 7 reports (cluster + chaos + per-graph), got %d and %d", v.Graphs, len(v.Reports))
+	if v.Graphs != 1 || len(v.Reports) != 6 {
+		t.Fatalf("want 1 graph and 6 reports (cluster + chaos + per-graph), got %d and %d", v.Graphs, len(v.Reports))
 	}
-	for i, mode := range []string{"cluster", "chaos", "routes", "engines", "invariants", "kernels", "faultroutes"} {
+	for i, mode := range []string{"cluster", "chaos", "routes", "invariants", "kernels", "faultroutes"} {
 		if v.Reports[i].Mode != mode {
 			t.Errorf("report %d mode %q, want %q", i, v.Reports[i].Mode, mode)
 		}

@@ -5,7 +5,6 @@
 //	dbsim -d 2 -k 8 -messages 10000
 //	dbsim -d 2 -k 8 -policy least-loaded -workload hotspot
 //	dbsim -d 2 -k 6 -fail 000111,010101 -adaptive
-//	dbsim -d 2 -k 8 -engine cluster      # concurrent goroutine engine
 //	dbsim -d 2 -k 6 -engine deflect -rate 0.6 -deflect-policy layer-aware
 //	dbsim -d 2 -k 8 -metrics             # Prometheus text dump after the run
 //	dbsim -d 2 -k 8 -debug-addr :8080    # live /metrics + /debug/pprof
@@ -15,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"strings"
 
@@ -43,7 +41,7 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	failList := fs.String("fail", "", "comma-separated site addresses to fail")
 	adaptive := fs.Bool("adaptive", false, "reroute around failed sites")
-	engine := fs.String("engine", "sync", "sync (deterministic) | cluster (goroutine per site) | deflect (bufferless hot-potato)")
+	engine := fs.String("engine", "sync", "sync (deterministic store-and-forward) | deflect (bufferless hot-potato)")
 	rate := fs.Float64("rate", 0.3, "deflect engine: per-site per-round injection probability")
 	rounds := fs.Int("rounds", 200, "deflect engine: injection window in rounds")
 	deflectPolicy := fs.String("deflect-policy", "layer-aware", "deflect engine: random | min-increase | layer-aware")
@@ -72,11 +70,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	switch *engine {
-	case "cluster":
-		if err := runCluster(out, *d, *k, *uni, *messages, *seed, reg); err != nil {
-			return err
-		}
-		return dumpMetrics(out, reg, *metrics)
 	case "deflect":
 		if err := runDeflect(out, *d, *k, *uni, *deflectPolicy, *rate, *rounds, *maxAge, *seed, reg); err != nil {
 			return err
@@ -212,56 +205,5 @@ func runDeflect(out io.Writer, d, k int, uni bool, policyName string, rate float
 	fmt.Fprintf(out, "deflections:  %d (%.4f per hop, %.4f per message)\n",
 		res.Deflections, res.DeflectionRate, res.MeanDeflections)
 	fmt.Fprintf(out, "throughput:   %.4f delivered/round\n", res.Throughput)
-	return nil
-}
-
-func runCluster(out io.Writer, d, k int, uni bool, messages int, seed int64, reg *obs.Registry) error {
-	c, err := network.NewCluster(network.ClusterConfig{
-		D: d, K: k,
-		Unidirectional: uni,
-		Seed:           seed,
-		MaxInflight:    256,
-		RandomWildcard: true,
-		Obs:            reg,
-	})
-	if err != nil {
-		return err
-	}
-	c.Start()
-	defer c.Stop()
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < messages; i++ {
-		src := word.Random(d, k, rng)
-		dst := word.Random(d, k, rng)
-		if err := c.Send(src, dst, fmt.Sprintf("m%d", i)); err != nil {
-			return err
-		}
-	}
-	c.Drain()
-	delivered, dropped, totalHops, maxHops := 0, 0, 0, 0
-	for _, del := range c.Deliveries() {
-		if del.Delivered {
-			delivered++
-			totalHops += del.Hops
-			if del.Hops > maxHops {
-				maxHops = del.Hops
-			}
-		} else {
-			dropped++
-		}
-	}
-	sites, err := word.Count(d, k)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "DN(%d,%d) concurrent cluster, %d goroutine sites\n", d, k, sites)
-	fmt.Fprintf(out, "messages:  %d\n", messages)
-	fmt.Fprintf(out, "delivered: %d\n", delivered)
-	fmt.Fprintf(out, "dropped:   %d\n", dropped)
-	if delivered > 0 {
-		fmt.Fprintf(out, "mean hops: %.4f\n", float64(totalHops)/float64(delivered))
-	}
-	fmt.Fprintf(out, "max hops:  %d\n", maxHops)
-	fmt.Fprintf(out, "max link load: %d\n", c.MaxLinkLoad())
 	return nil
 }

@@ -43,17 +43,6 @@ func TestFailAndAdaptive(t *testing.T) {
 	}
 }
 
-func TestClusterEngine(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-engine", "cluster", "-d", "2", "-k", "4", "-messages", "100"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "concurrent cluster, 16 goroutine sites") || !strings.Contains(out, "delivered: 100") {
-		t.Errorf("output:\n%s", out)
-	}
-}
-
 func TestDeflectEngine(t *testing.T) {
 	for _, policy := range []string{"random", "min-increase", "layer-aware"} {
 		var b strings.Builder
@@ -156,20 +145,6 @@ func TestMetricsFlag(t *testing.T) {
 	}
 	if byReason != dropped {
 		t.Errorf("drops by reason sum to %d, dropped counter says %d", byReason, dropped)
-	}
-}
-
-func TestClusterMetricsFlag(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-engine", "cluster", "-d", "2", "-k", "4", "-messages", "100", "-metrics"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	sent := promValue(t, out, "dn_cluster_messages_sent_total")
-	delivered := promValue(t, out, "dn_cluster_messages_delivered_total")
-	dropped := promValue(t, out, "dn_cluster_messages_dropped_total")
-	if sent != 100 || sent != delivered+dropped {
-		t.Errorf("sent %d, delivered %d, dropped %d:\n%s", sent, delivered, dropped, out)
 	}
 }
 

@@ -1,17 +1,15 @@
 // Package check is the differential-verification harness of the
 // reproduction: every independent implementation of the paper's route
 // and distance computations is cross-checked against an oracle, and
-// every engine is cross-checked against its sibling and its own
-// accounting.
+// every engine is cross-checked against its own accounting.
 //
 // The paper proves that three different algorithms (1, 2 and 4)
 // compute the *same* optimal routes — Theorem 2's distance is the
 // invariant all of them must satisfy — which makes the codebase ideal
 // for differential testing: BFS on the explicit graph (internal/graph)
 // is the ground truth, and any disagreement between it and a closed
-// form, between two route constructions, or between two engines run on
-// identical inputs is a bug by definition. Three oracle families are
-// provided:
+// form, or between two route constructions run on identical inputs, is
+// a bug by definition. The graph-level oracle families include:
 //
 //   - Routes: for every ordered pair of DG(d,k) (seeded sample above
 //     Options.SampleAbove vertices), Algorithm 1, Algorithm 2, the
@@ -21,15 +19,10 @@
 //     engines use — to prove it walks X→Y in exactly D(X,Y) real link
 //     crossings (no phantom self-moves, no non-edges).
 //
-//   - Engines: the deterministic stepped engine (network.Network) and
-//     the goroutine-per-site cluster engine (network.Cluster) must
-//     produce identical per-message outcomes — delivered flag, hop
-//     count, drop reason — under identical seeds and fault plans.
-//
 //   - Invariants: the conservation laws every engine promises are
 //     re-derived from obs registry snapshots after seeded runs:
-//     sent = delivered + Σ drops-by-reason for both store-and-forward
-//     engines, and injected = delivered + guard trips + inflight for
+//     sent = delivered + Σ drops-by-reason for the store-and-forward
+//     engine, and injected = delivered + guard trips + inflight for
 //     the bufferless deflection engine.
 //
 // cmd/dbcheck exposes the harness as a CLI with machine-readable JSON
@@ -52,11 +45,12 @@ func (f Finding) String() string { return f.Oracle + ": " + f.Detail }
 
 // Report is the verdict of one checker mode on one graph.
 type Report struct {
-	Mode string `json:"mode"` // routes | engines | invariants
+	Mode string `json:"mode"` // routes | invariants | kernels | faultroutes | cluster | chaos
 	D    int    `json:"d"`
 	K    int    `json:"k"`
-	// Checked counts verified units: ordered pairs (routes), messages
-	// (engines) or asserted invariants (invariants).
+	// Checked counts verified units: ordered pairs (routes) or
+	// asserted invariants (invariants); the other modes document
+	// their own unit.
 	Checked int `json:"checked"`
 	// Sampled reports that the pair set was a seeded sample rather
 	// than exhaustive (routes mode above Options sample threshold).

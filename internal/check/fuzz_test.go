@@ -30,35 +30,3 @@ func FuzzCheckRoutes(f *testing.F) {
 		}
 	})
 }
-
-// FuzzEngineEquivalence lets the fuzzer pick the graph, the traffic
-// seed and the fault density; the two engines must agree on every
-// message either way.
-func FuzzEngineEquivalence(f *testing.F) {
-	f.Add(2, 3, int64(1), uint8(5))
-	f.Add(3, 2, int64(2), uint8(0))
-	f.Add(2, 4, int64(3), uint8(20))
-	f.Fuzz(func(t *testing.T, d, k int, seed int64, failPct uint8) {
-		if d < 2 || d > 6 || k < 1 || k > 6 {
-			t.Skip()
-		}
-		n := 1
-		for i := 0; i < k; i++ {
-			n *= d
-			if n > 256 {
-				t.Skip()
-			}
-		}
-		frac := float64(failPct%45) / 100
-		if frac == 0 {
-			frac = -1 // EnginesOptions: negative disables faults
-		}
-		rep, err := Engines(d, k, EnginesOptions{Seed: seed, Messages: 128, FailFraction: frac})
-		if err != nil {
-			t.Fatalf("Engines(%d,%d): %v", d, k, err)
-		}
-		if !rep.OK() {
-			t.Fatalf("Engines(%d,%d) seed %d fail %.2f: %v", d, k, seed, frac, rep.Findings)
-		}
-	})
-}

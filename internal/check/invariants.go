@@ -22,22 +22,21 @@ type InvariantsOptions struct {
 	Rounds int
 	// MaxFindings caps the findings per report. 0 means 32.
 	MaxFindings int
-	// Workers sets the scan parallelism. The eleven scenario units
-	// (five stepped, three cluster, three deflection policies) are
-	// independent — each derives its RNG stream from its own scenario
-	// name — so above 1 they run concurrently and the merged report is
-	// identical to the sequential one.
+	// Workers sets the scan parallelism. The eight scenario units
+	// (five stepped, three deflection policies) are independent —
+	// each derives its RNG stream from its own scenario name — so
+	// above 1 they run concurrently and the merged report is identical
+	// to the sequential one.
 	Workers int
 }
 
 // Invariants re-derives, from obs registry snapshots taken after
 // seeded runs, the conservation laws every engine documents:
 //
-//	stepped and cluster store-and-forward engines:
+//	stepped store-and-forward engine:
 //	    sent = delivered + dropped,
 //	    dropped = Σ dn_drops_total{reason=…},
-//	    hop-histogram count = delivered,
-//	    and (cluster) the inflight gauge reads 0 after Drain;
+//	    hop-histogram count = delivered;
 //
 //	bufferless deflection engine:
 //	    injected = delivered + guard trips + inflight,
@@ -107,20 +106,6 @@ func invariantUnits() []func(iv *invariantScan) error {
 		s := s
 		units = append(units, func(iv *invariantScan) error {
 			return iv.stepped(s.name, s.uni, s.adaptive, s.faults, s.midFaults)
-		})
-	}
-	for _, s := range []struct {
-		name   string
-		uni    bool
-		faults bool
-	}{
-		{name: "healthy"},
-		{name: "uni", uni: true},
-		{name: "faults", faults: true},
-	} {
-		s := s
-		units = append(units, func(iv *invariantScan) error {
-			return iv.cluster(s.name, s.uni, s.faults)
 		})
 	}
 	for _, pol := range []deflect.Policy{deflect.PolicyRandom{}, deflect.PolicyMinIncrease{}, deflect.PolicyLayerAware{}} {
@@ -193,10 +178,7 @@ func (iv *invariantScan) stepped(name string, uni, adaptive, faults, midFaults b
 		}
 	}
 	snap := reg.Snapshot()
-	iv.balanceBooks("stepped/"+name, snap,
-		"dn_messages_sent_total", "dn_messages_delivered_total",
-		"dn_messages_dropped_total", "dn_drops_total", "dn_hops",
-		int64(iv.opt.Messages))
+	iv.balanceBooks("stepped/"+name, snap, int64(iv.opt.Messages))
 	st := nw.Stats()
 	iv.assert(int64(st.Delivered) == snap.Counter("dn_messages_delivered_total") &&
 		int64(st.Dropped) == snap.Counter("dn_messages_dropped_total"),
@@ -206,70 +188,22 @@ func (iv *invariantScan) stepped(name string, uni, adaptive, faults, midFaults b
 	return nil
 }
 
-// cluster runs one scenario through network.Cluster and balances the
-// dn_cluster_* books, including the post-Drain inflight gauge.
-func (iv *invariantScan) cluster(name string, uni, faults bool) error {
-	reg := obs.NewRegistry()
-	c, err := network.NewCluster(network.ClusterConfig{
-		D: iv.d, K: iv.k,
-		Unidirectional: uni,
-		Seed:           iv.opt.Seed,
-		RandomWildcard: true,
-		Obs:            reg,
-	})
-	if err != nil {
-		return fmt.Errorf("check: %w", err)
-	}
-	rng, plan := iv.workload("cluster/" + name)
-	failed := map[string]bool{}
-	if faults {
-		if err := iv.failSome(rng, func(w word.Word) error {
-			failed[w.String()] = true
-			return c.FailSite(w)
-		}); err != nil {
-			return err
-		}
-	}
-	c.Start()
-	defer c.Stop()
-	sent := 0
-	for i := 0; i < iv.opt.Messages; i++ {
-		if failed[plan[2*i].String()] {
-			continue // the cluster refuses Send from a failed source
-		}
-		if err := c.Send(plan[2*i], plan[2*i+1], strconv.Itoa(i)); err != nil {
-			return fmt.Errorf("check: cluster %s send: %w", name, err)
-		}
-		sent++
-	}
-	c.Drain()
-	snap := reg.Snapshot()
-	iv.balanceBooks("cluster/"+name, snap,
-		"dn_cluster_messages_sent_total", "dn_cluster_messages_delivered_total",
-		"dn_cluster_messages_dropped_total", "dn_cluster_drops_total", "dn_cluster_hops",
-		int64(sent))
-	iv.assert(snap.Gauge("dn_cluster_inflight") == 0,
-		"DN(%d,%d) cluster/%s: inflight gauge reads %v after Drain",
-		iv.d, iv.k, name, snap.Gauge("dn_cluster_inflight"))
-	return nil
-}
-
-// balanceBooks asserts the store-and-forward conservation laws common
-// to both engines from one snapshot.
-func (iv *invariantScan) balanceBooks(scen string, snap obs.Snapshot, sentC, delC, dropC, dropsBase, hopsH string, wantSent int64) {
-	sent := snap.Counter(sentC)
-	del := snap.Counter(delC)
-	drop := snap.Counter(dropC)
-	byReason := snap.CounterSum(dropsBase)
+// balanceBooks asserts the store-and-forward conservation laws from
+// one snapshot.
+func (iv *invariantScan) balanceBooks(scen string, snap obs.Snapshot, wantSent int64) {
+	sent := snap.Counter("dn_messages_sent_total")
+	del := snap.Counter("dn_messages_delivered_total")
+	drop := snap.Counter("dn_messages_dropped_total")
+	byReason := snap.CounterSum("dn_drops_total")
 	iv.assert(sent == wantSent,
-		"DN(%d,%d) %s: %s = %d, but %d messages were injected", iv.d, iv.k, scen, sentC, sent, wantSent)
+		"DN(%d,%d) %s: dn_messages_sent_total = %d, but %d messages were injected", iv.d, iv.k, scen, sent, wantSent)
 	iv.assert(sent == del+drop,
 		"DN(%d,%d) %s: sent %d ≠ delivered %d + dropped %d", iv.d, iv.k, scen, sent, del, drop)
 	iv.assert(drop == byReason,
-		"DN(%d,%d) %s: dropped %d ≠ Σ %s{reason} = %d", iv.d, iv.k, scen, drop, dropsBase, byReason)
-	hops := snap.Histograms[hopsH].Count
+		"DN(%d,%d) %s: dropped %d ≠ Σ dn_drops_total{reason} = %d", iv.d, iv.k, scen, drop, byReason)
+	hops := snap.Histograms["dn_hops"].Count
 	iv.assert(hops == del,
-		"DN(%d,%d) %s: %s has %d observations, delivered %d", iv.d, iv.k, scen, hopsH, hops, del)
+		"DN(%d,%d) %s: dn_hops has %d observations, delivered %d", iv.d, iv.k, scen, hops, del)
 }
 
 // deflect drives the bufferless engine under open-loop load — past the

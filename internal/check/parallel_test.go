@@ -45,27 +45,6 @@ func TestRoutesParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEnginesParallelMatchesSequential pins the concurrent
-// directionality units to the sequential report.
-func TestEnginesParallelMatchesSequential(t *testing.T) {
-	opt := EnginesOptions{Seed: 5, Messages: 96}
-	seq, err := Engines(2, 3, opt)
-	if err != nil {
-		t.Fatalf("Engines sequential: %v", err)
-	}
-	if !seq.OK() {
-		t.Fatalf("Engines sequential found divergences: %+v", seq.Findings)
-	}
-	opt.Workers = 4
-	par, err := Engines(2, 3, opt)
-	if err != nil {
-		t.Fatalf("Engines workers=4: %v", err)
-	}
-	if !reportsEqual(seq, par) {
-		t.Errorf("Engines workers=4 report %+v differs from sequential %+v", par, seq)
-	}
-}
-
 // TestInvariantsParallelMatchesSequential pins the concurrent scenario
 // units to the sequential report.
 func TestInvariantsParallelMatchesSequential(t *testing.T) {

@@ -352,9 +352,8 @@ func (sc *routeScan) fail(err error) {
 
 // replay walks p from sc.x through g and verifies it reaches y in
 // exactly want real link crossings. Paths with wildcard hops are
-// replayed once per chooser the engines use: digit 0 (PolicyFirst and
-// the cluster default), digit d-1, and a seeded random digit
-// (PolicyRandom / Cluster.RandomWildcard).
+// replayed once per chooser the engines use: digit 0 (PolicyFirst),
+// digit d-1, and a seeded random digit (PolicyRandom).
 func (sc *routeScan) replay(alg string, g *graph.Graph, p core.Path, y word.Word, want int) {
 	if len(p) != want {
 		sc.f.addf(kindOracle(g, "route-length"),

@@ -9,9 +9,8 @@ import (
 )
 
 // The engines resolve wildcard hops with three choosers: digit 0
-// (network.PolicyFirst and the cluster default), a seeded uniform
-// digit (network.PolicyRandom, ClusterConfig.RandomWildcard), and a
-// load-dependent digit (network.PolicyLeastLoaded) that can be any
+// (network.PolicyFirst), a seeded uniform digit
+// (network.PolicyRandom), and a load-dependent digit (network.PolicyLeastLoaded) that can be any
 // value in [0, d). The paper's remark permits this freedom only
 // because every resolution yields a shortest path; the tests below
 // pin that directly at the Chooser level.

@@ -82,11 +82,10 @@ func (c KernelConfig) tableBudget() int64 {
 // dispatches each query to the fastest tier covering its (d,k).
 // Construction is cheap; tables are shared process-wide (table.go),
 // so many Kernels over the same graphs pay for one build. Not safe
-// for concurrent use — give each worker its own, exactly like
-// Scratch.
+// for concurrent use — give each worker its own.
 type Kernels struct {
 	cfg KernelConfig
-	sc  Scratch
+	sc  scratch
 	ps  packedScratch
 	fr  Frame
 

@@ -14,7 +14,7 @@ import (
 // the row-major tie-break — exhaustively on small graphs and on random
 // plus adversarial near-periodic operands at single-word sizes.
 func TestPackedAnchorsMatchQuadratic(t *testing.T) {
-	var sc Scratch
+	var sc scratch
 	var ps packedScratch
 	check := func(x, y word.Word) {
 		t.Helper()
@@ -80,7 +80,7 @@ func TestPackedAnchorsMatchQuadratic(t *testing.T) {
 // The single-word sizes also run through the multi-word path, so its
 // window edge cases are exercised where a second oracle exists.
 func TestPackedDistanceMatchesLinear(t *testing.T) {
-	var sc Scratch
+	var sc scratch
 	var ps packedScratch
 	check := func(x, y word.Word) {
 		t.Helper()
@@ -147,7 +147,7 @@ func TestPackedDistanceMatchesLinear(t *testing.T) {
 // TestPackedOverlapMatchesDirected pins the packed suffix/prefix scan
 // to Property 1's Morris-Pratt evaluation.
 func TestPackedOverlapMatchesDirected(t *testing.T) {
-	var sc Scratch
+	var sc scratch
 	var ps packedScratch
 	check := func(x, y word.Word) {
 		t.Helper()
@@ -268,7 +268,7 @@ func kernelRefRoute(t testing.TB, x, y word.Word) Path {
 // TestKernelsMatchScratch runs the full engine over every tier and
 // compares each answer with the tier-free reference evaluations.
 func TestKernelsMatchScratch(t *testing.T) {
-	var sc Scratch
+	var sc scratch
 	rng := rand.New(rand.NewSource(23))
 	for _, tc := range []struct {
 		name string

@@ -52,7 +52,7 @@ func buildS(x, y []byte) []byte {
 // treeAnchors walks the compact prefix tree of S = X⊥Y⊤ once,
 // computing the subtree position extrema and returning the minimizing
 // anchors of both halves of Theorem 2. O(k) time and space; evaluated
-// on pooled arena scratch (Scratch.treeAnchors), so steady-state calls
+// on pooled arena scratch (scratch.treeAnchors), so steady-state calls
 // do not allocate. treeAnchorsPointer below is the original
 // pointer-tree recursion, kept as the structural oracle the tests pin
 // the arena walk against anchor-for-anchor.

@@ -28,20 +28,20 @@ type routerMetrics struct {
 // Router is the §4 remark made concrete: "appropriately implemented,
 // the constant factors of our linear algorithms are low enough to make
 // these algorithms of practical use". It evaluates Theorem 2 and
-// builds Algorithm 2 routes on a private Scratch, so repeated routing
+// builds Algorithm 2 routes on a private scratch, so repeated routing
 // on one DN(d,k) — the forwarding hot path — performs no per-query
 // heap allocation beyond the returned path, and adds the metrics layer
-// the bare Scratch omits. Not safe for concurrent use; give each
+// the bare scratch omits. Not safe for concurrent use; give each
 // forwarding goroutine its own Router.
 type Router struct {
 	k  int
-	sc *Scratch
+	sc *scratch
 	m  routerMetrics
 }
 
 // NewRouter returns a Router for words of length k.
 func NewRouter(k int) *Router {
-	return &Router{k: k, sc: NewScratch()}
+	return &Router{k: k, sc: new(scratch)}
 }
 
 // SetObserver attaches a metrics registry: routes built, Theorem-2

@@ -9,19 +9,19 @@ import (
 	"repro/internal/word"
 )
 
-// Scratch bundles every reusable buffer the routing algorithms need —
-// digit buffers, Morris–Pratt tables, the suffix-tree arena, the
-// generalized-string assembly, and the tree-walk bookkeeping — so that
-// repeated distance evaluation and route construction on one DG(d,k)
-// perform no per-query heap allocation beyond returned paths. The zero
-// value is ready to use. Not safe for concurrent use; give each
-// worker its own Scratch (the verification harness does exactly that).
+// scratch is the T3 tier of Kernels: it bundles every reusable buffer
+// the routing algorithms need — digit buffers, Morris–Pratt tables,
+// the suffix-tree arena, the generalized-string assembly, and the
+// tree-walk bookkeeping — so that repeated distance evaluation and
+// route construction on one DG(d,k) perform no per-query heap
+// allocation beyond returned paths. The zero value is ready to use.
+// Not safe for concurrent use.
 //
 // The package-level one-shot functions (UndirectedDistance,
 // RouteUndirectedLinear, NextHopUndirected, …) keep their signatures
 // and route through an internal sync.Pool of these, so casual callers
 // get the same near-zero allocation profile without holding state.
-type Scratch struct {
+type scratch struct {
 	ms     match.Scratch      // failure tables + matching rows
 	ts     suffixtree.Scratch // node arena for Algorithm 4's tree
 	sbuf   []byte             // X⊥Y⊤ assembly
@@ -31,14 +31,10 @@ type Scratch struct {
 	path   Path               // hop buffer for next-hop queries
 }
 
-// NewScratch returns an empty Scratch. Buffers grow on first use and
-// are retained across calls.
-func NewScratch() *Scratch { return &Scratch{} }
+var corePool = sync.Pool{New: func() any { return new(scratch) }}
 
-var corePool = sync.Pool{New: func() any { return NewScratch() }}
-
-func getScratch() *Scratch   { return corePool.Get().(*Scratch) }
-func putScratch(sc *Scratch) { corePool.Put(sc) }
+func getScratch() *scratch   { return corePool.Get().(*scratch) }
+func putScratch(sc *scratch) { corePool.Put(sc) }
 
 // extrema carries the 1-based X- and Y-position extrema of the leaves
 // below one tree vertex (minima saturate high, maxima at 0 when the
@@ -55,14 +51,14 @@ type aframe struct {
 
 // loadDigits fills sc.xd/sc.yd with the digits of x and y without
 // allocating (word.Digits copies; AppendDigits reuses the buffer).
-func (sc *Scratch) loadDigits(x, y word.Word) {
+func (sc *scratch) loadDigits(x, y word.Word) {
 	sc.xd = x.AppendDigits(sc.xd[:0])
 	sc.yd = y.AppendDigits(sc.yd[:0])
 }
 
 // DirectedDistance is Property 1 (see the package-level function)
 // evaluated with scratch buffers: zero allocation.
-func (sc *Scratch) DirectedDistance(x, y word.Word) (int, error) {
+func (sc *scratch) DirectedDistance(x, y word.Word) (int, error) {
 	if err := validatePair(x, y); err != nil {
 		return 0, err
 	}
@@ -72,7 +68,7 @@ func (sc *Scratch) DirectedDistance(x, y word.Word) (int, error) {
 
 // UndirectedDistance is Theorem 2 via the O(k²) failure-function sweep
 // (Algorithm 2's distance step) with scratch buffers: zero allocation.
-func (sc *Scratch) UndirectedDistance(x, y word.Word) (int, error) {
+func (sc *scratch) UndirectedDistance(x, y word.Word) (int, error) {
 	if err := validatePair(x, y); err != nil {
 		return 0, err
 	}
@@ -89,7 +85,7 @@ func (sc *Scratch) UndirectedDistance(x, y word.Word) (int, error) {
 
 // UndirectedDistanceLinear is Theorem 2 via the compact prefix tree
 // (Algorithm 4's distance step) with scratch buffers: zero allocation.
-func (sc *Scratch) UndirectedDistanceLinear(x, y word.Word) (int, error) {
+func (sc *scratch) UndirectedDistanceLinear(x, y word.Word) (int, error) {
 	if err := validatePair(x, y); err != nil {
 		return 0, err
 	}
@@ -109,7 +105,7 @@ func (sc *Scratch) UndirectedDistanceLinear(x, y word.Word) (int, error) {
 
 // RouteUndirected is Algorithm 2 with scratch buffers; only the
 // returned path is allocated (exactly sized from the anchor distance).
-func (sc *Scratch) RouteUndirected(x, y word.Word) (Path, error) {
+func (sc *scratch) RouteUndirected(x, y word.Word) (Path, error) {
 	if err := validatePair(x, y); err != nil {
 		return nil, err
 	}
@@ -123,7 +119,7 @@ func (sc *Scratch) RouteUndirected(x, y word.Word) (Path, error) {
 
 // RouteUndirectedLinear is Algorithm 4 with scratch buffers; only the
 // returned path is allocated.
-func (sc *Scratch) RouteUndirectedLinear(x, y word.Word) (Path, error) {
+func (sc *scratch) RouteUndirectedLinear(x, y word.Word) (Path, error) {
 	if err := validatePair(x, y); err != nil {
 		return nil, err
 	}
@@ -142,7 +138,7 @@ func (sc *Scratch) RouteUndirectedLinear(x, y word.Word) (Path, error) {
 // zero allocation: the path is materialized into the scratch hop
 // buffer, not the heap. The returned Hop is a value; it remains valid
 // after the next call.
-func (sc *Scratch) NextHopUndirected(cur, dst word.Word) (Hop, bool, error) {
+func (sc *scratch) NextHopUndirected(cur, dst word.Word) (Hop, bool, error) {
 	if err := validatePair(cur, dst); err != nil {
 		return Hop{}, false, err
 	}
@@ -166,7 +162,7 @@ func (sc *Scratch) NextHopUndirected(cur, dst word.Word) (Hop, bool, error) {
 // (i ascending, then j ascending, strict improvement) so anchors — and
 // therefore constructed paths — are byte-identical to the one-shot
 // API's.
-func (sc *Scratch) anchorsQuadratic(xd, yd []byte) (aL, aR anchor) {
+func (sc *scratch) anchorsQuadratic(xd, yd []byte) (aL, aR anchor) {
 	return bestLWith(&sc.ms, xd, yd), bestRWith(&sc.ms, xd, yd)
 }
 
@@ -177,7 +173,7 @@ func (sc *Scratch) anchorsQuadratic(xd, yd []byte) (aL, aR anchor) {
 // internal vertex after its children, replicating the recursive walk's
 // traversal — and hence its argmin tie-breaks — exactly. O(k) time,
 // zero allocation once the scratch is warm.
-func (sc *Scratch) treeAnchors(x, y []byte) (aL, aR anchor, err error) {
+func (sc *scratch) treeAnchors(x, y []byte) (aL, aR anchor, err error) {
 	k := len(x)
 	sc.sbuf = append(sc.sbuf[:0], x...)
 	sc.sbuf = append(sc.sbuf, markBot)

@@ -7,14 +7,14 @@ import (
 	"repro/internal/word"
 )
 
-// TestScratchEquivalence pins every Scratch method to its one-shot
+// TestScratchEquivalence pins every scratch method to its one-shot
 // sibling — byte-identical paths, equal distances and hops — across
 // seeded pairs on every DG(d,k) with at most 4096 vertices, reusing
-// ONE Scratch throughout so cross-query buffer contamination would
+// ONE scratch throughout so cross-query buffer contamination would
 // surface.
 func TestScratchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	sc := NewScratch()
+	sc := new(scratch)
 	for d := 2; d <= 6; d++ {
 		for k := 1; ; k++ {
 			n, err := word.Count(d, k)
@@ -32,44 +32,44 @@ func TestScratchEquivalence(t *testing.T) {
 				if got, _ := sc.DirectedDistance(x, y); true {
 					want, _ := DirectedDistance(x, y)
 					if got != want {
-						t.Fatalf("Scratch.DirectedDistance(%v,%v) = %d, want %d", x, y, got, want)
+						t.Fatalf("scratch.DirectedDistance(%v,%v) = %d, want %d", x, y, got, want)
 					}
 				}
 				if got, _ := sc.UndirectedDistance(x, y); true {
 					want, _ := UndirectedDistance(x, y)
 					if got != want {
-						t.Fatalf("Scratch.UndirectedDistance(%v,%v) = %d, want %d", x, y, got, want)
+						t.Fatalf("scratch.UndirectedDistance(%v,%v) = %d, want %d", x, y, got, want)
 					}
 				}
 				if got, _ := sc.UndirectedDistanceLinear(x, y); true {
 					want, _ := UndirectedDistanceLinear(x, y)
 					if got != want {
-						t.Fatalf("Scratch.UndirectedDistanceLinear(%v,%v) = %d, want %d", x, y, got, want)
+						t.Fatalf("scratch.UndirectedDistanceLinear(%v,%v) = %d, want %d", x, y, got, want)
 					}
 				}
 				gp, err := sc.RouteUndirected(x, y)
 				if err != nil {
-					t.Fatalf("Scratch.RouteUndirected(%v,%v): %v", x, y, err)
+					t.Fatalf("scratch.RouteUndirected(%v,%v): %v", x, y, err)
 				}
 				wp, _ := RouteUndirected(x, y)
 				if gp.String() != wp.String() {
-					t.Fatalf("Scratch.RouteUndirected(%v,%v) = %v, want %v", x, y, gp, wp)
+					t.Fatalf("scratch.RouteUndirected(%v,%v) = %v, want %v", x, y, gp, wp)
 				}
 				gp, err = sc.RouteUndirectedLinear(x, y)
 				if err != nil {
-					t.Fatalf("Scratch.RouteUndirectedLinear(%v,%v): %v", x, y, err)
+					t.Fatalf("scratch.RouteUndirectedLinear(%v,%v): %v", x, y, err)
 				}
 				wp, _ = RouteUndirectedLinear(x, y)
 				if gp.String() != wp.String() {
-					t.Fatalf("Scratch.RouteUndirectedLinear(%v,%v) = %v, want %v", x, y, gp, wp)
+					t.Fatalf("scratch.RouteUndirectedLinear(%v,%v) = %v, want %v", x, y, gp, wp)
 				}
 				gh, gok, err := sc.NextHopUndirected(x, y)
 				if err != nil {
-					t.Fatalf("Scratch.NextHopUndirected(%v,%v): %v", x, y, err)
+					t.Fatalf("scratch.NextHopUndirected(%v,%v): %v", x, y, err)
 				}
 				wh, wok, _ := NextHopUndirected(x, y)
 				if gh != wh || gok != wok {
-					t.Fatalf("Scratch.NextHopUndirected(%v,%v) = (%v,%v), want (%v,%v)", x, y, gh, gok, wh, wok)
+					t.Fatalf("scratch.NextHopUndirected(%v,%v) = (%v,%v), want (%v,%v)", x, y, gh, gok, wh, wok)
 				}
 			}
 		}
@@ -83,7 +83,7 @@ func TestScratchEquivalence(t *testing.T) {
 // contract that keeps Algorithm 4 paths byte-identical across the
 // scratch refactor.
 func TestTreeAnchorsMatchesPointerWalk(t *testing.T) {
-	sc := NewScratch()
+	sc := new(scratch)
 	checkPair := func(xd, yd []byte) {
 		t.Helper()
 		gL, gR, err := sc.treeAnchors(xd, yd)

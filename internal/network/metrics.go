@@ -24,9 +24,6 @@ const (
 	// DropTypeRUnidirectional: a type-R hop in a uni-directional
 	// network.
 	DropTypeRUnidirectional = "type-R in uni-directional"
-	// DropInvalidHop: a hop with an invalid type byte (Cluster engine;
-	// the synchronous engine reports it as an error).
-	DropInvalidHop = "invalid hop"
 	// DropLinkFailed: the next link is failed and the engine has no
 	// fault-routing mode to switch structures (Config.FaultRoute off).
 	DropLinkFailed = "link failed"
@@ -36,9 +33,8 @@ const (
 	DropNoDetour = "no detour"
 )
 
-// Registry metric names of the synchronous engine (prefix dn_) and
-// the concurrent engine (prefix dn_cluster_). Documented in
-// README.md § Observability.
+// Registry metric names of the engine. Documented in README.md
+// § Observability.
 const (
 	metricSent         = "dn_messages_sent_total"
 	metricDelivered    = "dn_messages_delivered_total"
@@ -53,24 +49,15 @@ const (
 	metricFailedLinks  = "dn_failed_links"
 	metricFaultInject  = "dn_fault_injections_total"
 	metricTreeSwitches = "dn_tree_switches_total"
-
-	metricClusterSent         = "dn_cluster_messages_sent_total"
-	metricClusterDelivered    = "dn_cluster_messages_delivered_total"
-	metricClusterDropped      = "dn_cluster_messages_dropped_total"
-	metricClusterDrops        = "dn_cluster_drops_total" // labelled by reason
-	metricClusterLinksCrossed = "dn_cluster_links_crossed_total"
-	metricClusterHops         = "dn_cluster_hops"
-	metricClusterQueueWait    = "dn_cluster_queue_wait_ns"
-	metricClusterInflight     = "dn_cluster_inflight"
 )
 
 var dropReasons = []string{
 	DropSourceFailed, DropRouteExhausted, DropTTLExceeded,
-	DropSiteFailed, DropNoReroute, DropTypeRUnidirectional, DropInvalidHop,
+	DropSiteFailed, DropNoReroute, DropTypeRUnidirectional,
 	DropLinkFailed, DropNoDetour,
 }
 
-// engineMetrics are the pre-resolved instrument handles of one engine.
+// engineMetrics are the pre-resolved message-accounting handles.
 // Built once at construction; with a nil registry every handle is nil
 // and each call degrades to a single nil check, keeping the disabled
 // overhead on the forwarding hot path within noise.
@@ -79,22 +66,21 @@ type engineMetrics struct {
 	linksCrossed, reroutes   *obs.Counter
 	dropBy                   map[string]*obs.Counter
 	hops                     *obs.Histogram
-	queueWait                *obs.Histogram
-	inflight                 *obs.Gauge
 }
 
-func newEngineMetrics(reg *obs.Registry, sent, delivered, dropped, drops, links, hops string) engineMetrics {
+func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	m := engineMetrics{
-		sent:         reg.Counter(sent),
-		delivered:    reg.Counter(delivered),
-		dropped:      reg.Counter(dropped),
-		linksCrossed: reg.Counter(links),
-		hops:         reg.Histogram(hops, obs.HopBuckets),
+		sent:         reg.Counter(metricSent),
+		delivered:    reg.Counter(metricDelivered),
+		dropped:      reg.Counter(metricDropped),
+		linksCrossed: reg.Counter(metricLinksCrossed),
+		reroutes:     reg.Counter(metricReroutes),
+		hops:         reg.Histogram(metricHops, obs.HopBuckets),
 	}
 	if reg != nil {
 		m.dropBy = make(map[string]*obs.Counter, len(dropReasons))
 		for _, r := range dropReasons {
-			m.dropBy[r] = reg.Counter(obs.Label(drops, "reason", r))
+			m.dropBy[r] = reg.Counter(obs.Label(metricDrops, "reason", r))
 		}
 	}
 	return m

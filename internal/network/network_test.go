@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/word"
 )
 
@@ -195,6 +196,37 @@ func TestUnidirectionalRejectsTypeRRoutes(t *testing.T) {
 	}
 	if del.Delivered || !strings.Contains(del.DropReason, "type-R") {
 		t.Errorf("delivery = %+v", del)
+	}
+}
+
+// TestInjectRejectsMalformedRoute pins that a route Inject cannot
+// forward — a concrete digit outside the alphabet, or an invalid hop
+// type — is an error before the send is counted, so the registry's
+// sent = delivered + dropped still balances.
+func TestInjectRejectsMalformedRoute(t *testing.T) {
+	reg := obs.NewRegistry()
+	n := mustNet(t, Config{D: 2, K: 3, Obs: reg})
+	src, dst := word.MustParse(2, "000"), word.MustParse(2, "001")
+	for name, route := range map[string]core.Path{
+		"digit out of base": {core.L(2)},
+		"invalid type":      {core.L(1), {Type: core.HopType(7), Digit: 0}},
+	} {
+		if _, err := n.Inject(Message{Control: ControlData, Source: src, Dest: dst, Route: route}); err == nil {
+			t.Errorf("%s: Inject accepted %v", name, route)
+		}
+	}
+	snap := reg.Snapshot()
+	if sent := snap.Counter("dn_messages_sent_total"); sent != 0 {
+		t.Errorf("rejected routes counted as sent: %d", sent)
+	}
+	// A wildcard hop carries no digit, so its digit field is not checked.
+	del, err := n.Inject(Message{Control: ControlData, Source: src, Dest: word.MustParse(2, "100"),
+		Route: core.Path{core.L(1), core.L(0), {Type: core.TypeL, Wildcard: true, Digit: 9}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !del.Delivered {
+		t.Errorf("wildcard route: delivery = %+v", del)
 	}
 }
 

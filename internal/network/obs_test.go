@@ -62,52 +62,95 @@ func TestRegistrySentEqualsDeliveredPlusDropped(t *testing.T) {
 	}
 }
 
-// TestClusterRegistryInvariant checks the same invariant on the
-// concurrent engine.
-func TestClusterRegistryInvariant(t *testing.T) {
+// TestMetricDocsMatchRegistry pins README § Observability to the
+// code: every series an instrumented Network registers — with faults,
+// Adaptive, FaultRoute and Trace all on — must appear, label-stripped,
+// in the section's metric table.
+func TestMetricDocsMatchRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	c, err := NewCluster(ClusterConfig{D: 2, K: 4, Seed: 3, Obs: reg})
+	n, err := New(Config{D: 2, K: 5, Adaptive: true, FaultRoute: true, Trace: true, Seed: 5, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	failed := word.MustParse(2, "0110")
-	if err := c.FailSite(failed); err != nil {
+	if err := n.FailSite(word.MustParse(2, "01101")); err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
+	if err := n.FailLink(word.MustParse(2, "00000"), word.MustParse(2, "00001")); err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(5))
-	sent := 0
-	for sent < 200 {
-		src, dst := word.Random(2, 4, rng), word.Random(2, 4, rng)
-		if src.Equal(failed) {
-			continue
-		}
-		if err := c.Send(src, dst, ""); err != nil {
+	for i := 0; i < 50; i++ {
+		if _, err := n.Send(word.Random(2, 5, rng), word.Random(2, 5, rng), ""); err != nil {
 			t.Fatal(err)
 		}
-		sent++
 	}
-	c.Drain()
-	c.Stop()
+	n.Stats()
+
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n## Observability\n")
+	if !ok {
+		t.Fatal("README.md has no § Observability")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		series := strings.Split(line, "|")[1]
+		for _, tok := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(series, -1) {
+			for _, name := range expandSeries(tok[1]) {
+				documented[name] = true
+			}
+		}
+	}
 
 	snap := reg.Snapshot()
-	if got := snap.Counter("dn_cluster_messages_sent_total"); got != int64(sent) {
-		t.Errorf("sent = %d, want %d", got, sent)
+	var names []string
+	for name := range snap.Counters {
+		names = append(names, name)
 	}
-	delivered := snap.Counter("dn_cluster_messages_delivered_total")
-	dropped := snap.Counter("dn_cluster_messages_dropped_total")
-	if delivered+dropped != int64(sent) {
-		t.Errorf("delivered %d + dropped %d != sent %d", delivered, dropped, sent)
+	for name := range snap.Gauges {
+		names = append(names, name)
 	}
-	if byReason := snap.CounterSum("dn_cluster_drops_total"); byReason != dropped {
-		t.Errorf("drops by reason sum to %d, dropped counter says %d", byReason, dropped)
+	for name := range snap.Histograms {
+		names = append(names, name)
 	}
-	if got := snap.Gauge("dn_cluster_inflight"); got != 0 {
-		t.Errorf("inflight gauge = %v after drain, want 0", got)
+	if len(names) == 0 {
+		t.Fatal("instrumented network registered no series")
 	}
-	if snap.Histograms["dn_cluster_queue_wait_ns"].Count == 0 {
-		t.Error("queue wait histogram empty with registry attached")
+	for _, name := range names {
+		base, _, _ := strings.Cut(name, "{")
+		if !documented[base] {
+			t.Errorf("series %s is not in README § Observability's table", base)
+		}
 	}
+}
+
+// expandSeries expands a documented series pattern: a brace group of
+// alternatives (dn_{a,b}_total) yields one name per alternative, and
+// a label set ({reason="…"}) is stripped.
+func expandSeries(pattern string) []string {
+	i := strings.IndexByte(pattern, '{')
+	if i < 0 {
+		return []string{pattern}
+	}
+	j := i + strings.IndexByte(pattern[i:], '}')
+	if j < i {
+		return []string{pattern}
+	}
+	inner, rest := pattern[i+1:j], pattern[j+1:]
+	if strings.Contains(inner, "=") {
+		return expandSeries(pattern[:i] + rest)
+	}
+	var out []string
+	for _, alt := range strings.Split(inner, ",") {
+		out = append(out, expandSeries(pattern[:i]+alt+rest)...)
+	}
+	return out
 }
 
 // TestTTLZeroMeansFourK covers the documented default: TTL 0 resolves
@@ -235,7 +278,7 @@ func traceWalk(t *testing.T, del Delivery, want []word.Word) {
 
 // expectedWalk recomputes the optimal route for a delivered message
 // and expands it to vertices, resolving wildcards with digit 0 (the
-// PolicyFirst / non-RandomWildcard default both engines use here).
+// PolicyFirst default the engine uses here).
 func expectedWalk(t *testing.T, unidirectional bool, src, dst word.Word) []word.Word {
 	t.Helper()
 	var route core.Path
@@ -283,34 +326,6 @@ func TestTraceFidelityNetwork(t *testing.T) {
 				t.Fatalf("trace counts %d hops, delivery says %d", got, del.Hops)
 			}
 		}
-	}
-}
-
-// TestTraceFidelityCluster runs the same fidelity check through the
-// concurrent engine.
-func TestTraceFidelityCluster(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{D: 2, K: 6, Seed: 7, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 100; i++ {
-		if err := c.Send(word.Random(2, 6, rng), word.Random(2, 6, rng), ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Drain()
-	c.Stop()
-	deliveries := c.Deliveries()
-	if len(deliveries) != 100 {
-		t.Fatalf("recorded %d deliveries, want 100", len(deliveries))
-	}
-	for _, del := range deliveries {
-		if !del.Delivered {
-			t.Fatalf("%v -> %v dropped: %s", del.Msg.Source, del.Msg.Dest, del.DropReason)
-		}
-		traceWalk(t, del, expectedWalk(t, false, del.Msg.Source, del.Msg.Dest))
 	}
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Causes of a HopEvent. A message trace is a sequence of events:
@@ -42,9 +41,6 @@ type HopEvent struct {
 	// Wildcard reports that the hop was a (a,*) pair before the
 	// forwarding site resolved it to Digit.
 	Wildcard bool `json:"wildcard,omitempty"`
-	// Wait is the queue wait before the event was processed (only the
-	// concurrent Cluster engine measures it).
-	Wait time.Duration `json:"wait_ns,omitempty"`
 	// Layer is the distance-layer index B_i of the site relative to the
 	// destination (Fàbrega et al.): the remaining distance, counting
 	// down to 0 as the message closes in. Zero means "at the
@@ -86,7 +82,7 @@ func (t Trace) Hops() int {
 //
 //	hop  event   site
 //	  0  inject  001011
-//	  1  L(1)    010111   wait=12µs
+//	  1  L(1)    010111
 //	  2  L(*→0)  101110
 //	     reroute @101110  next site 011100 failed
 //	  ✓ delivered at 101110 after 2 hops
@@ -102,11 +98,7 @@ func (t Trace) String() string {
 			if ev.Wildcard {
 				op = fmt.Sprintf("%s(*→%d)", ev.Link, ev.Digit)
 			}
-			fmt.Fprintf(&b, "%3d  %-6s  %s", ev.Hop, op, ev.Site)
-			if ev.Wait > 0 {
-				fmt.Fprintf(&b, "   wait=%v", ev.Wait)
-			}
-			b.WriteByte('\n')
+			fmt.Fprintf(&b, "%3d  %-6s  %s\n", ev.Hop, op, ev.Site)
 		case CauseReroute:
 			fmt.Fprintf(&b, "     reroute @%s  %s\n", ev.Site, ev.Detail)
 		case CauseDeliver:

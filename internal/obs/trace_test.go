@@ -3,13 +3,12 @@ package obs
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func sampleTrace() Trace {
 	return Trace{
 		{Hop: 0, Cause: CauseInject, Site: "0010", Digit: -1},
-		{Hop: 1, Cause: CauseForward, Site: "0101", Link: "L", Digit: 1, Wait: 12 * time.Microsecond},
+		{Hop: 1, Cause: CauseForward, Site: "0101", Link: "L", Digit: 1},
 		{Hop: 1, Cause: CauseReroute, Site: "0101", Detail: "next site 1011 failed"},
 		{Hop: 2, Cause: CauseForward, Site: "1010", Link: "R", Digit: 0, Wildcard: true},
 		{Hop: 2, Cause: CauseDeliver, Site: "1010", Digit: -1},
@@ -38,7 +37,6 @@ func TestTraceRender(t *testing.T) {
 	for _, want := range []string{
 		"inject  0010",
 		"L(1)    0101",
-		"wait=12µs",
 		"reroute @0101  next site 1011 failed",
 		"R(*→0)  1010",
 		"✓ delivered at 1010 after 2 hops",

@@ -5,10 +5,10 @@
 // bounded latency under overload.
 //
 // The serving stack is the ROADMAP north star ("serve heavy traffic
-// from millions of users") built directly on the PR 4 zero-allocation
-// kernels: each worker shard owns one core.Scratch, so a query is
-// answered in O(k) time with no per-query heap allocation beyond the
-// returned path — exactly the regime Liu's O(k) algorithms target
+// from millions of users") built directly on the zero-allocation
+// kernels: each worker shard owns one core.Kernels, so a query is
+// answered in O(k) time or better with no per-query heap allocation
+// beyond the returned path — exactly the regime Liu's O(k) algorithms target
 // (per-query computation replacing O(N) routing state). The degrade
 // ladder leans on the distance-layer view of Fàbrega, Martí-Farré &
 // Muñoz (arXiv:2203.09918): every vertex of DG(d,k) lies in some layer
