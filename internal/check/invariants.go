@@ -22,8 +22,8 @@ type InvariantsOptions struct {
 	Rounds int
 	// MaxFindings caps the findings per report. 0 means 32.
 	MaxFindings int
-	// Workers sets the scan parallelism. The eight scenario units
-	// (five stepped, three deflection policies) are independent —
+	// Workers sets the scan parallelism. The nine scenario units
+	// (six stepped, three deflection policies) are independent —
 	// each derives its RNG stream from its own scenario name — so
 	// above 1 they run concurrently and the merged report is identical
 	// to the sequential one.
@@ -36,7 +36,8 @@ type InvariantsOptions struct {
 //	stepped store-and-forward engine:
 //	    sent = delivered + dropped,
 //	    dropped = Σ dn_drops_total{reason=…},
-//	    hop-histogram count = delivered;
+//	    hop-histogram count = delivered,
+//	    hop-histogram sum = Stats().TotalHops;
 //
 //	bufferless deflection engine:
 //	    injected = delivered + guard trips + inflight,
@@ -44,8 +45,8 @@ type InvariantsOptions struct {
 //
 // The scenarios deliberately provoke every drop path the accounting
 // must balance: healthy traffic, static faults, mid-run faults with
-// and without adaptive rerouting, and sustained deflection load past
-// the age guard.
+// and without adaptive rerouting, source- and self-routed, and
+// sustained deflection load past the age guard.
 func Invariants(d, k int, opt InvariantsOptions) (Report, error) {
 	rep := Report{Mode: "invariants", D: d, K: k}
 	n, err := word.Count(d, k)
@@ -96,16 +97,18 @@ func invariantUnits() []func(iv *invariantScan) error {
 		name              string
 		uni, adaptive     bool
 		faults, midFaults bool
+		selfRouted        bool
 	}{
 		{name: "healthy", faults: false},
 		{name: "uni-faults", uni: true, faults: true},
 		{name: "static-faults", faults: true},
 		{name: "midrun-faults", faults: true, midFaults: true},
 		{name: "adaptive-midrun", adaptive: true, faults: true, midFaults: true},
+		{name: "selfrouted-adaptive-midrun", adaptive: true, faults: true, midFaults: true, selfRouted: true},
 	} {
 		s := s
 		units = append(units, func(iv *invariantScan) error {
-			return iv.stepped(s.name, s.uni, s.adaptive, s.faults, s.midFaults)
+			return iv.stepped(s.name, s.uni, s.adaptive, s.faults, s.midFaults, s.selfRouted)
 		})
 	}
 	for _, pol := range []deflect.Policy{deflect.PolicyRandom{}, deflect.PolicyMinIncrease{}, deflect.PolicyLayerAware{}} {
@@ -147,9 +150,10 @@ func (iv *invariantScan) workload(scenario string) (*rand.Rand, []word.Word) {
 	return rng, plan
 }
 
-// stepped runs one scenario through network.Network and balances the
+// stepped runs one scenario through network.Network — source-routed
+// (Send) or self-routed (SendDestinationRouted) — and balances the
 // dn_messages_* / dn_drops_total / dn_hops books.
-func (iv *invariantScan) stepped(name string, uni, adaptive, faults, midFaults bool) error {
+func (iv *invariantScan) stepped(name string, uni, adaptive, faults, midFaults, selfRouted bool) error {
 	reg := obs.NewRegistry()
 	nw, err := network.New(network.Config{
 		D: iv.d, K: iv.k,
@@ -160,6 +164,10 @@ func (iv *invariantScan) stepped(name string, uni, adaptive, faults, midFaults b
 	})
 	if err != nil {
 		return fmt.Errorf("check: %w", err)
+	}
+	send := nw.Send
+	if selfRouted {
+		send = nw.SendDestinationRouted
 	}
 	rng, plan := iv.workload("stepped/" + name)
 	if faults && !midFaults {
@@ -173,7 +181,7 @@ func (iv *invariantScan) stepped(name string, uni, adaptive, faults, midFaults b
 				return err
 			}
 		}
-		if _, err := nw.Send(plan[2*i], plan[2*i+1], strconv.Itoa(i)); err != nil {
+		if _, err := send(plan[2*i], plan[2*i+1], strconv.Itoa(i)); err != nil {
 			return fmt.Errorf("check: stepped %s send: %w", name, err)
 		}
 	}
@@ -185,6 +193,9 @@ func (iv *invariantScan) stepped(name string, uni, adaptive, faults, midFaults b
 		"DN(%d,%d) stepped/%s: Stats{delivered %d, dropped %d} disagrees with registry {%d, %d}",
 		iv.d, iv.k, name, st.Delivered, st.Dropped,
 		snap.Counter("dn_messages_delivered_total"), snap.Counter("dn_messages_dropped_total"))
+	hopSum := snap.Histograms["dn_hops"].Sum
+	iv.assert(hopSum == float64(st.TotalHops),
+		"DN(%d,%d) stepped/%s: dn_hops sums to %v, Stats().TotalHops = %d", iv.d, iv.k, name, hopSum, st.TotalHops)
 	return nil
 }
 

@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/stats"
 	"repro/internal/word"
 )
 
@@ -101,15 +99,7 @@ type Contention struct {
 	cfg     ContentionConfig
 	rng     *rand.Rand
 	planned map[[2]int]int
-	flows   []*flow
-}
-
-type flow struct {
-	id    int
-	walk  []word.Word // full planned site sequence
-	pos   int         // index of the site currently holding the message
-	done  int         // delivery round, -1 while in flight
-	queue int         // FIFO arrival counter at the current link
+	walks   [][]word.Word // planned site sequence per message
 }
 
 // NewContention validates the configuration.
@@ -163,7 +153,7 @@ func (c *Contention) Add(src, dst word.Word) error {
 		link := [2]int{graph.DeBruijnVertex(walk[i-1]), graph.DeBruijnVertex(walk[i])}
 		c.planned[link]++
 	}
-	c.flows = append(c.flows, &flow{id: len(c.flows), walk: walk, done: -1})
+	c.walks = append(c.walks, walk)
 	return nil
 }
 
@@ -199,94 +189,35 @@ type ContentionResult struct {
 func (c *Contention) Run() (ContentionResult, error) {
 	maxRounds := c.cfg.MaxRounds
 	if maxRounds == 0 {
-		maxRounds = 64*c.cfg.K + len(c.flows)
+		maxRounds = 64*c.cfg.K + len(c.walks)
 	}
-	res := ContentionResult{Messages: len(c.flows)}
-	var latency stats.Accumulator
-	var slowdown stats.Accumulator
-	var p95 stats.Histogram
-	remaining := 0
-	for _, f := range c.flows {
-		if len(f.walk) == 1 {
-			f.done = 0
-			latency.Add(0)
-			slowdown.Add(1)
-			if err := p95.Add(0); err != nil {
-				return res, err
-			}
-		} else {
-			remaining++
+	lr := linkRounds{capacity: c.cfg.LinkCapacity}
+	ws := make([]walker, len(c.walks))
+	for i, walk := range c.walks {
+		// Every message is injected before round 1, so its latency is
+		// its delivery round.
+		ws[i] = walker{walk: walk, injected: 1}
+		if err := lr.add(&ws[i]); err != nil {
+			return ContentionResult{}, err
 		}
 	}
-	arrival := 0
-	for _, f := range c.flows {
-		f.queue = arrival
-		arrival++
-	}
-	for round := 1; remaining > 0; round++ {
+	for round := 1; lr.remaining > 0; round++ {
 		if round > maxRounds {
-			return res, errors.New("network: contention run exceeded round budget")
+			return ContentionResult{}, errors.New("network: contention run exceeded round budget")
 		}
-		// Group in-flight flows by their next link.
-		byLink := make(map[[2]int][]*flow)
-		for _, f := range c.flows {
-			if f.done >= 0 {
-				continue
-			}
-			link := [2]int{
-				graph.DeBruijnVertex(f.walk[f.pos]),
-				graph.DeBruijnVertex(f.walk[f.pos+1]),
-			}
-			byLink[link] = append(byLink[link], f)
-		}
-		// Deterministic link order: the arrival counters handed out
-		// below seed later FIFO tie-breaks, so map order must not leak.
-		links := make([][2]int, 0, len(byLink))
-		for link := range byLink {
-			links = append(links, link)
-		}
-		sort.Slice(links, func(i, j int) bool {
-			if links[i][0] != links[j][0] {
-				return links[i][0] < links[j][0]
-			}
-			return links[i][1] < links[j][1]
-		})
-		for _, link := range links {
-			queued := byLink[link]
-			sort.Slice(queued, func(i, j int) bool { return queued[i].queue < queued[j].queue })
-			if len(queued) > res.MaxQueue {
-				res.MaxQueue = len(queued)
-			}
-			moved := c.cfg.LinkCapacity
-			if moved > len(queued) {
-				moved = len(queued)
-			}
-			for _, f := range queued[:moved] {
-				f.pos++
-				f.queue = arrival // re-enqueue order at the next link
-				arrival++
-				if f.pos == len(f.walk)-1 {
-					f.done = round
-					remaining--
-					latency.Add(float64(round))
-					slowdown.Add(float64(round) / float64(len(f.walk)-1))
-					if err := p95.Add(round); err != nil {
-						return res, err
-					}
-					if round > res.MaxLatency {
-						res.MaxLatency = round
-					}
-					if round > res.Rounds {
-						res.Rounds = round
-					}
-				}
-			}
+		if _, err := lr.step(round); err != nil {
+			return ContentionResult{}, err
 		}
 	}
-	res.MeanLatency = latency.Mean()
-	res.MeanSlowdown = slowdown.Mean()
-	res.P95Latency = p95.Quantile(0.95)
-	return res, nil
+	return ContentionResult{
+		Messages:     len(c.walks),
+		Rounds:       lr.maxLatency,
+		MeanLatency:  lr.latency.Mean(),
+		P95Latency:   lr.p95.Quantile(0.95),
+		MaxLatency:   lr.maxLatency,
+		MeanSlowdown: lr.slowdown.Mean(),
+		MaxQueue:     lr.maxQueue,
+	}, nil
 }
 
 // PlannedMaxLinkLoad returns the heaviest planned per-link message

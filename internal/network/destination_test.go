@@ -1,9 +1,11 @@
 package network
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/word"
 )
 
@@ -126,6 +128,50 @@ func TestDestinationRoutingFailures(t *testing.T) {
 	}
 	if del.Delivered || del.DropReason != "source failed" {
 		t.Errorf("delivery = %+v", del)
+	}
+}
+
+// TestDestinationRoutingRerouteAccounting pins the accounting of a
+// self-routed walk that meets a failed site and continues on an
+// adaptive reroute: the whole walk, not just its tail after the
+// reroute, is one message. The dn_hops histogram must sum to the
+// delivered hops and Stats().TotalHops, and the TTL must bound the
+// links crossed over the whole walk.
+func TestDestinationRoutingRerouteAccounting(t *testing.T) {
+	const d, k = 2, 6
+	for _, ttl := range []int{0, k} {
+		reg := obs.NewRegistry()
+		n := mustNet(t, Config{D: d, K: k, Adaptive: true, TTL: ttl, Seed: 9, Obs: reg})
+		rng := rand.New(rand.NewSource(9))
+		for failures := 3 + rng.Intn(3); n.FailedSites() < failures; {
+			if err := n.FailSite(word.Random(d, k, rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		limit := n.Config().TTL
+		hops, rerouted := 0, 0
+		for i := 0; i < 3000; i++ {
+			del, err := n.SendDestinationRouted(word.Random(d, k, rng), word.Random(d, k, rng), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if del.Hops > limit {
+				t.Fatalf("TTL %d: %v→%v crossed %d links (rerouted %d)", limit, del.Msg.Source, del.Msg.Dest, del.Hops, del.Rerouted)
+			}
+			if del.Delivered {
+				hops += del.Hops
+				rerouted += del.Rerouted
+			}
+		}
+		if rerouted == 0 {
+			t.Fatalf("TTL %d: no delivered message was rerouted", limit)
+		}
+		if got := n.Stats().TotalHops; got != hops {
+			t.Errorf("TTL %d: Stats().TotalHops = %d, delivered hops sum to %d", limit, got, hops)
+		}
+		if got := reg.Snapshot().Histograms["dn_hops"].Sum; got != float64(hops) {
+			t.Errorf("TTL %d: dn_hops sums to %v, delivered hops sum to %d", limit, got, hops)
+		}
 	}
 }
 

@@ -24,13 +24,6 @@ const (
 	// DropTypeRUnidirectional: a type-R hop in a uni-directional
 	// network.
 	DropTypeRUnidirectional = "type-R in uni-directional"
-	// DropLinkFailed: the next link is failed and the engine has no
-	// fault-routing mode to switch structures (Config.FaultRoute off).
-	DropLinkFailed = "link failed"
-	// DropNoDetour: fault-routing mode could not deliver — the failure
-	// set exceeds the tolerance (≥ FaultTrees arcs down around some
-	// vertex) or mutated mid-walk; the detail carries the walk reason.
-	DropNoDetour = "no detour"
 )
 
 // Registry metric names of the engine. Documented in README.md
@@ -46,15 +39,12 @@ const (
 	metricRouteNs      = "dn_route_ns"
 	metricLinkGini     = "dn_link_load_gini"
 	metricFailedSites  = "dn_failed_sites"
-	metricFailedLinks  = "dn_failed_links"
 	metricFaultInject  = "dn_fault_injections_total"
-	metricTreeSwitches = "dn_tree_switches_total"
 )
 
 var dropReasons = []string{
 	DropSourceFailed, DropRouteExhausted, DropTTLExceeded,
 	DropSiteFailed, DropNoReroute, DropTypeRUnidirectional,
-	DropLinkFailed, DropNoDetour,
 }
 
 // engineMetrics are the pre-resolved message-accounting handles.

@@ -35,8 +35,8 @@ func TestRegistrySentEqualsDeliveredPlusDropped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A destination-routed message exercises the adaptive fallback
-	// path, which re-enters forwarding without re-counting the send.
+	// A destination-routed message runs the same forwarding loop and
+	// must be counted exactly once too.
 	if _, err := n.SendDestinationRouted(word.Random(2, 5, rng), word.Random(2, 5, rng), ""); err != nil {
 		t.Fatal(err)
 	}
@@ -63,19 +63,18 @@ func TestRegistrySentEqualsDeliveredPlusDropped(t *testing.T) {
 }
 
 // TestMetricDocsMatchRegistry pins README § Observability to the
-// code: every series an instrumented Network registers — with faults,
-// Adaptive, FaultRoute and Trace all on — must appear, label-stripped,
-// in the section's metric table.
+// code in both directions: every series an instrumented Network
+// registers — with faults, Adaptive and Trace all on — must appear,
+// label-stripped, in the section's metric table, and every table row
+// made only of dn_* names outside dn_deflect_* (the deflection
+// engine's) must be produced by that Network.
 func TestMetricDocsMatchRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	n, err := New(Config{D: 2, K: 5, Adaptive: true, FaultRoute: true, Trace: true, Seed: 5, Obs: reg})
+	n, err := New(Config{D: 2, K: 5, Adaptive: true, Trace: true, Seed: 5, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := n.FailSite(word.MustParse(2, "01101")); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.FailLink(word.MustParse(2, "00000"), word.MustParse(2, "00001")); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
@@ -96,16 +95,27 @@ func TestMetricDocsMatchRegistry(t *testing.T) {
 	}
 	section, _, _ = strings.Cut(section, "\n## ")
 	documented := map[string]bool{}
+	var networkRows []string // names of rows this engine must produce
 	for _, line := range strings.Split(section, "\n") {
 		if !strings.HasPrefix(line, "| `") {
 			continue
 		}
 		series := strings.Split(line, "|")[1]
+		var row []string
+		ours := true
 		for _, tok := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(series, -1) {
 			for _, name := range expandSeries(tok[1]) {
 				documented[name] = true
+				row = append(row, name)
+				ours = ours && strings.HasPrefix(name, "dn_") && !strings.HasPrefix(name, "dn_deflect_")
 			}
 		}
+		if ours {
+			networkRows = append(networkRows, row...)
+		}
+	}
+	if len(networkRows) == 0 {
+		t.Fatal("README § Observability lists no network engine rows")
 	}
 
 	snap := reg.Snapshot()
@@ -122,10 +132,17 @@ func TestMetricDocsMatchRegistry(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("instrumented network registered no series")
 	}
+	produced := map[string]bool{}
 	for _, name := range names {
 		base, _, _ := strings.Cut(name, "{")
+		produced[base] = true
 		if !documented[base] {
 			t.Errorf("series %s is not in README § Observability's table", base)
+		}
+	}
+	for _, name := range networkRows {
+		if !produced[name] {
+			t.Errorf("README § Observability documents %s, but the instrumented Network does not produce it", name)
 		}
 	}
 }

@@ -4,11 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/stats"
 	"repro/internal/word"
 )
 
@@ -49,13 +46,6 @@ type OpenLoopResult struct {
 	Saturated    bool    // true when the run hit MaxRounds undrained
 }
 
-type openMsg struct {
-	walk     []word.Word
-	pos      int
-	injected int
-	queue    int
-}
-
 // RunOpenLoop executes the open-loop simulation. When the offered
 // load exceeds what the topology can carry, the run reports
 // Saturated=true with statistics over the messages that did deliver.
@@ -92,11 +82,7 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 		sites[i] = w
 	}
 	var res OpenLoopResult
-	var latency, slowdown stats.Accumulator
-	var p95 stats.Histogram
-	var inflight []*openMsg
-	arrival := 0
-	remaining := 0
+	lr := linkRounds{capacity: cfg.LinkCapacity}
 	for round := 1; ; round++ {
 		if round > cfg.MaxRounds {
 			res.Saturated = true
@@ -124,90 +110,27 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 					return OpenLoopResult{}, err
 				}
 				res.Offered++
-				m := &openMsg{walk: walk, injected: round, queue: arrival}
-				arrival++
-				if len(walk) == 1 {
-					res.Delivered++
-					latency.Add(0)
-					slowdown.Add(1)
-					if err := p95.Add(0); err != nil {
-						return OpenLoopResult{}, err
-					}
-					continue
+				if err := lr.add(&walker{walk: walk, injected: round}); err != nil {
+					return OpenLoopResult{}, err
 				}
-				inflight = append(inflight, m)
-				remaining++
 			}
-		} else if remaining == 0 {
+		} else if lr.remaining == 0 {
 			break
 		}
-		// One synchronous forwarding round (same discipline as the
-		// batch engine: per-link FIFO with capacity).
-		byLink := make(map[[2]int][]*openMsg)
-		for _, m := range inflight {
-			if m.pos >= len(m.walk)-1 {
-				continue
-			}
-			link := [2]int{
-				graph.DeBruijnVertex(m.walk[m.pos]),
-				graph.DeBruijnVertex(m.walk[m.pos+1]),
-			}
-			byLink[link] = append(byLink[link], m)
+		// One synchronous forwarding round, the batch engine's
+		// discipline: per-link FIFO with capacity.
+		progressed, err := lr.step(round)
+		if err != nil {
+			return OpenLoopResult{}, err
 		}
-		links := make([][2]int, 0, len(byLink))
-		for link := range byLink {
-			links = append(links, link)
-		}
-		sort.Slice(links, func(i, j int) bool {
-			if links[i][0] != links[j][0] {
-				return links[i][0] < links[j][0]
-			}
-			return links[i][1] < links[j][1]
-		})
-		progressed := false
-		for _, link := range links {
-			queued := byLink[link]
-			sort.Slice(queued, func(i, j int) bool { return queued[i].queue < queued[j].queue })
-			moved := cfg.LinkCapacity
-			if moved > len(queued) {
-				moved = len(queued)
-			}
-			for _, m := range queued[:moved] {
-				m.pos++
-				m.queue = arrival
-				arrival++
-				progressed = true
-				if m.pos == len(m.walk)-1 {
-					remaining--
-					res.Delivered++
-					lat := round - m.injected + 1
-					latency.Add(float64(lat))
-					slowdown.Add(float64(lat) / float64(len(m.walk)-1))
-					if err := p95.Add(lat); err != nil {
-						return OpenLoopResult{}, err
-					}
-					if lat > res.MaxLatency {
-						res.MaxLatency = lat
-					}
-				}
-			}
-		}
-		if round > cfg.Rounds && !progressed && remaining > 0 {
+		if !progressed && round > cfg.Rounds && lr.remaining > 0 {
 			return OpenLoopResult{}, errors.New("network: open loop stalled (internal error)")
 		}
-		// Compact delivered messages occasionally.
-		if len(inflight) > 4096 {
-			kept := inflight[:0]
-			for _, m := range inflight {
-				if m.pos < len(m.walk)-1 {
-					kept = append(kept, m)
-				}
-			}
-			inflight = kept
-		}
 	}
-	res.MeanLatency = latency.Mean()
-	res.MeanSlowdown = slowdown.Mean()
-	res.P95Latency = p95.Quantile(0.95)
+	res.Delivered = lr.delivered
+	res.MeanLatency = lr.latency.Mean()
+	res.MeanSlowdown = lr.slowdown.Mean()
+	res.P95Latency = lr.p95.Quantile(0.95)
+	res.MaxLatency = lr.maxLatency
 	return res, nil
 }
