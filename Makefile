@@ -56,8 +56,8 @@ bench-compare:
 # The differential-verification sweep: every oracle on every graph
 # with at most 4096 vertices (CI's standing gate; see internal/check).
 # dbcheck shards each oracle across GOMAXPROCS workers by default with
-# a deterministic merge; add -workers 1 to reproduce the historical
-# sequential scan (the configuration E19 was measured with).
+# a deterministic merge; -workers sets only concurrency, never the
+# verdict.
 check:
 	$(GO) run ./cmd/dbcheck -mode all
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dbseq"
 	"repro/internal/network"
-	"repro/internal/routetable"
 	"repro/internal/word"
 )
 
@@ -48,37 +47,18 @@ func BenchmarkForwardingModes(b *testing.B) {
 		}
 	})
 	b.Run("table", func(b *testing.B) {
-		net, err := routetable.BuildAll(d, k, false)
-		if err != nil {
-			b.Fatal(err)
+		kn := core.NewKernels(core.KernelConfig{SyncTableBuild: true})
+		if tier := kn.TierFor(d, k); tier != core.TierTable {
+			b.Fatalf("DG(%d,%d) resolved to the %s tier, want table", d, k, tier)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
-			if _, err := net.Route(p[0], p[1], nil); err != nil {
+			if _, err := core.SelfRoute(p[0], p[1], kn.NextHopUndirected, nil, 4*k); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-}
-
-// BenchmarkRouteTableBuild measures the precomputation the paper's
-// algorithms avoid.
-func BenchmarkRouteTableBuild(b *testing.B) {
-	for _, k := range []int{6, 8, 10} {
-		b.Run(fmt.Sprintf("site/k=%d", k), func(b *testing.B) {
-			site, err := word.Zeros(2, k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := routetable.Build(site, false); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkWireCodec measures the five-field message codec.

@@ -26,10 +26,9 @@
 // per-graph, per-mode reports either way.
 //
 // Oracle scans shard across -workers goroutines (default GOMAXPROCS)
-// with a deterministic merge: the verdict for a clean tree is
-// byte-identical for every -workers value. Pass -workers 1 to force
-// the historical single-goroutine scan (the configuration E19 was
-// measured with).
+// with a deterministic merge: one sharded scan serves every -workers
+// value, so the verdict — findings included — is a function of the
+// graph and the options alone, and -workers sets only concurrency.
 package main
 
 import (
@@ -79,7 +78,7 @@ func run(args []string, out io.Writer) error {
 	messages := fs.Int("messages", 0, "messages per engine scenario (0 = auto)")
 	maxFindings := fs.Int("max-findings", 32, "findings kept per report before truncating the scan")
 	chaosRequests := fs.Int("chaos-requests", 0, "requests per chaos-oracle grid cell (0 = default)")
-	workers := fs.Int("workers", check.DefaultWorkers(), "worker goroutines per oracle scan (1 = historical sequential scan)")
+	workers := fs.Int("workers", check.DefaultWorkers(), "worker goroutines per oracle scan (concurrency only; the verdict does not depend on it)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

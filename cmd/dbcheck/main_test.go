@@ -79,7 +79,7 @@ func TestRunWorkersInvariance(t *testing.T) {
 			t.Fatalf("run -workers %s: %v", workers, err)
 		}
 		if !verdictsEqual(t, seq.Bytes(), par.Bytes()) {
-			t.Errorf("-workers %s verdict differs from sequential:\n%s\nvs\n%s", workers, par.String(), seq.String())
+			t.Errorf("-workers %s verdict differs from -workers 1:\n%s\nvs\n%s", workers, par.String(), seq.String())
 		}
 	}
 }

@@ -158,25 +158,25 @@ func run(args []string, out io.Writer) error {
 		},
 	}
 	titles := map[string]string{
-		"eq5":       "E3 — directed average distance: equation (5) vs exact",
-		"fig2":      "E4 — Figure 2: undirected average distance δ̄(d,k)",
-		"census":    "E1 — degree census and diameter (Figure 1 structure)",
-		"crossover": "E6 — Algorithm 2 (O(k²)) vs Algorithm 4 (O(k)) crossover",
-		"policy":    "E7 — wildcard policy load balance (uniform traffic)",
-		"fault":     "E8 — fault tolerance (Pradhan–Reddy) on undirected DG",
-		"dist":      fmt.Sprintf("distance distribution of DG(%d,%d)", *d, *k),
-		"moore":     "E10 — diameter near-optimality vs Moore bound (Imase–Itoh, §1)",
-		"broadcast": "E11 — broadcast: flooding vs spanning tree",
-		"diversity": "E12 — shortest-path diversity (room for wildcard balancing)",
-		"latency":   "E14 — store-and-forward latency under link contention",
-		"dht":       "E15 — Koorde DHT: lookup cost on sparse de Bruijn rings",
-		"loadcurve": "E16 — open-loop latency vs offered load (saturation curve)",
-		"stretch":   "E17 — reroute stretch vs failure count",
-		"deflect":   "E18 — bufferless deflection: load × policy vs store-and-forward",
-		"serve":     "E21 — route-query server: offered load vs degrade/shed/latency",
-		"trace":     "E22 — flight recorder: frozen postmortem of an E21 overload run",
-		"cluster":   "E23 — multi-node cluster: load partitioned over its own de Bruijn fabric",
-		"chaos":     "E24 — adversarial serving: workload shapes × fault schedules, conservation everywhere",
+		"eq5":         "E3 — directed average distance: equation (5) vs exact",
+		"fig2":        "E4 — Figure 2: undirected average distance δ̄(d,k)",
+		"census":      "E1 — degree census and diameter (Figure 1 structure)",
+		"crossover":   "E6 — Algorithm 2 (O(k²)) vs Algorithm 4 (O(k)) crossover",
+		"policy":      "E7 — wildcard policy load balance (uniform traffic)",
+		"fault":       "E8 — fault tolerance (Pradhan–Reddy) on undirected DG",
+		"dist":        fmt.Sprintf("distance distribution of DG(%d,%d)", *d, *k),
+		"moore":       "E10 — diameter near-optimality vs Moore bound (Imase–Itoh, §1)",
+		"broadcast":   "E11 — broadcast: flooding vs spanning tree",
+		"diversity":   "E12 — shortest-path diversity (room for wildcard balancing)",
+		"latency":     "E14 — store-and-forward latency under link contention",
+		"dht":         "E15 — Koorde DHT: lookup cost on sparse de Bruijn rings",
+		"loadcurve":   "E16 — open-loop latency vs offered load (saturation curve)",
+		"stretch":     "E17 — reroute stretch vs failure count",
+		"deflect":     "E18 — bufferless deflection: load × policy vs store-and-forward",
+		"serve":       "E21 — route-query server: offered load vs degrade/shed/latency",
+		"trace":       "E22 — flight recorder: frozen postmortem of an E21 overload run",
+		"cluster":     "E23 — multi-node cluster: load partitioned over its own de Bruijn fabric",
+		"chaos":       "E24 — adversarial serving: workload shapes × fault schedules, conservation everywhere",
 		"kernels":     "E25 — tiered routing kernels: scratch vs selected tier vs batch frame",
 		"faultroutes": "E26 — fault routing: arborescence failover vs BFS recompute under arc failures",
 	}

@@ -5,8 +5,10 @@
 //     Algorithm 1/4 once and attaches the whole path;
 //  2. destination routing — no path field: every site recomputes its
 //     next hop in O(k) from (current, destination);
-//  3. table routing — every site holds a precomputed O(N) next-hop
-//     table and forwards with one lookup.
+//  3. table routing — every site forwards with one lookup into a
+//     precomputed next-hop table (the rank-table tier of core.Kernels,
+//     whose per-site rows are the O(N) tables the paper's algorithms
+//     make unnecessary).
 //
 // The example also round-trips a message through the binary wire
 // format to show the five-field header is a real codec, not just a
@@ -20,7 +22,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/network"
-	"repro/internal/routetable"
 	"repro/internal/word"
 )
 
@@ -71,13 +72,10 @@ func main() {
 	}
 
 	// 3. Table routing.
-	tables, err := routetable.BuildAll(d, k, false)
-	if err != nil {
-		log.Fatal(err)
-	}
+	kn := core.NewKernels(core.KernelConfig{SyncTableBuild: true})
 	tblHops := 0
 	for _, p := range pairs {
-		walk, err := tables.Route(p[0], p[1], nil)
+		walk, err := core.SelfRoute(p[0], p[1], kn.NextHopUndirected, nil, 4*k)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -87,8 +85,8 @@ func main() {
 	fmt.Printf("DN(%d,%d), %d random pairs:\n", d, k, len(pairs))
 	fmt.Printf("  source routing:      %d hops (per-message route computation, O(k) header)\n", srcHops)
 	fmt.Printf("  destination routing: %d hops (O(k) work per hop, O(1) header)\n", dstHops)
-	fmt.Printf("  table routing:       %d hops (O(1) per hop, %d bytes of tables)\n",
-		tblHops, tables.TotalMemoryBytes())
+	fmt.Printf("  table routing:       %d hops (O(1) per hop, %s tier)\n",
+		tblHops, kn.TierFor(d, k))
 	if srcHops != dstHops || dstHops != tblHops {
 		log.Fatal("forwarding modes disagree — they must all be optimal")
 	}

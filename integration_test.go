@@ -10,7 +10,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/network"
-	"repro/internal/routetable"
 	"repro/internal/word"
 )
 
@@ -31,10 +30,7 @@ func TestIntegrationPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := routetable.BuildAll(d, k, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kn := core.NewKernels(core.KernelConfig{SyncTableBuild: true})
 
 	for trial := 0; trial < 150; trial++ {
 		x := word.Random(d, k, rng)
@@ -66,7 +62,7 @@ func TestIntegrationPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		walk, err := tables.Route(x, y, nil)
+		walk, err := core.SelfRoute(x, y, kn.NextHopUndirected, nil, 4*k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,11 +22,11 @@ type InvariantsOptions struct {
 	Rounds int
 	// MaxFindings caps the findings per report. 0 means 32.
 	MaxFindings int
-	// Workers sets the scan parallelism. The nine scenario units
-	// (six stepped, three deflection policies) are independent —
-	// each derives its RNG stream from its own scenario name — so
-	// above 1 they run concurrently and the merged report is identical
-	// to the sequential one.
+	// Workers sets the scan concurrency only. The nine scenario units
+	// (six stepped, three deflection policies) are independent — each
+	// derives its RNG stream from its own scenario name — and merge in
+	// canonical order, so the report is the same for every worker
+	// count.
 	Workers int
 }
 
@@ -63,34 +63,21 @@ func Invariants(d, k int, opt InvariantsOptions) (Report, error) {
 		opt.Rounds = 64 * k
 	}
 	units := invariantUnits()
-	if opt.Workers > 1 {
-		results := make([]shardResult, len(units))
-		runShards(opt.Workers, len(units), func(i int) {
-			uf := newFindings(opt.MaxFindings)
-			iv := &invariantScan{d: d, k: k, n: n, opt: opt, f: uf}
-			err := units[i](iv)
-			results[i] = shardResult{checked: iv.checked, findings: uf.result(), full: uf.full(), err: err}
-		})
-		err := mergeShards(&rep, results, opt.MaxFindings)
-		return rep, err
-	}
-	f := newFindings(opt.MaxFindings)
-	iv := &invariantScan{d: d, k: k, n: n, opt: opt, f: f}
-	for _, unit := range units {
-		if err := unit(iv); err != nil {
-			return rep, err
-		}
-	}
-	rep.Checked = iv.checked
-	rep.Findings = f.result()
-	rep.Truncated = f.full()
-	return rep, nil
+	results := make([]shardResult, len(units))
+	runShards(opt.Workers, len(units), func(i int) {
+		uf := newFindings(opt.MaxFindings)
+		iv := &invariantScan{d: d, k: k, n: n, opt: opt, f: uf}
+		err := units[i](iv)
+		results[i] = shardResult{checked: iv.checked, findings: uf.result(), full: uf.full(), err: err}
+	})
+	err = mergeShards(&rep, results, opt.MaxFindings)
+	return rep, err
 }
 
-// invariantUnits enumerates the independent scenario units in the
-// canonical (sequential) order. Each unit owns its RNG stream, engine
-// and obs registry, so units may run concurrently on distinct
-// invariantScans and merge back into the sequential report.
+// invariantUnits enumerates the independent scenario units in
+// canonical order. Each unit owns its RNG stream, engine and obs
+// registry, so units may run concurrently on distinct invariantScans
+// and merge back in this order.
 func invariantUnits() []func(iv *invariantScan) error {
 	var units []func(iv *invariantScan) error
 	for _, s := range []struct {

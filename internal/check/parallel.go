@@ -11,8 +11,7 @@ import (
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // resolveWorkers maps an Options.Workers field to an effective worker
-// count: ≤ 0 means sequential (the historical single-threaded scan,
-// bit-for-bit), capped by the number of independent shards.
+// count: ≤ 0 means one, capped by the number of independent shards.
 func resolveWorkers(workers, shards int) int {
 	if workers < 1 {
 		workers = 1
@@ -63,9 +62,9 @@ type shardResult struct {
 	err      error
 }
 
-// mergeShards folds shard results into rep in shard order — the order
-// the sequential scan would have produced — truncating the combined
-// findings at max. The first shard error (in shard order) wins.
+// mergeShards folds shard results into rep in shard order, truncating
+// the combined findings at max. The first shard error (in shard order)
+// wins.
 func mergeShards(rep *Report, results []shardResult, max int) error {
 	if max <= 0 {
 		max = 32

@@ -10,9 +10,9 @@ import (
 func reportsEqual(a, b Report) bool { return reflect.DeepEqual(a, b) }
 
 // TestRoutesParallelMatchesSequential pins the sharded route scan to
-// the sequential one on clean graphs, for several worker counts —
-// including counts above the shard count — in both exhaustive and
-// sampled modes.
+// the plain loop it degenerates to at Workers ≤ 1, on clean graphs, for
+// several worker counts — including counts above the shard count — in
+// both exhaustive and sampled modes.
 func TestRoutesParallelMatchesSequential(t *testing.T) {
 	for _, tc := range []struct {
 		d, k int
@@ -23,46 +23,25 @@ func TestRoutesParallelMatchesSequential(t *testing.T) {
 		// Force sampled mode on a tiny graph to keep the test fast.
 		{2, 5, RoutesOptions{Seed: 11, SampleAbove: 16, SamplePairs: 256}},
 	} {
-		seq, err := Routes(tc.d, tc.k, tc.opt)
+		base, err := Routes(tc.d, tc.k, tc.opt)
 		if err != nil {
-			t.Fatalf("Routes(%d,%d) sequential: %v", tc.d, tc.k, err)
+			t.Fatalf("Routes(%d,%d): %v", tc.d, tc.k, err)
 		}
-		if !seq.OK() {
-			t.Fatalf("Routes(%d,%d) sequential found divergences: %+v", tc.d, tc.k, seq.Findings)
+		if !base.OK() {
+			t.Fatalf("Routes(%d,%d) found divergences: %+v", tc.d, tc.k, base.Findings)
 		}
-		for _, workers := range []int{2, 3, 64} {
+		for _, workers := range []int{1, 2, 3, 64} {
 			opt := tc.opt
 			opt.Workers = workers
-			par, err := Routes(tc.d, tc.k, opt)
+			rep, err := Routes(tc.d, tc.k, opt)
 			if err != nil {
 				t.Fatalf("Routes(%d,%d) workers=%d: %v", tc.d, tc.k, workers, err)
 			}
-			if !reportsEqual(seq, par) {
-				t.Errorf("Routes(%d,%d) workers=%d report %+v differs from sequential %+v",
-					tc.d, tc.k, workers, par, seq)
+			if !reportsEqual(base, rep) {
+				t.Errorf("Routes(%d,%d) workers=%d report %+v differs from sequential report %+v",
+					tc.d, tc.k, workers, rep, base)
 			}
 		}
-	}
-}
-
-// TestInvariantsParallelMatchesSequential pins the concurrent scenario
-// units to the sequential report.
-func TestInvariantsParallelMatchesSequential(t *testing.T) {
-	opt := InvariantsOptions{Seed: 5, Messages: 64, Rounds: 48}
-	seq, err := Invariants(2, 3, opt)
-	if err != nil {
-		t.Fatalf("Invariants sequential: %v", err)
-	}
-	if !seq.OK() {
-		t.Fatalf("Invariants sequential found divergences: %+v", seq.Findings)
-	}
-	opt.Workers = 4
-	par, err := Invariants(2, 3, opt)
-	if err != nil {
-		t.Fatalf("Invariants workers=4: %v", err)
-	}
-	if !reportsEqual(seq, par) {
-		t.Errorf("Invariants workers=4 report %+v differs from sequential %+v", par, seq)
 	}
 }
 
@@ -81,6 +60,29 @@ func TestRoutesParallelWorkerCountInvariance(t *testing.T) {
 		}
 		if !reportsEqual(base, rep) {
 			t.Errorf("workers=%d report %+v differs from workers=2 report %+v", workers, rep, base)
+		}
+	}
+}
+
+// TestInvariantsWorkerCountInvariance pins the scenario units' merged
+// report to be the same for every worker count.
+func TestInvariantsWorkerCountInvariance(t *testing.T) {
+	opt := InvariantsOptions{Seed: 5, Messages: 64, Rounds: 48}
+	base, err := Invariants(2, 3, opt)
+	if err != nil {
+		t.Fatalf("Invariants: %v", err)
+	}
+	if !base.OK() {
+		t.Fatalf("Invariants found divergences: %+v", base.Findings)
+	}
+	for _, workers := range []int{1, 2, 3, 64} {
+		opt.Workers = workers
+		rep, err := Invariants(2, 3, opt)
+		if err != nil {
+			t.Fatalf("Invariants workers=%d: %v", workers, err)
+		}
+		if !reportsEqual(base, rep) {
+			t.Errorf("Invariants workers=%d report %+v differs from workers=0 report %+v", workers, rep, base)
 		}
 	}
 }

@@ -27,16 +27,11 @@ type RoutesOptions struct {
 	DistanceStride int
 	// MaxFindings caps the findings per report. 0 means 32.
 	MaxFindings int
-	// Workers sets the scan parallelism. ≤ 1 runs the historical
-	// sequential scan bit-for-bit (use 1 to reproduce the E19 wall-clock
-	// rows); above 1 the pair set is sharded by source across a worker
-	// pool, and the merged verdict is identical for every parallel
-	// worker count — shards are self-contained and merged in source
-	// order. On a clean tree the parallel verdict also matches the
-	// sequential one (same Checked, same empty findings); when findings
-	// exist the two modes may sample different random wildcard digits
-	// and stop at different points, so reproduce findings with the mode
-	// that found them.
+	// Workers sets the scan concurrency only: the pair set is always
+	// sharded by source and the shards merged in source order, so the
+	// verdict — findings included — is the same for every worker
+	// count. ≤ 1 runs the shards in a plain loop on the calling
+	// goroutine.
 	Workers int
 }
 
@@ -81,15 +76,14 @@ func Routes(d, k int, opt RoutesOptions) (Report, error) {
 	if err != nil {
 		return rep, fmt.Errorf("check: %w", err)
 	}
-	if opt.Workers > 1 {
-		return routesParallel(rep, d, k, n, dg, ug, opt)
-	}
-	f := newFindings(opt.MaxFindings)
-	sc := newRouteScan(d, k, dg, ug, opt, f, 0)
-
+	// The pair set is sharded by source: one self-contained shard per
+	// source (exhaustive mode) or per sampled source group, each with
+	// its own findings accumulator, Router, scratch and RNG stream,
+	// merged back in source order. The decomposition is fixed by the
+	// options alone, so the verdict does not depend on the worker
+	// count or on goroutine scheduling.
 	if n > opt.SampleAbove {
 		rep.Sampled = true
-		rng := rand.New(rand.NewSource(opt.Seed))
 		// Group sampled pairs by source so each source pays one BFS;
 		// the last source absorbs the division remainder so exactly
 		// SamplePairs pairs are checked.
@@ -99,52 +93,24 @@ func Routes(d, k int, opt RoutesOptions) (Report, error) {
 		if sources < 1 {
 			sources, perSource, rem = 1, opt.SamplePairs, 0
 		}
-		for s := 0; s < sources && !f.full(); s++ {
-			x := word.Random(d, k, rng)
-			if err := sc.openSource(x); err != nil {
-				return rep, err
-			}
-			pairs := perSource
-			if s == sources-1 {
-				pairs += rem
-			}
-			for t := 0; t < pairs && !f.full(); t++ {
-				sc.checkPair(word.Random(d, k, rng))
-				rep.Checked++
-			}
-		}
-	} else {
-		var scanErr error // openSource/inner failures escape the closures here
-		if _, err := word.ForEach(d, k, func(x word.Word) bool {
-			if err := sc.openSource(x); err != nil {
-				scanErr = err
-				return false
-			}
-			_, inner := word.ForEach(d, k, func(y word.Word) bool {
-				sc.checkPair(y)
-				rep.Checked++
-				return !f.full()
-			})
-			if inner != nil {
-				scanErr = fmt.Errorf("check: %w", inner)
-				return false
-			}
-			return !f.full()
-		}); err != nil {
-			return rep, fmt.Errorf("check: %w", err)
-		}
-		if scanErr != nil {
-			return rep, scanErr
-		}
+		results := make([]shardResult, sources)
+		runShards(opt.Workers, sources, func(s int) {
+			results[s] = routesSampledShard(d, k, dg, ug, opt, s, sources, perSource, rem)
+		})
+		err = mergeShards(&rep, results, opt.MaxFindings)
+		return rep, err
 	}
-	rep.Findings = f.result()
-	rep.Truncated = f.full()
-	return rep, nil
+	results := make([]shardResult, n)
+	runShards(opt.Workers, n, func(s int) {
+		results[s] = routesSourceShard(d, k, dg, ug, opt, uint64(s))
+	})
+	err = mergeShards(&rep, results, opt.MaxFindings)
+	return rep, err
 }
 
-// routeScan holds the per-graph state of one Routes run: the two
-// explicit graphs, the reusable Router, the rank-based replayer, and
-// the BFS rows of the current source.
+// routeScan holds the state of one Routes shard: the two explicit
+// graphs, the reusable Router, the rank-based replayer, and the BFS
+// rows of the current source.
 type routeScan struct {
 	d, k     int
 	dg, ug   *graph.Graph
@@ -166,36 +132,6 @@ func newRouteScan(d, k int, dg, ug *graph.Graph, opt RoutesOptions, f *findings,
 		rng:    rand.New(rand.NewSource((opt.Seed ^ 0x1e3779b97f4a7c15) + salt)),
 		opt:    opt, f: f,
 	}
-}
-
-// routesParallel shards the pair set by source: one self-contained
-// shard per source (exhaustive mode) or per sampled source group,
-// each with its own findings accumulator, Router, scratch and RNG
-// stream, merged back in source order. The shard decomposition is
-// fixed by the options alone, so the verdict does not depend on the
-// worker count or on goroutine scheduling.
-func routesParallel(rep Report, d, k, n int, dg, ug *graph.Graph, opt RoutesOptions) (Report, error) {
-	if n > opt.SampleAbove {
-		rep.Sampled = true
-		perSource := 64
-		sources := opt.SamplePairs / perSource
-		rem := opt.SamplePairs % perSource
-		if sources < 1 {
-			sources, perSource, rem = 1, opt.SamplePairs, 0
-		}
-		results := make([]shardResult, sources)
-		runShards(opt.Workers, sources, func(s int) {
-			results[s] = routesSampledShard(d, k, dg, ug, opt, s, sources, perSource, rem)
-		})
-		err := mergeShards(&rep, results, opt.MaxFindings)
-		return rep, err
-	}
-	results := make([]shardResult, n)
-	runShards(opt.Workers, n, func(s int) {
-		results[s] = routesSourceShard(d, k, dg, ug, opt, uint64(s))
-	})
-	err := mergeShards(&rep, results, opt.MaxFindings)
-	return rep, err
 }
 
 // routesSourceShard checks every pair with the source of the given
@@ -227,7 +163,7 @@ func routesSourceShard(d, k int, dg, ug *graph.Graph, opt RoutesOptions, rank ui
 // routesSampledShard checks one sampled source group: the s-th source
 // word and its perSource seeded targets (the last group absorbs the
 // division remainder so the shards jointly check exactly SamplePairs
-// pairs, as the sequential sampler does).
+// pairs).
 func routesSampledShard(d, k int, dg, ug *graph.Graph, opt RoutesOptions, s, sources, perSource, rem int) (res shardResult) {
 	f := newFindings(opt.MaxFindings)
 	sc := newRouteScan(d, k, dg, ug, opt, f, int64(s)+1)

@@ -11,7 +11,7 @@ import (
 // forwarding, where each site derives just the next hop from (current
 // site, destination) and the message header needs no path field. This
 // file provides those per-hop decisions; the network simulator's
-// DestinationRouting mode exercises them end to end.
+// SendDestinationRouted exercises them end to end.
 
 // NextHopDirected returns the optimal next hop at cur toward dst in
 // the uni-directional network: the left shift inserting y_{l+1}, where

@@ -7,27 +7,44 @@ import (
 	"repro/internal/word"
 )
 
+// tableKernels returns a Kernels whose DG(d,k) queries resolve to the
+// rank-table tier — the precomputed per-site forwarding tables.
+func tableKernels(t *testing.T, d, k int) *Kernels {
+	t.Helper()
+	kn := NewKernels(KernelConfig{SyncTableBuild: true})
+	if tier := kn.TierFor(d, k); tier != TierTable {
+		t.Fatalf("DG(%d,%d) resolved to the %s tier, want table", d, k, tier)
+	}
+	return kn
+}
+
 func TestSelfRouteDirectedExhaustive(t *testing.T) {
 	// Destination-based forwarding matches Property 1 distances on
-	// every ordered pair.
+	// every ordered pair, computing each hop or looking it up in the
+	// table tier.
 	for _, dk := range [][2]int{{2, 4}, {3, 3}} {
 		d, k := dk[0], dk[1]
 		words := allWords(t, d, k)
-		for _, x := range words {
-			for _, y := range words {
-				walk, err := SelfRoute(x, y, NextHopDirected, nil, 4*k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := DirectedDistance(x, y)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(walk)-1 != want {
-					t.Fatalf("self-route %v→%v took %d hops, want %d", x, y, len(walk)-1, want)
-				}
-				if !walk[len(walk)-1].Equal(y) {
-					t.Fatalf("self-route ended at %v, want %v", walk[len(walk)-1], y)
+		for name, next := range map[string]func(cur, dst word.Word) (Hop, bool, error){
+			"function": NextHopDirected,
+			"table":    tableKernels(t, d, k).NextHopDirected,
+		} {
+			for _, x := range words {
+				for _, y := range words {
+					walk, err := SelfRoute(x, y, next, nil, 4*k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := DirectedDistance(x, y)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(walk)-1 != want {
+						t.Fatalf("%s: self-route %v→%v took %d hops, want %d", name, x, y, len(walk)-1, want)
+					}
+					if !walk[len(walk)-1].Equal(y) {
+						t.Fatalf("%s: self-route ended at %v, want %v", name, walk[len(walk)-1], y)
+					}
 				}
 			}
 		}
@@ -36,23 +53,30 @@ func TestSelfRouteDirectedExhaustive(t *testing.T) {
 
 func TestSelfRouteUndirectedExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	chooser := func(int, word.Word, Hop) byte { return byte(rng.Intn(2)) }
-	for _, dk := range [][2]int{{2, 4}} {
+	for _, dk := range [][2]int{{2, 4}, {3, 3}} {
 		d, k := dk[0], dk[1]
-		_ = d
-		words := allWords(t, 2, k)
-		for _, x := range words {
-			for _, y := range words {
-				walk, err := SelfRoute(x, y, NextHopUndirected, chooser, 4*k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := UndirectedDistance(x, y)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(walk)-1 != want {
-					t.Fatalf("self-route %v→%v took %d hops, want %d", x, y, len(walk)-1, want)
+		chooser := func(int, word.Word, Hop) byte { return byte(rng.Intn(d)) }
+		words := allWords(t, d, k)
+		for name, next := range map[string]func(cur, dst word.Word) (Hop, bool, error){
+			"function": NextHopUndirected,
+			"table":    tableKernels(t, d, k).NextHopUndirected,
+		} {
+			for _, x := range words {
+				for _, y := range words {
+					walk, err := SelfRoute(x, y, next, chooser, 4*k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := UndirectedDistance(x, y)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(walk)-1 != want {
+						t.Fatalf("%s: self-route %v→%v took %d hops, want %d", name, x, y, len(walk)-1, want)
+					}
+					if !walk[len(walk)-1].Equal(y) {
+						t.Fatalf("%s: self-route ended at %v, want %v", name, walk[len(walk)-1], y)
+					}
 				}
 			}
 		}

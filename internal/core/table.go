@@ -10,11 +10,14 @@ import (
 // Rank-indexed tables (tier T1 of the kernel ladder): when d^k is
 // small enough that every (src, dst) pair fits a memory budget, all
 // answers precompute into flat arrays indexed by vertex rank and a
-// query costs two Rank evaluations plus array reads. This generalizes
-// the per-site shape of internal/routetable into the full pair matrix
-// with both orientations, exact distances, and enough anchor state to
-// reconstruct the canonical Algorithm 2 path — so the tier is
+// query costs two Rank evaluations plus array reads. Row r is site r's
+// classical O(N) forwarding table — the per-site precomputation the
+// paper's O(k) next-hop functions make unnecessary — widened to both
+// orientations, exact distances, and enough anchor state to
+// reconstruct the canonical Algorithm 2 path, so the tier is
 // byte-identical to the kernels it caches, not an approximation.
+// SelfRoute over NextHopUndirected on a table-tier Kernels is the
+// table-forwarding mode of E13.
 //
 // Tables are immutable once built and shared process-wide: the store
 // is keyed by (d,k), a build runs once (asynchronously by default —

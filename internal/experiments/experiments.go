@@ -319,49 +319,6 @@ func PolicyTable(d, k, messages int, seed int64) (*stats.Table, error) {
 	return t, nil
 }
 
-// HopsMatchDistance verifies, over every ordered pair of DN(d,k), that
-// simulated delivery uses exactly the optimal hop count (E7's
-// correctness half). Returns the number of pairs checked.
-func HopsMatchDistance(d, k int, unidirectional bool) (int, error) {
-	n, err := network.New(network.Config{D: d, K: k, Unidirectional: unidirectional})
-	if err != nil {
-		return 0, err
-	}
-	var words []word.Word
-	if _, err := word.ForEach(d, k, func(w word.Word) bool {
-		words = append(words, w)
-		return true
-	}); err != nil {
-		return 0, err
-	}
-	checked := 0
-	for _, x := range words {
-		for _, y := range words {
-			del, err := n.Send(x, y, "")
-			if err != nil {
-				return 0, err
-			}
-			if !del.Delivered {
-				return 0, fmt.Errorf("experiments: %v→%v dropped: %s", x, y, del.DropReason)
-			}
-			var want int
-			if unidirectional {
-				want, err = core.DirectedDistance(x, y)
-			} else {
-				want, err = core.UndirectedDistance(x, y)
-			}
-			if err != nil {
-				return 0, err
-			}
-			if del.Hops != want {
-				return 0, fmt.Errorf("experiments: %v→%v took %d hops, want %d", x, y, del.Hops, want)
-			}
-			checked++
-		}
-	}
-	return checked, nil
-}
-
 // FaultRow is one configuration of experiment E8.
 type FaultRow struct {
 	D, K         int

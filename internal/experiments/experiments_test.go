@@ -145,18 +145,6 @@ func TestPolicyComparisonShape(t *testing.T) {
 	}
 }
 
-func TestHopsMatchDistance(t *testing.T) {
-	for _, uni := range []bool{true, false} {
-		n, err := HopsMatchDistance(2, 4, uni)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 256 {
-			t.Errorf("checked %d pairs, want 256", n)
-		}
-	}
-}
-
 func TestFaultSweepShape(t *testing.T) {
 	rows, err := FaultSweep([][2]int{{2, 3}, {3, 2}})
 	if err != nil {

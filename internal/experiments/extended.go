@@ -177,59 +177,3 @@ func DiversityTable(dks [][2]int) (*stats.Table, error) {
 	}
 	return t, nil
 }
-
-// DestinationRow verifies and times destination-based self-routing
-// against source routing (E13): hop counts must coincide.
-type DestinationRow struct {
-	D, K       int
-	Pairs      int
-	SourceHops int
-	DestHops   int
-	Agree      bool
-}
-
-// DestinationRouting compares hop totals of the two forwarding modes
-// over every ordered pair.
-func DestinationRouting(dks [][2]int, unidirectional bool) ([]DestinationRow, error) {
-	var rows []DestinationRow
-	for _, dk := range dks {
-		d, k := dk[0], dk[1]
-		src, err := network.New(network.Config{D: d, K: k, Unidirectional: unidirectional})
-		if err != nil {
-			return nil, err
-		}
-		dst, err := network.New(network.Config{D: d, K: k, Unidirectional: unidirectional})
-		if err != nil {
-			return nil, err
-		}
-		var words []word.Word
-		if _, err := word.ForEach(d, k, func(w word.Word) bool {
-			words = append(words, w)
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		row := DestinationRow{D: d, K: k}
-		for _, x := range words {
-			for _, y := range words {
-				a, err := src.Send(x, y, "")
-				if err != nil {
-					return nil, err
-				}
-				b, err := dst.SendDestinationRouted(x, y, "")
-				if err != nil {
-					return nil, err
-				}
-				if !a.Delivered || !b.Delivered {
-					return nil, fmt.Errorf("experiments: drop at %v→%v", x, y)
-				}
-				row.Pairs++
-				row.SourceHops += a.Hops
-				row.DestHops += b.Hops
-			}
-		}
-		row.Agree = row.SourceHops == row.DestHops
-		rows = append(rows, row)
-	}
-	return rows, nil
-}

@@ -78,23 +78,6 @@ func TestDiversityShape(t *testing.T) {
 	}
 }
 
-func TestDestinationRoutingAgrees(t *testing.T) {
-	for _, uni := range []bool{true, false} {
-		rows, err := DestinationRouting([][2]int{{2, 4}}, uni)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rows {
-			if !r.Agree {
-				t.Errorf("uni=%v DG(%d,%d): source %d hops, destination %d", uni, r.D, r.K, r.SourceHops, r.DestHops)
-			}
-			if r.Pairs != 256 {
-				t.Errorf("pairs = %d", r.Pairs)
-			}
-		}
-	}
-}
-
 func TestExtendedTablesRender(t *testing.T) {
 	opt, err := OptimalityTable([][2]int{{2, 4}})
 	if err != nil {

@@ -22,10 +22,10 @@ import (
 
 // FaultRouteRow is one failure-count cell of the E26 sweep.
 type FaultRouteRow struct {
-	D, K     int
-	Failures int // failed directed arcs per trial
-	Pairs    int // delivery attempts measured
-	Delivered int
+	D, K         int
+	Failures     int // failed directed arcs per trial
+	Pairs        int // delivery attempts measured
+	Delivered    int
 	DeliveryRate float64
 	// MeanStretch/MaxStretch are walk hops over the clean (unfaulted)
 	// shortest path, the same normalization E17 uses.

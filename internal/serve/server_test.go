@@ -341,10 +341,9 @@ func TestCanceledShed(t *testing.T) {
 func TestDegradeLadder(t *testing.T) {
 	g := newStallGate()
 	s := newTestServer(t, Config{
-		Shards:          1,
-		QueueDepth:      10,
-		DegradeHigh:     0.5,
-		DegradeCritical: 0.9,
+		Shards:      1,
+		QueueDepth:  10,
+		DegradeHigh: 0.5,
 	})
 	s.workerHook = g.hook
 	defer g.open()

@@ -99,13 +99,12 @@ func TestTraceReplayDeterminism(t *testing.T) {
 func TestShedStormFreezesFlight(t *testing.T) {
 	g := newStallGate()
 	s := newTestServer(t, Config{
-		Shards:            1,
-		QueueDepth:        1,
-		TraceSample:       1,
-		FlightSize:        128,
-		MonitorInterval:   5 * time.Millisecond,
-		ShedSpikeFraction: 0.5,
-		Registry:          obs.NewRegistry(),
+		Shards:          1,
+		QueueDepth:      1,
+		TraceSample:     1,
+		FlightSize:      128,
+		MonitorInterval: 5 * time.Millisecond,
+		Registry:        obs.NewRegistry(),
 	})
 	s.workerHook = g.hook
 	defer g.open()
@@ -300,12 +299,11 @@ func TestBatchTracePropagation(t *testing.T) {
 func TestDegradedTraceOutcome(t *testing.T) {
 	g := newStallGate()
 	s := newTestServer(t, Config{
-		Shards:          1,
-		QueueDepth:      10,
-		DegradeHigh:     0.5,
-		DegradeCritical: 0.9,
-		TraceSample:     1,
-		Registry:        obs.NewRegistry(),
+		Shards:      1,
+		QueueDepth:  10,
+		DegradeHigh: 0.5,
+		TraceSample: 1,
+		Registry:    obs.NewRegistry(),
 	})
 	s.workerHook = g.hook
 	defer g.open()

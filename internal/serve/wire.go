@@ -21,8 +21,8 @@ import (
 // out of order (the server shards requests across workers); clients
 // match on ID.
 
-// DefaultMaxFrame bounds a frame's JSON body (1 MiB) unless the
-// server or client is configured otherwise.
+// DefaultMaxFrame bounds a frame's JSON body (1 MiB) on both the
+// server and the client side of a connection.
 const DefaultMaxFrame = 1 << 20
 
 // Wire-level errors.
