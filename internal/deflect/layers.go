@@ -55,7 +55,6 @@ type Link struct {
 type Layers struct {
 	g     *graph.Graph
 	dst   word.Word
-	dstV  int
 	dist  []int32 // dist[v] = D(v, dst)
 	order []int32 // vertices bucketed by layer, ascending within each
 	off   []int32 // B_i = order[off[i]:off[i+1]]
@@ -83,7 +82,6 @@ func newLayers(g *graph.Graph, dst word.Word, kn *core.Kernels) (*Layers, error)
 	ly := &Layers{
 		g:     g,
 		dst:   dst,
-		dstV:  graph.DeBruijnVertex(dst),
 		dist:  make([]int32, n),
 		order: make([]int32, n),
 		off:   make([]int32, k+2),
@@ -126,9 +124,6 @@ func newLayers(g *graph.Graph, dst word.Word, kn *core.Kernels) (*Layers, error)
 
 // Dst returns the destination the decomposition is relative to.
 func (l *Layers) Dst() word.Word { return l.dst }
-
-// DstVertex returns the destination's vertex number.
-func (l *Layers) DstVertex() int { return l.dstV }
 
 // Dist returns D(v, dst) per the closed-form distance function.
 func (l *Layers) Dist(v int) int { return int(l.dist[v]) }

@@ -33,16 +33,13 @@ const (
 	metricDeBruijnHops  = "dht_debruijn_hops_total"
 	metricSuccessorHops = "dht_successor_hops_total"
 	metricTimeouts      = "dht_lookup_timeouts_total"
-	metricJoins         = "dht_joins_total"
-	metricLeaves        = "dht_leaves_total"
 )
 
 // ringMetrics are pre-resolved instrument handles; all nil when
 // observation is off.
 type ringMetrics struct {
-	lookups, debruijnHops, successorHops *obs.Counter
-	timeouts, joins, leaves              *obs.Counter
-	lookupHops                           *obs.Histogram
+	lookups, debruijnHops, successorHops, timeouts *obs.Counter
+	lookupHops                                     *obs.Histogram
 }
 
 // Node is one DHT participant.
@@ -74,8 +71,8 @@ type Ring struct {
 }
 
 // SetObserver attaches a metrics registry: lookup counts and hop
-// histograms, de Bruijn vs successor hop split, convergence-guard
-// timeouts, and churn events land in it. A nil registry detaches.
+// histograms, de Bruijn vs successor hop split and convergence-guard
+// timeouts land in it. A nil registry detaches.
 func (r *Ring) SetObserver(reg *obs.Registry) {
 	if reg == nil {
 		r.m = ringMetrics{}
@@ -86,8 +83,6 @@ func (r *Ring) SetObserver(reg *obs.Registry) {
 		debruijnHops:  reg.Counter(metricDeBruijnHops),
 		successorHops: reg.Counter(metricSuccessorHops),
 		timeouts:      reg.Counter(metricTimeouts),
-		joins:         reg.Counter(metricJoins),
-		leaves:        reg.Counter(metricLeaves),
 		lookupHops:    reg.Histogram(metricLookupHops, obs.HopBuckets),
 	}
 }
@@ -342,28 +337,4 @@ func (r *Ring) bestImaginary(start *Node, key word.Word) (word.Word, []byte, err
 		}
 	}
 	return start.id, key.Digits(), nil
-}
-
-// LookupFromAll resolves key from every node and returns the worst
-// and mean hop counts — the DHT experiment's summary statistic.
-func (r *Ring) LookupFromAll(key word.Word) (maxHops int, meanHops float64, err error) {
-	total := 0
-	for _, n := range r.nodes {
-		res, lerr := r.Lookup(n, key)
-		if lerr != nil {
-			return 0, 0, lerr
-		}
-		owner, oerr := r.Owner(key)
-		if oerr != nil {
-			return 0, 0, oerr
-		}
-		if res.Owner != owner {
-			return 0, 0, fmt.Errorf("dht: lookup from %v found %v, owner is %v", n.id, res.Owner.id, owner.id)
-		}
-		total += res.Hops
-		if res.Hops > maxHops {
-			maxHops = res.Hops
-		}
-	}
-	return maxHops, float64(total) / float64(len(r.nodes)), nil
 }

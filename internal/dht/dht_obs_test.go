@@ -49,25 +49,4 @@ func TestRingObserver(t *testing.T) {
 		t.Errorf("successor (%d) + de Bruijn (%d) hops != total %d", succ, debruijn, totalHops)
 	}
 
-	// Churn counters.
-	var extra word.Word
-	for {
-		extra = word.Random(d, k, rng)
-		if _, exists := r.NodeAt(extra); !exists {
-			break
-		}
-	}
-	if _, err := r.AddNode(extra); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RemoveNode(extra); err != nil {
-		t.Fatal(err)
-	}
-	snap = reg.Snapshot()
-	if got := snap.Counter("dht_joins_total"); got != 1 {
-		t.Errorf("joins = %d, want 1", got)
-	}
-	if got := snap.Counter("dht_leaves_total"); got != 1 {
-		t.Errorf("leaves = %d, want 1", got)
-	}
 }

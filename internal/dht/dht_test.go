@@ -246,17 +246,6 @@ func TestOptimizedUsesFewerInjections(t *testing.T) {
 	}
 }
 
-func TestLookupFromAll(t *testing.T) {
-	r := randomRing(t, 2, 8, 16, 5)
-	maxHops, mean, err := r.LookupFromAll(word.MustParse(2, "10101010"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean <= 0 || float64(maxHops) < mean {
-		t.Errorf("max %d mean %v", maxHops, mean)
-	}
-}
-
 func TestNodeAt(t *testing.T) {
 	r := randomRing(t, 2, 6, 8, 6)
 	for _, n := range r.Nodes() {

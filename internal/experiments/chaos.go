@@ -248,7 +248,7 @@ func chaosStormRow(cfg ChaosRunConfig) (ChaosRow, error) {
 		Degraded:  agg.Degraded,
 		Shed:      agg.Shed,
 		Errs:      errs,
-		P99MS:     float64(percentileDur(lats, 0.99)) / float64(time.Millisecond),
+		P99MS:     float64(serve.Percentile(lats, 0.99)) / float64(time.Millisecond),
 		Conserved: agg.Conserved(),
 	}, nil
 }

@@ -175,27 +175,12 @@ func ClusterRun(cfg ClusterRunConfig) ([]ClusterRow, ClusterSummary, error) {
 		})
 	}
 	sum := ClusterSummary{
-		ClientP99MS: float64(percentileDur(lats, 0.99)) / float64(time.Millisecond),
+		ClientP99MS: float64(serve.Percentile(lats, 0.99)) / float64(time.Millisecond),
 	}
 	if totalHopCount > 0 {
 		sum.MeanHops = float64(totalHopSum) / float64(totalHopCount)
 	}
 	return rows, sum, nil
-}
-
-// percentileDur is the nearest-rank percentile of unsorted durations.
-func percentileDur(ds []time.Duration, q float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	for i := 1; i < len(sorted); i++ { // insertion sort: n is small
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
 }
 
 // ClusterTable renders E23: one row per node plus a Σ row whose

@@ -39,7 +39,7 @@ func obsReg() *obs.Registry { return observer.Load() }
 
 // ErrTooManySets is returned when exhaustive enumeration of failure
 // sets would exceed the configured budget.
-var ErrTooManySets = errors.New("fault: too many failure sets, use SampledTolerance")
+var ErrTooManySets = errors.New("fault: too many failure sets")
 
 // Report summarizes a tolerance check.
 type Report struct {
@@ -94,36 +94,6 @@ func ExhaustiveTolerance(g *graph.Graph, f int) (Report, error) {
 		return true
 	}
 	rec(0, 0)
-	return rep, nil
-}
-
-// SampledTolerance checks `trials` uniformly random failure sets of
-// exactly f vertices.
-func SampledTolerance(g *graph.Graph, f, trials int, seed int64) (Report, error) {
-	n := g.NumVertices()
-	if f < 0 || f >= n {
-		return Report{}, fmt.Errorf("fault: failure count %d out of range [0,%d)", f, n)
-	}
-	if trials < 1 {
-		return Report{}, fmt.Errorf("fault: need at least one trial, got %d", trials)
-	}
-	reg := obsReg()
-	rng := rand.New(rand.NewSource(seed))
-	rep := Report{Failures: f, Tolerated: true}
-	for trial := 0; trial < trials; trial++ {
-		blocked := make(map[int]bool, f)
-		for len(blocked) < f {
-			blocked[rng.Intn(n)] = true
-		}
-		rep.Sets++
-		reg.Counter(metricSetsExamined).Inc()
-		if !g.IsConnectedAvoiding(blocked) {
-			rep.Tolerated = false
-			rep.CounterExample = keys(blocked)
-			reg.Counter(metricDisconnecting).Inc()
-			return rep, nil
-		}
-	}
 	return rep, nil
 }
 

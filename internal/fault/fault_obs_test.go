@@ -16,7 +16,7 @@ func TestFaultObserver(t *testing.T) {
 	SetObserver(reg)
 	defer SetObserver(nil)
 
-	rep, err := SampledTolerance(g, 1, 5, 11)
+	rep, err := ExhaustiveTolerance(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +29,8 @@ func TestFaultObserver(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if got := snap.Counter("fault_sets_examined_total"); got != 5 {
-		t.Errorf("sets examined = %d, want 5", got)
+	if got := snap.Counter("fault_sets_examined_total"); got != 16 {
+		t.Errorf("sets examined = %d, want 16", got)
 	}
 	if got := snap.Counter("fault_disconnecting_sets_total"); got != 0 {
 		t.Errorf("disconnecting sets = %d, want 0", got)

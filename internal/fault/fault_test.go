@@ -110,44 +110,6 @@ func TestExhaustiveToleranceValidates(t *testing.T) {
 	}
 }
 
-func TestSampledTolerance(t *testing.T) {
-	g := deBruijn(t, graph.Undirected, 2, 6)
-	rep, err := SampledTolerance(g, 1, 200, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Tolerated || rep.Sets != 200 {
-		t.Errorf("report = %+v", rep)
-	}
-	if _, err := SampledTolerance(g, 1, 0, 1); err == nil {
-		t.Error("accepted zero trials")
-	}
-	if _, err := SampledTolerance(g, 64, 1, 1); err == nil {
-		t.Error("accepted failure count = N")
-	}
-}
-
-func TestSampledToleranceFindsWeakCut(t *testing.T) {
-	// A path graph is disconnected by any interior failure; sampling
-	// must find one quickly.
-	g, err := graph.New(graph.Undirected, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := g.AddEdge(i, i+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err := SampledTolerance(g, 1, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Tolerated {
-		t.Error("sampling missed an obvious cut vertex")
-	}
-}
-
 func TestMinVertexConnectivity(t *testing.T) {
 	// Undirected DG(2,3): minimum degree 2 bounds connectivity by 2;
 	// Pradhan–Reddy guarantees ≥ d-1 = 1; exact value is 2.

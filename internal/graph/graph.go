@@ -144,17 +144,6 @@ func (g *Graph) Degree(v int) int {
 	return len(g.adj[v])
 }
 
-// MaxDegree returns the degree of the graph: the maximum vertex degree.
-func (g *Graph) MaxDegree() int {
-	best := 0
-	for v := range g.adj {
-		if d := g.Degree(v); d > best {
-			best = d
-		}
-	}
-	return best
-}
-
 // DegreeCensus returns a histogram degree → number of vertices, the
 // quantity discussed below Figure 1 of the paper.
 func (g *Graph) DegreeCensus() map[int]int {
@@ -394,28 +383,6 @@ func (g *Graph) AvgDistance() (float64, error) {
 		}
 	}
 	return sum / float64(n*(n-1)), nil
-}
-
-// DistanceHistogram returns count[i] = number of ordered pairs (u,v),
-// u ≠ v, at distance i, via all-pairs BFS.
-func (g *Graph) DistanceHistogram() ([]int, error) {
-	var hist []int
-	for v := range g.adj {
-		dist, err := g.BFSFrom(v)
-		if err != nil {
-			return nil, err
-		}
-		for u, d := range dist {
-			if u == v || d < 0 {
-				continue
-			}
-			for len(hist) <= d {
-				hist = append(hist, 0)
-			}
-			hist[d]++
-		}
-	}
-	return hist, nil
 }
 
 // IsConnected reports connectivity: strong connectivity for directed

@@ -165,19 +165,6 @@ func TestDiameterDisconnected(t *testing.T) {
 	}
 }
 
-func TestDistanceHistogram(t *testing.T) {
-	g := mustNew(t, Undirected, 4)
-	addEdges(t, g, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 0})
-	hist, err := g.DistanceHistogram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 8 ordered pairs at distance 1, 4 at distance 2.
-	if len(hist) != 3 || hist[1] != 8 || hist[2] != 4 {
-		t.Errorf("DistanceHistogram = %v", hist)
-	}
-}
-
 func TestIsConnected(t *testing.T) {
 	g := mustNew(t, Undirected, 3)
 	addEdges(t, g, [2]int{0, 1})

@@ -135,50 +135,6 @@ func NaiveR(x, y []byte, i, j int) int {
 	return 0
 }
 
-// Find returns the 0-based start indices of every occurrence of
-// pattern in text, using the Morris–Pratt automaton. An empty pattern
-// matches nowhere. General substrate, also used by the embedding
-// package to locate window occurrences in de Bruijn sequences.
-func Find(pattern, text []byte) []int {
-	if len(pattern) == 0 || len(pattern) > len(text) {
-		return nil
-	}
-	var hits []int
-	row := MatchRow(pattern, text)
-	for j, h := range row {
-		if h == len(pattern) {
-			hits = append(hits, j-len(pattern)+1)
-		}
-	}
-	return hits
-}
-
-// Borders returns every border length of p in decreasing order,
-// starting with len(p) itself (every string borders itself); used by
-// the sequence package for period analysis.
-func Borders(p []byte) []int {
-	if len(p) == 0 {
-		return nil
-	}
-	fail := FailureFunction(p)
-	out := []int{len(p)}
-	for b := fail[len(p)-1]; b > 0; b = fail[b-1] {
-		out = append(out, b)
-	}
-	return out
-}
-
-// Period returns the smallest period of p: the least q ≥ 1 such that
-// p[t] == p[t+q] for all valid t. Computed as len(p) minus the longest
-// proper border.
-func Period(p []byte) int {
-	if len(p) == 0 {
-		return 0
-	}
-	fail := FailureFunction(p)
-	return len(p) - fail[len(p)-1]
-}
-
 func eq(a, b []byte) bool {
 	if len(a) != len(b) {
 		return false

@@ -177,90 +177,6 @@ func TestOverlapEmpty(t *testing.T) {
 	}
 }
 
-func TestFind(t *testing.T) {
-	hits := Find([]byte("aba"), []byte("abababa"))
-	if !intsEq(hits, []int{0, 2, 4}) {
-		t.Errorf("Find = %v", hits)
-	}
-	if Find([]byte("x"), []byte("abc")) != nil {
-		t.Error("Find found absent pattern")
-	}
-	if Find(nil, []byte("abc")) != nil {
-		t.Error("Find matched empty pattern")
-	}
-	if Find([]byte("abcd"), []byte("ab")) != nil {
-		t.Error("Find matched pattern longer than text")
-	}
-}
-
-func TestFindAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for iter := 0; iter < 300; iter++ {
-		p := randWord(rng, 2, 1+rng.Intn(4))
-		txt := randWord(rng, 2, 1+rng.Intn(20))
-		got := Find(p, txt)
-		var want []int
-		for i := 0; i+len(p) <= len(txt); i++ {
-			if bytesEq(txt[i:i+len(p)], p) {
-				want = append(want, i)
-			}
-		}
-		if !intsEq(got, want) {
-			t.Fatalf("Find(%v,%v) = %v, want %v", p, txt, got, want)
-		}
-	}
-}
-
-func TestBorders(t *testing.T) {
-	got := Borders([]byte("aabaabaa"))
-	// borders of aabaabaa: itself (8), aabaa (5), aa (2), a (1).
-	want := []int{8, 5, 2, 1}
-	if !intsEq(got, want) {
-		t.Errorf("Borders = %v, want %v", got, want)
-	}
-	if Borders(nil) != nil {
-		t.Error("Borders(empty) non-nil")
-	}
-}
-
-func TestPeriod(t *testing.T) {
-	cases := []struct {
-		p    string
-		want int
-	}{
-		{"aaaa", 1}, {"abab", 2}, {"abcabc", 3}, {"abca", 3}, {"abcd", 4}, {"a", 1},
-	}
-	for _, c := range cases {
-		if got := Period([]byte(c.p)); got != c.want {
-			t.Errorf("Period(%q) = %d, want %d", c.p, got, c.want)
-		}
-	}
-	if Period(nil) != 0 {
-		t.Error("Period(empty) nonzero")
-	}
-}
-
-func TestPeriodProperty(t *testing.T) {
-	// p[t] == p[t+Period(p)] for all valid t.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		p := randWord(r, 2+r.Intn(2), 1+r.Intn(20))
-		q := Period(p)
-		if q < 1 || q > len(p) {
-			return false
-		}
-		for t := 0; t+q < len(p); t++ {
-			if p[t] != p[t+q] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func randWord(rng *rand.Rand, base, k int) []byte {
 	w := make([]byte, k)
 	for i := range w {

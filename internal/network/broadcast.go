@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 
-	"repro/internal/graph"
 	"repro/internal/word"
 )
 
@@ -100,75 +99,5 @@ func (n *Network) TreeBroadcast(src word.Word) (BroadcastResult, error) {
 		}
 		frontier = next
 	}
-	return res, nil
-}
-
-// Multicast delivers one message from src to every destination in
-// dsts along the union of optimal source routes (shared prefixes are
-// transmitted once). Returns the link crossings used and the number of
-// destinations reached; failed sites on a route drop that branch
-// unless the network is adaptive.
-func (n *Network) Multicast(src word.Word, dsts []word.Word) (BroadcastResult, error) {
-	srcV, err := n.vertex(src)
-	if err != nil {
-		return BroadcastResult{}, err
-	}
-	if n.failed[srcV] {
-		return BroadcastResult{}, fmt.Errorf("network: multicast source %v failed", src)
-	}
-	usedLinks := make(map[[2]int]bool)
-	reached := make(map[int]bool)
-	res := BroadcastResult{}
-	maxDepth := 0
-	for _, dst := range dsts {
-		dstV, err := n.vertex(dst)
-		if err != nil {
-			return BroadcastResult{}, err
-		}
-		if n.failed[dstV] {
-			continue
-		}
-		route, err := n.Route(src, dst)
-		if err != nil {
-			return BroadcastResult{}, err
-		}
-		// Wildcards resolve to digit 0 so shared route prefixes
-		// coincide and are transmitted once (a fixed multicast tree).
-		conc, err := route.Concrete(src, nil)
-		if err != nil {
-			return BroadcastResult{}, err
-		}
-		walk, err := conc.Vertices(src)
-		if err != nil {
-			return BroadcastResult{}, err
-		}
-		blocked := false
-		for _, w := range walk[1:] {
-			if n.failed[graph.DeBruijnVertex(w)] {
-				blocked = true
-				break
-			}
-		}
-		if blocked {
-			continue
-		}
-		if !reached[dstV] {
-			reached[dstV] = true
-			res.Reached++
-		}
-		if len(walk)-1 > maxDepth {
-			maxDepth = len(walk) - 1
-		}
-		for i := 1; i < len(walk); i++ {
-			link := [2]int{graph.DeBruijnVertex(walk[i-1]), graph.DeBruijnVertex(walk[i])}
-			if !usedLinks[link] {
-				usedLinks[link] = true
-				res.Messages++
-				n.linkLoad[link]++
-				n.siteLoad[link[1]]++
-			}
-		}
-	}
-	res.Rounds = maxDepth
 	return res, nil
 }

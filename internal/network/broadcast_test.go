@@ -77,70 +77,6 @@ func TestBroadcastWithFailures(t *testing.T) {
 	}
 }
 
-func TestMulticastSharesPrefixes(t *testing.T) {
-	n := mustNet(t, Config{D: 2, K: 4})
-	src := word.MustParse(2, "0000")
-	dsts := []word.Word{
-		word.MustParse(2, "0011"),
-		word.MustParse(2, "0010"),
-		word.MustParse(2, "0001"),
-	}
-	res, err := n.Multicast(src, dsts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reached != 3 {
-		t.Errorf("reached %d", res.Reached)
-	}
-	// Individual optimal routes: 0000→0001 (1 hop), 0000→0001→0010?
-	// Routes to 0001, 0010, 0011 share the first link 0000→0001 etc.;
-	// the union must be strictly below the sum of route lengths.
-	sum := 0
-	for _, dst := range dsts {
-		del, err := mustNet(t, Config{D: 2, K: 4}).Send(src, dst, "x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += del.Hops
-	}
-	if res.Messages >= sum {
-		t.Errorf("multicast union %d not below route sum %d", res.Messages, sum)
-	}
-	if res.Rounds < 1 || res.Rounds > 4 {
-		t.Errorf("rounds = %d", res.Rounds)
-	}
-}
-
-func TestMulticastSkipsFailedBranches(t *testing.T) {
-	n := mustNet(t, Config{D: 2, K: 3})
-	if err := n.FailSite(word.MustParse(2, "011")); err != nil {
-		t.Fatal(err)
-	}
-	src := word.MustParse(2, "000")
-	res, err := n.Multicast(src, []word.Word{
-		word.MustParse(2, "011"), // failed destination
-		word.MustParse(2, "100"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reached != 1 {
-		t.Errorf("reached %d, want 1", res.Reached)
-	}
-}
-
-func TestMulticastValidates(t *testing.T) {
-	n := mustNet(t, Config{D: 2, K: 3})
-	src := word.MustParse(2, "000")
-	if _, err := n.Multicast(src, []word.Word{word.MustParse(2, "01")}); err == nil {
-		t.Error("accepted short destination")
-	}
-	res, err := n.Multicast(src, nil)
-	if err != nil || res.Reached != 0 || res.Messages != 0 {
-		t.Errorf("empty multicast = %+v, %v", res, err)
-	}
-}
-
 func mustZeroString(k int) string {
 	s := make([]byte, k)
 	for i := range s {

@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/word"
@@ -10,10 +9,10 @@ import (
 
 // Collective operations over the spanning tree — the §1 motivation
 // ("the de Bruijn network ... can be used to solve efficiently many
-// problems") in executable form. Gather pulls one value per site to a
-// root; Reduce combines values pairwise on the way (N-1 messages,
-// eccentricity-many rounds, combining at internal sites instead of
-// shipping everything to the root).
+// problems") in executable form. Reduce combines one value per site
+// pairwise on the way to a root (N-1 messages, eccentricity-many
+// rounds, combining at internal sites instead of shipping everything to
+// the root).
 
 // CollectiveResult reports the cost of a collective operation.
 type CollectiveResult struct {
@@ -111,48 +110,4 @@ func (n *Network) Reduce(root word.Word, values map[string]int, combine func(a, 
 		return 0, res, fmt.Errorf("network: no values reached the root")
 	}
 	return acc[int32(rootV)], res, nil
-}
-
-// Gather collects every live site's value at the root, returning them
-// keyed by site address: the unreduced collective (Θ(N · mean depth)
-// messages, versus Reduce's N-1).
-func (n *Network) Gather(root word.Word, values map[string]int) (map[string]int, CollectiveResult, error) {
-	rootV, err := n.vertex(root)
-	if err != nil {
-		return nil, CollectiveResult{}, err
-	}
-	if n.failed[rootV] {
-		return nil, CollectiveResult{}, fmt.Errorf("network: gather root %v failed", root)
-	}
-	out := make(map[string]int, len(values))
-	res := CollectiveResult{}
-	// Deterministic site order.
-	keys := make([]string, 0, len(values))
-	for s := range values {
-		keys = append(keys, s)
-	}
-	sort.Strings(keys)
-	for _, s := range keys {
-		src, err := word.Parse(n.cfg.D, s)
-		if err != nil {
-			return nil, CollectiveResult{}, fmt.Errorf("network: gather key %q: %w", s, err)
-		}
-		if n.failed[graph.DeBruijnVertex(src)] {
-			continue
-		}
-		del, err := n.Send(src, root, s)
-		if err != nil {
-			return nil, CollectiveResult{}, err
-		}
-		if !del.Delivered {
-			continue
-		}
-		out[s] = values[s]
-		res.Participants++
-		res.Messages += del.Hops
-		if del.Hops > res.Rounds {
-			res.Rounds = del.Hops
-		}
-	}
-	return out, res, nil
 }

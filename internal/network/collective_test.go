@@ -116,47 +116,3 @@ func TestReduceValidates(t *testing.T) {
 		t.Error("accepted empty values (no root value)")
 	}
 }
-
-func TestGatherCollectsAll(t *testing.T) {
-	n := mustNet(t, Config{D: 2, K: 4})
-	values := allValues(t, 2, 4)
-	root := word.MustParse(2, "0000")
-	got, res, err := n.Gather(root, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 16 || res.Participants != 16 {
-		t.Errorf("gathered %d, participants %d", len(got), res.Participants)
-	}
-	for s, v := range values {
-		if got[s] != v {
-			t.Errorf("value %s = %d, want %d", s, got[s], v)
-		}
-	}
-	// Gather ships every value the whole way: strictly more messages
-	// than Reduce's N-1 (the root's own value costs 0).
-	if res.Messages <= 15 {
-		t.Errorf("gather messages = %d, expected > N-1", res.Messages)
-	}
-}
-
-func TestGatherRejectsBadKeys(t *testing.T) {
-	n := mustNet(t, Config{D: 2, K: 3})
-	if _, _, err := n.Gather(word.MustParse(2, "000"), map[string]int{"zz": 1}); err == nil {
-		t.Error("accepted unparsable key")
-	}
-}
-
-func TestGatherSkipsFailedSites(t *testing.T) {
-	n := mustNet(t, Config{D: 2, K: 3})
-	if err := n.FailSite(word.MustParse(2, "111")); err != nil {
-		t.Fatal(err)
-	}
-	got, res, err := n.Gather(word.MustParse(2, "000"), allValues(t, 2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 7 || res.Participants != 7 {
-		t.Errorf("gathered %d", len(got))
-	}
-}

@@ -161,27 +161,6 @@ func TestAdaptiveReroutesAroundFailure(t *testing.T) {
 	}
 }
 
-func TestRepairSiteRestoresDelivery(t *testing.T) {
-	n := mustNet(t, Config{D: 2, K: 3})
-	mid := word.MustParse(2, "001")
-	if err := n.FailSite(mid); err != nil {
-		t.Fatal(err)
-	}
-	if n.FailedSites() != 1 {
-		t.Error("FailedSites != 1")
-	}
-	if err := n.RepairSite(mid); err != nil {
-		t.Fatal(err)
-	}
-	del, err := n.Send(word.MustParse(2, "000"), word.MustParse(2, "011"), "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !del.Delivered {
-		t.Errorf("dropped after repair: %s", del.DropReason)
-	}
-}
-
 func TestUnidirectionalRejectsTypeRRoutes(t *testing.T) {
 	n := mustNet(t, Config{D: 2, K: 3, Unidirectional: true})
 	msg := Message{
@@ -401,7 +380,7 @@ func TestFailValidatesAddress(t *testing.T) {
 	if err := n.FailSite(word.MustParse(2, "01")); err == nil {
 		t.Error("accepted short address")
 	}
-	if err := n.RepairSite(word.MustParse(3, "010")); err == nil {
+	if err := n.FailSite(word.MustParse(3, "010")); err == nil {
 		t.Error("accepted wrong base")
 	}
 }

@@ -62,114 +62,6 @@ func TestRegistrySentEqualsDeliveredPlusDropped(t *testing.T) {
 	}
 }
 
-// TestMetricDocsMatchRegistry pins README § Observability to the
-// code in both directions: every series an instrumented Network
-// registers — with faults, Adaptive and Trace all on — must appear,
-// label-stripped, in the section's metric table, and every table row
-// made only of dn_* names outside dn_deflect_* (the deflection
-// engine's) must be produced by that Network.
-func TestMetricDocsMatchRegistry(t *testing.T) {
-	reg := obs.NewRegistry()
-	n, err := New(Config{D: 2, K: 5, Adaptive: true, Trace: true, Seed: 5, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.FailSite(word.MustParse(2, "01101")); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 50; i++ {
-		if _, err := n.Send(word.Random(2, 5, rng), word.Random(2, 5, rng), ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n.Stats()
-
-	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, section, ok := strings.Cut(string(readme), "\n## Observability\n")
-	if !ok {
-		t.Fatal("README.md has no § Observability")
-	}
-	section, _, _ = strings.Cut(section, "\n## ")
-	documented := map[string]bool{}
-	var networkRows []string // names of rows this engine must produce
-	for _, line := range strings.Split(section, "\n") {
-		if !strings.HasPrefix(line, "| `") {
-			continue
-		}
-		series := strings.Split(line, "|")[1]
-		var row []string
-		ours := true
-		for _, tok := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(series, -1) {
-			for _, name := range expandSeries(tok[1]) {
-				documented[name] = true
-				row = append(row, name)
-				ours = ours && strings.HasPrefix(name, "dn_") && !strings.HasPrefix(name, "dn_deflect_")
-			}
-		}
-		if ours {
-			networkRows = append(networkRows, row...)
-		}
-	}
-	if len(networkRows) == 0 {
-		t.Fatal("README § Observability lists no network engine rows")
-	}
-
-	snap := reg.Snapshot()
-	var names []string
-	for name := range snap.Counters {
-		names = append(names, name)
-	}
-	for name := range snap.Gauges {
-		names = append(names, name)
-	}
-	for name := range snap.Histograms {
-		names = append(names, name)
-	}
-	if len(names) == 0 {
-		t.Fatal("instrumented network registered no series")
-	}
-	produced := map[string]bool{}
-	for _, name := range names {
-		base, _, _ := strings.Cut(name, "{")
-		produced[base] = true
-		if !documented[base] {
-			t.Errorf("series %s is not in README § Observability's table", base)
-		}
-	}
-	for _, name := range networkRows {
-		if !produced[name] {
-			t.Errorf("README § Observability documents %s, but the instrumented Network does not produce it", name)
-		}
-	}
-}
-
-// expandSeries expands a documented series pattern: a brace group of
-// alternatives (dn_{a,b}_total) yields one name per alternative, and
-// a label set ({reason="…"}) is stripped.
-func expandSeries(pattern string) []string {
-	i := strings.IndexByte(pattern, '{')
-	if i < 0 {
-		return []string{pattern}
-	}
-	j := i + strings.IndexByte(pattern[i:], '}')
-	if j < i {
-		return []string{pattern}
-	}
-	inner, rest := pattern[i+1:j], pattern[j+1:]
-	if strings.Contains(inner, "=") {
-		return expandSeries(pattern[:i] + rest)
-	}
-	var out []string
-	for _, alt := range strings.Split(inner, ",") {
-		out = append(out, expandSeries(pattern[:i]+alt+rest)...)
-	}
-	return out
-}
-
 // TestTTLZeroMeansFourK covers the documented default: TTL 0 resolves
 // to 4k, generous enough that a bi-directional message at d=2, k=6
 // survives worst-case adaptive rerouting around a failed site.

@@ -51,10 +51,6 @@ type LoadConfig struct {
 	// keeping the generator itself allocation- and goroutine-bounded).
 	// Default 4096.
 	MaxInFlight int
-	// RouteFrac and NextHopFrac split traffic between kinds; the
-	// remainder is distance queries. Defaults 0.5 / 0.2.
-	RouteFrac   float64
-	NextHopFrac float64
 	// BatchSize, when > 0, wraps launches into batch requests of that
 	// many scalar sub-queries (≤ MaxBatch). Batching amortizes wire and
 	// parse cost over many route computations, so it is the shape that
@@ -136,10 +132,6 @@ func (cfg LoadConfig) Validate() error {
 	}
 	if cfg.BatchSize < 0 || cfg.BatchSize > MaxBatch {
 		return fail("batch size %d outside [0, %d]", cfg.BatchSize, MaxBatch)
-	}
-	if cfg.RouteFrac < 0 || cfg.NextHopFrac < 0 || cfg.RouteFrac+cfg.NextHopFrac > 1 {
-		return fail("kind mix RouteFrac %v + NextHopFrac %v must be non-negative and sum ≤ 1",
-			cfg.RouteFrac, cfg.NextHopFrac)
 	}
 	if cfg.BatchFrac < 0 || cfg.BatchFrac > 1 {
 		return fail("BatchFrac %v outside [0,1]", cfg.BatchFrac)
@@ -224,9 +216,6 @@ func RunLoad(s *Server, cfg LoadConfig) (LoadResult, error) {
 	if cfg.MaxInFlight < 1 {
 		cfg.MaxInFlight = 4096
 	}
-	if cfg.RouteFrac == 0 && cfg.NextHopFrac == 0 {
-		cfg.RouteFrac, cfg.NextHopFrac = 0.5, 0.2
-	}
 	if (cfg.ZipfS > 0 || cfg.HotspotFrac > 0) && cfg.HotSet == 0 {
 		cfg.HotSet = 256
 	}
@@ -296,8 +285,8 @@ func RunLoad(s *Server, cfg LoadConfig) (LoadResult, error) {
 	if sec := res.Elapsed.Seconds(); sec > 0 {
 		res.Throughput = float64(res.Answered+res.Degraded) / sec
 	}
-	res.P50 = percentile(latencies, 0.50)
-	res.P99 = percentile(latencies, 0.99)
+	res.P50 = Percentile(latencies, 0.50)
+	res.P99 = Percentile(latencies, 0.99)
 	return res, nil
 }
 
@@ -510,14 +499,21 @@ func (d *draw) request() Request {
 	return req
 }
 
-// scalar draws one query from the configured kind mix and vertex
+// The scalar kind mix: route and next-hop fractions, the remainder
+// distance queries.
+const (
+	routeFrac   = 0.5
+	nextHopFrac = 0.2
+)
+
+// scalar draws one query from the kind mix and the configured vertex
 // distribution.
 func (d *draw) scalar() Request {
 	src, dst := d.pair()
 	switch p := d.rng.Float64(); {
-	case p < d.cfg.RouteFrac:
+	case p < routeFrac:
 		return RouteRequest(src, dst, d.cfg.Mode)
-	case p < d.cfg.RouteFrac+d.cfg.NextHopFrac:
+	case p < routeFrac+nextHopFrac:
 		return NextHopRequest(src, dst, d.cfg.Mode)
 	default:
 		return DistanceRequest(src, dst, d.cfg.Mode)
@@ -556,9 +552,9 @@ func poolWord(cfg LoadConfig, i int) word.Word {
 	return word.Random(cfg.D, cfg.K, rand.New(rand.NewSource(cfg.Seed^int64(0x9E3779B9)+int64(i))))
 }
 
-// percentile returns the q-quantile of lats (nearest-rank), 0 when
-// empty. Sorts a copy.
-func percentile(lats []time.Duration, q float64) time.Duration {
+// Percentile returns the q-quantile of lats (nearest rank, index q·n),
+// 0 when empty. Sorts a copy.
+func Percentile(lats []time.Duration, q float64) time.Duration {
 	if len(lats) == 0 {
 		return 0
 	}

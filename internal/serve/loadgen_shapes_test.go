@@ -67,19 +67,18 @@ func TestLoadZipfValidation(t *testing.T) {
 // the regression gate for the ZipfS ∈ (0,1] generator panic.
 func TestLoadConfigValidateTyped(t *testing.T) {
 	bad := []LoadConfig{
-		{D: 1, K: 4},                                   // degree too small
-		{D: 2, K: 0},                                   // empty words
-		{D: 2, K: 4, ZipfS: 0.5},                       // the documented panic range
-		{D: 2, K: 4, ZipfS: 1},                         // boundary: rand.NewZipf needs s > 1
-		{D: 2, K: 4, ZipfS: -2},                        // negative exponent
-		{D: 2, K: 4, Rate: -10},                        // negative offered rate
-		{D: 2, K: 4, Clients: -1},                      // negative count knob
-		{D: 2, K: 4, HotSet: -8},                       // negative pool
-		{D: 2, K: 4, BatchSize: -1},                    // negative batch
-		{D: 2, K: 4, BatchSize: MaxBatch + 1},          // oversized batch
-		{D: 2, K: 4, BatchFrac: 1.5},                   // fraction outside [0,1]
-		{D: 2, K: 4, HotspotFrac: -0.1},                // fraction outside [0,1]
-		{D: 2, K: 4, RouteFrac: 0.9, NextHopFrac: 0.3}, // mix sums past 1
+		{D: 1, K: 4},                          // degree too small
+		{D: 2, K: 0},                          // empty words
+		{D: 2, K: 4, ZipfS: 0.5},              // the documented panic range
+		{D: 2, K: 4, ZipfS: 1},                // boundary: rand.NewZipf needs s > 1
+		{D: 2, K: 4, ZipfS: -2},               // negative exponent
+		{D: 2, K: 4, Rate: -10},               // negative offered rate
+		{D: 2, K: 4, Clients: -1},             // negative count knob
+		{D: 2, K: 4, HotSet: -8},              // negative pool
+		{D: 2, K: 4, BatchSize: -1},           // negative batch
+		{D: 2, K: 4, BatchSize: MaxBatch + 1}, // oversized batch
+		{D: 2, K: 4, BatchFrac: 1.5},          // fraction outside [0,1]
+		{D: 2, K: 4, HotspotFrac: -0.1},       // fraction outside [0,1]
 		{D: 2, K: 4, Rate: 5, Schedule: []RatePhase{{Rate: 1, Duration: 1}}},       // both loops
 		{D: 2, K: 4, Schedule: []RatePhase{{Rate: 0, Duration: time.Millisecond}}}, // dead phase
 		{D: 2, K: 4, Transport: NewMemTransport()},                                 // transport, no addr
@@ -100,7 +99,6 @@ func TestLoadConfigValidateTyped(t *testing.T) {
 	good := []LoadConfig{
 		{D: 2, K: 4},
 		{D: 2, K: 4, ZipfS: 1.1, HotspotFrac: 1, BatchFrac: 1, BatchSize: MaxBatch},
-		{D: 2, K: 4, RouteFrac: 0.6, NextHopFrac: 0.4},
 		{D: 2, K: 4, Schedule: []RatePhase{{Rate: 50, Duration: time.Millisecond}}},
 	}
 	for i, cfg := range good {

@@ -114,14 +114,14 @@ func TestRunLoadValidation(t *testing.T) {
 
 // TestPercentile pins the nearest-rank convention.
 func TestPercentile(t *testing.T) {
-	if p := percentile(nil, 0.5); p != 0 {
+	if p := Percentile(nil, 0.5); p != 0 {
 		t.Fatalf("empty percentile = %v", p)
 	}
 	lats := []time.Duration{4, 1, 3, 2} // sorted: 1 2 3 4
-	if p := percentile(lats, 0.5); p != 3 {
+	if p := Percentile(lats, 0.5); p != 3 {
 		t.Fatalf("p50 = %v, want 3", p)
 	}
-	if p := percentile(lats, 0.99); p != 4 {
+	if p := Percentile(lats, 0.99); p != 4 {
 		t.Fatalf("p99 = %v, want 4", p)
 	}
 	// The input must not be reordered.

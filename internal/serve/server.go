@@ -535,10 +535,7 @@ func (s *Server) admit(ctx context.Context, body []byte, out chan<- outFrame, pe
 		tr.Batch = len(req.Batch)
 	}
 	if err != nil {
-		s.shedTrace(tr, shedBadRequest)
-		s.shedN[shedBadRequest].Add(1)
-		s.m.shed[shedBadRequest].Inc()
-		s.sendResponse(out, ctx, withTraceID(errorResponse(req.ID, err), id), tr)
+		s.shed(out, ctx, tr, shedBadRequest, withTraceID(errorResponse(req.ID, err), id))
 		return
 	}
 	kind, kerr := ParseKind(req.Kind)
@@ -562,10 +559,7 @@ func (s *Server) admit(ctx context.Context, body []byte, out chan<- outFrame, pe
 		t.q, err = ParseQuery(req)
 	}
 	if err != nil {
-		s.shedTrace(tr, shedBadRequest)
-		s.shedN[shedBadRequest].Add(1)
-		s.m.shed[shedBadRequest].Inc()
-		s.sendResponse(out, ctx, withTraceID(errorResponse(req.ID, err), id), tr)
+		s.shed(out, ctx, tr, shedBadRequest, withTraceID(errorResponse(req.ID, err), id))
 		return
 	}
 	budget := s.cfg.DefaultDeadline
@@ -581,10 +575,7 @@ func (s *Server) admit(ctx context.Context, body []byte, out chan<- outFrame, pe
 		s.m.queue.Set(float64(len(s.queue)))
 	default:
 		pending.Done()
-		s.shedTrace(tr, shedQueueFull)
-		s.shedN[shedQueueFull].Add(1)
-		s.m.shed[shedQueueFull].Inc()
-		s.sendResponse(out, ctx, withTraceID(shedResponse(req.ID, shedQueueFull), id), tr)
+		s.shed(out, ctx, tr, shedQueueFull, withTraceID(shedResponse(req.ID, shedQueueFull), id))
 	}
 }
 
@@ -594,12 +585,16 @@ func withTraceID(resp Response, id obs.TraceID) Response {
 	return resp
 }
 
-// shedTrace records a shed outcome on a sampled trace.
-func (s *Server) shedTrace(tr *obs.ReqTrace, reason shedReason) {
-	if tr == nil {
-		return
+// shed resolves a request to the shed outcome reason: it tags a
+// sampled trace, counts the reason, and sends resp — the shed reply,
+// or the error reply of a bad request.
+func (s *Server) shed(out chan<- outFrame, ctx context.Context, tr *obs.ReqTrace, reason shedReason, resp Response) {
+	if tr != nil {
+		tr.SetOutcome("shed:" + reason.String())
 	}
-	tr.SetOutcome("shed:" + reason.String())
+	s.shedN[reason].Add(1)
+	s.m.shed[reason].Inc()
+	s.sendResponse(out, ctx, resp, tr)
 }
 
 // sendResponse delivers resp (and its trace) to the connection writer
@@ -685,10 +680,7 @@ func (s *Server) process(eng *Engine, t *task) {
 		s.answerTask(eng, t)
 		return
 	}
-	s.shedTrace(t.tr, reason)
-	s.shedN[reason].Add(1)
-	s.m.shed[reason].Inc()
-	s.sendResponse(t.out, t.ctx, withTraceID(shedResponse(t.req.ID, reason), t.id), t.tr)
+	s.shed(t.out, t.ctx, t.tr, reason, withTraceID(shedResponse(t.req.ID, reason), t.id))
 }
 
 // forwardTask offers the task to the configured Forwarder and reports
@@ -714,21 +706,13 @@ func (s *Server) forwardTask(t *task) bool {
 		s.forwarded.Add(1)
 		s.m.forwarded.Inc()
 		t.tr.SetOutcome("forwarded")
-		lat := float64(time.Since(t.start))
-		if t.tr != nil {
-			s.m.latencyNs.ObserveExemplar(lat, t.id)
-		} else {
-			s.m.latencyNs.Observe(lat)
-		}
+		s.observeLatency(t)
 		resp.ID = t.req.ID
 		resp.TraceID = t.id
 		s.sendResponse(t.out, t.ctx, resp, t.tr)
 		return true
 	case ForwardDeadline:
-		s.shedTrace(t.tr, shedDeadline)
-		s.shedN[shedDeadline].Add(1)
-		s.m.shed[shedDeadline].Inc()
-		s.sendResponse(t.out, t.ctx, withTraceID(shedResponse(t.req.ID, shedDeadline), t.id), t.tr)
+		s.shed(t.out, t.ctx, t.tr, shedDeadline, withTraceID(shedResponse(t.req.ID, shedDeadline), t.id))
 		return true
 	}
 	return false
@@ -757,10 +741,7 @@ func (s *Server) answerTask(eng *Engine, t *task) {
 				if t.tr != nil {
 					t.tr.CurSub = 0
 				}
-				s.shedTrace(t.tr, shedDeadline)
-				s.shedN[shedDeadline].Add(1)
-				s.m.shed[shedDeadline].Inc()
-				s.sendResponse(t.out, t.ctx, withTraceID(shedResponse(t.req.ID, shedDeadline), t.id), t.tr)
+				s.shed(t.out, t.ctx, t.tr, shedDeadline, withTraceID(shedResponse(t.req.ID, shedDeadline), t.id))
 				return
 			}
 			if t.tr != nil {
@@ -772,10 +753,7 @@ func (s *Server) answerTask(eng *Engine, t *task) {
 				if t.tr != nil {
 					t.tr.CurSub = 0
 				}
-				s.shedTrace(t.tr, shedBadRequest)
-				s.shedN[shedBadRequest].Add(1)
-				s.m.shed[shedBadRequest].Inc()
-				s.sendResponse(t.out, t.ctx, withTraceID(errorResponse(t.req.ID, err), t.id), t.tr)
+				s.shed(t.out, t.ctx, t.tr, shedBadRequest, withTraceID(errorResponse(t.req.ID, err), t.id))
 				return
 			}
 			resp.Batch[i] = answerResponse(t.req.Batch[i].ID, q.Kind, a, cached)
@@ -790,10 +768,7 @@ func (s *Server) answerTask(eng *Engine, t *task) {
 	} else {
 		a, cached, err := eng.AnswerTraced(t.q, level, t.tr)
 		if err != nil {
-			s.shedTrace(t.tr, shedBadRequest)
-			s.shedN[shedBadRequest].Add(1)
-			s.m.shed[shedBadRequest].Inc()
-			s.sendResponse(t.out, t.ctx, withTraceID(errorResponse(t.req.ID, err), t.id), t.tr)
+			s.shed(t.out, t.ctx, t.tr, shedBadRequest, withTraceID(errorResponse(t.req.ID, err), t.id))
 			return
 		}
 		maxLevel = a.Level
@@ -808,14 +783,19 @@ func (s *Server) answerTask(eng *Engine, t *task) {
 		s.m.answered.Inc()
 		t.tr.SetOutcome("answered")
 	}
+	s.observeLatency(t)
+	resp.TraceID = t.id
+	s.sendResponse(t.out, t.ctx, resp, t.tr)
+}
+
+// observeLatency records the task's end-to-end latency. A sampled
+// request pins itself as the exemplar of whichever latency bucket it
+// lands in — aggregate → trace in one hop.
+func (s *Server) observeLatency(t *task) {
 	lat := float64(time.Since(t.start))
 	if t.tr != nil {
-		// The sampled request pins itself as the exemplar of whichever
-		// latency bucket it lands in — aggregate → trace in one hop.
 		s.m.latencyNs.ObserveExemplar(lat, t.id)
 	} else {
 		s.m.latencyNs.Observe(lat)
 	}
-	resp.TraceID = t.id
-	s.sendResponse(t.out, t.ctx, resp, t.tr)
 }

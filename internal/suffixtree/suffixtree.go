@@ -316,88 +316,6 @@ func (t *Tree) Contains(sub []byte) bool {
 	return true
 }
 
-// Occurrences returns the sorted positions where sub occurs in S: the
-// leaf labels of the subtree below the locus of sub. This is the
-// paper's observation that "the leaves in the subtree ... correspond
-// to the positions where the substring occurs".
-func (t *Tree) Occurrences(sub []byte) []int {
-	node := t.root
-	i := 0
-	for i < len(sub) {
-		child, ok := node.Children[sub[i]]
-		if !ok {
-			return nil
-		}
-		for j := child.Start; j < child.End && i < len(sub); j++ {
-			if t.s[j] != sub[i] {
-				return nil
-			}
-			i++
-		}
-		node = child
-	}
-	var out []int
-	collectLeaves(node, &out)
-	sort.Ints(out)
-	return out
-}
-
-func collectLeaves(n *Node, out *[]int) {
-	if n.IsLeaf() {
-		*out = append(*out, n.LeafPos)
-		return
-	}
-	for _, c := range n.Children {
-		collectLeaves(c, out)
-	}
-}
-
-// PrefixIdentifier returns Weiner's prefix identifier of position i:
-// the shortest substring of S that identifies position i (occurs only
-// there). Its length is one more than the string depth of the leaf's
-// parent, capped at the suffix length.
-func (t *Tree) PrefixIdentifier(i int) []byte {
-	// Locate the leaf for position i and its parent depth by walking
-	// down the suffix.
-	node := t.root
-	parentDepth := 0
-	pos := i
-	for {
-		child := node.Children[t.s[pos]]
-		if child.IsLeaf() {
-			idLen := parentDepth + 1
-			if idLen > len(t.s)-i {
-				idLen = len(t.s) - i
-			}
-			return append([]byte(nil), t.s[i:i+idLen]...)
-		}
-		parentDepth = child.Depth
-		pos = i + child.Depth
-		node = child
-	}
-}
-
-// LongestRepeatedSubstring returns the deepest internal vertex's path
-// label — the paper's example application of the prefix tree. Returns
-// nil when no substring repeats.
-func (t *Tree) LongestRepeatedSubstring() []byte {
-	best := 0
-	bestPos := -1
-	t.Walk(func(n *Node) {
-		if !n.IsLeaf() && n.Depth > best {
-			best = n.Depth
-			// Recover a starting position from the deepest internal
-			// node's edge: the label path ends at index n.End, so the
-			// substring starts at n.End-depth.
-			bestPos = n.End - n.Depth
-		}
-	})
-	if bestPos < 0 {
-		return nil
-	}
-	return append([]byte(nil), t.s[bestPos:bestPos+best]...)
-}
-
 // Equal reports whether two trees are structurally identical: same
 // string, same shape, same edge labels, same depths and leaf labels.
 func (t *Tree) Equal(o *Tree) bool {

@@ -2,7 +2,6 @@ package suffixtree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -164,143 +163,6 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestOccurrences(t *testing.T) {
-	tr, err := Build(mark("banana"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		sub  string
-		want []int
-	}{
-		{"ana", []int{1, 3}},
-		{"a", []int{1, 3, 5}},
-		{"na", []int{2, 4}},
-		{"banana", []int{0}},
-		{"xyz", nil},
-	}
-	for _, c := range cases {
-		got := tr.Occurrences([]byte(c.sub))
-		if !intsEq(got, c.want) {
-			t.Errorf("Occurrences(%q) = %v, want %v", c.sub, got, c.want)
-		}
-	}
-}
-
-func TestOccurrencesRandomAgainstScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for iter := 0; iter < 200; iter++ {
-		n := 2 + rng.Intn(30)
-		s := make([]byte, n)
-		for i := range s {
-			s[i] = byte('a' + rng.Intn(2))
-		}
-		tr, err := Build(append(append([]byte(nil), s...), 0xFF))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := 1 + rng.Intn(4)
-		sub := make([]byte, m)
-		for i := range sub {
-			sub[i] = byte('a' + rng.Intn(2))
-		}
-		var want []int
-		for i := 0; i+m <= n; i++ {
-			if string(s[i:i+m]) == string(sub) {
-				want = append(want, i)
-			}
-		}
-		got := tr.Occurrences(sub)
-		if !intsEq(got, want) {
-			t.Fatalf("Occurrences(%q in %q) = %v, want %v", sub, s, got, want)
-		}
-	}
-}
-
-func TestLongestRepeatedSubstring(t *testing.T) {
-	cases := []struct{ s, want string }{
-		{"banana", "ana"},
-		{"aaaa", "aaa"},
-		{"abcd", ""},
-		{"abcabcab", "abcab"},
-	}
-	for _, c := range cases {
-		tr, err := Build(mark(c.s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := string(tr.LongestRepeatedSubstring())
-		if got != c.want {
-			t.Errorf("LongestRepeatedSubstring(%q) = %q, want %q", c.s, got, c.want)
-		}
-	}
-}
-
-func TestPrefixIdentifier(t *testing.T) {
-	// For S = banana⊥: the prefix identifier of position 0 is "b"
-	// (unique), of position 1 is "anan" ("ana" occurs twice), of
-	// position 5 is "a⊥".
-	tr, err := Build(mark("banana"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		pos  int
-		want string
-	}{
-		{0, "b"},
-		{1, "anan"},
-		{2, "nan"},
-		{3, "ana\xff"},
-		{5, "a\xff"},
-		{6, "\xff"},
-	}
-	for _, c := range cases {
-		got := string(tr.PrefixIdentifier(c.pos))
-		if got != c.want {
-			t.Errorf("PrefixIdentifier(%d) = %q, want %q", c.pos, got, c.want)
-		}
-	}
-}
-
-func TestPrefixIdentifierIsUniqueAndShortest(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for iter := 0; iter < 100; iter++ {
-		n := 2 + rng.Intn(16)
-		s := make([]byte, n, n+1)
-		for i := range s {
-			s[i] = byte('a' + rng.Intn(2))
-		}
-		s = append(s, 0xFF)
-		tr, err := Build(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pos := 0; pos < len(s); pos++ {
-			id := tr.PrefixIdentifier(pos)
-			if occ := countOcc(s, id); occ != 1 {
-				t.Fatalf("identifier %q of pos %d in %q occurs %d times", id, pos, s, occ)
-			}
-			if len(id) > 1 {
-				shorter := id[:len(id)-1]
-				if countOcc(s, shorter) < 2 {
-					t.Fatalf("identifier %q of pos %d in %q not shortest", id, pos, s)
-				}
-			}
-		}
-	}
-}
-
-func countOcc(s, sub []byte) int {
-	count := 0
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if string(s[i:i+len(sub)]) == string(sub) {
-			count++
-		}
-	}
-	return count
-}
-
 func TestDepthsAreLabelPathLengths(t *testing.T) {
 	tr, err := Build(mark("abcabcab"))
 	if err != nil {
@@ -407,18 +269,4 @@ func directLCP(s []byte, i, j int) int {
 		n++
 	}
 	return n
-}
-
-func intsEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	sort.Ints(a)
-	sort.Ints(b)
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

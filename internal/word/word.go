@@ -28,11 +28,9 @@ const digitChars = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 // Errors returned by constructors and parsers.
 var (
-	ErrBadBase   = errors.New("word: base must be in [2, 36]")
-	ErrEmpty     = errors.New("word: length must be at least 1")
-	ErrBadDigit  = errors.New("word: digit out of range for base")
-	ErrBaseMixed = errors.New("word: operands have different bases")
-	ErrLenMixed  = errors.New("word: operands have different lengths")
+	ErrBadBase  = errors.New("word: base must be in [2, 36]")
+	ErrEmpty    = errors.New("word: length must be at least 1")
+	ErrBadDigit = errors.New("word: digit out of range for base")
 )
 
 // Word is a fixed-length word over the alphabet {0, ..., base-1}. The
@@ -237,14 +235,6 @@ func (w Word) Prefix(n int) []byte {
 	return d
 }
 
-// Suffix returns the length-n suffix digits (x_{k-n+1}, ..., x_k) as a
-// fresh slice. n must be in [0, k].
-func (w Word) Suffix(n int) []byte {
-	d := make([]byte, n)
-	copy(d, w.digits[len(w.digits)-n:])
-	return d
-}
-
 // Rank returns the index of the word in the lexicographic enumeration
 // of all d-ary words of length k, with x_1 most significant. Ranks fit
 // in a uint64 only while d^k does; callers enumerate graphs of at most
@@ -354,41 +344,4 @@ func ForEachInPlace(base, k int, fn func(Word) bool) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// Append returns the word (x_1, ..., x_k, extra...) of a longer
-// length; used by sequence and embedding helpers to splice words.
-func (w Word) Append(extra ...byte) (Word, error) {
-	d := make([]byte, 0, len(w.digits)+len(extra))
-	d = append(d, w.digits...)
-	d = append(d, extra...)
-	return New(w.base, d)
-}
-
-// OverlapSuffixPrefix returns the largest s in [0, k] such that the
-// length-s suffix of x equals the length-s prefix of y — the quantity l
-// of the paper's equation (2), computed naively in O(k²). The match
-// package provides the linear-time version; this one is the reference
-// oracle used in tests.
-func OverlapSuffixPrefix(x, y Word) (int, error) {
-	if x.base != y.base {
-		return 0, ErrBaseMixed
-	}
-	if len(x.digits) != len(y.digits) {
-		return 0, ErrLenMixed
-	}
-	k := len(x.digits)
-	for s := k; s >= 1; s-- {
-		match := true
-		for t := 0; t < s; t++ {
-			if x.digits[k-s+t] != y.digits[t] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return s, nil
-		}
-	}
-	return 0, nil
 }

@@ -273,11 +273,8 @@ func TestPrefixSuffix(t *testing.T) {
 	if got := string(mustStr(w.Prefix(3))); got != "011" {
 		t.Errorf("Prefix(3) = %q", got)
 	}
-	if got := string(mustStr(w.Suffix(2))); got != "01" {
-		t.Errorf("Suffix(2) = %q", got)
-	}
-	if len(w.Prefix(0)) != 0 || len(w.Suffix(0)) != 0 {
-		t.Error("zero-length prefix/suffix not empty")
+	if len(w.Prefix(0)) != 0 {
+		t.Error("zero-length prefix not empty")
 	}
 }
 
@@ -287,39 +284,6 @@ func mustStr(digits []byte) []byte {
 		out[i] = '0' + d
 	}
 	return out
-}
-
-func TestOverlapSuffixPrefix(t *testing.T) {
-	cases := []struct {
-		x, y string
-		want int
-	}{
-		{"0110", "0110", 4}, // X == Y
-		{"0110", "1101", 3},
-		{"0110", "1010", 2},
-		{"0110", "0011", 1},
-		{"0000", "1111", 0},
-		{"0101", "0101", 4},
-		{"1100", "0011", 2},
-	}
-	for _, c := range cases {
-		got, err := OverlapSuffixPrefix(MustParse(2, c.x), MustParse(2, c.y))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("Overlap(%s,%s) = %d, want %d", c.x, c.y, got, c.want)
-		}
-	}
-}
-
-func TestOverlapMixedOperands(t *testing.T) {
-	if _, err := OverlapSuffixPrefix(MustParse(2, "01"), MustParse(3, "01")); err == nil {
-		t.Error("accepted mixed bases")
-	}
-	if _, err := OverlapSuffixPrefix(MustParse(2, "01"), MustParse(2, "011")); err == nil {
-		t.Error("accepted mixed lengths")
-	}
 }
 
 func TestRandomIsInAlphabet(t *testing.T) {
@@ -342,20 +306,6 @@ func TestRandomDeterministic(t *testing.T) {
 	b := Random(2, 16, rand.New(rand.NewSource(42)))
 	if !a.Equal(b) {
 		t.Error("Random not deterministic for equal seeds")
-	}
-}
-
-func TestAppend(t *testing.T) {
-	w := MustParse(2, "01")
-	got, err := w.Append(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != "0110" {
-		t.Errorf("Append = %q", got)
-	}
-	if _, err := w.Append(2); err == nil {
-		t.Error("Append accepted out-of-alphabet digit")
 	}
 }
 
