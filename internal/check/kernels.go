@@ -1,7 +1,9 @@
 package check
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/core"
@@ -18,7 +20,9 @@ type KernelsOptions struct {
 	Pairs int
 	// SampleAbove is the vertex count beyond which ordered pairs are
 	// sampled instead of enumerated. 0 means 128 (exhaustive pair
-	// sweeps are quadratic in N).
+	// sweeps are quadratic in N). A vertex count past word.Count's
+	// range (d^k > 2^62, every multi-word packed graph among them) is
+	// always above it.
 	SampleAbove int
 	// MaxFindings caps the findings per report. 0 means 32.
 	MaxFindings int
@@ -47,7 +51,9 @@ func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 	opt.defaults()
 	rep := Report{Mode: "kernels", D: d, K: k}
 	n, err := word.Count(d, k)
-	if err != nil {
+	if errors.Is(err, word.ErrOverflow) {
+		n = math.MaxInt
+	} else if err != nil {
 		return rep, fmt.Errorf("check: DG(%d,%d): %w", d, k, err)
 	}
 	engines := []struct {

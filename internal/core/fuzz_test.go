@@ -102,14 +102,25 @@ func FuzzDirectedAgainstBFS(f *testing.F) {
 // FuzzKernelTierEquivalence throws arbitrary digit material at the
 // tier ladder: a scratch-forced, a packed-forced, and a table-admitting
 // engine (plus the packed engine's batch frame) must return identical
-// distances, paths, and next hops for every input.
+// distances, paths, and next hops for every input. Lengths reach 256,
+// so base-2 inputs span up to four packed words.
 func FuzzKernelTierEquivalence(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 1, 1, 0, 1, 0}, []byte{1, 0, 0, 1, 1, 1})
 	f.Add(uint8(3), []byte{0, 1, 2, 2}, []byte{2, 1, 0, 0})
 	f.Add(uint8(4), []byte{0, 3, 1, 2}, []byte{2, 0, 3, 1})
 	f.Add(uint8(2), []byte{0}, []byte{1})
+	digits := func(n int, digit func(i int) int) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = byte(digit(i))
+		}
+		return out
+	}
+	f.Add(uint8(2), digits(65, func(i int) int { return i / 3 % 2 }), digits(65, func(i int) int { return (i + 1) / 3 % 2 }))
+	f.Add(uint8(2), digits(129, func(i int) int { return i * 7 % 5 % 2 }), digits(129, func(i int) int { return b2i(i == 64) }))
+	f.Add(uint8(4), digits(65, func(i int) int { return i % 4 }), digits(65, func(i int) int { return (i + 5) % 4 }))
 	f.Fuzz(func(t *testing.T, base uint8, xd, yd []byte) {
-		if len(xd) != len(yd) || len(xd) == 0 || len(xd) > 96 {
+		if len(xd) != len(yd) || len(xd) == 0 || len(xd) > 256 {
 			return
 		}
 		if base < 2 || base > 6 {

@@ -18,9 +18,11 @@ import (
 // Every tier returns byte-identical answers: for a given (d,k) there
 // is one canonical result set (distances are Theorem 2's values;
 // anchors and paths follow the quadratic sweep's row-major tie-break
-// when operands fit one machine word, the suffix-tree walk's
-// otherwise), and each tier reproduces it exactly. internal/check's
-// kernels oracle and FuzzKernelTierEquivalence enforce this.
+// on every packed-eligible graph, d ≤ 4 with k·b ≤ 1024, and the
+// suffix-tree walk's otherwise), and each tier reproduces it exactly.
+// internal/check's kernels oracle (exhaustive on small graphs, sampled
+// pairs on the multi-word ones) and FuzzKernelTierEquivalence enforce
+// this.
 type Tier uint8
 
 const (
@@ -144,30 +146,38 @@ func (kn *Kernels) resolveSlow(d, k int) (tierInfo, bool) {
 		pending = bldg
 	}
 	if !kn.cfg.DisablePacked && packedEligible(d, k) {
-		b := word.PackedBits(d)
-		return tierInfo{tier: TierPacked, b: b, single: k*b <= 64}, !pending
+		return tierInfo{tier: TierPacked, b: word.PackedBits(d), single: packedSingleWord(d, k)}, !pending
 	}
 	return tierInfo{tier: TierScratch}, !pending
 }
 
 // canonicalAnchors returns the anchors that define this (d,k)'s paths:
-// the quadratic sweep's in the single-word regime, the suffix-tree
-// walk's otherwise. The packed kernel computes the former when
-// enabled; the scratch fallback reproduces them exactly.
+// the quadratic sweep's on every packed-eligible graph, the
+// suffix-tree walk's otherwise. The packed kernels compute the former
+// when enabled; the scratch fallback reproduces them exactly.
 func (kn *Kernels) canonicalAnchors(x, y word.Word) (anchor, anchor, error) {
 	d, k := x.Base(), x.Len()
-	if packedSingleWord(d, k) {
-		if !kn.cfg.DisablePacked {
-			kn.ps.load(x, y)
-			aL, aR := packedAnchors1(kn.ps.x[0], kn.ps.y[0], k, word.PackedBits(d), kn.lens(k))
-			return aL, aR, nil
-		}
-		kn.sc.loadDigits(x, y)
-		aL, aR := kn.sc.anchorsQuadratic(kn.sc.xd, kn.sc.yd)
+	quadratic := packedEligible(d, k)
+	if quadratic && !kn.cfg.DisablePacked {
+		kn.ps.load(x, y)
+		aL, aR := kn.packedAnchors(kn.ps.x, kn.ps.y, k, word.PackedBits(d))
 		return aL, aR, nil
 	}
 	kn.sc.loadDigits(x, y)
+	if quadratic {
+		aL, aR := kn.sc.anchorsQuadratic(kn.sc.xd, kn.sc.yd)
+		return aL, aR, nil
+	}
 	return kn.sc.treeAnchors(kn.sc.xd, kn.sc.yd)
+}
+
+// packedAnchors runs the single- or multi-word anchor kernel on
+// packed operands.
+func (kn *Kernels) packedAnchors(x, y []uint64, k, b int) (anchor, anchor) {
+	if len(x) == 1 {
+		return packedAnchors1(x[0], y[0], k, b, kn.lens(k))
+	}
+	return packedAnchorsN(x, y, k, b)
 }
 
 func (kn *Kernels) lens(k int) []int16 {
@@ -217,7 +227,7 @@ func (kn *Kernels) UndirectedDistance(x, y word.Word) (int, error) {
 		if ti.single {
 			dL, dR = packedDistance1(kn.ps.x[0], kn.ps.y[0], k, ti.b)
 		} else {
-			dL, dR = kn.ps.packedDistanceN(k, ti.b)
+			dL, dR = packedDistanceN(kn.ps.x, kn.ps.y, k, ti.b)
 		}
 		return clampDist(k, dL, dR), nil
 	default:
@@ -384,8 +394,7 @@ func (f *Frame) UndirectedDistance(i int) (int, error) {
 		if ti.single {
 			dL, dR = packedDistance1(px[0], py[0], k, ti.b)
 		} else {
-			sv := packedScratch{x: px, y: py}
-			dL, dR = sv.packedDistanceN(k, ti.b)
+			dL, dR = packedDistanceN(px, py, k, ti.b)
 		}
 		return clampDist(k, dL, dR), nil
 	default:
@@ -452,10 +461,9 @@ func (f *Frame) NextHopUndirected(i int) (Hop, bool, error) {
 }
 
 func (f *Frame) anchors(s *frameSlot, ti tierInfo) (anchor, anchor, error) {
-	if ti.tier == TierPacked && ti.single && s.px >= 0 {
+	if ti.tier == TierPacked && s.px >= 0 {
 		px, py := f.packed(s)
-		k := s.x.Len()
-		aL, aR := packedAnchors1(px[0], py[0], k, ti.b, f.kn.lens(k))
+		aL, aR := f.kn.packedAnchors(px, py, s.x.Len(), ti.b)
 		return aL, aR, nil
 	}
 	return f.kn.canonicalAnchors(s.x, s.y)

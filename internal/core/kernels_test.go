@@ -9,10 +9,12 @@ import (
 	"repro/internal/word"
 )
 
-// TestPackedAnchorsMatchQuadratic pins the packed anchor kernel to the
-// quadratic sweep byte for byte — distances, the winning (s, t, θ), and
-// the row-major tie-break — exhaustively on small graphs and on random
-// plus adversarial near-periodic operands at single-word sizes.
+// TestPackedAnchorsMatchQuadratic pins both packed anchor kernels to
+// the quadratic sweep byte for byte — distances, the winning (s, t, θ),
+// and the row-major tie-break. Small graphs run exhaustively through
+// both kernels, single-word sizes through both, and multi-word sizes
+// through packedAnchorsN on random, shifted, near-periodic and
+// structured operands.
 func TestPackedAnchorsMatchQuadratic(t *testing.T) {
 	var sc scratch
 	var ps packedScratch
@@ -22,13 +24,20 @@ func TestPackedAnchorsMatchQuadratic(t *testing.T) {
 			return // handled before the kernels in every caller
 		}
 		d, k := x.Base(), x.Len()
+		b := word.PackedBits(d)
 		sc.loadDigits(x, y)
 		wantL, wantR := sc.anchorsQuadratic(sc.xd, sc.yd)
 		ps.load(x, y)
-		lens := make([]int16, 2*k-1)
-		gotL, gotR := packedAnchors1(ps.x[0], ps.y[0], k, word.PackedBits(d), lens)
+		if len(ps.x) == 1 {
+			gotL, gotR := packedAnchors1(ps.x[0], ps.y[0], k, b, make([]int16, 2*k-1))
+			if gotL != wantL || gotR != wantR {
+				t.Fatalf("packedAnchors1 DG(%d,%d) %v -> %v:\n  packed L=%+v R=%+v\n  quad   L=%+v R=%+v",
+					d, k, x, y, gotL, gotR, wantL, wantR)
+			}
+		}
+		gotL, gotR := packedAnchorsN(ps.x, ps.y, k, b)
 		if gotL != wantL || gotR != wantR {
-			t.Fatalf("DG(%d,%d) %v -> %v:\n  packed L=%+v R=%+v\n  quad   L=%+v R=%+v",
+			t.Fatalf("packedAnchorsN DG(%d,%d) %v -> %v:\n  packed L=%+v R=%+v\n  quad   L=%+v R=%+v",
 				d, k, x, y, gotL, gotR, wantL, wantR)
 		}
 	}
@@ -73,6 +82,64 @@ func TestPackedAnchorsMatchQuadratic(t *testing.T) {
 			check(z, x)
 		}
 	}
+
+	// Multi-word sizes: runs cross element boundaries and the
+	// saturated ties span several words.
+	for _, tc := range []struct{ d, k, n int }{
+		{2, 65, 60}, {2, 128, 40}, {2, 256, 20}, {2, 512, 4}, {2, 1024, 2},
+		{3, 33, 60}, {3, 100, 30},
+		{4, 33, 60}, {4, 200, 10}, {4, 512, 2},
+	} {
+		d, k := tc.d, tc.k
+		for i := 0; i < tc.n; i++ {
+			x, y := word.Random(d, k, rng), word.Random(d, k, rng)
+			check(x, y)
+			// y a shift of x: one long run at shift ±s.
+			s := 1 + rng.Intn(k/2)
+			xd := x.Digits()
+			sd := append(append([]byte{}, xd[s:]...), y.Digits()[:s]...)
+			check(x, word.MustNew(d, sd))
+			check(word.MustNew(d, sd), x)
+		}
+		var structured []word.Word
+		for _, digit := range []func(i int) int{
+			func(i int) int { return i % 2 },           // alternating
+			func(i int) int { return i / 3 % 2 },       // near-periodic
+			func(i int) int { return i % 3 },           // period 3
+			func(i int) int { return i * 2 / k },       // block halves
+			func(i int) int { return 0 },               // all zeros ...
+			func(i int) int { return b2i(i == k/3) },   // ... but one digit
+			func(i int) int { return b2i(i == k-1) },   // ... but the last
+			func(i int) int { return (i + 1) % 2 },     // alternating, shifted
+			func(i int) int { return (i + 1) / 3 % 2 }, // near-periodic, shifted
+		} {
+			wd := make([]byte, k)
+			for i := range wd {
+				wd[i] = byte(digit(i) % d)
+			}
+			structured = append(structured, word.MustNew(d, wd))
+		}
+		// The quadratic reference costs ~45 ms a pair at k=1024, so
+		// large sizes sample the structured pairs.
+		if k <= 256 {
+			for _, x := range structured {
+				for _, y := range structured {
+					check(x, y)
+				}
+			}
+			continue
+		}
+		for i := 0; i < 8; i++ {
+			check(structured[rng.Intn(len(structured))], structured[rng.Intn(len(structured))])
+		}
+	}
+}
+
+func b2i(v bool) int {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // TestPackedDistanceMatchesLinear pins both center-digit distance
@@ -100,7 +167,7 @@ func TestPackedDistanceMatchesLinear(t *testing.T) {
 				t.Fatalf("packedDistance1 DG(%d,%d) %v -> %v: got %d, want %d", d, k, x, y, got, want)
 			}
 		}
-		dL, dR := ps.packedDistanceN(k, b)
+		dL, dR := packedDistanceN(ps.x, ps.y, k, b)
 		if got := clampDist(k, dL, dR); got != want {
 			t.Fatalf("packedDistanceN DG(%d,%d) %v -> %v: got %d, want %d", d, k, x, y, got, want)
 		}
@@ -248,13 +315,14 @@ func TestKernelsTierSelection(t *testing.T) {
 }
 
 // kernelRefRoute is the canonical Algorithm 2 path for DG(d,k): the
-// quadratic sweep's in the single-word regime, the suffix-tree walk's
-// otherwise — computed entirely outside the tier engine.
+// quadratic sweep's (RouteUndirected) on every packed-eligible graph,
+// the suffix-tree walk's otherwise — computed entirely outside the
+// tier engine.
 func kernelRefRoute(t testing.TB, x, y word.Word) Path {
 	t.Helper()
 	var p Path
 	var err error
-	if packedSingleWord(x.Base(), x.Len()) {
+	if packedEligible(x.Base(), x.Len()) {
 		p, err = RouteUndirected(x, y)
 	} else {
 		p, err = RouteUndirectedLinear(x, y)
@@ -284,8 +352,12 @@ func TestKernelsMatchScratch(t *testing.T) {
 		{"packed-3-25", 3, 25, KernelConfig{TableBudget: -1}, TierPacked},
 		{"packed-multi-2-100", 2, 100, KernelConfig{TableBudget: -1}, TierPacked},
 		{"packed-multi-4-40", 4, 40, KernelConfig{TableBudget: -1}, TierPacked},
+		{"packed-multi-2-256", 2, 256, KernelConfig{TableBudget: -1}, TierPacked},
+		{"packed-multi-3-100", 3, 100, KernelConfig{TableBudget: -1}, TierPacked},
 		{"scratch-5-4", 5, 4, KernelConfig{TableBudget: -1}, TierScratch},
 		{"scratch-2-12", 2, 12, KernelConfig{TableBudget: -1, DisablePacked: true}, TierScratch},
+		{"scratch-multi-2-100", 2, 100, KernelConfig{TableBudget: -1, DisablePacked: true}, TierScratch},
+		{"scratch-2-1030", 2, 1030, KernelConfig{TableBudget: -1}, TierScratch},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			kn := NewKernels(tc.cfg)
@@ -301,7 +373,11 @@ func TestKernelsMatchScratch(t *testing.T) {
 					}
 				}
 			} else {
-				for i := 0; i < 200; i++ {
+				n := 200
+				if tc.k > 128 {
+					n = 40 // the references are quadratic or build a tree per call
+				}
+				for i := 0; i < n; i++ {
 					x := word.Random(tc.d, tc.k, rng)
 					y := word.Random(tc.d, tc.k, rng)
 					pairs = append(pairs, [2]word.Word{x, y}, [2]word.Word{x, x})
@@ -379,6 +455,7 @@ func TestFrameMatchesScalar(t *testing.T) {
 	}{
 		{"packed-2-64", 2, 64, KernelConfig{TableBudget: -1}},
 		{"packed-multi-2-100", 2, 100, KernelConfig{TableBudget: -1}},
+		{"packed-multi-3-100", 3, 100, KernelConfig{TableBudget: -1}},
 		{"packed-4-20", 4, 20, KernelConfig{TableBudget: -1}},
 		{"table-2-6", 2, 6, KernelConfig{SyncTableBuild: true}},
 		{"scratch-5-4", 5, 4, KernelConfig{TableBudget: -1}},

@@ -33,27 +33,30 @@ import (
 //     relevant run comes from two trailing/leading-zero counts around
 //     the center, branch-free, no loop (packedDistance1/N).
 //   - full anchors: ties at the saturated value k involve runs of
-//     exactly half the window, which need not span the center, so the
-//     anchor kernel computes every shift's exact longest run with the
-//     m &= m<<b reduction (packedAnchors1). Exact anchors are kept to
-//     the single-word regime (k·b ≤ 64); beyond it route construction
-//     stays on the scratch kernels.
+//     exactly half the window, which need not span the center. The
+//     single-word kernel computes every shift's exact longest run with
+//     the m &= m<<b reduction (packedAnchors1). The multi-word kernel
+//     (packedAnchorsN) keeps the center probe's run for minima below k
+//     and resolves a saturated minimum with one more probe per shift,
+//     placed so that every run able to beat the trivial-pair sentinel
+//     covers it.
 
-// maxPackedBits bounds the packed operand size the bit tier accepts
-// for distance evaluation; beyond it (k > 1024 at d=2, k > 512 at
-// d=3/4) the scratch kernels take over.
+// maxPackedBits bounds the packed operand size the bit tier accepts;
+// beyond it (k > 1024 at d=2, k > 512 at d=3/4) the scratch kernels
+// take over and the suffix-tree walk's anchors are canonical.
 const maxPackedBits = 1024
 
 // packedSingleWord reports whether DG(d,k) operands fit one uint64 —
-// the regime with the full packed kernel set (distance, anchors,
-// routes, directed overlap).
+// the regime of the single-word kernels, the only one with a packed
+// directed overlap.
 func packedSingleWord(d, k int) bool {
 	b := word.PackedBits(d)
 	return b != 0 && k*b <= 64
 }
 
-// packedEligible reports whether the packed tier evaluates distances
-// for DG(d,k) at all (single- or multi-word).
+// packedEligible reports whether the packed tier evaluates DG(d,k) at
+// all (single- or multi-word); on these graphs the quadratic sweep's
+// anchors are canonical.
 func packedEligible(d, k int) bool {
 	b := word.PackedBits(d)
 	return b != 0 && k*b <= maxPackedBits
@@ -279,15 +282,26 @@ func packedOverlap1(x, y uint64, k, b int) int {
 	return 0
 }
 
-// shiftView is one alignment of the multi-word distance scan: the
-// agreement between x and y shifted by sbits (toward lower positions
-// when plus, higher when minus), windowed to [loBit, hiBit).
+// shiftView is one alignment of the multi-word scans: the agreement
+// between x and y shifted by sbits (toward lower positions when plus,
+// higher when minus), windowed to [loBit, hiBit).
 type shiftView struct {
 	x, y         []uint64
 	b            int
 	sbits        int
 	plus         bool
 	loBit, hiBit int
+}
+
+// align points the view at shift c of length-k operands and returns
+// the window's first digit in x coordinates.
+func (sv *shiftView) align(c, k int) (lo int) {
+	if c >= 0 {
+		sv.sbits, sv.plus, sv.loBit, sv.hiBit = c*sv.b, true, 0, (k-c)*sv.b
+		return 0
+	}
+	sv.sbits, sv.plus, sv.loBit, sv.hiBit = -c*sv.b, false, -c*sv.b, k*sv.b
+	return -c
 }
 
 // agreeWord materializes word i of the view's filled agreement mask.
@@ -325,10 +339,14 @@ func (sv *shiftView) agreeWord(i int) uint64 {
 	return g
 }
 
-// runThrough returns the digit length of the agreement run containing
-// the digit at absolute bit position bit, materializing only the
-// words the run actually touches (typically one).
-func (sv *shiftView) runThrough(bit int) int {
+// runThrough returns the length in digits and the first digit of the
+// agreement run containing the digit at absolute bit position bit. If
+// that digit disagrees it describes the run ending just below it
+// instead (empty if that digit disagrees too): callers only accept
+// runs long enough to cover the probed digit, and keeping the scan
+// branch-free here is worth more than the early out. It materializes
+// only the words the run actually touches (typically one).
+func (sv *shiftView) runThrough(bit int) (n, start int) {
 	wi, wb := bit>>6, uint(bit&63)
 	g := sv.agreeWord(wi)
 	up := bits.TrailingZeros64(^(g >> wb))
@@ -354,19 +372,30 @@ func (sv *shiftView) runThrough(bit int) int {
 			}
 		}
 	}
-	return (up + dn) / sv.b
+	// b is 1 or 2, so b-1 is log2(b): shifts, not integer divisions,
+	// on the hot path.
+	sh := uint(sv.b - 1)
+	return (up + dn) >> sh, (bit - dn) >> sh
+}
+
+// before reports whether a precedes b in the quadratic sweep's
+// row-major order: s ascending, then t.
+func (a anchor) before(b anchor) bool {
+	return a.s < b.s || (a.s == b.s && a.t < b.t)
 }
 
 // packedDistanceN evaluates Theorem 2's two minima on multi-word
 // packed operands with the same center-digit argument as
 // packedDistance1; each shift materializes only the agreement words
-// around its window center. Returns the unclamped minima.
-func (ps *packedScratch) packedDistanceN(k, b int) (dL, dR int) {
+// around its window center. Returns the unclamped minima. It keeps its
+// own loop rather than running packedAnchorsN's first pass: the anchor
+// bookkeeping made distances about 30% slower at k=256.
+func packedDistanceN(x, y []uint64, k, b int) (dL, dR int) {
 	dL, dR = k, k
-	sv := shiftView{x: ps.x, y: ps.y, b: b}
+	sv := shiftView{x: x, y: y, b: b}
 	{
 		sv.sbits, sv.plus, sv.loBit, sv.hiBit = 0, true, 0, k*b
-		n := sv.runThrough((k >> 1) * b)
+		n, _ := sv.runThrough((k >> 1) * b)
 		if v := 2 * (k - n); v < dL {
 			dL = v
 			dR = v
@@ -375,9 +404,9 @@ func (ps *packedScratch) packedDistanceN(k, b int) (dL, dR int) {
 	for a := 1; a <= k-1; a++ {
 		w := k - a
 		sv.sbits, sv.plus, sv.loBit, sv.hiBit = a*b, true, 0, w*b
-		np := sv.runThrough((w >> 1) * b)
+		np, _ := sv.runThrough((w >> 1) * b)
 		sv.plus, sv.loBit, sv.hiBit = false, a*b, k*b
-		nm := sv.runThrough((a + w>>1) * b)
+		nm, _ := sv.runThrough((a + w>>1) * b)
 		if v := 2*(k-np) - a; v < dL {
 			dL = v
 		}
@@ -392,4 +421,71 @@ func (ps *packedScratch) packedDistanceN(k, b int) (dL, dR int) {
 		}
 	}
 	return dL, dR
+}
+
+// packedAnchorsN computes the exact Theorem 2 anchors on multi-word
+// packed operands, byte-identical to anchorsQuadratic.
+//
+// Pass 1 is packedDistanceN's center-digit scan, keeping the run each
+// probe finds: a run that brings a minimum below the trivial bound k is
+// longer than half its window, so the probe saw it whole and it is the
+// only run of its shift that long. Such minima take the row-major
+// first of their candidates directly.
+//
+// A minimum saturated at k is a tie between the trivial pair (the
+// sentinel, as in packedAnchors1) and every shift c whose longest run
+// is exactly T = (k-c)/2 for the l-part, (k+c)/2 for the r-part: no
+// run is longer, or the minimum would be below k. T is at least half
+// the window w, so a shift has at most one such run (two would need
+// 2T+1 digits), and it covers window digit T-1 unless 2T = w and it is
+// the window's upper half.
+func packedAnchorsN(x, y []uint64, k, b int) (aL, aR anchor) {
+	dL, dR := k, k
+	sv := shiftView{x: x, y: y, b: b}
+	for c := -(k - 1); c <= k-1; c++ {
+		lo := sv.align(c, k)
+		w := k - lo - max(c, 0)
+		n, a0 := sv.runThrough((lo + w>>1) * b)
+		if v := 2*(k-n) - c; v < k && v <= dL {
+			if cand := (anchor{s: a0 + 1, t: a0 + n + c, theta: n, dist: v}); v < dL || cand.before(aL) {
+				aL, dL = cand, v
+			}
+		}
+		if v := 2*(k-n) + c; v < k && v <= dR {
+			if cand := (anchor{s: a0 + n, t: a0 + 1 + c, theta: n, dist: v}); v < dR || cand.before(aR) {
+				aR, dR = cand, v
+			}
+		}
+	}
+	if dL == k {
+		// An l-part candidate (s, t) beats the sentinel (1, k) only
+		// with s = 1: its run starts at x's first digit, which needs
+		// c ≥ 0. Then t = (k+c)/2, so the smallest such c wins.
+		aL = anchor{s: 1, t: k, theta: 0, dist: k}
+		for c := k % 2; c <= k-2; c += 2 {
+			T := (k - c) / 2
+			sv.align(c, k)
+			if n, _ := sv.runThrough(0); n >= T {
+				aL = anchor{s: 1, t: T + c, theta: T, dist: k}
+				break
+			}
+		}
+	}
+	if dR == k {
+		// An r-part candidate beats the sentinel (k, 1) only if its
+		// run ends before x's last digit, so an upper-half run (c ≤ 0)
+		// never wins and one probe at window digit T-1 finds the
+		// rest. T fits the window only for c ≤ k/3.
+		aR = anchor{s: k, t: 1, theta: 0, dist: k}
+		for c := -(k - 2); c <= k/3; c += 2 {
+			T := (k + c) / 2
+			lo := sv.align(c, k)
+			if n, a0 := sv.runThrough((lo + T - 1) * b); n >= T {
+				if cand := (anchor{s: a0 + T, t: a0 + 1 + c, theta: T, dist: k}); cand.before(aR) {
+					aR = cand
+				}
+			}
+		}
+	}
+	return aL, aR
 }

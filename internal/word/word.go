@@ -31,6 +31,7 @@ var (
 	ErrBadBase  = errors.New("word: base must be in [2, 36]")
 	ErrEmpty    = errors.New("word: length must be at least 1")
 	ErrBadDigit = errors.New("word: digit out of range for base")
+	ErrOverflow = errors.New("word: vertex count overflows")
 )
 
 // Word is a fixed-length word over the alphabet {0, ..., base-1}. The
@@ -281,8 +282,8 @@ func Unrank(base, k int, r uint64) (Word, error) {
 	return Word{base: base, digits: digits}, nil
 }
 
-// Count returns d^k, the number of vertices of DG(d,k), or an error if
-// it does not fit in an int.
+// Count returns d^k, the number of vertices of DG(d,k), or an error
+// wrapping ErrOverflow if it exceeds 2^62.
 func Count(base, k int) (int, error) {
 	if base < 2 || base > MaxBase {
 		return 0, fmt.Errorf("%w: got %d", ErrBadBase, base)
@@ -293,7 +294,7 @@ func Count(base, k int) (int, error) {
 	n := 1
 	for i := 0; i < k; i++ {
 		if n > (1<<62)/base {
-			return 0, fmt.Errorf("word: %d^%d overflows", base, k)
+			return 0, fmt.Errorf("%w: %d^%d", ErrOverflow, base, k)
 		}
 		n *= base
 	}
