@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -25,5 +26,22 @@ func TestRunChaosMode(t *testing.T) {
 	}
 	if v.Reports[0].Checked == 0 {
 		t.Fatal("chaos oracle checked nothing")
+	}
+}
+
+// TestRunChaosRequestsMinimum pins the -chaos-requests floor: a value
+// below one request per load client would silently fall back to the
+// load generator's default volume, so it is refused up front, naming
+// the minimum, before any oracle runs.
+func TestRunChaosRequestsMinimum(t *testing.T) {
+	for _, n := range []string{"1", "2", "3", "-1"} {
+		var out bytes.Buffer
+		err := run([]string{"-mode", "chaos", "-chaos-requests", n}, &out)
+		if err == nil || !strings.Contains(err.Error(), "at least 4") {
+			t.Errorf("-chaos-requests %s: err = %v, want one naming the minimum 4", n, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-chaos-requests %s: wrote a verdict before refusing:\n%s", n, out.String())
+		}
 	}
 }

@@ -13,10 +13,13 @@
 // The cluster and chaos oracles are graph-independent (they exercise
 // the serving fabric, not a particular DG(d,k)), so -mode all runs
 // each once before the per-graph sweep and -mode cluster / -mode
-// chaos run them alone. The chaos oracle drives workload shapes
-// (uniform, Zipf+hotspot, flash crowd, batch mix) through fault
-// schedules (latency, drop+corrupt, sever-mid-frame, slow reader) and
-// a churn storm; -chaos-requests sizes each grid cell.
+// chaos run them alone. The chaos oracle drives one 4 × 5 grid —
+// workload shapes (uniform, Zipf+hotspot, flash crowd, batch mix)
+// through fault schedules (clean control, latency+jitter,
+// drop+corrupt, sever-mid-frame, slow reader) — then a chaotic
+// cluster fabric and a churn storm; -chaos-requests sizes each cell
+// (0 for the default, otherwise at least 4: one share per load
+// client).
 //
 // With no -d/-k, dbcheck sweeps every de Bruijn graph DG(d,k) with
 // d ∈ [2, 36], k ≥ 1 and at most -max-vertices vertices — the CI gate
@@ -84,6 +87,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if (*d == 0) != (*k == 0) {
 		return fmt.Errorf("give both -d and -k, or neither (sweep)")
+	}
+	if *chaosRequests != 0 && *chaosRequests < check.MinChaosRequests {
+		return fmt.Errorf("-chaos-requests %d: give 0 (default) or at least %d", *chaosRequests, check.MinChaosRequests)
 	}
 	switch *mode {
 	case "routes", "invariants", "kernels", "faultroutes", "cluster", "chaos", "all":

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 )
@@ -53,5 +54,22 @@ func TestFig2Small(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "Figure 2") {
 		t.Errorf("output:\n%s", b.String())
+	}
+}
+
+// TestHelpListsEveryTable fails when a registered table is missing
+// from the -table help text.
+func TestHelpListsEveryTable(t *testing.T) {
+	var o options
+	fs := flags(&o)
+	var b strings.Builder
+	fs.SetOutput(&b)
+	if err := fs.Parse([]string{"-h"}); err != flag.ErrHelp {
+		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
+	}
+	for _, tab := range tableList(o) {
+		if !strings.Contains(b.String(), tab.name) {
+			t.Errorf("-h does not name table %q:\n%s", tab.name, b.String())
+		}
 	}
 }

@@ -1,9 +1,7 @@
 package check
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -11,7 +9,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/word"
 )
 
 // ChaosOptions parameterizes the adversarial-serving oracle.
@@ -20,11 +17,21 @@ type ChaosOptions struct {
 	// the whole sweep — fault timing included — reproducible, and the
 	// verdict byte-identical across runs.
 	Seed int64
-	// Requests per grid cell (0 means 300).
+	// Requests per grid cell (0 means 300; otherwise at least
+	// MinChaosRequests).
 	Requests int
 	// MaxFindings caps the findings per report (0 means 32).
 	MaxFindings int
 }
+
+// MinChaosRequests is the smallest per-cell request count the chaos
+// cells accept: the grid splits a cell over 4 load clients, and a
+// share of 0 would fall back to the load generator's own default.
+const MinChaosRequests = 4
+
+// drainTimeout bounds every drain poll: a cell's ledger balancing and
+// its goroutines winding down after teardown.
+const drainTimeout = 15 * time.Second
 
 // Chaos sweeps a grid of workload shapes × fault schedules through the
 // ChaosTransport and re-derives the serving contract under each cell:
@@ -41,14 +48,16 @@ type ChaosOptions struct {
 //     writer or a parked reader is a leak, not an accident.
 //
 // The grid crosses four load shapes (uniform closed-loop, Zipf+hotspot
-// skew, a flash-crowd rate schedule, a batch/scalar mix) with four
-// fault schedules (latency+jitter, drop+corrupt, sever-mid-frame,
-// slow-reader throttling). Two cluster cells extend the sweep to the
-// fabric: chaos on every link of a live cluster (outcome conservation
-// stays exact per node; the hop identity relaxes to Σ forwarded ≤
-// Σ forwarded_in), and a churn storm — a correlated kill burst plus
-// joins under load on clean links — where the same relaxed identities
-// must hold with the victims' final counts folded in.
+// skew, a flash-crowd rate schedule, a batch/scalar mix) with five
+// fault schedules (a clean-link control, latency+jitter, drop+corrupt,
+// sever-mid-frame, slow-reader throttling). Two cluster cells extend
+// the sweep to the fabric: chaos on every link of a live cluster
+// (outcome conservation stays exact per node; the hop identity relaxes
+// to Σ forwarded ≤ Σ forwarded_in), and a churn storm — a correlated
+// kill burst plus joins under load on clean links — where the same
+// relaxed identities must hold with the victims' final counts folded
+// in. E24 tabulates the same grid and storm cells (ChaosGrid,
+// ChaosStorm).
 //
 // Serving behavior does not vary with the query graph, so like the
 // cluster oracle this mode runs once on DG(2,8), not per (d,k). Every
@@ -56,7 +65,7 @@ type ChaosOptions struct {
 // clean Report — is deterministic for a fixed seed.
 func Chaos(opt ChaosOptions) (Report, error) {
 	rep := Report{Mode: "chaos", D: 2, K: 8}
-	if opt.Requests <= 0 {
+	if opt.Requests == 0 {
 		opt.Requests = 300
 	}
 	f := newFindings(opt.MaxFindings)
@@ -88,88 +97,141 @@ func (x *chaosScan) assert(ok bool, format string, args ...any) {
 	}
 }
 
-// cellSeed derives a per-cell seed so each cell's chaos and workload
-// are independent but reproducible.
-func (x *chaosScan) cellSeed(name string) int64 {
-	seed := x.opt.Seed
-	for _, c := range name {
-		seed = seed*31 + int64(c)
-	}
-	return seed
+// grid asserts the fixed contract on every grid cell: conservation on
+// both ledgers, no lying answers, no leaked goroutines.
+func (x *chaosScan) grid() error {
+	return ChaosGrid(x.opt.Seed, x.opt.Requests, func(l ChaosLedger) bool {
+		name := l.Shape + "/" + l.Schedule
+		v := l.lies
+		x.assert(l.Load.Conserved(), "%s: client ledger broken: %+v", name, l.Load)
+		x.assert(l.Load.Completed > 0, "%s: nothing completed through the chaotic link", name)
+		x.assert(l.Settled, "%s: server ledger never balanced after drain: %+v", name, l.Counts)
+		x.assert(v.cachedDegraded == 0, "%s: %d cached answers served degraded (first: %s)",
+			name, v.cachedDegraded, v.firstCached)
+		x.assert(v.wrong == 0, "%s: %d answers disagree with the clean engine (first: %s)",
+			name, v.wrong, v.firstWrong)
+		x.assert(v.invalid == 0, "%s: %d malformed responses (first: %s)",
+			name, v.invalid, v.firstInvalid)
+		x.assertDrained(name, l.Baseline)
+		return !x.f.full()
+	})
 }
 
-// chaosShape is one workload shape: a mutation of the base LoadConfig.
-type chaosShape struct {
+// assertDrained asserts that the goroutine count returns to a cell's
+// pre-boot baseline (plus scheduler slack) once the cell is torn down.
+func (x *chaosScan) assertDrained(name string, baseline int) {
+	x.assert(settle(func() bool {
+		runtime.GC()
+		return runtime.NumGoroutine() <= baseline+3
+	}), "%s: goroutines leaked: %d running, baseline %d", name, runtime.NumGoroutine(), baseline)
+}
+
+// chaosShapes are the grid's workload shapes, as mutations of the base
+// LoadConfig for a cell of n requests.
+var chaosShapes = []struct {
 	name  string
-	apply func(cfg *serve.LoadConfig, requests int)
+	apply func(cfg *serve.LoadConfig, n int)
+}{
+	{"uniform", func(cfg *serve.LoadConfig, n int) {
+		cfg.RequestsPerClient = n / cfg.Clients
+	}},
+	{"zipf-hotspot", func(cfg *serve.LoadConfig, n int) {
+		cfg.RequestsPerClient = n / cfg.Clients
+		cfg.ZipfS = 1.5
+		cfg.HotspotFrac = 0.3
+		cfg.HotSet = 64
+	}},
+	{"flash-crowd", func(cfg *serve.LoadConfig, n int) {
+		// A low/high/low staircase whose spike offers ~4× the
+		// shoulders; total offered ≈ n requests.
+		rate := float64(n) / 0.6
+		cfg.Schedule = []serve.RatePhase{
+			{Rate: rate / 2, Duration: 100 * time.Millisecond},
+			{Rate: rate * 2, Duration: 100 * time.Millisecond},
+			{Rate: rate / 2, Duration: 100 * time.Millisecond},
+		}
+		cfg.MaxInFlight = 1024
+	}},
+	{"batch-mix", func(cfg *serve.LoadConfig, n int) {
+		cfg.RequestsPerClient = n / cfg.Clients
+		cfg.BatchSize = 8
+		cfg.BatchFrac = 0.3
+	}},
 }
 
-// chaosSched is one fault schedule (Seed filled per cell).
-type chaosSched struct {
+// chaosSchedules are the grid's fault schedules (Seed filled per
+// cell); the zero config is the clean-link control.
+var chaosSchedules = []struct {
 	name string
 	cfg  serve.ChaosConfig
+}{
+	{"clean", serve.ChaosConfig{}},
+	{"latency-jitter", serve.ChaosConfig{
+		Latency: 200 * time.Microsecond,
+		Jitter:  300 * time.Microsecond,
+	}},
+	{"drop-corrupt", serve.ChaosConfig{
+		Latency:     50 * time.Microsecond,
+		DropFrac:    0.05,
+		CorruptFrac: 0.05,
+	}},
+	{"sever", serve.ChaosConfig{
+		Latency:   50 * time.Microsecond,
+		SeverFrac: 0.04,
+	}},
+	{"slow-reader", serve.ChaosConfig{
+		ReadChunk: 256,
+		ReadDelay: 100 * time.Microsecond,
+	}},
 }
 
-func chaosShapes() []chaosShape {
-	return []chaosShape{
-		{"uniform", func(cfg *serve.LoadConfig, n int) {
-			cfg.RequestsPerClient = n / cfg.Clients
-		}},
-		{"zipf-hotspot", func(cfg *serve.LoadConfig, n int) {
-			cfg.RequestsPerClient = n / cfg.Clients
-			cfg.ZipfS = 1.5
-			cfg.HotspotFrac = 0.3
-			cfg.HotSet = 64
-		}},
-		{"flash-crowd", func(cfg *serve.LoadConfig, n int) {
-			// A low/high/low staircase whose spike offers ~4× the
-			// shoulders; total offered ≈ n requests.
-			rate := float64(n) / 0.6
-			cfg.Schedule = []serve.RatePhase{
-				{Rate: rate / 2, Duration: 100 * time.Millisecond},
-				{Rate: rate * 2, Duration: 100 * time.Millisecond},
-				{Rate: rate / 2, Duration: 100 * time.Millisecond},
-			}
-			cfg.MaxInFlight = 1024
-		}},
-		{"batch-mix", func(cfg *serve.LoadConfig, n int) {
-			cfg.RequestsPerClient = n / cfg.Clients
-			cfg.BatchSize = 8
-			cfg.BatchFrac = 0.3
-		}},
+// ChaosLedger is what one grid cell leaves behind: the oracle asserts
+// the serving contract on it and E24 tabulates it.
+type ChaosLedger struct {
+	Shape, Schedule string
+	// Load is the client side: its ledger, completions, transport
+	// errors and latency quantiles.
+	Load serve.LoadResult
+	// Counts is the server's outcome ledger after the drain poll;
+	// Settled reports whether it balanced before the poll gave up.
+	Counts  serve.Counts
+	Settled bool
+	// Baseline is the goroutine count before the cell booted.
+	Baseline int
+	// lies holds every observed answer's replay against a clean engine.
+	lies *respValidator
+}
+
+// ChaosGrid runs the shape × schedule cells in order, shape-major,
+// and hands each cell's ledger to visit once the cell is torn down; a
+// false return stops the sweep. Each cell boots a fresh single-node
+// server behind a chaotic link and drives one shaped load of n
+// requests through it, seeded per cell from seed.
+func ChaosGrid(seed int64, n int, visit func(ChaosLedger) bool) error {
+	if n < MinChaosRequests {
+		return fmt.Errorf("check: chaos needs at least %d requests per cell, got %d", MinChaosRequests, n)
 	}
-}
-
-func chaosScheds() []chaosSched {
-	return []chaosSched{
-		{"latency-jitter", serve.ChaosConfig{
-			Latency: 200 * time.Microsecond,
-			Jitter:  300 * time.Microsecond,
-		}},
-		{"drop-corrupt", serve.ChaosConfig{
-			Latency:     50 * time.Microsecond,
-			DropFrac:    0.05,
-			CorruptFrac: 0.05,
-		}},
-		{"sever", serve.ChaosConfig{
-			Latency:   50 * time.Microsecond,
-			SeverFrac: 0.04,
-		}},
-		{"slow-reader", serve.ChaosConfig{
-			ReadChunk: 256,
-			ReadDelay: 100 * time.Microsecond,
-		}},
-	}
-}
-
-// grid runs every shape × schedule cell on a single-node server.
-func (x *chaosScan) grid() error {
-	for _, shape := range chaosShapes() {
-		for _, sched := range chaosScheds() {
-			if err := x.cell(shape, sched); err != nil {
-				return err
+	for _, shape := range chaosShapes {
+		for _, sched := range chaosSchedules {
+			name := shape.name + "/" + sched.name
+			l := ChaosLedger{Shape: shape.name, Schedule: sched.name,
+				Baseline: runtime.NumGoroutine(), lies: newRespValidator()}
+			ccfg := sched.cfg
+			ccfg.Seed = nameSeed(seed, name)
+			cfg := serve.LoadConfig{
+				D: 2, K: 8,
+				Clients:        4,
+				HotSet:         64,
+				Seed:           nameSeed(seed, "load/"+name),
+				Addr:           "srv",
+				RequestTimeout: 400 * time.Millisecond,
+				Observer:       l.lies.observe,
 			}
-			if x.f.full() {
+			shape.apply(&cfg, n)
+			if err := l.run(ccfg, cfg); err != nil {
+				return fmt.Errorf("check: chaos %s: %w", name, err)
+			}
+			if !visit(l) {
 				return nil
 			}
 		}
@@ -177,98 +239,58 @@ func (x *chaosScan) grid() error {
 	return nil
 }
 
-// cell boots a fresh server behind a chaotic link, drives one shaped
-// load through it, and asserts the fixed contract: conservation on
-// both ledgers, no lying answers, no leaked goroutines.
-func (x *chaosScan) cell(shape chaosShape, sched chaosSched) error {
-	name := shape.name + "/" + sched.name
-	before := runtime.NumGoroutine()
-
+// run boots the cell's server and chaotic link, drives the load, and
+// polls the server ledger until it balances.
+func (l *ChaosLedger) run(ccfg serve.ChaosConfig, cfg serve.LoadConfig) error {
 	mem := serve.NewMemTransport()
-	ln, err := mem.Listen("srv")
+	ln, err := mem.Listen(cfg.Addr)
 	if err != nil {
-		return fmt.Errorf("check: chaos %s: %w", name, err)
+		return err
 	}
+	defer ln.Close()
 	srv := serve.NewServer(serve.Config{
 		Shards: 4, QueueDepth: 512, CacheSize: 512,
 		DefaultDeadline: 500 * time.Millisecond,
 		WriteTimeout:    500 * time.Millisecond,
 		Registry:        obs.NewRegistry(),
 	})
+	defer srv.Close()
 	go srv.Serve(ln)
-	ccfg := sched.cfg
-	ccfg.Seed = x.cellSeed(name)
 	ct := serve.NewChaosTransport(mem, ccfg)
 	ct.SetEnabled(true)
-
-	v := newRespValidator()
-	cfg := serve.LoadConfig{
-		D: 2, K: 8,
-		Clients:        4,
-		HotSet:         64,
-		Seed:           x.cellSeed("load/" + name),
-		Transport:      ct,
-		Addr:           "srv",
-		RequestTimeout: 400 * time.Millisecond,
-		Observer:       v.observe,
+	cfg.Transport = ct
+	if l.Load, err = serve.RunLoad(srv, cfg); err != nil {
+		return err
 	}
-	shape.apply(&cfg, x.opt.Requests)
-	res, err := serve.RunLoad(srv, cfg)
-	if err != nil {
-		srv.Close()
-		ln.Close()
-		return fmt.Errorf("check: chaos %s: %w", name, err)
-	}
-
-	x.assert(res.Conserved(), "%s: client ledger broken: %+v", name, res)
-	x.assert(res.Completed > 0, "%s: nothing completed through the chaotic link", name)
-	counts, settled := pollServeConserved(srv, 15*time.Second)
-	x.assert(settled, "%s: server ledger never balanced after drain: %+v", name, counts)
-	x.assert(v.cachedDegraded == 0, "%s: %d cached answers served degraded (first: %s)",
-		name, v.cachedDegraded, v.firstCached)
-	x.assert(v.wrong == 0, "%s: %d answers disagree with the clean engine (first: %s)",
-		name, v.wrong, v.firstWrong)
-	x.assert(v.invalid == 0, "%s: %d malformed responses (first: %s)",
-		name, v.invalid, v.firstInvalid)
-
-	srv.Close()
-	ln.Close()
-	x.assert(goroutinesSettle(before, 15*time.Second),
-		"%s: goroutines leaked: %d running, baseline %d", name, runtime.NumGoroutine(), before)
+	// Tasks admitted from dying connections may still be draining
+	// toward their shed-canceled outcome.
+	l.Settled = settle(func() bool {
+		l.Counts = srv.Counts()
+		return l.Counts.Conserved()
+	})
 	return nil
 }
 
-// pollServeConserved waits for the server's outcome ledger to balance:
-// after RunLoad returns, tasks admitted from dying connections may
-// still be draining toward their shed-canceled outcome.
-func pollServeConserved(srv *serve.Server, timeout time.Duration) (serve.Counts, bool) {
-	deadline := time.Now().Add(timeout)
-	for {
-		c := srv.Counts()
-		if c.Conserved() {
-			return c, true
-		}
-		if time.Now().After(deadline) {
-			return c, false
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// goroutinesSettle reports whether the goroutine count returns to the
-// baseline (plus scheduler slack) before the timeout.
-func goroutinesSettle(baseline int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= baseline+3 {
-			return true
-		}
+// settle polls ok until it holds or drainTimeout passes, reporting
+// whether it held: the one drain poll behind every ledger and
+// goroutine check of the chaos and cluster cells.
+func settle(ok func() bool) bool {
+	deadline := time.Now().Add(drainTimeout)
+	for !ok() {
 		if time.Now().After(deadline) {
 			return false
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
+	return true
+}
+
+// nameSeed derives an independent, reproducible seed per named cell.
+func nameSeed(seed int64, name string) int64 {
+	for _, c := range name {
+		seed = seed*31 + int64(c)
+	}
+	return seed
 }
 
 // respValidator checks every client-observed response against a clean
@@ -385,12 +407,12 @@ func (x *chaosScan) fabric() error {
 	before := runtime.NumGoroutine()
 	h, err := cluster.NewHarness(cluster.HarnessConfig{
 		Nodes:         4,
-		Seed:          x.cellSeed("fabric"),
+		Seed:          nameSeed(x.opt.Seed, "fabric"),
 		IDLen:         10,
 		Replication:   1,
 		PeerIOTimeout: 300 * time.Millisecond,
 		Chaos: &serve.ChaosConfig{
-			Seed:      x.cellSeed("fabric/chaos"),
+			Seed:      nameSeed(x.opt.Seed, "fabric/chaos"),
 			Latency:   100 * time.Microsecond,
 			Jitter:    100 * time.Microsecond,
 			SeverFrac: 0.02,
@@ -406,75 +428,58 @@ func (x *chaosScan) fabric() error {
 	}
 	h.Chaos.SetEnabled(true)
 
-	// Drivers redial on failure: a severed client connection is part of
-	// the schedule, not a finding. What must hold is the ledger.
-	reqs := chaosQueries(x.cellSeed("fabric/load"), x.opt.Requests)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		resolved int
-		derr     error
-	)
-	const drivers = 2
-	per := len(reqs) / drivers
-	for d := 0; d < drivers; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			c, err := h.Client(d)
-			if err != nil {
-				mu.Lock()
-				derr = err
-				mu.Unlock()
-				return
-			}
-			defer func() { c.Close() }()
-			for _, req := range reqs[d*per : (d+1)*per] {
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				_, err := c.Do(ctx, req)
-				cancel()
-				if err != nil {
-					// The link died under us; redial and move on.
-					c.Close()
-					if c, err = h.Client(d); err != nil {
-						mu.Lock()
-						derr = err
-						mu.Unlock()
-						return
-					}
-					continue
-				}
-				mu.Lock()
-				resolved++
-				mu.Unlock()
-			}
-		}(d)
-	}
-	wg.Wait()
-	if derr != nil {
+	// A severed client connection is part of the schedule, not a
+	// finding: the drivers redial. What must hold is the ledger.
+	reqs := cluster.Queries(nameSeed(x.opt.Seed, "fabric/load"), 8, x.opt.Requests, true)
+	res, err := h.Drive(spread(reqs, 0, 1), nil)
+	if err != nil {
 		h.Close()
-		return fmt.Errorf("check: chaos fabric: %w", derr)
+		return fmt.Errorf("check: chaos fabric: %w", err)
 	}
 
-	x.assert(resolved > 0, "fabric: no request survived the chaotic links")
-	agg, settled := x.pollClusterConserved(h, nil, 15*time.Second)
+	x.assert(cluster.Total(res).OK > 0, "fabric: no request survived the chaotic links")
+	var agg cluster.ClusterCounts
+	settled := settle(func() bool {
+		agg = h.Counts()
+		return balanced(agg)
+	})
 	x.assert(settled, "fabric: cluster ledger never balanced after drain: %+v", agg)
 	x.assert(perNodeConserved(agg), "fabric: a node's ledger is broken: %+v", agg.PerNode)
 	x.assert(agg.Forwarded <= agg.ForwardedIn,
 		"fabric: more forwarded outcomes (%d) than admitted forwards (%d)", agg.Forwarded, agg.ForwardedIn)
 	h.Close()
-	x.assert(goroutinesSettle(before, 15*time.Second),
-		"fabric: goroutines leaked: %d running, baseline %d", runtime.NumGoroutine(), before)
+	x.assertDrained("fabric", before)
 	return nil
 }
 
-// storm runs the churn-storm cell: a correlated kill burst plus joins
-// under live load, on clean links, with driver-facing nodes protected.
-func (x *chaosScan) storm() error {
-	before := runtime.NumGoroutine()
+// StormLedger is what the churn-storm cell leaves behind: the oracle
+// asserts the relaxed cluster identities on it and E24 tabulates it.
+type StormLedger struct {
+	// Drivers holds the two protected drivers' tallies over Requests
+	// requests in all.
+	Drivers  []cluster.DriverResult
+	Requests int
+	// Killed holds the victims' final counts; Counts is the
+	// cluster-wide ledger after the drain poll with them folded in, and
+	// Settled reports whether it balanced, in sum and per node.
+	Killed  []serve.Counts
+	Counts  cluster.ClusterCounts
+	Settled bool
+	// Converged reports whether membership re-converged after the storm.
+	Converged bool
+	// Baseline is the goroutine count before the cell booted.
+	Baseline int
+}
+
+// ChaosStorm runs the churn-storm cell: a six-node cluster on clean
+// links driven from two protected nodes with n seeded requests, while
+// a correlated kill burst plus joins (Harness.Storm) tears through
+// the rest.
+func ChaosStorm(seed int64, n int) (StormLedger, error) {
+	l := StormLedger{Baseline: runtime.NumGoroutine()}
 	h, err := cluster.NewHarness(cluster.HarnessConfig{
 		Nodes:         6,
-		Seed:          x.cellSeed("storm"),
+		Seed:          nameSeed(seed, "storm"),
 		IDLen:         10,
 		Replication:   2,
 		PeerIOTimeout: 500 * time.Millisecond,
@@ -485,96 +490,68 @@ func (x *chaosScan) storm() error {
 		},
 	})
 	if err != nil {
-		return fmt.Errorf("check: chaos storm: %w", err)
+		return l, fmt.Errorf("check: chaos storm: %w", err)
 	}
+	defer h.Close()
 
-	reqs := chaosQueries(x.cellSeed("storm/load"), x.opt.Requests)
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		resolved  int
-		derrs     int
-		firstDerr string
-		stormOnce sync.Once
-		killed    []serve.Counts
-		serr      error
-	)
-	const drivers = 2
-	per := len(reqs) / drivers
-	for d := 0; d < drivers; d++ {
-		c, err := h.Client(d)
-		if err != nil {
-			h.Close()
-			return fmt.Errorf("check: chaos storm: %w", err)
-		}
-		wg.Add(1)
-		go func(d int, c *serve.Client) {
-			defer wg.Done()
-			defer c.Close()
-			for i, req := range reqs[d*per : (d+1)*per] {
-				if d == 0 && i == per/3 {
-					stormOnce.Do(func() {
-						killed, serr = h.Storm(2, 2, drivers)
-					})
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-				_, err := c.Do(ctx, req)
-				cancel()
-				mu.Lock()
-				if err != nil {
-					derrs++
-					if firstDerr == "" {
-						firstDerr = err.Error()
-					}
-				} else {
-					resolved++
-				}
-				mu.Unlock()
-			}
-		}(d, c)
+	drivers := spread(cluster.Queries(nameSeed(seed, "storm/load"), 8, n, true), 0, 1)
+	l.Requests = len(drivers) * len(drivers[0].Reqs)
+	l.Drivers, err = h.Drive(drivers, func() error {
+		var err error
+		l.Killed, err = h.Storm(2, 2, len(drivers))
+		return err
+	})
+	if err != nil {
+		return l, fmt.Errorf("check: chaos storm: %w", err)
 	}
-	wg.Wait()
-	if serr != nil {
-		h.Close()
-		return fmt.Errorf("check: chaos storm: %w", serr)
-	}
+	l.Settled = settle(func() bool {
+		l.Counts = h.Counts(l.Killed...)
+		return balanced(l.Counts)
+	})
+	l.Converged = h.WaitConverged(30*time.Second) == nil
+	return l, nil
+}
 
+// storm asserts the relaxed identities on the churn-storm cell.
+func (x *chaosScan) storm() error {
+	l, err := ChaosStorm(x.opt.Seed, x.opt.Requests)
+	if err != nil {
+		return err
+	}
 	// The drivers attach to protected nodes, so the storm must not cost
 	// them a single request: forwards to dead peers fall back locally.
-	x.assert(derrs == 0, "storm: %d driver requests failed on protected nodes (first: %s)", derrs, firstDerr)
-	x.assert(resolved+derrs == len(reqs)/drivers*drivers,
-		"storm: %d outcomes for %d requests", resolved+derrs, len(reqs)/drivers*drivers)
+	t := cluster.Total(l.Drivers)
+	x.assert(t.Errs == 0, "storm: %d driver requests failed on protected nodes (first: %v)", t.Errs, t.FirstErr)
+	x.assert(t.OK+t.Errs == l.Requests, "storm: %d outcomes for %d requests", t.OK+t.Errs, l.Requests)
 	killedOK := true
-	for _, kc := range killed {
+	for _, kc := range l.Killed {
 		killedOK = killedOK && kc.Conserved()
 	}
-	x.assert(killedOK, "storm: a victim's final ledger is broken: %+v", killed)
-	agg, settled := x.pollClusterConserved(h, killed, 15*time.Second)
-	x.assert(settled, "storm: cluster ledger never balanced after drain: %+v", agg)
-	x.assert(perNodeConserved(agg), "storm: a node's ledger is broken: %+v", agg.PerNode)
-	x.assert(agg.Forwarded <= agg.ForwardedIn,
-		"storm: more forwarded outcomes (%d) than admitted forwards (%d)", agg.Forwarded, agg.ForwardedIn)
-	x.assert(h.WaitConverged(30*time.Second) == nil, "storm: membership never re-converged")
-	h.Close()
-	x.assert(goroutinesSettle(before, 15*time.Second),
-		"storm: goroutines leaked: %d running, baseline %d", runtime.NumGoroutine(), before)
+	x.assert(killedOK, "storm: a victim's final ledger is broken: %+v", l.Killed)
+	x.assert(l.Settled, "storm: cluster ledger never balanced after drain: %+v", l.Counts)
+	x.assert(perNodeConserved(l.Counts), "storm: a node's ledger is broken: %+v", l.Counts.PerNode)
+	x.assert(l.Counts.Forwarded <= l.Counts.ForwardedIn,
+		"storm: more forwarded outcomes (%d) than admitted forwards (%d)", l.Counts.Forwarded, l.Counts.ForwardedIn)
+	x.assert(l.Converged, "storm: membership never re-converged")
+	x.assertDrained("storm", l.Baseline)
 	return nil
 }
 
-// pollClusterConserved waits for the cluster-wide outcome ledger —
-// live nodes plus retained victim counts — to balance exactly.
-func (x *chaosScan) pollClusterConserved(h *cluster.Harness, extra []serve.Counts, timeout time.Duration) (cluster.ClusterCounts, bool) {
-	deadline := time.Now().Add(timeout)
-	for {
-		agg := h.Counts(extra...)
-		if agg.Conserved() && perNodeConserved(agg) {
-			return agg, true
-		}
-		if time.Now().After(deadline) {
-			return agg, false
-		}
-		time.Sleep(25 * time.Millisecond)
+// spread deals reqs evenly over one driver per listed node (a
+// remainder is dropped).
+func spread(reqs []serve.Request, nodes ...int) []cluster.Driver {
+	per := len(reqs) / len(nodes)
+	out := make([]cluster.Driver, len(nodes))
+	for d, node := range nodes {
+		out[d] = cluster.Driver{Node: node, Reqs: reqs[d*per : (d+1)*per]}
 	}
+	return out
+}
+
+// balanced reports the cluster-wide outcome identity, in sum and on
+// every node.
+func balanced(agg cluster.ClusterCounts) bool {
+	return agg.Conserved() && perNodeConserved(agg)
 }
 
 func perNodeConserved(agg cluster.ClusterCounts) bool {
@@ -584,27 +561,4 @@ func perNodeConserved(agg cluster.ClusterCounts) bool {
 		}
 	}
 	return true
-}
-
-// chaosQueries yields a seeded stream of scalar requests over DG(2,8).
-func chaosQueries(seed int64, n int) []serve.Request {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]serve.Request, n)
-	for i := range out {
-		src := word.Random(2, 8, rng)
-		dst := word.Random(2, 8, rng)
-		mode := serve.Undirected
-		if rng.Intn(2) == 1 {
-			mode = serve.Directed
-		}
-		switch i % 3 {
-		case 0:
-			out[i] = serve.DistanceRequest(src, dst, mode)
-		case 1:
-			out[i] = serve.RouteRequest(src, dst, mode)
-		default:
-			out[i] = serve.NextHopRequest(src, dst, mode)
-		}
-	}
-	return out
 }

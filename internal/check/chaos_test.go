@@ -27,8 +27,9 @@ func TestChaosOracleClean(t *testing.T) {
 	if rep.Mode != "chaos" {
 		t.Fatalf("mode %q", rep.Mode)
 	}
-	// 16 grid cells × 7 assertions + fabric (5) + storm (8).
-	if want := 16*7 + 5 + 8; rep.Checked != want {
+	// 20 grid cells (4 shapes × 5 schedules) × 7 assertions + fabric
+	// (5) + storm (8).
+	if want := 20*7 + 5 + 8; rep.Checked != want {
 		t.Fatalf("checked %d assertions, want the fixed grid total %d", rep.Checked, want)
 	}
 }

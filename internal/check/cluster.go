@@ -3,13 +3,10 @@ package check
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/serve"
-	"repro/internal/word"
 )
 
 // ClusterOptions parameterizes the cluster conservation oracle.
@@ -77,13 +74,9 @@ func (cs *clusterScan) assert(ok bool, format string, args ...any) {
 
 // harness boots a converged in-memory cluster for one scenario.
 func (cs *clusterScan) harness(scenario string, nodes, replication int) (*cluster.Harness, error) {
-	seed := cs.opt.Seed
-	for _, c := range scenario {
-		seed = seed*31 + int64(c)
-	}
 	return cluster.NewHarness(cluster.HarnessConfig{
 		Nodes:       nodes,
-		Seed:        seed,
+		Seed:        nameSeed(cs.opt.Seed, scenario),
 		IDLen:       cs.idLen,
 		Replication: replication,
 		Serve: serve.Config{
@@ -93,31 +86,10 @@ func (cs *clusterScan) harness(scenario string, nodes, replication int) (*cluste
 	})
 }
 
-// queries yields a seeded stream of scalar requests over DG(2,5).
+// queries yields the scenario's seeded stream of n scalar requests
+// over DG(2,5).
 func (cs *clusterScan) queries(scenario string, n int) []serve.Request {
-	seed := cs.opt.Seed
-	for _, c := range scenario {
-		seed = seed*37 + int64(c)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]serve.Request, n)
-	for i := range out {
-		src := word.Random(2, 5, rng)
-		dst := word.Random(2, 5, rng)
-		mode := serve.Undirected
-		if rng.Intn(2) == 1 {
-			mode = serve.Directed
-		}
-		switch i % 3 {
-		case 0:
-			out[i] = serve.DistanceRequest(src, dst, mode)
-		case 1:
-			out[i] = serve.RouteRequest(src, dst, mode)
-		default:
-			out[i] = serve.NextHopRequest(src, dst, mode)
-		}
-	}
-	return out
+	return cluster.Queries(nameSeed(cs.opt.Seed, scenario+"/load"), 5, n, true)
 }
 
 // steady drives a failure-free cluster and checks the exact
@@ -217,65 +189,19 @@ func (cs *clusterScan) churn() error {
 		return fmt.Errorf("check: cluster churn: %w", err)
 	}
 	defer h.Close()
-	var clients []*serve.Client
-	for i := 0; i < 2; i++ {
-		c, err := h.Client(i)
-		if err != nil {
+	var killed serve.Counts
+	drivers := spread(cs.queries("churn", cs.opt.Queries), 0, 1, 0, 1)
+	res, err := h.Drive(drivers, func() error {
+		var err error
+		if killed, err = h.Kill(4); err != nil {
 			return err
 		}
-		defer c.Close()
-		clients = append(clients, c)
+		_, err = h.Join()
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("check: cluster churn: %w", err)
 	}
-	reqs := cs.queries("churn", cs.opt.Queries)
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		responses int
-		doErr     error
-		churnOnce sync.Once
-	)
-	killedCh := make(chan serve.Counts, 1)
-	const drivers = 4
-	per := len(reqs) / drivers
-	for d := 0; d < drivers; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			c := clients[d%len(clients)]
-			for i, req := range reqs[d*per : (d+1)*per] {
-				if d == 0 && i == per/3 {
-					churnOnce.Do(func() {
-						counts, kerr := h.Kill(4)
-						if kerr == nil {
-							killedCh <- counts
-							_, kerr = h.Join()
-						}
-						if kerr != nil {
-							mu.Lock()
-							doErr = kerr
-							mu.Unlock()
-						}
-					})
-				}
-				resp, err := c.Do(context.Background(), req)
-				if err != nil {
-					mu.Lock()
-					doErr = err
-					mu.Unlock()
-					return
-				}
-				_ = resp
-				mu.Lock()
-				responses++
-				mu.Unlock()
-			}
-		}(d)
-	}
-	wg.Wait()
-	if doErr != nil {
-		return fmt.Errorf("check: cluster churn: %w", doErr)
-	}
-	killed := <-killedCh
 	cs.assert(killed.Conserved(), "churn: killed node identity broken: %+v", killed)
 	agg := h.Counts(killed)
 	for i, p := range agg.PerNode {
@@ -284,6 +210,7 @@ func (cs *clusterScan) churn() error {
 	cs.assert(agg.Conserved(), "churn: cluster identity broken: %+v", agg)
 	cs.assert(agg.Forwarded <= agg.ForwardedIn,
 		"churn: more forwarded outcomes (%d) than admitted forwards (%d)", agg.Forwarded, agg.ForwardedIn)
-	cs.assert(responses == drivers*per, "churn: %d responses for %d requests", responses, drivers*per)
+	t, want := cluster.Total(res), len(drivers)*len(drivers[0].Reqs)
+	cs.assert(t.OK == want, "churn: %d responses for %d requests (first error: %v)", t.OK, want, t.FirstErr)
 	return nil
 }

@@ -118,7 +118,7 @@ func FaultRoutes(d, k int, opt FaultRoutesOptions) (Report, error) {
 				sets = 1
 			}
 			for set := 0; set < sets && !f.full(); set++ {
-				failed := drawArcSet(g, size, rng)
+				failed := g.SampleArcs(size, rng)
 				failedFn := func(u, v int) bool { return failed[[2]int{u, v}] }
 				dist, err := g.BFSToAvoidingArcs(root, failedFn)
 				if err != nil {
@@ -196,22 +196,6 @@ func checkFaultWalk(f *findings, fr *core.FaultRouter, g *graph.Graph, d, k, roo
 			"DG(%d,%d) %d→%d: walk took %d hops, below the faulted shortest path %d (broken replay)",
 			d, k, src, root, w.Hops, dist[src])
 	}
-}
-
-// drawArcSet samples size distinct directed arcs of g.
-func drawArcSet(g *graph.Graph, size int, rng *rand.Rand) map[[2]int]bool {
-	failed := make(map[[2]int]bool, size)
-	n := g.NumVertices()
-	for len(failed) < size {
-		u := rng.Intn(n)
-		nbs := g.OutNeighbors(u)
-		if len(nbs) == 0 {
-			continue
-		}
-		v := int(nbs[rng.Intn(len(nbs))])
-		failed[[2]int{u, v}] = true
-	}
-	return failed
 }
 
 // sourceSet picks the walked sources: exhaustive on small graphs,

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -177,6 +178,142 @@ func (h *Harness) Client(i int) (*serve.Client, error) {
 		return nil, fmt.Errorf("cluster: node %d is down", i)
 	}
 	return serve.DialTransport(h.link(), n.ClientAddr())
+}
+
+// Queries draws n seeded scalar requests over DG(2,k), cycling
+// distance, route and next-hop. With mixModes each request's mode is a
+// coin flip; without, every request is undirected.
+func Queries(seed int64, k, n int, mixModes bool) []serve.Request {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]serve.Request, n)
+	for i := range out {
+		src := word.Random(2, k, rng)
+		dst := word.Random(2, k, rng)
+		mode := serve.Undirected
+		if mixModes && rng.Intn(2) == 1 {
+			mode = serve.Directed
+		}
+		switch i % 3 {
+		case 0:
+			out[i] = serve.DistanceRequest(src, dst, mode)
+		case 1:
+			out[i] = serve.RouteRequest(src, dst, mode)
+		default:
+			out[i] = serve.NextHopRequest(src, dst, mode)
+		}
+	}
+	return out
+}
+
+// Driver is one closed-loop client of Drive: it dials node Node and
+// sends Reqs in order, one at a time.
+type Driver struct {
+	Node int
+	Reqs []serve.Request
+}
+
+// DriverResult tallies one driver. OK counts requests that got a
+// response (of any status) and Lats their round trips; Errs counts
+// requests that failed in transit (timeout, severed link), FirstErr
+// the first of them.
+type DriverResult struct {
+	OK, Errs int
+	FirstErr error
+	Lats     []time.Duration
+}
+
+// Total folds per-driver results into one.
+func Total(rs []DriverResult) DriverResult {
+	var t DriverResult
+	for _, r := range rs {
+		t.OK += r.OK
+		t.Errs += r.Errs
+		if t.FirstErr == nil {
+			t.FirstErr = r.FirstErr
+		}
+		t.Lats = append(t.Lats, r.Lats...)
+	}
+	return t
+}
+
+// driveTimeout bounds one Drive request; it sits above every server
+// deadline the harness users configure, so it fires only on a lost
+// response.
+const driveTimeout = 10 * time.Second
+
+// Drive runs the drivers concurrently, each over its own connection,
+// and waits for every driver it started. A request that fails in
+// transit counts in Errs and the driver redials before its next one.
+// A non-nil event fires once, from driver 0, before the request at a
+// third of its share — the hook for a Kill, Join or Storm under load.
+// The error is the first failed dial or the event's error; the
+// results of the drivers that ran are returned either way.
+func (h *Harness) Drive(drivers []Driver, event func() error) ([]DriverResult, error) {
+	// Resolve addresses up front: the event may rewrite h.nodes while
+	// drivers redial.
+	addrs := make([]string, len(drivers))
+	for i, d := range drivers {
+		n := h.nodes[d.Node]
+		if n == nil {
+			return nil, fmt.Errorf("cluster: node %d is down", d.Node)
+		}
+		addrs[i] = n.ClientAddr()
+	}
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error
+	)
+	fail := func(err error) {
+		mu.Lock()
+		if first == nil {
+			first = err
+		}
+		mu.Unlock()
+	}
+	res := make([]DriverResult, len(drivers))
+	for i := range drivers {
+		c, err := serve.DialTransport(h.link(), addrs[i])
+		if err != nil {
+			fail(err)
+			break
+		}
+		wg.Add(1)
+		go func(i int, c *serve.Client) {
+			defer wg.Done()
+			defer func() { c.Close() }() // the latest redial
+			r, reqs := &res[i], drivers[i].Reqs
+			for j, req := range reqs {
+				if i == 0 && j == len(reqs)/3 && event != nil {
+					if err := event(); err != nil {
+						fail(err)
+					}
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), driveTimeout)
+				start := time.Now()
+				_, err := c.Do(ctx, req)
+				cancel()
+				if err == nil {
+					r.OK++
+					r.Lats = append(r.Lats, time.Since(start))
+					continue
+				}
+				r.Errs++
+				if r.FirstErr == nil {
+					r.FirstErr = err
+				}
+				c.Close()
+				nc, err := serve.DialTransport(h.link(), addrs[i])
+				if err != nil {
+					fail(err)
+					return
+				}
+				c = nc
+			}
+		}(i, c)
+	}
+	wg.Wait()
+	return res, first
 }
 
 // Kill crashes node i: listeners close, established connections

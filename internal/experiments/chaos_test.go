@@ -5,14 +5,16 @@ import (
 	"testing"
 )
 
-// TestChaosRunSmall sweeps a reduced E24 grid and requires every row —
-// the adversarial schedules and the churn storm included — to conserve.
+// TestChaosRunSmall sweeps the E24 grid at a reduced volume and
+// requires every row — the adversarial schedules and the churn storm
+// included — to conserve.
 func TestChaosRunSmall(t *testing.T) {
 	rows, err := ChaosRun(ChaosRunConfig{Requests: 80, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(chaosCellShapes)*len(chaosCellSchedules) + 1; len(rows) != want {
+	// 4 shapes × 5 schedules, then the storm.
+	if want := 4*5 + 1; len(rows) != want {
 		t.Fatalf("rows = %d, want %d", len(rows), want)
 	}
 	for _, r := range rows {
@@ -42,7 +44,7 @@ func TestChaosTableShape(t *testing.T) {
 	if out == "" {
 		t.Fatal("empty table render")
 	}
-	for _, col := range []string{"shape", "schedule", "conserved", "churn-storm", "sever"} {
+	for _, col := range []string{"shape", "schedule", "conserved", "churn-storm", "clean", "latency-jitter", "sever"} {
 		if !strings.Contains(out, col) {
 			t.Fatalf("table missing %q:\n%s", col, out)
 		}

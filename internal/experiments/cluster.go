@@ -1,21 +1,17 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/serve"
 	"repro/internal/stats"
-	"repro/internal/word"
 )
 
 // ClusterRow is one node of experiment E23: a seeded closed-loop
-// workload replayed against a multi-node cluster, every request sent
-// to a node chosen round-robin, so misses ride the de Bruijn fabric.
+// workload replayed against a multi-node cluster, every client sending
+// only to its home node, so misses ride the de Bruijn fabric.
 // HopsMean is the mean inter-node hop count of the forwarded queries
 // this node answered; P99MS is the node's admission-to-answer p99.
 type ClusterRow struct {
@@ -29,22 +25,18 @@ type ClusterRow struct {
 	P99MS       float64
 }
 
-// ClusterRunConfig shapes the E23 replay. Zero values default to a
-// CI-sized run: 4 nodes at R=2 on a DG(2,10) identifier space, four
-// worker shards behind a bounded queue per node (a forward parks a
-// worker for a round trip, so single-shard nodes collapse), driven
-// closed-loop hard enough that the admission path is exercised, not
-// just the kernels.
+// ClusterRunConfig shapes the E23 replay.
 type ClusterRunConfig struct {
-	Nodes             int   // default 4
-	Replication       int   // default 2
-	IDLen             int   // identifier length, default 10
-	ClientsPerNode    int   // default 4
-	RequestsPerClient int   // default 150
-	QueueDepth        int   // per-node admission queue, default 64
-	DeadlineMS        int64 // per-request budget, default 250
-	Seed              int64
+	Seed int64
 }
+
+// clusterNodes is E23's node count. The replay runs them at R=2 on a
+// DG(2,10) identifier space, four worker shards behind a 64-deep
+// queue per node (a forward parks a worker for a round trip, so
+// single-shard nodes collapse), driven closed-loop by 4 clients per
+// node of 150 requests each under a 250 ms budget — hard enough that
+// the admission path is exercised, not just the kernels.
+const clusterNodes = 4
 
 // ClusterSummary aggregates the run: the client-observed p99 across
 // every request and the fabric-wide mean forward hop count.
@@ -54,41 +46,20 @@ type ClusterSummary struct {
 }
 
 // ClusterRun boots an in-memory cluster and replays the workload.
-// The returned rows are per node, in join order; the aggregate
-// conservation identity over them is checked here (a broken identity
-// is an error, not a data point).
+// The returned rows are per node, in join order. A failed request or
+// a broken aggregate identity — the outcome identity, or the hop
+// identity in its ≤-form — is an error, not a data point.
 func ClusterRun(cfg ClusterRunConfig) ([]ClusterRow, ClusterSummary, error) {
-	if cfg.Nodes == 0 {
-		cfg.Nodes = 4
-	}
-	if cfg.Replication == 0 {
-		cfg.Replication = 2
-	}
-	if cfg.IDLen == 0 {
-		cfg.IDLen = 10
-	}
-	if cfg.ClientsPerNode == 0 {
-		cfg.ClientsPerNode = 4
-	}
-	if cfg.RequestsPerClient == 0 {
-		cfg.RequestsPerClient = 150
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 64
-	}
-	if cfg.DeadlineMS == 0 {
-		cfg.DeadlineMS = 250
-	}
 	h, err := cluster.NewHarness(cluster.HarnessConfig{
-		Nodes:       cfg.Nodes,
+		Nodes:       clusterNodes,
 		Seed:        cfg.Seed,
-		IDLen:       cfg.IDLen,
-		Replication: cfg.Replication,
+		IDLen:       10,
+		Replication: 2,
 		Serve: serve.Config{
 			Shards:          4,
-			QueueDepth:      cfg.QueueDepth,
+			QueueDepth:      64,
 			CacheSize:       512,
-			DefaultDeadline: time.Duration(cfg.DeadlineMS) * time.Millisecond,
+			DefaultDeadline: 250 * time.Millisecond,
 		},
 	})
 	if err != nil {
@@ -96,63 +67,32 @@ func ClusterRun(cfg ClusterRunConfig) ([]ClusterRow, ClusterSummary, error) {
 	}
 	defer h.Close()
 
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		lats    []time.Duration
-		workErr error
-	)
-	for i := 0; i < cfg.Nodes; i++ {
-		for j := 0; j < cfg.ClientsPerNode; j++ {
-			c, err := h.Client(i)
-			if err != nil {
-				return nil, ClusterSummary{}, err
-			}
-			wg.Add(1)
-			go func(i, j int, c *serve.Client) {
-				defer wg.Done()
-				defer c.Close()
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*131 + int64(j)))
-				local := make([]time.Duration, 0, cfg.RequestsPerClient)
-				for r := 0; r < cfg.RequestsPerClient; r++ {
-					src := word.Random(2, 10, rng)
-					dst := word.Random(2, 10, rng)
-					var req serve.Request
-					switch r % 3 {
-					case 0:
-						req = serve.DistanceRequest(src, dst, serve.Undirected)
-					case 1:
-						req = serve.RouteRequest(src, dst, serve.Undirected)
-					default:
-						req = serve.NextHopRequest(src, dst, serve.Undirected)
-					}
-					start := time.Now()
-					if _, err := c.Do(context.Background(), req); err != nil {
-						mu.Lock()
-						workErr = err
-						mu.Unlock()
-						return
-					}
-					local = append(local, time.Since(start))
-				}
-				mu.Lock()
-				lats = append(lats, local...)
-				mu.Unlock()
-			}(i, j, c)
+	var drivers []cluster.Driver
+	for i := 0; i < clusterNodes; i++ {
+		for j := 0; j < 4; j++ {
+			seed := cfg.Seed + int64(i)*131 + int64(j)
+			drivers = append(drivers, cluster.Driver{Node: i, Reqs: cluster.Queries(seed, 10, 150, false)})
 		}
 	}
-	wg.Wait()
-	if workErr != nil {
-		return nil, ClusterSummary{}, workErr
+	res, err := h.Drive(drivers, nil)
+	if err != nil {
+		return nil, ClusterSummary{}, err
+	}
+	t := cluster.Total(res)
+	if t.Errs > 0 {
+		return nil, ClusterSummary{}, fmt.Errorf("experiments: %d cluster requests failed: %w", t.Errs, t.FirstErr)
 	}
 
-	var rows []ClusterRow
+	// An origin can shed on its deadline after the peer already
+	// admitted the forward, so Σ forwarded = Σ forwarded_in holds
+	// exactly only in runs that shed nothing.
 	agg := h.Counts()
-	if !agg.Conserved() {
+	if !agg.Conserved() || agg.Forwarded > agg.ForwardedIn {
 		return nil, ClusterSummary{}, fmt.Errorf("experiments: cluster conservation broken: %+v", agg)
 	}
+	var rows []ClusterRow
 	var totalHopSum, totalHopCount int64
-	for i := 0; i < cfg.Nodes; i++ {
+	for i := 0; i < clusterNodes; i++ {
 		n := h.Node(i)
 		counts := n.Counts()
 		hopSum, hopCount := n.ForwardHopStats()
@@ -175,7 +115,7 @@ func ClusterRun(cfg ClusterRunConfig) ([]ClusterRow, ClusterSummary, error) {
 		})
 	}
 	sum := ClusterSummary{
-		ClientP99MS: float64(serve.Percentile(lats, 0.99)) / float64(time.Millisecond),
+		ClientP99MS: float64(serve.Percentile(t.Lats, 0.99)) / float64(time.Millisecond),
 	}
 	if totalHopCount > 0 {
 		sum.MeanHops = float64(totalHopSum) / float64(totalHopCount)

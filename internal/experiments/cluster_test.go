@@ -6,16 +6,12 @@ import (
 )
 
 func TestClusterRunSmall(t *testing.T) {
-	rows, sum, err := ClusterRun(ClusterRunConfig{
-		Nodes: 3, Replication: 1,
-		ClientsPerNode: 2, RequestsPerClient: 60,
-		Seed: 11,
-	})
+	rows, sum, err := ClusterRun(ClusterRunConfig{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
+	if len(rows) != clusterNodes {
+		t.Fatalf("rows = %d, want %d", len(rows), clusterNodes)
 	}
 	var sent, answered, forwarded, fwdIn, shed int64
 	for _, r := range rows {
@@ -32,11 +28,11 @@ func TestClusterRunSmall(t *testing.T) {
 		t.Fatalf("cluster not conserved: sent %d, answered %d, shed %d, forwarded %d",
 			sent, answered, shed, forwarded)
 	}
-	// 3 nodes at R=1: every node misses ~2/3 of keys, so the fabric
-	// must have carried load. Under closed-loop pressure some origins
-	// shed on deadline after the peer already admitted the forward, so
-	// hop-by-hop conservation is the inequality here (the check
-	// oracle's unloaded steady scenario pins the exact identity).
+	// 4 nodes at R=2: every node misses about half the keys, so the
+	// fabric must have carried load. Under closed-loop pressure some
+	// origins shed on deadline after the peer already admitted the
+	// forward, so hop-by-hop conservation is the inequality here (the
+	// check oracle's unloaded steady scenario pins the exact identity).
 	if forwarded == 0 {
 		t.Fatal("nothing rode the fabric")
 	}
@@ -52,11 +48,7 @@ func TestClusterRunSmall(t *testing.T) {
 }
 
 func TestClusterTableShape(t *testing.T) {
-	tab, err := ClusterTable(ClusterRunConfig{
-		Nodes: 3, Replication: 1,
-		ClientsPerNode: 2, RequestsPerClient: 30,
-		Seed: 7,
-	})
+	tab, err := ClusterTable(ClusterRunConfig{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

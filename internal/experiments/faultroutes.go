@@ -56,15 +56,7 @@ func FaultRouteSweep(d, k, sets, pairs int, seed int64) ([]FaultRouteRow, error)
 		row := FaultRouteRow{D: d, K: k, Failures: f}
 		var stretch, switches, baseline stats.Accumulator
 		for set := 0; set < sets; set++ {
-			failed := make(map[[2]int]bool, f)
-			for len(failed) < f {
-				u := rng.Intn(n)
-				nbs := g.OutNeighbors(u)
-				if len(nbs) == 0 {
-					continue
-				}
-				failed[[2]int{u, int(nbs[rng.Intn(len(nbs))])}] = true
-			}
+			failed := g.SampleArcs(f, rng)
 			failedFn := func(u, v int) bool { return failed[[2]int{u, v}] }
 			dst := rng.Intn(n)
 			clean, err := g.BFSFrom(dst) // undirected: row doubles as distance-to-dst

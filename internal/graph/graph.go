@@ -8,6 +8,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 )
@@ -272,6 +273,23 @@ func (g *Graph) BFSToAvoidingArcs(dst int, failed func(u, v int) bool) ([]int, e
 		}
 	}
 	return dist, nil
+}
+
+// SampleArcs draws size distinct arcs u→v of g: a uniform vertex u,
+// then a uniform out-neighbour v (vertices without one are redrawn).
+// It is the arc-failure sampler of the faultroutes oracle and E26, so
+// both price the same failure sets for a given rng stream.
+func (g *Graph) SampleArcs(size int, rng *rand.Rand) map[[2]int]bool {
+	arcs := make(map[[2]int]bool, size)
+	for len(arcs) < size {
+		u := rng.Intn(len(g.adj))
+		nbs := g.adj[u]
+		if len(nbs) == 0 {
+			continue
+		}
+		arcs[[2]int{u, int(nbs[rng.Intn(len(nbs))])}] = true
+	}
+	return arcs
 }
 
 // ShortestPath returns one shortest vertex path from src to dst

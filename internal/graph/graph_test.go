@@ -296,3 +296,27 @@ func TestRandomGraphBFSSymmetry(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleArcs pins the arc-failure sampler: distinct real arcs, the
+// requested count, and a pure function of the rng stream.
+func TestSampleArcs(t *testing.T) {
+	g, err := DeBruijn(Undirected, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for size := 0; size <= 6; size++ {
+		a := g.SampleArcs(size, rand.New(rand.NewSource(int64(size))))
+		b := g.SampleArcs(size, rand.New(rand.NewSource(int64(size))))
+		if len(a) != size {
+			t.Fatalf("size %d: drew %d arcs", size, len(a))
+		}
+		for arc := range a {
+			if !g.HasEdge(arc[0], arc[1]) {
+				t.Fatalf("size %d: %v is not an arc", size, arc)
+			}
+			if !b[arc] {
+				t.Fatalf("size %d: same seed drew %v only once", size, arc)
+			}
+		}
+	}
+}
