@@ -27,10 +27,12 @@
 // store-and-forward), Deflect (bufferless deflection, layer-aware).
 // The serve suite measures the route-query serving engine per call:
 // ServeHit* (warmed LRU lookups, pinned at 0 allocs/op) and ServeMiss*
-// (cache-disabled computes at the PR 4 kernel budgets).
+// (cache-disabled computes at the kernels' allocation budgets), plus
+// ServeWireRoute, the wire codec's share of one route round trip.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -90,11 +92,11 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("dbbench", flag.ContinueOnError)
-	suite := fs.String("suite", "core", "benchmark suite: core (per-call primitives) | network (whole engine runs) | serve (query engine hit/miss paths)")
+	suite := fs.String("suite", "core", "benchmark suite: core (per-call primitives) | network (whole engine runs) | serve (query engine hit/miss paths and wire codec)")
 	outPath := fs.String("out", "", `output file ("-" for stdout; default BENCH_<suite>.json)`)
 	benchtime := fs.String("benchtime", "100ms", "per-benchmark duration (test.benchtime syntax)")
 	d := fs.Int("d", 2, "alphabet size")
-	ks := fs.String("k", "", `comma-separated word lengths (default "8,64,512" core, "5,7" network)`)
+	ks := fs.String("k", "", `comma-separated word lengths (default "8,64,512" core, "5,7" network, "8,64,256" serve)`)
 	compare := fs.String("compare", "", "baseline report to compare against; regressions exit nonzero")
 	tolNs := fs.Float64("tol-ns", 0.75, "allowed fractional ns/op slowdown vs the baseline")
 	if err := fs.Parse(args); err != nil {
@@ -117,7 +119,7 @@ func run(args []string, out io.Writer) error {
 		schema = SchemaServe
 		cells = benchServeCells
 		if *ks == "" {
-			*ks = "8,64"
+			*ks = "8,64,256"
 		}
 	default:
 		return fmt.Errorf("unknown suite %q", *suite)
@@ -444,7 +446,89 @@ func benchServeCells(d, k int) ([]Result, error) {
 			BytesPerOp:  br.AllocedBytesPerOp(),
 		})
 	}
-	return out, nil
+	wire, err := benchWireRoute(d, k, pairs, cold)
+	if err != nil {
+		return nil, err
+	}
+	return append(out, wire), nil
+}
+
+// benchWireRoute measures ServeWireRoute: the wire codec's share of one
+// route round trip through the exported frame API — the client encodes
+// the request frame, the server reads and decodes it, encodes the
+// route response frame, and the client reads and decodes that. The
+// allocations are the frames' read buffers, the request's two
+// addresses and the response's path.
+func benchWireRoute(d, k int, pairs [][2]word.Word, eng *serve.Engine) (Result, error) {
+	reqs := make([]serve.Request, len(pairs))
+	resps := make([]serve.Response, len(pairs))
+	for i, p := range pairs {
+		a, _, err := eng.Answer(serve.Query{Kind: serve.KindRoute, Src: p[0], Dst: p[1]}, serve.LevelFull)
+		if err != nil {
+			return Result{}, err
+		}
+		reqs[i] = serve.RouteRequest(p[0], p[1], serve.Undirected)
+		reqs[i].ID = uint64(i + 1)
+		resps[i] = serve.Response{ID: uint64(i + 1), Status: serve.StatusOK, Distance: a.Distance, Path: make([]string, len(a.Path))}
+		for j, h := range a.Path {
+			resps[i].Path[j] = serve.FormatHop(h)
+		}
+	}
+	var wire bytes.Buffer
+	var failure error
+	br := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j := i % len(pairs)
+			failure = wireRoundTrip(&wire, &reqs[j], &resps[j])
+			if failure != nil {
+				b.FailNow()
+			}
+		}
+	})
+	if failure != nil {
+		return Result{}, fmt.Errorf("ServeWireRoute d=%d k=%d: %w", d, k, failure)
+	}
+	return Result{
+		Op: "ServeWireRoute", D: d, K: k,
+		Iterations:  br.N,
+		NsPerOp:     float64(br.T.Nanoseconds()) / float64(br.N),
+		AllocsPerOp: br.AllocsPerOp(),
+		BytesPerOp:  br.AllocedBytesPerOp(),
+	}, nil
+}
+
+// wireRoundTrip runs one ServeWireRoute iteration over wire.
+func wireRoundTrip(wire *bytes.Buffer, req *serve.Request, resp *serve.Response) error {
+	wire.Reset()
+	if err := serve.WriteFrame(wire, req); err != nil {
+		return err
+	}
+	body, err := serve.ReadFrame(wire, 0)
+	if err != nil {
+		return err
+	}
+	got, err := serve.ParseRequest(body)
+	if err != nil {
+		return err
+	}
+	if got.Src != req.Src {
+		return fmt.Errorf("request decoded src %q, sent %q", got.Src, req.Src)
+	}
+	if err := serve.WriteFrame(wire, resp); err != nil {
+		return err
+	}
+	if body, err = serve.ReadFrame(wire, 0); err != nil {
+		return err
+	}
+	back, err := serve.ParseResponse(body)
+	if err != nil {
+		return err
+	}
+	if len(back.Path) != len(resp.Path) {
+		return fmt.Errorf("response decoded %d hops, sent %d", len(back.Path), len(resp.Path))
+	}
+	return nil
 }
 
 // benchNetworkCells measures the three network engines at one (d,k)

@@ -110,9 +110,9 @@ func TestServeSuiteRoundTrip(t *testing.T) {
 	if rep.Schema != SchemaServe {
 		t.Errorf("schema = %q, want %q", rep.Schema, SchemaServe)
 	}
-	// 8 ops × 2 k values.
-	if len(rep.Results) != 16 {
-		t.Fatalf("got %d results, want 16", len(rep.Results))
+	// 9 ops × 2 k values.
+	if len(rep.Results) != 18 {
+		t.Fatalf("got %d results, want 18", len(rep.Results))
 	}
 	for _, r := range rep.Results {
 		if r.NsPerOp <= 0 || r.Iterations <= 0 {
@@ -125,8 +125,13 @@ func TestServeSuiteRoundTrip(t *testing.T) {
 			continue // the sampled path allocates its trace by design
 		}
 		budget := int64(0)
-		if r.Op == "ServeMissRoute" {
+		switch r.Op {
+		case "ServeMissRoute":
 			budget = 1
+		case "ServeWireRoute":
+			// Per frame read one or two buffers (the body outgrows the
+			// header's), then src, dst and the decoded path.
+			budget = 6
 		}
 		if r.AllocsPerOp > budget {
 			t.Errorf("%s d=%d k=%d: %d allocs/op, budget %d", r.Op, r.D, r.K, r.AllocsPerOp, budget)

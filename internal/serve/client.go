@@ -1,8 +1,8 @@
 package serve
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -61,18 +61,20 @@ func Dial(addr string) (*Client, error) {
 }
 
 // readLoop dispatches responses to waiting callers until the
-// connection dies.
+// connection dies. It reads through a bufio.Reader into one reused
+// body buffer: ParseResponse copies out everything it keeps.
 func (c *Client) readLoop() {
+	br := bufio.NewReader(c.conn)
+	var body []byte
 	var err error
 	for {
-		var body []byte
-		body, err = ReadFrame(c.conn, c.maxFrame)
+		body, err = readFrame(br, body, c.maxFrame)
 		if err != nil {
 			break
 		}
 		var resp Response
-		if uerr := unmarshalResponse(body, &resp); uerr != nil {
-			err = uerr
+		resp, err = ParseResponse(body)
+		if err != nil {
 			break
 		}
 		c.mu.Lock()
@@ -174,11 +176,6 @@ func (c *Client) Close() error {
 	err := c.conn.Close()
 	<-c.done
 	return err
-}
-
-// unmarshalResponse decodes one response frame body.
-func unmarshalResponse(body []byte, resp *Response) error {
-	return json.Unmarshal(body, resp)
 }
 
 // DistanceRequest builds a distance query for one vertex pair.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -463,42 +464,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		dead := false
-		for fr := range out {
-			if dead {
-				// Keep draining so senders never block; sampled traces
-				// still publish (their outcome happened — only the write
-				// to the dead peer didn't).
-				s.publishTrace(fr.tr)
-				continue
-			}
-			var t0 time.Time
-			if fr.tr != nil {
-				t0 = time.Now()
-			}
-			if s.cfg.WriteTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			}
-			err := WriteFrame(conn, &fr.resp)
-			if fr.tr != nil {
-				if err == nil {
-					fr.tr.AddSpan(obs.SpanWrite, t0, time.Now(), obs.LayerNone, "")
-				}
-				s.publishTrace(fr.tr)
-			}
-			if err != nil {
-				dead = true
-				// Evict the peer: closing the connection unsticks the
-				// reader, whose exit cancels ctx so queued tasks from
-				// this connection shed (canceled) instead of parking
-				// workers in sendResponse.
-				conn.Close()
-			}
-		}
+		s.writeLoop(conn, out)
 	}()
 	var pending sync.WaitGroup
+	br := bufio.NewReader(conn)
+	var body []byte // reused for every frame: admit keeps nothing of it
 	for {
-		body, err := ReadFrame(conn, DefaultMaxFrame)
+		var err error
+		body, err = readFrame(br, body, DefaultMaxFrame)
 		if err != nil {
 			break // EOF, torn frame, or closed conn: stop reading
 		}
@@ -508,6 +481,81 @@ func (s *Server) handleConn(conn net.Conn) {
 	pending.Wait() // workers may still hold tasks writing to out
 	close(out)
 	<-writerDone
+}
+
+// writeLoop is the writer side of one connection. It encodes each
+// response into one reused buffer behind a bufio.Writer and flushes
+// when out drains, so a burst of responses costs one write syscall and
+// a lone response is flushed at once. The write deadline is set once
+// per burst (a burst never buffers more than the writer holds, so the
+// deadline still bounds every syscall). Sampled traces wait for the
+// flush that puts their frame on the wire; a failed write or flush
+// evicts the peer — closing the connection unsticks the reader, whose
+// exit cancels the connection context, so queued tasks shed (canceled)
+// instead of parking workers in sendResponse. The loop keeps draining
+// out after that, so senders never block.
+func (s *Server) writeLoop(conn net.Conn, out <-chan outFrame) {
+	bw := bufio.NewWriter(conn)
+	var frame []byte
+	type held struct {
+		tr *obs.ReqTrace
+		t0 time.Time
+	}
+	var traced []held // sampled frames written since the last flush
+	dead := false
+	// settle publishes the held traces, with their write spans when the
+	// frames reached the peer.
+	settle := func(sent bool) {
+		now := time.Now()
+		for _, h := range traced {
+			if sent {
+				h.tr.AddSpan(obs.SpanWrite, h.t0, now, obs.LayerNone, "")
+			}
+			s.publishTrace(h.tr)
+		}
+		traced = traced[:0]
+	}
+	for fr := range out {
+		if dead {
+			// Sampled traces still publish: their outcome happened, only
+			// the write to the dead peer didn't.
+			s.publishTrace(fr.tr)
+			continue
+		}
+		var t0 time.Time
+		if fr.tr != nil {
+			t0 = time.Now()
+		}
+		frame, _ = appendFrame(frame[:0], &fr.resp) // a *Response always encodes
+		var err error
+		if bw.Buffered() > 0 && bw.Available() < len(frame) {
+			// End the burst before the buffer would spill.
+			if err = bw.Flush(); err == nil {
+				settle(true)
+			}
+		}
+		if fr.tr != nil {
+			traced = append(traced, held{fr.tr, t0})
+		}
+		if err == nil && bw.Buffered() == 0 && s.cfg.WriteTimeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		}
+		if err == nil {
+			_, err = bw.Write(frame)
+		}
+		if err == nil && len(out) == 0 {
+			err = bw.Flush()
+			if err == nil {
+				settle(true)
+			}
+		}
+		if err != nil {
+			dead = true
+			settle(false)
+			conn.Close()
+		}
+	}
+	// Nothing is left buffered: the last frame found out empty.
 }
 
 // admit counts, parses, and enqueues one request frame, shedding

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/word"
 )
 
 // newTestServer builds a server with test-friendly defaults and
@@ -507,5 +509,126 @@ func TestLevelStrings(t *testing.T) {
 	}
 	if KindRoute.String() != "route" || Undirected.String() != "undirected" || Directed.String() != "directed" {
 		t.Fatal("enum String mismatch")
+	}
+}
+
+// rawConn dials the server's loopback transport for tests that speak
+// frames directly, without a Client.
+func rawConn(t *testing.T, s *Server) net.Conn {
+	t.Helper()
+	conn, err := s.Loopback().Dial("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	return conn
+}
+
+// readResponse reads and decodes one response frame.
+func readResponse(t *testing.T, conn net.Conn) Response {
+	t.Helper()
+	body, err := ReadFrame(conn, 0)
+	if err != nil {
+		t.Fatalf("reading the reply: %v", err)
+	}
+	resp, err := ParseResponse(body)
+	if err != nil {
+		t.Fatalf("decoding the reply %q: %v", body, err)
+	}
+	return resp
+}
+
+// TestUndecodableRequestEchoesID checks a frame that fails to decode
+// after its id was read is answered under that id, so a caller that
+// matches replies by id sees its error, and is counted once as
+// bad_request.
+func TestUndecodableRequestEchoesID(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 1})
+	conn := rawConn(t, s)
+	body := []byte(`{"id":7,"kind":"route","d":"two"}`)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	if _, err := conn.Write(append(frame, body...)); err != nil {
+		t.Fatal(err)
+	}
+	resp := readResponse(t, conn)
+	if resp.ID != 7 || resp.Status != StatusError || resp.Error == "" {
+		t.Fatalf("reply = %+v, want status error under id 7", resp)
+	}
+	counts := s.Counts()
+	if counts.Sent != 1 || counts.ShedByReason["bad_request"] != 1 || !counts.Conserved() {
+		t.Fatalf("counts = %+v, want one request shed bad_request", counts)
+	}
+}
+
+// TestLoneRequestFlushed checks the coalescing writer never strands a
+// reply in its buffer: each request sent alone on an idle connection
+// is answered before the next is sent.
+func TestLoneRequestFlushed(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 2})
+	conn := rawConn(t, s)
+	src, dst := mustWord(t, 2, "0110"), mustWord(t, 2, "1011")
+	want := oracleDistance(t, Undirected, src, dst)
+	for i := uint64(1); i <= 3; i++ {
+		req := DistanceRequest(src, dst, Undirected)
+		req.ID = i
+		if err := WriteFrame(conn, &req); err != nil {
+			t.Fatal(err)
+		}
+		if resp := readResponse(t, conn); resp.ID != i || resp.Distance != want {
+			t.Fatalf("reply %d = %+v, want distance %d", i, resp, want)
+		}
+	}
+}
+
+// TestPipelinedRequests sends 64 requests at once over one TCP client:
+// replies that share a flush must all be delivered and matched.
+func TestPipelinedRequests(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 2, CacheSize: 16})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 64
+	src := mustWord(t, 2, "01101001")
+	dsts := make([]word.Word, n)
+	dists := make([]int, n)
+	for i := range dsts {
+		dst, err := word.Unrank(2, 8, uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dsts[i], dists[i] = dst, oracleDistance(t, Undirected, src, dst)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			resp, err := c.Do(ctx, RouteRequest(src, dsts[i], Undirected))
+			switch {
+			case err != nil:
+				errs <- err
+			case resp.Status != StatusOK || len(resp.Path) != dists[i]:
+				errs <- fmt.Errorf("request %d: reply %+v", i, resp)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if counts := s.Counts(); counts.Sent != n || counts.Answered != n {
+		t.Fatalf("counts = %+v, want %d answered", counts, n)
 	}
 }
