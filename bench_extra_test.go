@@ -135,14 +135,18 @@ func BenchmarkContention(b *testing.B) {
 	}
 }
 
-// BenchmarkSelfRouting isolates the per-hop next-hop computations.
+// BenchmarkSelfRouting isolates the per-hop next-hop computations of
+// the kernel engine, on whichever tier answers DG(2,k) (table at k=8,
+// packed above).
 func BenchmarkSelfRouting(b *testing.B) {
 	for _, k := range []int{8, 64, 512} {
 		pairs := pairsFor(2, k, 64, 24)
+		kn := core.NewKernels(core.KernelConfig{SyncTableBuild: true})
+		kn.TierFor(2, k)
 		b.Run(fmt.Sprintf("directed/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := pairs[i%len(pairs)]
-				if _, _, err := core.NextHopDirected(p[0], p[1]); err != nil {
+				if _, _, err := kn.NextHopDirected(p[0], p[1]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -150,7 +154,7 @@ func BenchmarkSelfRouting(b *testing.B) {
 		b.Run(fmt.Sprintf("undirected/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := pairs[i%len(pairs)]
-				if _, _, err := core.NextHopUndirected(p[0], p[1]); err != nil {
+				if _, _, err := kn.NextHopUndirected(p[0], p[1]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -104,20 +104,6 @@ type Router = core.Router
 // NewRouter returns a Router for DN(·,k) words of length k.
 func NewRouter(k int) *Router { return core.NewRouter(k) }
 
-// MultiRouteUndirected returns up to limit distinct shortest paths
-// (one per optimal matching-function anchor) for multipath forwarding.
-func MultiRouteUndirected(x, y Word, limit int) ([]Path, error) {
-	return core.MultiRouteUndirected(x, y, limit)
-}
-
-// NextHopDirected and NextHopUndirected are the destination-based
-// self-routing decisions: the optimal next hop from cur toward dst,
-// recomputed locally in O(k).
-func NextHopDirected(cur, dst Word) (Hop, bool, error) { return core.NextHopDirected(cur, dst) }
-
-// NextHopUndirected is the bi-directional self-routing decision.
-func NextHopUndirected(cur, dst Word) (Hop, bool, error) { return core.NextHopUndirected(cur, dst) }
-
 // Graph builds the de Bruijn graph DG(d,k) (directed or undirected)
 // with BFS, diameter, census and DOT export — the baseline substrate.
 func Graph(kind GraphKind, d, k int) (*graph.Graph, error) { return graph.DeBruijn(kind, d, k) }

@@ -99,15 +99,8 @@ func TestFacadeRouterAndExtensions(t *testing.T) {
 	if err != nil || d != want {
 		t.Errorf("router distance %d, want %d (%v)", d, want, err)
 	}
-	routes, err := debruijn.MultiRouteUndirected(x, y, 4)
-	if err != nil || len(routes) == 0 {
-		t.Errorf("multiroute: %v, %v", routes, err)
-	}
-	h, more, err := debruijn.NextHopUndirected(x, y)
-	if err != nil || !more {
-		t.Fatalf("next hop: %v %v %v", h, more, err)
-	}
-	if _, more, err := debruijn.NextHopDirected(x, x); err != nil || more {
-		t.Error("directed next hop at destination should be done")
+	p, err := r.Route(x, y)
+	if err != nil || len(p) != want {
+		t.Errorf("router route %v (%v), want %d hops", p, err, want)
 	}
 }

@@ -1,8 +1,8 @@
 // Selfrouting: three ways to forward the same traffic on DN(2,6),
 // all optimal, with different per-site costs:
 //
-//  1. source routing — the paper's message format: the source runs
-//     Algorithm 1/4 once and attaches the whole path;
+//  1. source routing — the paper's message format: the source computes
+//     the canonical shortest path once (core.Kernels) and attaches it;
 //  2. destination routing — no path field: every site recomputes its
 //     next hop in O(k) from (current, destination);
 //  3. table routing — every site forwards with one lookup into a

@@ -12,9 +12,10 @@
 // a bug by definition. The graph-level oracle families include:
 //
 //   - Routes: for every ordered pair of DG(d,k) (seeded sample above
-//     Options.SampleAbove vertices), Algorithm 1, Algorithm 2, the
-//     linear-tree Algorithm 4 and the reusable core.Router must agree
-//     with BFS distance, and every emitted Path is replayed hop by hop
+//     Options.SampleAbove vertices), Algorithms 1 and 2 must agree
+//     with BFS distance, the linear-tree Algorithm 4, the reusable
+//     core.Router and core.Kernels must return Algorithm 2's path hop
+//     for hop, and every emitted Path is replayed hop by hop
 //     through the explicit graph — under every wildcard chooser the
 //     engines use — to prove it walks X→Y in exactly D(X,Y) real link
 //     crossings (no phantom self-moves, no non-edges).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/word"
@@ -39,14 +40,16 @@ func (o *KernelsOptions) defaults() {
 
 // Kernels runs the tier-differential oracle on DG(d,k): the same
 // query evaluated by every rung of the kernel ladder must produce
-// byte-identical answers. Four evaluators run side by side — the
-// scratch-forced engine (T3, the reference), the packed engine (T2
-// where the alphabet packs), the table-admitting engine (T1 where the
-// pair matrix fits the default budget, built synchronously), and the
-// packed engine's batch frame — and every directed distance,
-// undirected distance, canonical route (hop for hop) and next hop is
-// compared across them. The ladder's contract is exact equality, not
-// mere optimality: tier selection must be semantically invisible.
+// byte-identical answers to the tier-free reference — Property 1,
+// Theorem 2's quadratic sweep and Algorithm 2's path. Three engines
+// are checked, each through its scalar methods and its batch frame:
+// the scratch-forced engine (T3, the suffix-tree walk), the packed
+// engine (T2 where the alphabet packs), and the table-admitting
+// engine (T1 where the pair matrix fits the default budget, built
+// synchronously). Every directed distance, undirected distance,
+// canonical route (hop for hop) and next hop is compared. The
+// ladder's contract is exact equality, not mere optimality: tier
+// selection must be semantically invisible.
 func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 	opt.defaults()
 	rep := Report{Mode: "kernels", D: d, K: k}
@@ -60,10 +63,10 @@ func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 		name string
 		kn   *core.Kernels
 	}{
+		{"scratch", core.NewKernels(core.KernelConfig{TableBudget: -1, DisablePacked: true})},
 		{"packed", core.NewKernels(core.KernelConfig{TableBudget: -1})},
 		{"table", core.NewKernels(core.KernelConfig{SyncTableBuild: true})},
 	}
-	ref := core.NewKernels(core.KernelConfig{TableBudget: -1, DisablePacked: true})
 	f := newFindings(opt.MaxFindings)
 
 	var pairs [][2]word.Word
@@ -92,21 +95,22 @@ func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 			break
 		}
 		x, y := p[0], p[1]
-		wantU, err := ref.UndirectedDistance(x, y)
+		wantU, err := core.UndirectedDistance(x, y)
 		if err != nil {
 			return rep, fmt.Errorf("check: reference UndirectedDistance(%v,%v): %w", x, y, err)
 		}
-		wantD, err := ref.DirectedDistance(x, y)
+		wantD, err := core.DirectedDistance(x, y)
 		if err != nil {
 			return rep, fmt.Errorf("check: reference DirectedDistance(%v,%v): %w", x, y, err)
 		}
-		wantP, err := ref.RouteUndirected(x, y)
+		wantP, err := core.RouteUndirected(x, y)
 		if err != nil {
 			return rep, fmt.Errorf("check: reference RouteUndirected(%v,%v): %w", x, y, err)
 		}
-		wantH, wantOK, err := ref.NextHopUndirected(x, y)
-		if err != nil {
-			return rep, fmt.Errorf("check: reference NextHopUndirected(%v,%v): %w", x, y, err)
+		var wantH core.Hop
+		wantOK := len(wantP) > 0
+		if wantOK {
+			wantH = wantP[0]
 		}
 		for _, e := range engines {
 			compareKernel(f, e.name, e.kn, x, y, wantU, wantD, wantP, wantH, wantOK)
@@ -122,19 +126,19 @@ func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 func compareKernel(f *findings, name string, kn *core.Kernels, x, y word.Word, wantU, wantD int, wantP core.Path, wantH core.Hop, wantOK bool) {
 	gotU, err := kn.UndirectedDistance(x, y)
 	if err != nil || gotU != wantU {
-		f.addf("kernel-udist", "%s: D(%v,%v) = %d (err %v), scratch %d", name, x, y, gotU, err, wantU)
+		f.addf("kernel-udist", "%s: D(%v,%v) = %d (err %v), reference %d", name, x, y, gotU, err, wantU)
 	}
 	gotD, err := kn.DirectedDistance(x, y)
 	if err != nil || gotD != wantD {
-		f.addf("kernel-ddist", "%s: D→(%v,%v) = %d (err %v), scratch %d", name, x, y, gotD, err, wantD)
+		f.addf("kernel-ddist", "%s: D→(%v,%v) = %d (err %v), reference %d", name, x, y, gotD, err, wantD)
 	}
 	gotP, err := kn.RouteUndirected(x, y)
-	if err != nil || !pathsEqual(gotP, wantP) {
-		f.addf("kernel-route", "%s: route(%v,%v) = %v (err %v), scratch %v", name, x, y, gotP, err, wantP)
+	if err != nil || !slices.Equal(gotP, wantP) {
+		f.addf("kernel-route", "%s: route(%v,%v) = %v (err %v), reference %v", name, x, y, gotP, err, wantP)
 	}
 	gotH, gotOK, err := kn.NextHopUndirected(x, y)
 	if err != nil || gotOK != wantOK || gotH != wantH {
-		f.addf("kernel-nexthop", "%s: hop(%v,%v) = %v,%v (err %v), scratch %v,%v", name, x, y, gotH, gotOK, err, wantH, wantOK)
+		f.addf("kernel-nexthop", "%s: hop(%v,%v) = %v,%v (err %v), reference %v,%v", name, x, y, gotH, gotOK, err, wantH, wantOK)
 	}
 }
 
@@ -147,30 +151,18 @@ func compareFrame(f *findings, name string, kn *core.Kernels, x, y word.Word, wa
 	}
 	gotU, err := fr.UndirectedDistance(i)
 	if err != nil || gotU != wantU {
-		f.addf("frame-udist", "%s: D(%v,%v) = %d (err %v), scratch %d", name, x, y, gotU, err, wantU)
+		f.addf("frame-udist", "%s: D(%v,%v) = %d (err %v), reference %d", name, x, y, gotU, err, wantU)
 	}
 	gotD, err := fr.DirectedDistance(i)
 	if err != nil || gotD != wantD {
-		f.addf("frame-ddist", "%s: D→(%v,%v) = %d (err %v), scratch %d", name, x, y, gotD, err, wantD)
+		f.addf("frame-ddist", "%s: D→(%v,%v) = %d (err %v), reference %d", name, x, y, gotD, err, wantD)
 	}
 	gotP, err := fr.RouteUndirected(i)
-	if err != nil || !pathsEqual(gotP, wantP) {
-		f.addf("frame-route", "%s: route(%v,%v) = %v (err %v), scratch %v", name, x, y, gotP, err, wantP)
+	if err != nil || !slices.Equal(gotP, wantP) {
+		f.addf("frame-route", "%s: route(%v,%v) = %v (err %v), reference %v", name, x, y, gotP, err, wantP)
 	}
 	gotH, gotOK, err := fr.NextHopUndirected(i)
 	if err != nil || gotOK != wantOK || gotH != wantH {
-		f.addf("frame-nexthop", "%s: hop(%v,%v) = %v,%v (err %v), scratch %v,%v", name, x, y, gotH, gotOK, err, wantH, wantOK)
+		f.addf("frame-nexthop", "%s: hop(%v,%v) = %v,%v (err %v), reference %v,%v", name, x, y, gotH, gotOK, err, wantH, wantOK)
 	}
-}
-
-func pathsEqual(a, b core.Path) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

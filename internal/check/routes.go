@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -22,8 +23,9 @@ type RoutesOptions struct {
 	// DistanceStride thins the explicit distance-function checks
 	// (UndirectedDistance, Corollary 4, the linear-tree evaluation) to
 	// every stride-th pair on graphs above 1024 vertices; the route
-	// length checks — which pin all three path constructions to BFS on
-	// every pair — are never thinned. 0 means 16.
+	// checks — which pin Algorithm 2's path to BFS and every other
+	// construction to that path on every pair — are never thinned. 0
+	// means 16.
 	DistanceStride int
 	// MaxFindings caps the findings per report. 0 means 32.
 	MaxFindings int
@@ -53,11 +55,12 @@ func (o *RoutesOptions) defaults() {
 //	DirectedDistance == BFS, and the Algorithm 1 path replays through
 //	the directed graph in exactly that many arcs;
 //
-//	len(RouteUndirected) == len(RouteUndirectedLinear) ==
-//	len(Router.Route) == BFS, and each path replays through the
-//	undirected graph in exactly that many edges under every wildcard
-//	chooser (digit 0, digit d-1, and seeded-random — the resolutions
-//	the engines use);
+//	RouteUndirectedLinear, Router.Route and Kernels.RouteUndirected
+//	return RouteUndirected's path hop for hop (one canonical path per
+//	pair), len(RouteUndirected) == BFS, and that path replays through
+//	the undirected graph in exactly that many edges under every
+//	wildcard chooser (digit 0, digit d-1, and seeded-random — the
+//	resolutions the engines use);
 //
 //	the three closed-form undirected distance evaluations (Theorem 2
 //	quadratic, Corollary 4, linear tree) equal BFS.
@@ -78,7 +81,7 @@ func Routes(d, k int, opt RoutesOptions) (Report, error) {
 	}
 	// The pair set is sharded by source: one self-contained shard per
 	// source (exhaustive mode) or per sampled source group, each with
-	// its own findings accumulator, Router, scratch and RNG stream,
+	// its own findings accumulator, Router, Kernels and RNG stream,
 	// merged back in source order. The decomposition is fixed by the
 	// options alone, so the verdict does not depend on the worker
 	// count or on goroutine scheduling.
@@ -109,12 +112,13 @@ func Routes(d, k int, opt RoutesOptions) (Report, error) {
 }
 
 // routeScan holds the state of one Routes shard: the two explicit
-// graphs, the reusable Router, the rank-based replayer, and the BFS
-// rows of the current source.
+// graphs, the reusable Router and Kernels, the rank-based replayer,
+// and the BFS rows of the current source.
 type routeScan struct {
 	d, k     int
 	dg, ug   *graph.Graph
 	router   *core.Router
+	kn       *core.Kernels
 	rng      *rand.Rand
 	opt      RoutesOptions
 	f        *findings
@@ -129,6 +133,7 @@ func newRouteScan(d, k int, dg, ug *graph.Graph, opt RoutesOptions, f *findings,
 	return &routeScan{
 		d: d, k: k, dg: dg, ug: ug,
 		router: core.NewRouter(k),
+		kn:     core.NewKernels(core.KernelConfig{SyncTableBuild: true}),
 		rng:    rand.New(rand.NewSource((opt.Seed ^ 0x1e3779b97f4a7c15) + salt)),
 		opt:    opt, f: f,
 	}
@@ -242,9 +247,21 @@ func (sc *routeScan) checkPair(y word.Word) {
 		sc.fail(err)
 		return
 	}
+	pk, err := sc.kn.RouteUndirected(x, y)
+	if err != nil {
+		sc.fail(err)
+		return
+	}
 	sc.replay("alg2", sc.ug, p2, y, wantUndi)
-	sc.replay("alg4", sc.ug, p4, y, wantUndi)
-	sc.replay("router", sc.ug, pr, y, wantUndi)
+	for _, o := range []struct {
+		alg string
+		p   core.Path
+	}{{"alg4", p4}, {"router", pr}, {"kernels", pk}} {
+		if !slices.Equal(o.p, p2) {
+			f.addf("undirected-route-canonical", "DG(%d,%d) %v→%v: %s path %v, Algorithm 2 path %v",
+				sc.d, sc.k, x, y, o.alg, o.p, p2)
+		}
+	}
 
 	// Explicit distance evaluations (route lengths already pin the
 	// constructions; these pin the standalone closed forms). Thinned on

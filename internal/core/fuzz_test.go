@@ -139,22 +139,24 @@ func FuzzKernelTierEquivalence(f *testing.F) {
 			"packed":  NewKernels(KernelConfig{TableBudget: -1}),
 			"table":   NewKernels(KernelConfig{SyncTableBuild: true}),
 		}
-		ref := engines["scratch"]
-		wantU, err := ref.UndirectedDistance(x, y)
+		// The reference is tier-free: Theorem 2, Property 1 and
+		// Algorithm 2's path, which every tier must reproduce.
+		wantU, err := UndirectedDistance(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantD, err := ref.DirectedDistance(x, y)
+		wantD, err := DirectedDistance(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantP, err := ref.RouteUndirected(x, y)
+		wantP, err := RouteUndirected(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantH, wantOK, err := ref.NextHopUndirected(x, y)
-		if err != nil {
-			t.Fatal(err)
+		var wantH Hop
+		wantOK := len(wantP) > 0
+		if wantOK {
+			wantH = wantP[0]
 		}
 		for name, kn := range engines {
 			gotU, err := kn.UndirectedDistance(x, y)

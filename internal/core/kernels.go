@@ -17,9 +17,10 @@ import (
 //
 // Every tier returns byte-identical answers: for a given (d,k) there
 // is one canonical result set (distances are Theorem 2's values;
-// anchors and paths follow the quadratic sweep's row-major tie-break
-// on every packed-eligible graph, d ≤ 4 with k·b ≤ 1024, and the
-// suffix-tree walk's otherwise), and each tier reproduces it exactly.
+// anchors and paths are the first minimizer in the quadratic sweep's
+// (dist, s, t) order, which the packed kernels and the suffix-tree
+// walk both reproduce), and each tier reproduces it exactly — and
+// equals Algorithm 2's RouteUndirected on every graph.
 // internal/check's kernels oracle (exhaustive on small graphs, sampled
 // pairs on the multi-word ones) and FuzzKernelTierEquivalence enforce
 // this.
@@ -151,23 +152,18 @@ func (kn *Kernels) resolveSlow(d, k int) (tierInfo, bool) {
 	return tierInfo{tier: TierScratch}, !pending
 }
 
-// canonicalAnchors returns the anchors that define this (d,k)'s paths:
-// the quadratic sweep's on every packed-eligible graph, the
-// suffix-tree walk's otherwise. The packed kernels compute the former
-// when enabled; the scratch fallback reproduces them exactly.
+// canonicalAnchors returns the anchors that define x→y's path: the
+// first minimizer of Theorem 2 in the quadratic sweep's (dist, s, t)
+// order. Packed operands go to the packed kernels, everything else to
+// the suffix-tree walk, which breaks ties in the same order.
 func (kn *Kernels) canonicalAnchors(x, y word.Word) (anchor, anchor, error) {
 	d, k := x.Base(), x.Len()
-	quadratic := packedEligible(d, k)
-	if quadratic && !kn.cfg.DisablePacked {
+	if !kn.cfg.DisablePacked && packedEligible(d, k) {
 		kn.ps.load(x, y)
 		aL, aR := kn.packedAnchors(kn.ps.x, kn.ps.y, k, word.PackedBits(d))
 		return aL, aR, nil
 	}
 	kn.sc.loadDigits(x, y)
-	if quadratic {
-		aL, aR := kn.sc.anchorsQuadratic(kn.sc.xd, kn.sc.yd)
-		return aL, aR, nil
-	}
 	return kn.sc.treeAnchors(kn.sc.xd, kn.sc.yd)
 }
 
@@ -283,6 +279,12 @@ func (kn *Kernels) NextHopUndirected(x, y word.Word) (Hop, bool, error) {
 	if err != nil {
 		return Hop{}, false, err
 	}
+	return kn.firstHop(x, y, aL, aR)
+}
+
+// firstHop materializes the anchors' path into the scratch hop buffer
+// and returns its first hop, so next-hop queries do not allocate.
+func (kn *Kernels) firstHop(x, y word.Word, aL, aR anchor) (Hop, bool, error) {
 	kn.sc.path = appendUndirectedPath(kn.sc.path[:0], y, aL, aR)
 	if len(kn.sc.path) == 0 {
 		return Hop{}, false, fmt.Errorf("core: empty route for distinct vertices %v, %v", x, y)
@@ -452,12 +454,7 @@ func (f *Frame) NextHopUndirected(i int) (Hop, bool, error) {
 	if err != nil {
 		return Hop{}, false, err
 	}
-	kn := f.kn
-	kn.sc.path = appendUndirectedPath(kn.sc.path[:0], s.y, aL, aR)
-	if len(kn.sc.path) == 0 {
-		return Hop{}, false, fmt.Errorf("core: empty route for distinct vertices %v, %v", s.x, s.y)
-	}
-	return kn.sc.path[0], true, nil
+	return f.kn.firstHop(s.x, s.y, aL, aR)
 }
 
 func (f *Frame) anchors(s *frameSlot, ti tierInfo) (anchor, anchor, error) {

@@ -314,19 +314,11 @@ func TestKernelsTierSelection(t *testing.T) {
 	}
 }
 
-// kernelRefRoute is the canonical Algorithm 2 path for DG(d,k): the
-// quadratic sweep's (RouteUndirected) on every packed-eligible graph,
-// the suffix-tree walk's otherwise — computed entirely outside the
-// tier engine.
+// kernelRefRoute is the canonical Algorithm 2 path for DG(d,k),
+// computed entirely outside the tier engine.
 func kernelRefRoute(t testing.TB, x, y word.Word) Path {
 	t.Helper()
-	var p Path
-	var err error
-	if packedEligible(x.Base(), x.Len()) {
-		p, err = RouteUndirected(x, y)
-	} else {
-		p, err = RouteUndirectedLinear(x, y)
-	}
+	p, err := RouteUndirected(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,13 +422,13 @@ func TestKernelsMatchScratch(t *testing.T) {
 					if gotH != wantP[0] {
 						t.Fatalf("NextHopUndirected %v -> %v: got %v, want %v", x, y, gotH, wantP[0])
 					}
-					wantDH, wantOK, err := NextHopDirected(x, y)
+					wantDP, err := RouteDirected(x, y)
 					if err != nil {
 						t.Fatal(err)
 					}
 					gotDH, gotOK, err := kn.NextHopDirected(x, y)
-					if err != nil || gotOK != wantOK || gotDH != wantDH {
-						t.Fatalf("NextHopDirected %v -> %v: got %v,%v,%v want %v,%v", x, y, gotDH, gotOK, err, wantDH, wantOK)
+					if err != nil || !gotOK || gotDH != wantDP[0] {
+						t.Fatalf("NextHopDirected %v -> %v: got %v,%v,%v want %v", x, y, gotDH, gotOK, err, wantDP[0])
 					}
 				}
 			}

@@ -49,22 +49,13 @@ func buildS(x, y []byte) []byte {
 	return s
 }
 
-// treeAnchors walks the compact prefix tree of S = X⊥Y⊤ once,
+// treeAnchorsPointer walks the compact prefix tree of S = X⊥Y⊤ once,
 // computing the subtree position extrema and returning the minimizing
-// anchors of both halves of Theorem 2. O(k) time and space; evaluated
-// on pooled arena scratch (scratch.treeAnchors), so steady-state calls
-// do not allocate. treeAnchorsPointer below is the original
-// pointer-tree recursion, kept as the structural oracle the tests pin
-// the arena walk against anchor-for-anchor.
-func treeAnchors(x, y []byte) (aL, aR anchor, err error) {
-	sc := getScratch()
-	aL, aR, err = sc.treeAnchors(x, y)
-	putScratch(sc)
-	return aL, aR, err
-}
-
-// treeAnchorsPointer is the recursive reference implementation over
-// the pointer suffix tree, allocating one tree per call.
+// anchors of both halves of Theorem 2, first in (dist, s, t) order —
+// the quadratic sweep's tie-break. O(k) time and space. It is the
+// recursive reference over the pointer suffix tree, allocating one
+// tree per call; scratch.treeAnchors is the arena walk the kernels
+// run, pinned to this one anchor-for-anchor by the tests.
 func treeAnchorsPointer(x, y []byte) (aL, aR anchor, err error) {
 	k := len(x)
 	tree, err := suffixtree.Build(buildS(x, y))
@@ -111,14 +102,16 @@ func treeAnchorsPointer(x, y []byte) (aL, aR anchor, err error) {
 		}
 		if n.Depth >= 1 && e.minX < inf && e.maxY > 0 {
 			// l-part candidate: i = minX, j = maxY + D - 1, θ = D.
-			d := 2*k - 1 + e.minX - e.maxY - 2*n.Depth + 1
-			if d < aL.dist {
-				aL = anchor{s: e.minX, t: e.maxY + n.Depth - 1, theta: n.Depth, dist: d}
+			if d := 2*k - 1 + e.minX - e.maxY - 2*n.Depth + 1; d <= aL.dist {
+				if c := (anchor{s: e.minX, t: e.maxY + n.Depth - 1, theta: n.Depth, dist: d}); d < aL.dist || c.before(aL) {
+					aL = c
+				}
 			}
 			// r-part candidate: i = maxX + D - 1, j = minY, θ = D.
-			d = 2*k - 1 + e.minY - e.maxX - 2*n.Depth + 1
-			if d < aR.dist {
-				aR = anchor{s: e.maxX + n.Depth - 1, t: e.minY, theta: n.Depth, dist: d}
+			if d := 2*k - 1 + e.minY - e.maxX - 2*n.Depth + 1; d <= aR.dist {
+				if c := (anchor{s: e.maxX + n.Depth - 1, t: e.minY, theta: n.Depth, dist: d}); d < aR.dist || c.before(aR) {
+					aR = c
+				}
 			}
 		}
 		return e

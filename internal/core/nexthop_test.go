@@ -26,7 +26,7 @@ func TestSelfRouteDirectedExhaustive(t *testing.T) {
 		d, k := dk[0], dk[1]
 		words := allWords(t, d, k)
 		for name, next := range map[string]func(cur, dst word.Word) (Hop, bool, error){
-			"function": NextHopDirected,
+			"computed": NewKernels(KernelConfig{TableBudget: -1}).NextHopDirected,
 			"table":    tableKernels(t, d, k).NextHopDirected,
 		} {
 			for _, x := range words {
@@ -58,7 +58,7 @@ func TestSelfRouteUndirectedExhaustive(t *testing.T) {
 		chooser := func(int, word.Word, Hop) byte { return byte(rng.Intn(d)) }
 		words := allWords(t, d, k)
 		for name, next := range map[string]func(cur, dst word.Word) (Hop, bool, error){
-			"function": NextHopUndirected,
+			"computed": NewKernels(KernelConfig{TableBudget: -1}).NextHopUndirected,
 			"table":    tableKernels(t, d, k).NextHopUndirected,
 		} {
 			for _, x := range words {
@@ -88,6 +88,7 @@ func TestSelfRouteContractsByOneEachHop(t *testing.T) {
 	// distance exactly D-1: every wildcard digit keeps the remaining
 	// route valid.
 	rng := rand.New(rand.NewSource(62))
+	kn := NewKernels(KernelConfig{TableBudget: -1, DisablePacked: true})
 	for iter := 0; iter < 100; iter++ {
 		d := 2 + rng.Intn(3)
 		k := 2 + rng.Intn(10)
@@ -98,7 +99,7 @@ func TestSelfRouteContractsByOneEachHop(t *testing.T) {
 			t.Fatal(err)
 		}
 		for dist > 0 {
-			h, more, err := NextHopUndirected(cur, y)
+			h, more, err := kn.NextHopUndirected(cur, y)
 			if err != nil || !more {
 				t.Fatal(err, more)
 			}
@@ -126,16 +127,17 @@ func TestSelfRouteContractsByOneEachHop(t *testing.T) {
 
 func TestNextHopValidation(t *testing.T) {
 	x := word.MustParse(2, "01")
-	if _, _, err := NextHopDirected(x, word.MustParse(3, "01")); err == nil {
+	kn := NewKernels(KernelConfig{})
+	if _, _, err := kn.NextHopDirected(x, word.MustParse(3, "01")); err == nil {
 		t.Error("NextHopDirected accepted mixed bases")
 	}
-	if _, _, err := NextHopUndirected(x, word.MustParse(2, "011")); err == nil {
+	if _, _, err := kn.NextHopUndirected(x, word.MustParse(2, "011")); err == nil {
 		t.Error("NextHopUndirected accepted mixed lengths")
 	}
-	if _, more, err := NextHopDirected(x, x); err != nil || more {
+	if _, more, err := kn.NextHopDirected(x, x); err != nil || more {
 		t.Error("NextHopDirected at destination should report done")
 	}
-	if _, more, err := NextHopUndirected(x, x); err != nil || more {
+	if _, more, err := kn.NextHopUndirected(x, x); err != nil || more {
 		t.Error("NextHopUndirected at destination should report done")
 	}
 }
@@ -157,7 +159,7 @@ func TestSelfRouteGuards(t *testing.T) {
 
 func TestSelfRouteAtDestination(t *testing.T) {
 	x := word.MustParse(2, "0101")
-	walk, err := SelfRoute(x, x, NextHopUndirected, nil, 16)
+	walk, err := SelfRoute(x, x, NewKernels(KernelConfig{}).NextHopUndirected, nil, 16)
 	if err != nil || len(walk) != 1 {
 		t.Errorf("walk = %v, %v", walk, err)
 	}

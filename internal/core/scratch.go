@@ -18,9 +18,9 @@ import (
 // Not safe for concurrent use.
 //
 // The package-level one-shot functions (UndirectedDistance,
-// RouteUndirectedLinear, NextHopUndirected, …) keep their signatures
-// and route through an internal sync.Pool of these, so casual callers
-// get the same near-zero allocation profile without holding state.
+// RouteUndirectedLinear, …) keep their signatures and route through an
+// internal sync.Pool of these, so casual callers get the same
+// near-zero allocation profile without holding state.
 type scratch struct {
 	ms     match.Scratch      // failure tables + matching rows
 	ts     suffixtree.Scratch // node arena for Algorithm 4's tree
@@ -28,7 +28,7 @@ type scratch struct {
 	xd, yd []byte             // digit buffers (no word.Digits copies)
 	ext    []extrema          // per-node subtree extrema, arena-indexed
 	frames []aframe           // iterative post-order stack
-	path   Path               // hop buffer for next-hop queries
+	path   Path               // hop buffer for Kernels' next-hop queries
 }
 
 var corePool = sync.Pool{New: func() any { return new(scratch) }}
@@ -134,29 +134,6 @@ func (sc *scratch) RouteUndirectedLinear(x, y word.Word) (Path, error) {
 	return buildUndirectedPath(y, aL, aR), nil
 }
 
-// NextHopUndirected returns the first hop of an Algorithm 4 route with
-// zero allocation: the path is materialized into the scratch hop
-// buffer, not the heap. The returned Hop is a value; it remains valid
-// after the next call.
-func (sc *scratch) NextHopUndirected(cur, dst word.Word) (Hop, bool, error) {
-	if err := validatePair(cur, dst); err != nil {
-		return Hop{}, false, err
-	}
-	if cur.Equal(dst) {
-		return Hop{}, false, nil
-	}
-	sc.loadDigits(cur, dst)
-	aL, aR, err := sc.treeAnchors(sc.xd, sc.yd)
-	if err != nil {
-		return Hop{}, false, err
-	}
-	sc.path = appendUndirectedPath(sc.path[:0], dst, aL, aR)
-	if len(sc.path) == 0 {
-		return Hop{}, false, fmt.Errorf("core: empty route for distinct vertices %v, %v", cur, dst)
-	}
-	return sc.path[0], true, nil
-}
-
 // anchorsQuadratic computes both Theorem 2 anchors with the O(k²)
 // sweep, in bestLQuadratic/bestRQuadratic's exact minimization order
 // (i ascending, then j ascending, strict improvement) so anchors — and
@@ -168,11 +145,12 @@ func (sc *scratch) anchorsQuadratic(xd, yd []byte) (aL, aR anchor) {
 
 // treeAnchors is treeAnchorsPointer on the arena tree: one iterative
 // post-order walk of the compact prefix tree of S = X⊥Y⊤ computing
-// subtree extrema and the two minimizing anchors. Children are visited
-// in increasing edge-symbol order and candidates checked at each
-// internal vertex after its children, replicating the recursive walk's
-// traversal — and hence its argmin tie-breaks — exactly. O(k) time,
-// zero allocation once the scratch is warm.
+// subtree extrema and the two minimizing anchors. Candidates compare
+// on (dist, s, t) — θ follows from the three — so the winner is the
+// quadratic sweep's first minimizer whatever the visiting order: the
+// sweep's (i₀, j₀) is the (minX, maxY+D−1) candidate at the lowest
+// common ancestor of its two leaves. O(k) time, zero allocation once
+// the scratch is warm.
 func (sc *scratch) treeAnchors(x, y []byte) (aL, aR anchor, err error) {
 	k := len(x)
 	sc.sbuf = append(sc.sbuf[:0], x...)
@@ -222,14 +200,16 @@ func (sc *scratch) treeAnchors(x, y []byte) (aL, aR anchor, err error) {
 		e := ext[id]
 		if depth := int(nodes[id].Depth); depth >= 1 && e.minX < inf && e.maxY > 0 {
 			// l-part candidate: i = minX, j = maxY + D - 1, θ = D.
-			d := 2*k - 1 + e.minX - e.maxY - 2*depth + 1
-			if d < aL.dist {
-				aL = anchor{s: e.minX, t: e.maxY + depth - 1, theta: depth, dist: d}
+			if d := 2*k - 1 + e.minX - e.maxY - 2*depth + 1; d <= aL.dist {
+				if c := (anchor{s: e.minX, t: e.maxY + depth - 1, theta: depth, dist: d}); d < aL.dist || c.before(aL) {
+					aL = c
+				}
 			}
 			// r-part candidate: i = maxX + D - 1, j = minY, θ = D.
-			d = 2*k - 1 + e.minY - e.maxX - 2*depth + 1
-			if d < aR.dist {
-				aR = anchor{s: e.maxX + depth - 1, t: e.minY, theta: depth, dist: d}
+			if d := 2*k - 1 + e.minY - e.maxX - 2*depth + 1; d <= aR.dist {
+				if c := (anchor{s: e.maxX + depth - 1, t: e.minY, theta: depth, dist: d}); d < aR.dist || c.before(aR) {
+					aR = c
+				}
 			}
 		}
 		sc.frames = sc.frames[:len(sc.frames)-1]

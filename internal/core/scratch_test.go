@@ -8,7 +8,7 @@ import (
 )
 
 // TestScratchEquivalence pins every scratch method to its one-shot
-// sibling — byte-identical paths, equal distances and hops — across
+// sibling — byte-identical paths and equal distances — across
 // seeded pairs on every DG(d,k) with at most 4096 vertices, reusing
 // ONE scratch throughout so cross-query buffer contamination would
 // surface.
@@ -63,14 +63,6 @@ func TestScratchEquivalence(t *testing.T) {
 				if gp.String() != wp.String() {
 					t.Fatalf("scratch.RouteUndirectedLinear(%v,%v) = %v, want %v", x, y, gp, wp)
 				}
-				gh, gok, err := sc.NextHopUndirected(x, y)
-				if err != nil {
-					t.Fatalf("scratch.NextHopUndirected(%v,%v): %v", x, y, err)
-				}
-				wh, wok, _ := NextHopUndirected(x, y)
-				if gh != wh || gok != wok {
-					t.Fatalf("scratch.NextHopUndirected(%v,%v) = (%v,%v), want (%v,%v)", x, y, gh, gok, wh, wok)
-				}
 			}
 		}
 	}
@@ -117,7 +109,7 @@ func TestTreeAnchorsMatchesPointerWalk(t *testing.T) {
 }
 
 // TestOneShotAllocBudgets pins the allocation budgets the PR's perf
-// work establishes: distance and next-hop queries are allocation-free
+// work establishes: distance queries are allocation-free
 // once the scratch pool is warm, and route construction allocates only
 // the returned exactly-sized path.
 func TestOneShotAllocBudgets(t *testing.T) {
@@ -135,7 +127,6 @@ func TestOneShotAllocBudgets(t *testing.T) {
 			{"DirectedDistance", 0, func() { DirectedDistance(x, y) }},
 			{"UndirectedDistance", 0, func() { UndirectedDistance(x, y) }},
 			{"UndirectedDistanceLinear", 0, func() { UndirectedDistanceLinear(x, y) }},
-			{"NextHopUndirected", 0, func() { NextHopUndirected(x, y) }},
 			{"RouteUndirected", 2, func() { RouteUndirected(x, y) }},
 			{"RouteUndirectedLinear", 2, func() { RouteUndirectedLinear(x, y) }},
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/word"
@@ -19,12 +20,16 @@ import (
 // treeAnchors.dist == bestL/RQuadratic.dist on every pair of every
 // small graph, k ≤ 2 and d ≥ 2 edge cases included. The quadratic
 // side minimizes over the full range including θ=0, so equality is
-// exactly the no-shadowing property.
+// exactly the no-shadowing property. Below the sentinel the two
+// searches also pick the same anchor — the tree breaks ties on
+// (dist, s, t) like the sweep's row-major scan — so Algorithms 2 and
+// 4 build the same path on every pair.
 func TestTreeAnchorsMatchQuadratic(t *testing.T) {
 	for _, tc := range []struct{ d, k int }{
 		{2, 1}, {2, 2}, {3, 1}, {3, 2}, {4, 1}, {4, 2}, {5, 2}, {7, 2},
-		{2, 3}, {2, 4}, {2, 5}, {3, 3}, {3, 4}, {4, 3},
+		{2, 3}, {2, 4}, {2, 5}, {2, 6}, {3, 3}, {3, 4}, {4, 3}, {5, 3},
 	} {
+		sc := new(scratch)
 		sentinels := 0
 		if _, err := word.ForEach(tc.d, tc.k, func(x word.Word) bool {
 			_, err := word.ForEach(tc.d, tc.k, func(y word.Word) bool {
@@ -33,13 +38,28 @@ func TestTreeAnchorsMatchQuadratic(t *testing.T) {
 				}
 				xd, yd := rawDigits(x), rawDigits(y)
 				qL, qR := bestLQuadratic(xd, yd), bestRQuadratic(xd, yd)
-				tL, tR, err := treeAnchors(xd, yd)
+				tL, tR, err := sc.treeAnchors(xd, yd)
 				if err != nil {
 					t.Fatalf("treeAnchors(%v,%v): %v", x, y, err)
 				}
 				if tL.dist != qL.dist || tR.dist != qR.dist {
 					t.Errorf("DG(%d,%d) %v→%v: tree anchors (%d,%d), quadratic (%d,%d)",
 						tc.d, tc.k, x, y, tL.dist, tR.dist, qL.dist, qR.dist)
+				}
+				if qL.dist < tc.k && tL != qL || qR.dist < tc.k && tR != qR {
+					t.Errorf("DG(%d,%d) %v→%v: tree anchors (%+v,%+v), quadratic (%+v,%+v)",
+						tc.d, tc.k, x, y, tL, tR, qL, qR)
+				}
+				p2, err := RouteUndirected(x, y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p4, err := RouteUndirectedLinear(x, y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(p4, p2) {
+					t.Errorf("DG(%d,%d) %v→%v: Algorithm 4 path %v, Algorithm 2 path %v", tc.d, tc.k, x, y, p4, p2)
 				}
 				if tL.dist >= tc.k && tR.dist >= tc.k {
 					sentinels++
@@ -94,7 +114,7 @@ func TestSaturatedSentinelTable(t *testing.T) {
 		x := mustParse(t, tc.d, tc.x)
 		y := mustParse(t, tc.d, tc.y)
 		k := x.Len()
-		aL, aR, err := treeAnchors(rawDigits(x), rawDigits(y))
+		aL, aR, err := new(scratch).treeAnchors(rawDigits(x), rawDigits(y))
 		if err != nil {
 			t.Fatal(err)
 		}

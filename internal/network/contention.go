@@ -97,6 +97,7 @@ func (PlanLeastLoaded) Name() string { return "least-loaded" }
 // Contention is the batch store-and-forward simulator.
 type Contention struct {
 	cfg     ContentionConfig
+	kn      *core.Kernels
 	rng     *rand.Rand
 	planned map[[2]int]int
 	walks   [][]word.Word // planned site sequence per message
@@ -118,6 +119,7 @@ func NewContention(cfg ContentionConfig) (*Contention, error) {
 	}
 	return &Contention{
 		cfg:     cfg,
+		kn:      core.NewKernels(core.KernelConfig{}),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		planned: make(map[[2]int]int),
 	}, nil
@@ -134,7 +136,7 @@ func (c *Contention) Add(src, dst word.Word) error {
 	if c.cfg.Unidirectional {
 		route, err = core.RouteDirected(src, dst)
 	} else {
-		route, err = core.RouteUndirectedLinear(src, dst)
+		route, err = c.kn.RouteUndirected(src, dst)
 	}
 	if err != nil {
 		return err

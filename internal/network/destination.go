@@ -10,8 +10,8 @@ import (
 // SendDestinationRouted forwards a message with destination-based
 // self-routing: the header carries no path field; every site derives
 // its next hop locally from (current site, destination) with the
-// distance functions (core.NextHopDirected / NextHopUndirected),
-// resolving wildcard decisions with the configured policy. Hop counts
+// kernel engine's next-hop queries (Kernels.NextHopDirected /
+// NextHopUndirected), resolving wildcard decisions with the configured policy. Hop counts
 // match source-routed delivery exactly — per-hop recomputation
 // contracts the distance by one regardless of wildcard resolution.
 func (n *Network) SendDestinationRouted(src, dst word.Word, payload string) (Delivery, error) {
@@ -32,9 +32,9 @@ func (n *Network) nextHop(cur, dst word.Word) (core.Hop, error) {
 	var more bool
 	var err error
 	if n.cfg.Unidirectional {
-		hop, more, err = core.NextHopDirected(cur, dst)
+		hop, more, err = n.kn.NextHopDirected(cur, dst)
 	} else {
-		hop, more, err = core.NextHopUndirected(cur, dst)
+		hop, more, err = n.kn.NextHopUndirected(cur, dst)
 	}
 	if err == nil && !more {
 		// Unreachable: forward asks only while cur != dst.

@@ -2,6 +2,7 @@ package network
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,6 +65,42 @@ func TestSendDeliversWithOptimalHops(t *testing.T) {
 		if s.Delivered != len(words)*len(words) || s.Dropped != 0 {
 			t.Errorf("stats = %+v", s)
 		}
+	}
+}
+
+// TestRouteIsAlgorithm2 pins the bi-directional source route to
+// Algorithm 2's path hop for hop on every ordered pair of DN(2,6), so
+// the simulator's link loads follow the same canonical path as every
+// kernel tier and the serving layer.
+func TestRouteIsAlgorithm2(t *testing.T) {
+	n := mustNet(t, Config{D: 2, K: 6})
+	var words []word.Word
+	if _, err := word.ForEach(2, 6, func(w word.Word) bool {
+		words = append(words, w)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	diffs := 0
+	for _, src := range words {
+		for _, dst := range words {
+			got, err := n.Route(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.RouteUndirected(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				if diffs++; diffs <= 3 {
+					t.Errorf("Route(%v,%v) = %v, Algorithm 2 gives %v", src, dst, got, want)
+				}
+			}
+		}
+	}
+	if diffs > 0 {
+		t.Errorf("%d of %d pairs route off Algorithm 2's path", diffs, len(words)*len(words))
 	}
 }
 

@@ -195,7 +195,7 @@ func expectedWalk(t *testing.T, unidirectional bool, src, dst word.Word) []word.
 	if unidirectional {
 		route, err = core.RouteDirected(src, dst)
 	} else {
-		route, err = core.RouteUndirectedLinear(src, dst)
+		route, err = core.RouteUndirected(src, dst)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -82,6 +82,7 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 		sites[i] = w
 	}
 	var res OpenLoopResult
+	kn := core.NewKernels(core.KernelConfig{})
 	lr := linkRounds{capacity: cfg.LinkCapacity}
 	for round := 1; ; round++ {
 		if round > cfg.MaxRounds {
@@ -95,7 +96,7 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 					continue
 				}
 				dst := word.Random(cfg.D, cfg.K, rng)
-				route, err := core.RouteUndirectedLinear(src, dst)
+				route, err := kn.RouteUndirected(src, dst)
 				if err != nil {
 					return OpenLoopResult{}, err
 				}

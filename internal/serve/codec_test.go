@@ -295,6 +295,7 @@ func TestCodecAllocations(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	req, a := route64(t)
+	settleTableBuilds()
 	var resp Response
 	if n := testing.AllocsPerRun(100, func() { resp = answerResponse(7, KindRoute, a, false) }); n != 1 {
 		t.Errorf("answerResponse of a %d-hop route: %v allocs, want 1 (the path slice)", len(a.Path), n)
