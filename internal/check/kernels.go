@@ -47,9 +47,13 @@ func (o *KernelsOptions) defaults() {
 // engine (T2 where the alphabet packs), and the table-admitting
 // engine (T1 where the pair matrix fits the default budget, built
 // synchronously). Every directed distance, undirected distance,
-// canonical route (hop for hop) and next hop is compared. The
-// ladder's contract is exact equality, not mere optimality: tier
-// selection must be semantically invisible.
+// canonical route (hop for hop) and next hop is compared, and on
+// exhaustively swept graphs every distance column (DistanceColumn
+// toward each destination, both orientations). Sampled graphs mix
+// uniform pairs with a structured family (structuredPair) that
+// reaches equal-distance anchor ties. The ladder's contract is exact
+// equality, not mere optimality: tier selection must be semantically
+// invisible.
 func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 	opt.defaults()
 	rep := Report{Mode: "kernels", D: d, K: k}
@@ -70,8 +74,10 @@ func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 	f := newFindings(opt.MaxFindings)
 
 	var pairs [][2]word.Word
-	if n <= opt.SampleAbove {
-		words := make([]word.Word, 0, n)
+	var words []word.Word
+	exhaustive := n <= opt.SampleAbove
+	if exhaustive {
+		words = make([]word.Word, 0, n)
 		word.ForEach(d, k, func(w word.Word) bool {
 			words = append(words, w)
 			return true
@@ -85,10 +91,20 @@ func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 		rep.Sampled = true
 		rng := rand.New(rand.NewSource(opt.Seed))
 		for i := 0; i < opt.Pairs; i++ {
+			if i%4 == 3 {
+				pairs = append(pairs, structuredPair(d, k, rng))
+				continue
+			}
 			pairs = append(pairs, [2]word.Word{word.Random(d, k, rng), word.Random(d, k, rng)})
 		}
 	}
 
+	// On exhaustive graphs the references of every pair, row-major by
+	// rank, also check each engine's distance columns.
+	var refU, refD []int32
+	if exhaustive {
+		refU, refD = make([]int32, len(pairs)), make([]int32, len(pairs))
+	}
 	for _, p := range pairs {
 		if f.full() {
 			rep.Truncated = true
@@ -116,11 +132,75 @@ func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 			compareKernel(f, e.name, e.kn, x, y, wantU, wantD, wantP, wantH, wantOK)
 			compareFrame(f, e.name, e.kn, x, y, wantU, wantD, wantP, wantH, wantOK)
 		}
+		if exhaustive {
+			refU[rep.Checked], refD[rep.Checked] = int32(wantU), int32(wantD)
+		}
 		rep.Checked++
+	}
+	if exhaustive && rep.Checked == len(pairs) {
+		for _, e := range engines {
+			compareColumns(f, e.name, e.kn, words, refU, refD)
+		}
 	}
 	rep.Findings = f.result()
 	rep.Truncated = rep.Truncated || f.full()
 	return rep, nil
+}
+
+// structuredPair draws a pair whose Theorem 2 minimum lies well below
+// k and often has several minimizers: y is x shifted by a few digits
+// with a fresh fill, or x and y share one short period at an offset.
+// Uniform pairs over a large alphabet almost never tie, so without
+// this family the sampled graphs would not reach the tie-break
+// between equal-distance anchors.
+func structuredPair(d, k int, rng *rand.Rand) [2]word.Word {
+	x, y := make([]byte, k), make([]byte, k)
+	if rng.Intn(2) == 0 {
+		for i := range x {
+			x[i], y[i] = byte(rng.Intn(d)), byte(rng.Intn(d))
+		}
+		s := 1 + rng.Intn(max(1, k/4))
+		if rng.Intn(2) == 0 {
+			copy(y, x[s:])
+		} else {
+			copy(y[s:], x)
+		}
+	} else {
+		block := make([]byte, 1+rng.Intn(4))
+		for i := range block {
+			block[i] = byte(rng.Intn(min(d, 2)))
+		}
+		r := 1 + rng.Intn(len(block))
+		for i := range x {
+			x[i], y[i] = block[i%len(block)], block[(i+r)%len(block)]
+		}
+		y[rng.Intn(k)] = byte(rng.Intn(d))
+	}
+	return [2]word.Word{word.MustNew(d, x), word.MustNew(d, y)}
+}
+
+// compareColumns checks kn.DistanceColumn toward every destination,
+// undirected and directed, against the row-major reference matrices.
+func compareColumns(f *findings, name string, kn *core.Kernels, words []word.Word, refU, refD []int32) {
+	n := len(words)
+	col := make([]int32, n)
+	for j, y := range words {
+		for _, c := range []struct {
+			directed bool
+			oracle   string
+			ref      []int32
+		}{{false, "kernel-column-udist", refU}, {true, "kernel-column-ddist", refD}} {
+			if err := kn.DistanceColumn(y, c.directed, col); err != nil {
+				f.addf(c.oracle, "%s: column toward %v: %v", name, y, err)
+				continue
+			}
+			for v, got := range col {
+				if want := c.ref[v*n+j]; got != want {
+					f.addf(c.oracle, "%s: column toward %v: D(%v) = %d, reference %d", name, y, words[v], got, want)
+				}
+			}
+		}
+	}
 }
 
 func compareKernel(f *findings, name string, kn *core.Kernels, x, y word.Word, wantU, wantD int, wantP core.Path, wantH core.Hop, wantOK bool) {

@@ -231,6 +231,48 @@ func (kn *Kernels) UndirectedDistance(x, y word.Word) (int, error) {
 	}
 }
 
+// DistanceColumn fills col[v] with the distance from the vertex of
+// rank v to dst, for every vertex of DG(d,k): Theorem 2, or
+// Property 1 when directed. col must hold d^k entries. The table tier
+// ranks dst once and reads the stored column; the other tiers run
+// their kernel once per vertex.
+func (kn *Kernels) DistanceColumn(dst word.Word, directed bool, col []int32) error {
+	d, k := dst.Base(), dst.Len()
+	n, err := word.Count(d, k)
+	if err != nil {
+		return err
+	}
+	if len(col) != n {
+		return fmt.Errorf("core: distance column has %d entries, DG(%d,%d) has %d vertices", len(col), d, k, n)
+	}
+	if ti := kn.resolve(d, k); ti.tier == TierTable {
+		dist := ti.tab.udist
+		if directed {
+			dist = ti.tab.ddist
+		}
+		for v, i := 0, int(dst.MustRank()); v < n; v, i = v+1, i+n {
+			col[v] = int32(dist[i])
+		}
+		return nil
+	}
+	distance := kn.UndirectedDistance
+	if directed {
+		distance = kn.DirectedDistance
+	}
+	v := 0
+	var derr error
+	if _, err := word.ForEachInPlace(d, k, func(w word.Word) bool {
+		var dv int
+		dv, derr = distance(w, dst)
+		col[v] = int32(dv)
+		v++
+		return derr == nil
+	}); err != nil {
+		return err
+	}
+	return derr
+}
+
 func clampDist(k, dL, dR int) int {
 	d := dL
 	if dR < d {

@@ -613,3 +613,51 @@ func TestKernelAllocBudgets(t *testing.T) {
 		}
 	})
 }
+
+// TestDistanceColumn compares every tier's distance column with the
+// tier-free Theorem 2 and Property 1 functions toward every
+// destination, and checks that a column of the wrong length is
+// refused.
+func TestDistanceColumn(t *testing.T) {
+	configs := map[string]KernelConfig{
+		"scratch": {TableBudget: -1, DisablePacked: true},
+		"packed":  {TableBudget: -1},
+		"table":   {SyncTableBuild: true},
+	}
+	for _, dk := range [][2]int{{2, 5}, {3, 3}, {5, 2}} {
+		d, k := dk[0], dk[1]
+		var words []word.Word
+		if _, err := word.ForEach(d, k, func(w word.Word) bool {
+			words = append(words, w)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for name, cfg := range configs {
+			kn := NewKernels(cfg)
+			col := make([]int32, len(words))
+			for _, y := range words {
+				for _, directed := range []bool{false, true} {
+					if err := kn.DistanceColumn(y, directed, col); err != nil {
+						t.Fatal(err)
+					}
+					for v, x := range words {
+						want, err := UndirectedDistance(x, y)
+						if directed {
+							want, err = DirectedDistance(x, y)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if int(col[v]) != want {
+							t.Fatalf("%s DG(%d,%d) directed=%v: column toward %v reads %d at %v, want %d", name, d, k, directed, y, col[v], x, want)
+						}
+					}
+				}
+			}
+			if err := kn.DistanceColumn(words[0], false, col[1:]); err == nil {
+				t.Errorf("%s DG(%d,%d): accepted a column one entry short", name, d, k)
+			}
+		}
+	}
+}

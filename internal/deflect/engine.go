@@ -3,7 +3,6 @@ package deflect
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -47,19 +46,22 @@ type Engine struct {
 
 	m deflectMetrics
 
-	// per-Step scratch, reused to keep the round loop allocation-light
+	// per-Step scratch, written back after use so a warm round
+	// allocates nothing
 	free    []int32
 	cand    []int32
 	candIdx []int
 	minIdx  []int
 	moves   []move
+	spare   []*msg // messages that left the network, reused by Inject
 }
 
 type msg struct {
 	id          int
 	dst         word.Word
 	dstV        int
-	born        int // round at injection
+	ly          *Layers // toward dst; resolved on the message's first round
+	born        int     // round at injection
 	hops        int
 	deflections int
 }
@@ -109,6 +111,19 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("deflect: MaxAge %d below diameter %d", cfg.MaxAge, cfg.K)
 	}
 	n := g.NumVertices()
+	// A site holds at most one message per output link, so each
+	// resident set gets exactly that capacity from one backing array.
+	resident := make([][]*msg, n)
+	slots := 0
+	for v := range resident {
+		slots += len(g.OutNeighbors(v))
+	}
+	backing := make([]*msg, slots)
+	for v, off := 0, 0; v < n; v++ {
+		deg := len(g.OutNeighbors(v))
+		resident[v] = backing[off : off : off+deg]
+		off += deg
+	}
 	sites := make([]word.Word, n)
 	if _, err := word.ForEach(cfg.D, cfg.K, func(w word.Word) bool {
 		sites[graph.DeBruijnVertex(w)] = w
@@ -122,7 +137,7 @@ func New(cfg Config) (*Engine, error) {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		sites:    sites,
 		cache:    NewLayerCache(g),
-		resident: make([][]*msg, n),
+		resident: resident,
 		m:        newDeflectMetrics(cfg.Obs),
 	}, nil
 }
@@ -187,7 +202,13 @@ func (e *Engine) Inject(src, dst word.Word) (bool, error) {
 		e.m.refused.Inc()
 		return false, nil
 	}
-	m := &msg{id: e.nextID, dst: dst, dstV: dv, born: e.round}
+	var m *msg
+	if n := len(e.spare); n > 0 {
+		m, e.spare = e.spare[n-1], e.spare[:n-1]
+	} else {
+		m = new(msg)
+	}
+	*m = msg{id: e.nextID, dst: dst, dstV: dv, born: e.round}
 	e.nextID++
 	e.resident[sv] = append(e.resident[sv], m)
 	e.inflight++
@@ -211,21 +232,20 @@ func (e *Engine) Step() error {
 		if len(rs) == 0 {
 			continue
 		}
-		sort.Slice(rs, func(i, j int) bool {
-			if rs[i].born != rs[j].born {
-				return rs[i].born < rs[j].born
-			}
-			return rs[i].id < rs[j].id
-		})
+		byPriority(rs)
 		free := append(e.free[:0], e.g.OutNeighbors(v)...)
 		for _, m := range rs {
 			if len(free) == 0 {
 				return fmt.Errorf("deflect: site %v holds more messages than output links (internal invariant)", e.sites[v])
 			}
-			ly, err := e.cache.For(m.dst)
-			if err != nil {
-				return err
+			if m.ly == nil {
+				ly, err := e.cache.For(m.dst)
+				if err != nil {
+					return err
+				}
+				m.ly = ly
 			}
+			ly := m.ly
 			// Candidate links: the free advancing ones, else (a
 			// deflection) every free link.
 			cand, candIdx := e.cand[:0], e.candIdx[:0]
@@ -243,8 +263,10 @@ func (e *Engine) Step() error {
 					candIdx = append(candIdx, i)
 				}
 			}
+			e.cand, e.candIdx = cand, candIdx
 			choice := 0
 			if len(cand) > 1 {
+				var err error
 				choice, err = e.cfg.Policy.Choose(e, ly, v, cand)
 				if err != nil {
 					return err
@@ -266,6 +288,7 @@ func (e *Engine) Step() error {
 			}
 			moves = append(moves, move{m: m, to: to})
 		}
+		e.free = free
 		e.resident[v] = rs[:0]
 	}
 	for _, mv := range moves {
@@ -274,10 +297,12 @@ func (e *Engine) Step() error {
 		case mv.to == m.dstV:
 			e.inflight--
 			e.deliver(m)
+			e.spare = append(e.spare, m)
 		case e.round-m.born >= e.cfg.MaxAge:
 			e.inflight--
 			e.guardDropped++
 			e.m.guardTrips.Inc()
+			e.spare = append(e.spare, m)
 		default:
 			e.resident[mv.to] = append(e.resident[mv.to], m)
 		}
@@ -286,6 +311,20 @@ func (e *Engine) Step() error {
 	e.m.inflight.Set(float64(e.inflight))
 	e.m.throughput.Set(float64(e.delivered) / float64(e.round))
 	return nil
+}
+
+// byPriority sorts a site's residents oldest first: injection round,
+// then injection order. A site holds at most 2d messages, so an
+// insertion sort beats a general one.
+func byPriority(rs []*msg) {
+	for i := 1; i < len(rs); i++ {
+		m := rs[i]
+		j := i
+		for ; j > 0 && (rs[j-1].born > m.born || rs[j-1].born == m.born && rs[j-1].id > m.id); j-- {
+			rs[j] = rs[j-1]
+		}
+		rs[j] = m
+	}
 }
 
 // deliver absorbs m (already removed from the resident sets) at its

@@ -412,3 +412,44 @@ func TestRunLoadValidation(t *testing.T) {
 		t.Fatal("accepted zero rounds")
 	}
 }
+
+// TestStepAllocs pins a warm deflection round at zero allocations for
+// every policy: once every destination's layers exist, a round reuses
+// the engine's scratch (free links, candidates, moves) and the
+// resident sets, which New sizes to the sites' output links.
+func TestStepAllocs(t *testing.T) {
+	for _, pol := range Policies() {
+		e, err := New(Config{D: 2, K: 6, Policy: pol, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := e.NumSites()
+		dsts := make([]word.Word, n)
+		for v := range dsts {
+			dsts[v] = e.Word(v)
+		}
+		// fill offers every site one message per output link.
+		fill := func() {
+			for v := 0; v < n; v++ {
+				for s := 0; s < len(e.Graph().OutNeighbors(v)); s++ {
+					if _, err := e.Inject(e.Word(v), dsts[(v+17*s+1)%n]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		step := func() {
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fill()
+		stepUntilEmpty(t, e, 64*6)
+		fill()
+		// Saturated, the load takes well over the 6 measured rounds
+		// to drain.
+		if allocs := testing.AllocsPerRun(5, step); allocs != 0 || e.Inflight() == 0 {
+			t.Errorf("%s: a warm round allocated %.1f times (%d still in flight), want 0", pol.Name(), allocs, e.Inflight())
+		}
+	}
+}

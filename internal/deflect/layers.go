@@ -63,8 +63,9 @@ type Layers struct {
 // NewLayers computes the decomposition of g — a de Bruijn graph built
 // by graph.DeBruijn with matching d and k — toward dst. Directed
 // graphs use Property 1, undirected ones Theorem 2, both evaluated
-// through a core.Kernels: one O(k) kernel call per vertex, a rank
-// lookup into the shared table on table-eligible graphs. Cost: O(N·k).
+// through core.Kernels.DistanceColumn: one O(k) kernel call per
+// vertex, or one read of the shared table's column toward dst on
+// table-eligible graphs. Cost: O(N·k), O(N) from the table.
 func NewLayers(g *graph.Graph, dst word.Word) (*Layers, error) {
 	return newLayers(g, dst, core.NewKernels(core.KernelConfig{}))
 }
@@ -79,33 +80,19 @@ func newLayers(g *graph.Graph, dst word.Word, kn *core.Kernels) (*Layers, error)
 			g.NumVertices(), dst.Base(), dst.Len(), n)
 	}
 	k := dst.Len()
+	buf := make([]int32, 2*n)
 	ly := &Layers{
 		g:     g,
 		dst:   dst,
-		dist:  make([]int32, n),
-		order: make([]int32, n),
+		dist:  buf[:n],
+		order: buf[n:],
 		off:   make([]int32, k+2),
 	}
-	distance := kn.UndirectedDistance
-	if g.Kind() == graph.Directed {
-		distance = kn.DirectedDistance
-	}
-	v := 0
-	var derr error
-	if _, err := word.ForEachInPlace(dst.Base(), k, func(w word.Word) bool {
-		var dv int
-		if dv, derr = distance(w, dst); derr != nil {
-			return false
-		}
-		ly.dist[v] = int32(dv)
-		ly.off[dv+1]++
-		v++
-		return true
-	}); err != nil {
+	if err := kn.DistanceColumn(dst, g.Kind() == graph.Directed, ly.dist); err != nil {
 		return nil, fmt.Errorf("deflect: %w", err)
 	}
-	if derr != nil {
-		return nil, fmt.Errorf("deflect: %w", derr)
+	for _, dv := range ly.dist {
+		ly.off[dv+1]++
 	}
 	// Counting sort: off[i+1] holds |B_i|, prefix sums make off[i] the
 	// start of B_i, filling in vertex order (so each layer ascends)

@@ -71,7 +71,7 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 			if arr.Float64() >= cfg.Rate {
 				continue
 			}
-			dst := word.Random(cfg.D, cfg.K, arr)
+			dst := e.Word(word.RandomRank(cfg.D, cfg.K, arr))
 			res.Offered++
 			if _, err := e.Inject(e.Word(v), dst); err != nil {
 				return res, err

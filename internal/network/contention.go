@@ -75,15 +75,9 @@ type PlanLeastLoaded struct{}
 func (PlanLeastLoaded) Choose(sim *Contention, cur word.Word, h core.Hop) byte {
 	curV := graph.DeBruijnVertex(cur)
 	best := byte(0)
-	bestLoad := -1
+	bestLoad := int32(-1)
 	for b := 0; b < sim.cfg.D; b++ {
-		var next word.Word
-		if h.Type == core.TypeL {
-			next = cur.ShiftLeft(byte(b))
-		} else {
-			next = cur.ShiftRight(byte(b))
-		}
-		load := sim.planned[[2]int{curV, graph.DeBruijnVertex(next)}]
+		load := sim.planned[sim.ls.id(curV, sim.ls.shift(curV, h.Type, byte(b)))]
 		if bestLoad < 0 || load < bestLoad {
 			best, bestLoad = byte(b), load
 		}
@@ -99,14 +93,16 @@ type Contention struct {
 	cfg     ContentionConfig
 	kn      *core.Kernels
 	rng     *rand.Rand
-	planned map[[2]int]int
-	walks   [][]word.Word // planned site sequence per message
+	ls      linkSpace
+	planned []int32   // planned messages per link id
+	walks   [][]int32 // planned link ids per message
 }
 
 // NewContention validates the configuration.
 func NewContention(cfg ContentionConfig) (*Contention, error) {
-	if _, err := word.Count(cfg.D, cfg.K); err != nil {
-		return nil, fmt.Errorf("network: %w", err)
+	ls, err := newLinkSpace(cfg.D, cfg.K)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.LinkCapacity == 0 {
 		cfg.LinkCapacity = 1
@@ -121,7 +117,8 @@ func NewContention(cfg ContentionConfig) (*Contention, error) {
 		cfg:     cfg,
 		kn:      core.NewKernels(core.KernelConfig{}),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		planned: make(map[[2]int]int),
+		ls:      ls,
+		planned: make([]int32, ls.count()),
 	}, nil
 }
 
@@ -147,15 +144,15 @@ func (c *Contention) Add(src, dst word.Word) error {
 	if err != nil {
 		return err
 	}
-	walk, err := conc.Vertices(src)
-	if err != nil {
-		return err
+	links := make([]int32, len(conc))
+	v := graph.DeBruijnVertex(src)
+	for i, h := range conc {
+		next := c.ls.shift(v, h.Type, h.Digit)
+		links[i] = c.ls.id(v, next)
+		c.planned[links[i]]++
+		v = next
 	}
-	for i := 1; i < len(walk); i++ {
-		link := [2]int{graph.DeBruijnVertex(walk[i-1]), graph.DeBruijnVertex(walk[i])}
-		c.planned[link]++
-	}
-	c.walks = append(c.walks, walk)
+	c.walks = append(c.walks, links)
 	return nil
 }
 
@@ -193,17 +190,15 @@ func (c *Contention) Run() (ContentionResult, error) {
 	if maxRounds == 0 {
 		maxRounds = 64*c.cfg.K + len(c.walks)
 	}
-	lr := linkRounds{capacity: c.cfg.LinkCapacity}
-	ws := make([]walker, len(c.walks))
-	for i, walk := range c.walks {
+	lr := newLinkRounds(c.ls, c.cfg.LinkCapacity)
+	for _, links := range c.walks {
 		// Every message is injected before round 1, so its latency is
 		// its delivery round.
-		ws[i] = walker{walk: walk, injected: 1}
-		if err := lr.add(&ws[i]); err != nil {
+		if err := lr.add(walker{links: links, injected: 1}); err != nil {
 			return ContentionResult{}, err
 		}
 	}
-	for round := 1; lr.remaining > 0; round++ {
+	for round := 1; len(lr.inflight) > 0; round++ {
 		if round > maxRounds {
 			return ContentionResult{}, errors.New("network: contention run exceeded round budget")
 		}
@@ -225,11 +220,9 @@ func (c *Contention) Run() (ContentionResult, error) {
 // PlannedMaxLinkLoad returns the heaviest planned per-link message
 // count — the static congestion the run resolves over time.
 func (c *Contention) PlannedMaxLinkLoad() int {
-	best := 0
+	best := int32(0)
 	for _, v := range c.planned {
-		if v > best {
-			best = v
-		}
+		best = max(best, v)
 	}
-	return best
+	return int(best)
 }

@@ -69,11 +69,11 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 		cfg.MaxRounds = 40*cfg.Rounds + 64*cfg.K
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	n, err := word.Count(cfg.D, cfg.K)
+	ls, err := newLinkSpace(cfg.D, cfg.K)
 	if err != nil {
 		return OpenLoopResult{}, err
 	}
-	sites := make([]word.Word, n)
+	sites := make([]word.Word, ls.n)
 	for i := range sites {
 		w, err := word.Unrank(cfg.D, cfg.K, uint64(i))
 		if err != nil {
@@ -83,7 +83,10 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	}
 	var res OpenLoopResult
 	kn := core.NewKernels(core.KernelConfig{})
-	lr := linkRounds{capacity: cfg.LinkCapacity}
+	lr := newLinkRounds(ls, cfg.LinkCapacity)
+	// Walks are carved from shared chunks of link ids (a walk has at
+	// most k hops); a chunk is freed once its last walker delivers.
+	var chunk []int32
 	for round := 1; ; round++ {
 		if round > cfg.MaxRounds {
 			res.Saturated = true
@@ -91,31 +94,37 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 		}
 		// Arrivals during the measurement window.
 		if round <= cfg.Rounds {
-			for _, src := range sites {
+			for v, src := range sites {
 				if rng.Float64() >= cfg.Rate {
 					continue
 				}
-				dst := word.Random(cfg.D, cfg.K, rng)
+				dst := sites[word.RandomRank(cfg.D, cfg.K, rng)]
 				route, err := kn.RouteUndirected(src, dst)
 				if err != nil {
 					return OpenLoopResult{}, err
 				}
-				conc, err := route.Concrete(src, func(int, word.Word, core.Hop) byte {
-					return byte(rng.Intn(cfg.D))
-				})
-				if err != nil {
-					return OpenLoopResult{}, err
+				// Walk the route by rank, resolving each wildcard
+				// with a uniform digit.
+				if cap(chunk)-len(chunk) < cfg.K {
+					chunk = make([]int32, 0, max(1024, cfg.K))
 				}
-				walk, err := conc.Vertices(src)
-				if err != nil {
-					return OpenLoopResult{}, err
+				links, cur := chunk[len(chunk):len(chunk):len(chunk)+cfg.K], v
+				for _, h := range route {
+					digit := h.Digit
+					if h.Wildcard {
+						digit = byte(rng.Intn(cfg.D))
+					}
+					next := ls.shift(cur, h.Type, digit)
+					links = append(links, ls.id(cur, next))
+					cur = next
 				}
+				chunk = chunk[:len(chunk)+len(links)]
 				res.Offered++
-				if err := lr.add(&walker{walk: walk, injected: round}); err != nil {
+				if err := lr.add(walker{links: links, injected: int32(round)}); err != nil {
 					return OpenLoopResult{}, err
 				}
 			}
-		} else if lr.remaining == 0 {
+		} else if len(lr.inflight) == 0 {
 			break
 		}
 		// One synchronous forwarding round, the batch engine's
@@ -124,7 +133,7 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 		if err != nil {
 			return OpenLoopResult{}, err
 		}
-		if !progressed && round > cfg.Rounds && lr.remaining > 0 {
+		if !progressed && round > cfg.Rounds && len(lr.inflight) > 0 {
 			return OpenLoopResult{}, errors.New("network: open loop stalled (internal error)")
 		}
 	}

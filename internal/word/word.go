@@ -311,6 +311,17 @@ func Random(base, k int, rng *rand.Rand) Word {
 	return Word{base: base, digits: digits}
 }
 
+// RandomRank returns the rank of the word Random(base, k, rng) would
+// return, drawing the same digits from rng without allocating the
+// word. base^k must fit an int (see Count).
+func RandomRank(base, k int, rng *rand.Rand) int {
+	r := 0
+	for i := 0; i < k; i++ {
+		r = r*base + rng.Intn(base)
+	}
+	return r
+}
+
 // ForEach enumerates every word of length k over base d in
 // lexicographic order, invoking fn for each; enumeration stops early if
 // fn returns false. It reports whether the enumeration ran to

@@ -309,6 +309,19 @@ func TestRandomDeterministic(t *testing.T) {
 	}
 }
 
+// TestRandomRankMatchesRandom checks that RandomRank draws the same
+// digits as Random: equal ranks from equal seeds, over several draws
+// so the streams stay in step.
+func TestRandomRankMatchesRandom(t *testing.T) {
+	a, b := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	for i := 0; i < 50; i++ {
+		w := Random(3, 7, a)
+		if got, want := RandomRank(3, 7, b), int(w.MustRank()); got != want {
+			t.Fatalf("draw %d: RandomRank = %d, Random ranks %d", i, got, want)
+		}
+	}
+}
+
 func TestCompare(t *testing.T) {
 	a, b := MustParse(2, "010"), MustParse(2, "011")
 	if a.Compare(b) != -1 || b.Compare(a) != 1 || a.Compare(a) != 0 {
