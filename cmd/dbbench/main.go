@@ -208,15 +208,21 @@ type cellKey struct {
 
 // compareReports checks every fresh cell that also exists in the
 // baseline. A cell regresses when ns/op exceeds baseline×(1+tolNs) or
-// allocs/op exceeds baseline + max(8, baseline/4). Cells only in one
-// report are skipped, so a baseline from a wider -k sweep still gates
-// a quick run.
+// allocs/op exceeds baseline + max(8, baseline/4). A baseline cell
+// whose (d,k) point the fresh run measured but whose op it no longer
+// produces is a regression too, so deleting a benchmark cannot drop
+// its gate silently. Points only one report measured are skipped, so
+// a baseline from a wider -k sweep still gates a quick run.
 func compareReports(base, cur Report, tolNs float64) (regs []string, compared int) {
 	baseBy := make(map[cellKey]Result, len(base.Results))
 	for _, r := range base.Results {
 		baseBy[cellKey{r.Op, r.D, r.K}] = r
 	}
+	produced := make(map[cellKey]bool, len(cur.Results))
+	measured := make(map[[2]int]bool)
 	for _, c := range cur.Results {
+		produced[cellKey{c.Op, c.D, c.K}] = true
+		measured[[2]int{c.D, c.K}] = true
 		b, ok := baseBy[cellKey{c.Op, c.D, c.K}]
 		if !ok {
 			continue
@@ -235,6 +241,11 @@ func compareReports(base, cur Report, tolNs float64) (regs []string, compared in
 				c.Op, c.D, c.K, c.AllocsPerOp, b.AllocsPerOp, b.AllocsPerOp+slack))
 		}
 	}
+	for _, b := range base.Results {
+		if measured[[2]int{b.D, b.K}] && !produced[cellKey{b.Op, b.D, b.K}] {
+			regs = append(regs, fmt.Sprintf("%s d=%d k=%d: in the baseline but not produced by the fresh run", b.Op, b.D, b.K))
+		}
+	}
 	return regs, compared
 }
 
@@ -242,9 +253,7 @@ func compareReports(base, cur Report, tolNs float64) (regs []string, compared in
 // primitives (Router/Distance/Route), then the tiered kernel engine —
 // PackedDistance/PackedRoute on the bit-packed tier (falling back to
 // scratch where the alphabet doesn't pack), TableDistance/TableRoute
-// on the rank-table tier when (d,k) fits the default budget, and
-// BatchDistance through a batch frame that amortizes packing across
-// the pair pool.
+// on the rank-table tier when (d,k) fits the default budget.
 func benchCells(d, k int) ([]Result, error) {
 	rng := rand.New(rand.NewSource(17))
 	pairs := make([][2]word.Word, 64)
@@ -290,41 +299,6 @@ func benchCells(d, k int) ([]Result, error) {
 		}
 		out = append(out, Result{
 			Op: op.name, D: d, K: k,
-			Iterations:  br.N,
-			NsPerOp:     float64(br.T.Nanoseconds()) / float64(br.N),
-			AllocsPerOp: br.AllocsPerOp(),
-			BytesPerOp:  br.AllocedBytesPerOp(),
-		})
-	}
-	// BatchDistance: per-query cost through a batch frame, including the
-	// amortized cost of repacking the frame once per pass over the pool.
-	{
-		var failure error
-		br := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			fr := packed.Frame()
-			for i := 0; i < b.N; i++ {
-				j := i % len(pairs)
-				if j == 0 {
-					fr = packed.Frame()
-					for _, p := range pairs {
-						if _, err := fr.Add(p[0], p[1]); err != nil {
-							failure = err
-							b.FailNow()
-						}
-					}
-				}
-				if _, err := fr.UndirectedDistance(j); err != nil {
-					failure = err
-					b.FailNow()
-				}
-			}
-		})
-		if failure != nil {
-			return nil, fmt.Errorf("BatchDistance d=%d k=%d: %w", d, k, failure)
-		}
-		out = append(out, Result{
-			Op: "BatchDistance", D: d, K: k,
 			Iterations:  br.N,
 			NsPerOp:     float64(br.T.Nanoseconds()) / float64(br.N),
 			AllocsPerOp: br.AllocsPerOp(),
@@ -407,11 +381,9 @@ func benchServeCells(d, k int) ([]Result, error) {
 			BytesPerOp:  br.AllocedBytesPerOp(),
 		})
 	}
-	// ServeBatch* cells: per-query cost of the batch path — the worker
-	// calls BeginBatch once per batch (packing every query into the
-	// kernel frame) and answers each sub-query through it. The
-	// BeginBatch cost is amortized across one pass over the pool, the
-	// same shape the server's answerTask loop produces.
+	// ServeBatch* cells: per-query cost of the batch path, which the
+	// server's answerTask loop runs as one cache-less AnswerTraced per
+	// sub-query.
 	for _, kind := range []serve.Kind{serve.KindDistance, serve.KindNextHop} {
 		qs := make([]serve.Query, len(pairs))
 		for i, p := range pairs {
@@ -421,11 +393,7 @@ func benchServeCells(d, k int) ([]Result, error) {
 		br := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				j := i % len(qs)
-				if j == 0 {
-					cold.BeginBatch(qs)
-				}
-				if _, _, err := cold.AnswerBatchTraced(j, qs[j], serve.LevelFull, nil); err != nil {
+				if _, _, err := cold.AnswerTraced(qs[i%len(qs)], serve.LevelFull, nil); err != nil {
 					failure = err
 					b.FailNow()
 				}

@@ -30,10 +30,10 @@ func TestReportRoundTrip(t *testing.T) {
 	if rep.GoVersion == "" || rep.Benchtime != "1ms" {
 		t.Errorf("header incomplete: %+v", rep)
 	}
-	// k=8: 3 scratch ops + 2 packed + 2 table + batch; k=16: the same
-	// minus the table cells (DG(2,16) is over the default table budget).
-	if len(rep.Results) != 14 {
-		t.Fatalf("got %d results, want 14", len(rep.Results))
+	// k=8: 3 scratch ops + 2 packed + 2 table; k=16: the same minus
+	// the table cells (DG(2,16) is over the default table budget).
+	if len(rep.Results) != 12 {
+		t.Fatalf("got %d results, want 12", len(rep.Results))
 	}
 	seen := map[string]bool{}
 	for _, r := range rep.Results {
@@ -45,7 +45,7 @@ func TestReportRoundTrip(t *testing.T) {
 			t.Errorf("unexpected cell %+v", r)
 		}
 	}
-	for _, op := range []string{"Router", "Distance", "Route", "PackedDistance", "PackedRoute", "TableDistance", "TableRoute", "BatchDistance"} {
+	for _, op := range []string{"Router", "Distance", "Route", "PackedDistance", "PackedRoute", "TableDistance", "TableRoute"} {
 		if !seen[op] {
 			t.Errorf("op %s missing from report", op)
 		}
@@ -200,6 +200,17 @@ func TestCompareReports(t *testing.T) {
 	if !strings.Contains(regs[0], "ns/op") || !strings.Contains(regs[1], "allocs/op") {
 		t.Errorf("regression messages %v missing ns/allocs detail", regs)
 	}
+
+	// A dropped op: the fresh run measured d=2 k=8 but no longer
+	// produces Router there, so that baseline cell's gate would vanish.
+	cur = Report{Results: []Result{
+		{Op: "Distance", D: 2, K: 8, NsPerOp: 500, AllocsPerOp: 0}, // not in baseline
+		{Op: "Route", D: 2, K: 64, NsPerOp: 2000, AllocsPerOp: 100},
+	}}
+	regs, compared := compareReports(base, cur, 0.75)
+	if len(regs) != 1 || !strings.Contains(regs[0], "Router d=2 k=8") || compared != 1 {
+		t.Errorf("dropped op = (%v, %d), want one Router d=2 k=8 finding over 1 cell", regs, compared)
+	}
 }
 
 // TestCompareGate runs the end-to-end gate: a generous synthetic
@@ -270,7 +281,7 @@ func TestCompareReadsBaselineBeforeWrite(t *testing.T) {
 	if err := json.Unmarshal(fresh, &got); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Results) != 8 || got.Results[0].NsPerOp == 1e12 {
+	if len(got.Results) != 7 || got.Results[0].NsPerOp == 1e12 {
 		t.Errorf("refreshed report not rewritten: %+v", got)
 	}
 }

@@ -137,10 +137,11 @@ func tableList(o options) []table {
 			return experiments.ServeLoadTable(experiments.ServeLoadConfig{Seed: o.seed},
 				[]float64{250, 1000, 4000, 16000})
 		}},
-		{"trace", "E22 — flight recorder: frozen postmortem of an E21 overload run", func() (*stats.Table, error) {
-			// Replay E21's 10× overload point with tracing and the
-			// flight recorder armed; the table is the frozen postmortem.
-			return experiments.FlightTable(experiments.ServeLoadConfig{Seed: o.seed}, 16000)
+		{"trace", "E22 — flight recorder: frozen postmortem of an overload storm", func() (*stats.Table, error) {
+			// A closed-loop storm with more requests in flight than
+			// E21's server can hold, tracing and the flight recorder
+			// armed; the table is the frozen postmortem.
+			return experiments.FlightTable(experiments.ServeLoadConfig{Seed: o.seed})
 		}},
 		{"cluster", "E23 — multi-node cluster: load partitioned over its own de Bruijn fabric", func() (*stats.Table, error) {
 			// A seeded closed-loop replay against a 4-node in-memory
@@ -154,7 +155,7 @@ func tableList(o options) []table {
 			// ledger must balance in every cell.
 			return experiments.ChaosTable(experiments.ChaosRunConfig{Seed: o.seed})
 		}},
-		{"kernels", "E25 — tiered routing kernels: scratch vs selected tier vs batch frame", func() (*stats.Table, error) {
+		{"kernels", "E25 — tiered routing kernels: scratch vs selected tier", func() (*stats.Table, error) {
 			// The tier ladder across graph scales: table tier on small
 			// graphs, packed tier through k=512 at d=2, scratch where
 			// the alphabet doesn't pack.

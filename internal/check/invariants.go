@@ -294,10 +294,3 @@ func (iv *invariantScan) failSome(rng *rand.Rand, fail func(word.Word) error) er
 	}
 	return nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -42,8 +42,7 @@ func (o *KernelsOptions) defaults() {
 // query evaluated by every rung of the kernel ladder must produce
 // byte-identical answers to the tier-free reference — Property 1,
 // Theorem 2's quadratic sweep and Algorithm 2's path. Three engines
-// are checked, each through its scalar methods and its batch frame:
-// the scratch-forced engine (T3, the suffix-tree walk), the packed
+// are checked: the scratch-forced engine (T3, the suffix-tree walk), the packed
 // engine (T2 where the alphabet packs), and the table-admitting
 // engine (T1 where the pair matrix fits the default budget, built
 // synchronously). Every directed distance, undirected distance,
@@ -130,7 +129,6 @@ func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 		}
 		for _, e := range engines {
 			compareKernel(f, e.name, e.kn, x, y, wantU, wantD, wantP, wantH, wantOK)
-			compareFrame(f, e.name, e.kn, x, y, wantU, wantD, wantP, wantH, wantOK)
 		}
 		if exhaustive {
 			refU[rep.Checked], refD[rep.Checked] = int32(wantU), int32(wantD)
@@ -219,30 +217,5 @@ func compareKernel(f *findings, name string, kn *core.Kernels, x, y word.Word, w
 	gotH, gotOK, err := kn.NextHopUndirected(x, y)
 	if err != nil || gotOK != wantOK || gotH != wantH {
 		f.addf("kernel-nexthop", "%s: hop(%v,%v) = %v,%v (err %v), reference %v,%v", name, x, y, gotH, gotOK, err, wantH, wantOK)
-	}
-}
-
-func compareFrame(f *findings, name string, kn *core.Kernels, x, y word.Word, wantU, wantD int, wantP core.Path, wantH core.Hop, wantOK bool) {
-	fr := kn.Frame()
-	i, err := fr.Add(x, y)
-	if err != nil {
-		f.addf("frame-add", "%s: Add(%v,%v): %v", name, x, y, err)
-		return
-	}
-	gotU, err := fr.UndirectedDistance(i)
-	if err != nil || gotU != wantU {
-		f.addf("frame-udist", "%s: D(%v,%v) = %d (err %v), reference %d", name, x, y, gotU, err, wantU)
-	}
-	gotD, err := fr.DirectedDistance(i)
-	if err != nil || gotD != wantD {
-		f.addf("frame-ddist", "%s: D→(%v,%v) = %d (err %v), reference %d", name, x, y, gotD, err, wantD)
-	}
-	gotP, err := fr.RouteUndirected(i)
-	if err != nil || !slices.Equal(gotP, wantP) {
-		f.addf("frame-route", "%s: route(%v,%v) = %v (err %v), reference %v", name, x, y, gotP, err, wantP)
-	}
-	gotH, gotOK, err := fr.NextHopUndirected(i)
-	if err != nil || gotOK != wantOK || gotH != wantH {
-		f.addf("frame-nexthop", "%s: hop(%v,%v) = %v,%v (err %v), reference %v,%v", name, x, y, gotH, gotOK, err, wantH, wantOK)
 	}
 }

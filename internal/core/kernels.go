@@ -90,7 +90,6 @@ type Kernels struct {
 	cfg KernelConfig
 	sc  scratch
 	ps  packedScratch
-	fr  Frame
 
 	// Single-entry tier memo: serve workers overwhelmingly stay on
 	// one DG(d,k), and resolving a tier can take the table-store
@@ -154,26 +153,23 @@ func (kn *Kernels) resolveSlow(d, k int) (tierInfo, bool) {
 
 // canonicalAnchors returns the anchors that define x→y's path: the
 // first minimizer of Theorem 2 in the quadratic sweep's (dist, s, t)
-// order. Packed operands go to the packed kernels, everything else to
-// the suffix-tree walk, which breaks ties in the same order.
+// order. Packed operands go to the single- or multi-word packed
+// kernels, everything else to the suffix-tree walk, which breaks ties
+// in the same order.
 func (kn *Kernels) canonicalAnchors(x, y word.Word) (anchor, anchor, error) {
 	d, k := x.Base(), x.Len()
 	if !kn.cfg.DisablePacked && packedEligible(d, k) {
 		kn.ps.load(x, y)
-		aL, aR := kn.packedAnchors(kn.ps.x, kn.ps.y, k, word.PackedBits(d))
+		var aL, aR anchor
+		if b := word.PackedBits(d); len(kn.ps.x) == 1 {
+			aL, aR = packedAnchors1(kn.ps.x[0], kn.ps.y[0], k, b, kn.lens(k))
+		} else {
+			aL, aR = packedAnchorsN(kn.ps.x, kn.ps.y, k, b)
+		}
 		return aL, aR, nil
 	}
 	kn.sc.loadDigits(x, y)
 	return kn.sc.treeAnchors(kn.sc.xd, kn.sc.yd)
-}
-
-// packedAnchors runs the single- or multi-word anchor kernel on
-// packed operands.
-func (kn *Kernels) packedAnchors(x, y []uint64, k, b int) (anchor, anchor) {
-	if len(x) == 1 {
-		return packedAnchors1(x[0], y[0], k, b, kn.lens(k))
-	}
-	return packedAnchorsN(x, y, k, b)
 }
 
 func (kn *Kernels) lens(k int) []int16 {
@@ -342,168 +338,4 @@ func (kn *Kernels) NextHopDirected(x, y word.Word) (Hop, bool, error) {
 		return Hop{}, false, err
 	}
 	return L(y.Digit(y.Len() - dist)), true, nil
-}
-
-// Frame returns the engine's reusable batch frame, reset to empty.
-// The frame shares the engine's buffers; use it from one goroutine,
-// and do not interleave two frames on one engine.
-func (kn *Kernels) Frame() *Frame {
-	kn.fr.kn = kn
-	kn.fr.reset()
-	return &kn.fr
-}
-
-// Frame is batch-aware evaluation: Add packs each sub-query's
-// operands once up front — deduplicating against the previous
-// sub-query, so a batch walking one destination set packs each
-// operand once — and the per-index evaluators reuse the packed forms
-// instead of re-packing per call. Tiers and answers are identical to
-// the scalar methods; the frame only amortizes operand preparation.
-type Frame struct {
-	kn    *Kernels
-	buf   []uint64
-	slots []frameSlot
-}
-
-// frameSlot is one added (src, dst) pair; px/py index the packed
-// operands in the frame buffer, -1 when the pair's tier doesn't pack.
-type frameSlot struct {
-	x, y   word.Word
-	px, py int32
-	nw     int32
-}
-
-func (f *Frame) reset() {
-	f.buf = f.buf[:0]
-	f.slots = f.slots[:0]
-}
-
-// Len returns the number of added pairs.
-func (f *Frame) Len() int { return len(f.slots) }
-
-// Add appends a (src, dst) pair and returns its index. Packing is
-// skipped when the pair's tier doesn't want packed operands and
-// reused when src or dst repeats the previous pair's.
-func (f *Frame) Add(x, y word.Word) (int, error) {
-	if err := validatePair(x, y); err != nil {
-		return 0, err
-	}
-	s := frameSlot{x: x, y: y, px: -1, py: -1}
-	ti := f.kn.resolve(x.Base(), x.Len())
-	if ti.tier == TierPacked {
-		nw := int32(word.PackedWords(x.Base(), x.Len()))
-		s.nw = nw
-		if prev := f.prev(); prev != nil && prev.px >= 0 && prev.x.Equal(x) {
-			s.px = prev.px
-		} else {
-			s.px = int32(len(f.buf))
-			f.buf = x.AppendPacked(f.buf)
-		}
-		if prev := f.prev(); prev != nil && prev.py >= 0 && prev.y.Equal(y) {
-			s.py = prev.py
-		} else {
-			s.py = int32(len(f.buf))
-			f.buf = y.AppendPacked(f.buf)
-		}
-	}
-	f.slots = append(f.slots, s)
-	return len(f.slots) - 1, nil
-}
-
-func (f *Frame) prev() *frameSlot {
-	if len(f.slots) == 0 {
-		return nil
-	}
-	return &f.slots[len(f.slots)-1]
-}
-
-func (f *Frame) packed(s *frameSlot) (x, y []uint64) {
-	return f.buf[s.px : s.px+s.nw], f.buf[s.py : s.py+s.nw]
-}
-
-// UndirectedDistance answers pair i, reusing its packed operands.
-func (f *Frame) UndirectedDistance(i int) (int, error) {
-	s := &f.slots[i]
-	if s.x.Equal(s.y) {
-		return 0, nil
-	}
-	k := s.x.Len()
-	ti := f.kn.resolve(s.x.Base(), k)
-	switch {
-	case ti.tier == TierTable:
-		return int(ti.tab.udist[ti.tab.index(s.x, s.y)]), nil
-	case ti.tier == TierPacked && s.px >= 0:
-		px, py := f.packed(s)
-		var dL, dR int
-		if ti.single {
-			dL, dR = packedDistance1(px[0], py[0], k, ti.b)
-		} else {
-			dL, dR = packedDistanceN(px, py, k, ti.b)
-		}
-		return clampDist(k, dL, dR), nil
-	default:
-		return f.kn.UndirectedDistance(s.x, s.y)
-	}
-}
-
-// DirectedDistance answers pair i, reusing its packed operands.
-func (f *Frame) DirectedDistance(i int) (int, error) {
-	s := &f.slots[i]
-	if s.x.Equal(s.y) {
-		return 0, nil
-	}
-	k := s.x.Len()
-	ti := f.kn.resolve(s.x.Base(), k)
-	switch {
-	case ti.tier == TierTable:
-		return int(ti.tab.ddist[ti.tab.index(s.x, s.y)]), nil
-	case ti.tier == TierPacked && ti.single && s.px >= 0:
-		px, py := f.packed(s)
-		return k - packedOverlap1(px[0], py[0], k, ti.b), nil
-	default:
-		return f.kn.DirectedDistance(s.x, s.y)
-	}
-}
-
-// RouteUndirected answers pair i; only the returned path allocates.
-func (f *Frame) RouteUndirected(i int) (Path, error) {
-	s := &f.slots[i]
-	if s.x.Equal(s.y) {
-		return Path{}, nil
-	}
-	ti := f.kn.resolve(s.x.Base(), s.x.Len())
-	if ti.tier == TierTable {
-		return ti.tab.appendRoute(nil, s.x, s.y), nil
-	}
-	aL, aR, err := f.anchors(s, ti)
-	if err != nil {
-		return nil, err
-	}
-	return buildUndirectedPath(s.y, aL, aR), nil
-}
-
-// NextHopUndirected answers pair i with zero allocation.
-func (f *Frame) NextHopUndirected(i int) (Hop, bool, error) {
-	s := &f.slots[i]
-	if s.x.Equal(s.y) {
-		return Hop{}, false, nil
-	}
-	ti := f.kn.resolve(s.x.Base(), s.x.Len())
-	if ti.tier == TierTable {
-		return ti.tab.nextHop(s.x, s.y), true, nil
-	}
-	aL, aR, err := f.anchors(s, ti)
-	if err != nil {
-		return Hop{}, false, err
-	}
-	return f.kn.firstHop(s.x, s.y, aL, aR)
-}
-
-func (f *Frame) anchors(s *frameSlot, ti tierInfo) (anchor, anchor, error) {
-	if ti.tier == TierPacked && s.px >= 0 {
-		px, py := f.packed(s)
-		aL, aR := f.kn.packedAnchors(px, py, s.x.Len(), ti.b)
-		return aL, aR, nil
-	}
-	return f.kn.canonicalAnchors(s.x, s.y)
 }

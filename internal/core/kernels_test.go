@@ -436,96 +436,6 @@ func TestKernelsMatchScratch(t *testing.T) {
 	}
 }
 
-// TestFrameMatchesScalar pins the batch frame to the scalar methods on
-// every tier, and checks operand dedup actually shares packed forms.
-func TestFrameMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, tc := range []struct {
-		name string
-		d, k int
-		cfg  KernelConfig
-	}{
-		{"packed-2-64", 2, 64, KernelConfig{TableBudget: -1}},
-		{"packed-multi-2-100", 2, 100, KernelConfig{TableBudget: -1}},
-		{"packed-multi-3-100", 3, 100, KernelConfig{TableBudget: -1}},
-		{"packed-4-20", 4, 20, KernelConfig{TableBudget: -1}},
-		{"table-2-6", 2, 6, KernelConfig{SyncTableBuild: true}},
-		{"scratch-5-4", 5, 4, KernelConfig{TableBudget: -1}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			kn := NewKernels(tc.cfg)
-			ref := NewKernels(tc.cfg)
-			// A batch shaped like real traffic: one source against a
-			// run of destinations, consecutive repeats included.
-			src := word.Random(tc.d, tc.k, rng)
-			var qs [][2]word.Word
-			prev := src
-			for i := 0; i < 12; i++ {
-				dst := word.Random(tc.d, tc.k, rng)
-				qs = append(qs, [2]word.Word{src, dst}, [2]word.Word{src, dst}, [2]word.Word{prev, dst})
-				prev = dst
-			}
-			qs = append(qs, [2]word.Word{src, src})
-			f := kn.Frame()
-			for _, q := range qs {
-				if _, err := f.Add(q[0], q[1]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if f.Len() != len(qs) {
-				t.Fatalf("Len = %d, want %d", f.Len(), len(qs))
-			}
-			if kn.TierFor(tc.d, tc.k) == TierPacked {
-				// Slots 0 and 1 share src and dst; slot 1 must reuse
-				// both packed forms.
-				if f.slots[1].px != f.slots[0].px || f.slots[1].py != f.slots[0].py {
-					t.Fatalf("consecutive identical pair not deduped: %+v vs %+v", f.slots[1], f.slots[0])
-				}
-			}
-			for i, q := range qs {
-				x, y := q[0], q[1]
-				wantU, err := ref.UndirectedDistance(x, y)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotU, err := f.UndirectedDistance(i)
-				if err != nil || gotU != wantU {
-					t.Fatalf("frame UndirectedDistance[%d] %v -> %v: got %d,%v want %d", i, x, y, gotU, err, wantU)
-				}
-				wantD, err := ref.DirectedDistance(x, y)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotD, err := f.DirectedDistance(i)
-				if err != nil || gotD != wantD {
-					t.Fatalf("frame DirectedDistance[%d] %v -> %v: got %d,%v want %d", i, x, y, gotD, err, wantD)
-				}
-				wantP, err := ref.RouteUndirected(x, y)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotP, err := f.RouteUndirected(i)
-				if err != nil || !reflect.DeepEqual(gotP, wantP) {
-					t.Fatalf("frame RouteUndirected[%d] %v -> %v:\n  got  %v (%v)\n  want %v", i, x, y, gotP, err, wantP)
-				}
-				wantH, wantOK, err := ref.NextHopUndirected(x, y)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotH, gotOK, err := f.NextHopUndirected(i)
-				if err != nil || gotOK != wantOK || gotH != wantH {
-					t.Fatalf("frame NextHopUndirected[%d] %v -> %v: got %v,%v,%v want %v,%v", i, x, y, gotH, gotOK, err, wantH, wantOK)
-				}
-			}
-			// Reset reuses the buffers and clears the slots.
-			f2 := kn.Frame()
-			if f2.Len() != 0 {
-				t.Fatalf("fresh frame Len = %d", f2.Len())
-			}
-		})
-	}
-}
-
 // TestKernelAllocBudgets pins the hot paths to their allocation
 // budgets: zero for distances and next hops on the packed and table
 // tiers, one (the returned path) for routes.
@@ -582,36 +492,6 @@ func TestKernelAllocBudgets(t *testing.T) {
 		})
 	}
 
-	// The frame: once warm, a whole add-and-evaluate batch allocates
-	// nothing (paths excepted, so the batch below asks distances and
-	// next hops only).
-	t.Run("frame-batch", func(t *testing.T) {
-		kn := NewKernels(KernelConfig{TableBudget: -1})
-		src := word.Random(2, 64, rng)
-		dsts := make([]word.Word, 16)
-		for i := range dsts {
-			dsts[i] = word.Random(2, 64, rng)
-		}
-		batch := func() {
-			f := kn.Frame()
-			for _, d := range dsts {
-				i, err := f.Add(src, d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.UndirectedDistance(i); err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := f.NextHopUndirected(i); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		batch() // warm the frame buffers
-		if a := testing.AllocsPerRun(100, batch); a != 0 {
-			t.Errorf("warm frame batch: %v allocs/run, want 0", a)
-		}
-	})
 }
 
 // TestDistanceColumn compares every tier's distance column with the

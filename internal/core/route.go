@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/match"
 	"repro/internal/word"
 )
@@ -84,13 +82,9 @@ func appendUndirectedPath(p Path, y word.Word, aL, aR anchor) Path {
 	return appendLine9(p, y, aR)
 }
 
-// buildLine8 realizes line 8 of Algorithm 2: s-1 arbitrary left
+// appendLine8 realizes line 8 of Algorithm 2: s-1 arbitrary left
 // shifts; right shifts inserting y_{t-θ}, ..., y_1 then k-t arbitrary
 // digits; left shifts appending y_{t+1}, ..., y_k.
-func buildLine8(y word.Word, a anchor) Path {
-	return appendLine8(make(Path, 0, a.dist), y, a)
-}
-
 func appendLine8(p Path, y word.Word, a anchor) Path {
 	k := y.Len()
 	s, t, th := a.s, a.t, a.theta
@@ -109,13 +103,9 @@ func appendLine8(p Path, y word.Word, a anchor) Path {
 	return p
 }
 
-// buildLine9 realizes line 9 of Algorithm 2: k-s arbitrary right
+// appendLine9 realizes line 9 of Algorithm 2: k-s arbitrary right
 // shifts; left shifts appending y_{t+θ}, ..., y_k then t-1 arbitrary
 // digits; right shifts inserting y_{t-1}, ..., y_1.
-func buildLine9(y word.Word, a anchor) Path {
-	return appendLine9(make(Path, 0, a.dist), y, a)
-}
-
 func appendLine9(p Path, y word.Word, a anchor) Path {
 	k := y.Len()
 	s, t, th := a.s, a.t, a.theta
@@ -132,13 +122,4 @@ func appendLine9(p Path, y word.Word, a anchor) Path {
 		p = append(p, R(y.Digit(j-1)))
 	}
 	return p
-}
-
-// mustLen double-checks that a constructed path has the promised
-// length; used by tests via RouteUndirectedChecked.
-func mustLen(p Path, want int) error {
-	if len(p) != want {
-		return fmt.Errorf("core: constructed path has %d hops, want %d", len(p), want)
-	}
-	return nil
 }

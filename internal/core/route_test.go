@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -254,4 +255,11 @@ func TestPathConcreteNilChooserUsesZero(t *testing.T) {
 	if conc[0].Digit != 0 || conc[0].Wildcard {
 		t.Errorf("Concrete = %v", conc)
 	}
+}
+
+func mustLen(p Path, want int) error {
+	if len(p) != want {
+		return fmt.Errorf("core: constructed path has %d hops, want %d", len(p), want)
+	}
+	return nil
 }

@@ -18,7 +18,6 @@ type KernelRow struct {
 	Tier      string  // tier the default-config engine selects
 	ScratchNs float64 // scratch-kernel distance, ns/op
 	TierNs    float64 // tiered-engine distance, ns/op
-	BatchNs   float64 // batch-frame distance, ns/op (amortized packing)
 	Speedup   float64 // ScratchNs / TierNs
 }
 
@@ -48,7 +47,7 @@ func kernelBench(pairs [][2]word.Word, budget time.Duration, fn func(x, y word.W
 }
 
 // Kernels measures the tier ladder on each graph (E25): scratch
-// versus the tier the default engine picks, plus the batch frame.
+// versus the tier the default engine picks.
 func Kernels(dks [][2]int, budget time.Duration, seed int64) ([]KernelRow, error) {
 	if budget <= 0 {
 		budget = 25 * time.Millisecond
@@ -79,33 +78,11 @@ func Kernels(dks [][2]int, budget time.Duration, seed int64) ([]KernelRow, error
 			return nil, fmt.Errorf("experiments: tiered DG(%d,%d): %w", d, k, err)
 		}
 
-		// Batch frame: re-pack the pool once per pass, evaluate every
-		// slot — the shape the serve worker produces per batch request.
-		batchNs, err := kernelBench(pairs[:1], budget, func(word.Word, word.Word) error {
-			fr := tiered.Frame()
-			for _, p := range pairs {
-				if _, err := fr.Add(p[0], p[1]); err != nil {
-					return err
-				}
-			}
-			for i := range pairs {
-				if _, err := fr.UndirectedDistance(i); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: batch DG(%d,%d): %w", d, k, err)
-		}
-		batchNs /= float64(len(pairs)) // per evaluation, not per pass
-
 		rows = append(rows, KernelRow{
 			D: d, K: k,
 			Tier:      tiered.TierFor(d, k).String(),
 			ScratchNs: scratchNs,
 			TierNs:    tierNs,
-			BatchNs:   batchNs,
 			Speedup:   scratchNs / tierNs,
 		})
 	}
@@ -118,9 +95,9 @@ func KernelsTable(dks [][2]int, budget time.Duration, seed int64) (*stats.Table,
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("d", "k", "tier", "scratch ns/op", "tier ns/op", "batch ns/op", "speedup")
+	t := stats.NewTable("d", "k", "tier", "scratch ns/op", "tier ns/op", "speedup")
 	for _, r := range rows {
-		t.AddRow(r.D, r.K, r.Tier, r.ScratchNs, r.TierNs, r.BatchNs, r.Speedup)
+		t.AddRow(r.D, r.K, r.Tier, r.ScratchNs, r.TierNs, r.Speedup)
 	}
 	return t, nil
 }

@@ -18,7 +18,7 @@ func TestKernelsShape(t *testing.T) {
 		if got := wantTier[[2]int{r.D, r.K}]; r.Tier != got {
 			t.Errorf("DG(%d,%d): tier %q, want %q", r.D, r.K, r.Tier, got)
 		}
-		if r.ScratchNs <= 0 || r.TierNs <= 0 || r.BatchNs <= 0 {
+		if r.ScratchNs <= 0 || r.TierNs <= 0 {
 			t.Errorf("DG(%d,%d): non-positive timing %+v", r.D, r.K, r)
 		}
 		if r.Speedup <= 0 {

@@ -131,14 +131,21 @@ func ServeLoadTable(cfg ServeLoadConfig, rates []float64) (*stats.Table, error) 
 	return t, nil
 }
 
-// FlightStorm is experiment E22: it replays the E21 saturation regime
-// — one deliberately overloaded open-loop rate point — with tracing
-// and the flight recorder enabled, and returns the postmortem the
-// anomaly monitor froze. The recorder must trip (the degrade ladder
-// engaging or the shed fraction spiking are both anomalies under this
-// load); a storm that leaves it unfrozen is an error, since E22's
-// claim is exactly that the recorder catches the anomaly unattended.
-func FlightStorm(cfg ServeLoadConfig, rate float64) (obs.FlightSnapshot, error) {
+// FlightStorm is experiment E22: an overload storm against E21's
+// server shape (one shard, a 16-deep queue, 64-query batch frames) with
+// tracing and the flight recorder armed; it returns the postmortem the
+// anomaly monitor froze. The overload holds by construction, not by
+// rate: a closed loop keeps exactly one request in flight per client,
+// and there are four times as many clients as the queue and the shards
+// can hold (cfg.Clients overrides; cfg.Duration is unused). Requests
+// carry a budget (stormDeadlineMS) far longer than a full queue takes
+// to drain, so a queued task reaches the worker instead of expiring,
+// and the worker that dequeues behind a queue-full shed answers on the
+// degrade ladder. A slow load generator only slows the storm down.
+// Shed spikes and the degrade rung engaging are both anomalies, so a
+// storm that leaves the recorder unfrozen is an error: E22's claim is
+// exactly that the recorder catches the anomaly unattended.
+func FlightStorm(cfg ServeLoadConfig) (obs.FlightSnapshot, error) {
 	if cfg.D == 0 {
 		cfg.D = 2
 	}
@@ -155,7 +162,7 @@ func FlightStorm(cfg ServeLoadConfig, rate float64) (obs.FlightSnapshot, error) 
 		cfg.CacheSize = 1024
 	}
 	if cfg.Clients == 0 {
-		cfg.Clients = 8
+		cfg.Clients = 4 * (cfg.QueueDepth + cfg.Shards)
 	}
 	if cfg.HotSet == 0 {
 		cfg.HotSet = 64
@@ -164,10 +171,7 @@ func FlightStorm(cfg ServeLoadConfig, rate float64) (obs.FlightSnapshot, error) 
 		cfg.BatchSize = 64
 	}
 	if cfg.DeadlineMS == 0 {
-		cfg.DeadlineMS = 20
-	}
-	if cfg.Duration == 0 {
-		cfg.Duration = 250 * time.Millisecond
+		cfg.DeadlineMS = stormDeadlineMS
 	}
 	s := serve.NewServer(serve.Config{
 		Shards:          cfg.Shards,
@@ -184,14 +188,13 @@ func FlightStorm(cfg ServeLoadConfig, rate float64) (obs.FlightSnapshot, error) 
 	defer s.Close()
 	if _, err := serve.RunLoad(s, serve.LoadConfig{
 		D: cfg.D, K: cfg.K,
-		Clients:    cfg.Clients,
-		Rate:       rate,
-		Duration:   cfg.Duration,
-		HotSet:     cfg.HotSet,
-		BatchSize:  cfg.BatchSize,
-		DeadlineMS: cfg.DeadlineMS,
-		Seed:       cfg.Seed,
-		StampTrace: true,
+		Clients:           cfg.Clients,
+		RequestsPerClient: stormRequestsPerClient,
+		HotSet:            cfg.HotSet,
+		BatchSize:         cfg.BatchSize,
+		DeadlineMS:        cfg.DeadlineMS,
+		Seed:              cfg.Seed,
+		StampTrace:        true,
 	}); err != nil {
 		return obs.FlightSnapshot{}, err
 	}
@@ -202,16 +205,26 @@ func FlightStorm(cfg ServeLoadConfig, rate float64) (obs.FlightSnapshot, error) 
 	}
 	snap := s.Flight().Snapshot()
 	if !snap.Frozen {
-		return snap, fmt.Errorf("overload at %.0f req/s did not trip the flight recorder", rate)
+		return snap, fmt.Errorf("%d closed-loop clients against a %d-deep queue and %d shard(s) did not trip the flight recorder",
+			cfg.Clients, cfg.QueueDepth, cfg.Shards)
 	}
 	return snap, nil
 }
 
+// E22's storm: each client sends stormRequestsPerClient batches back
+// to back, each with a one-second budget, far beyond the tens of
+// milliseconds a full queue of batches takes to drain even under the
+// race detector on a loaded machine.
+const (
+	stormRequestsPerClient = 4
+	stormDeadlineMS        = 1000
+)
+
 // FlightTable renders E22 as a summary of the frozen postmortem: the
 // trigger first, then every event family the ring retained with its
 // count and most recent value.
-func FlightTable(cfg ServeLoadConfig, rate float64) (*stats.Table, error) {
-	snap, err := FlightStorm(cfg, rate)
+func FlightTable(cfg ServeLoadConfig) (*stats.Table, error) {
+	snap, err := FlightStorm(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -45,11 +45,7 @@ func TestServeLoadTable(t *testing.T) {
 }
 
 func TestFlightStormFreezes(t *testing.T) {
-	snap, err := FlightStorm(ServeLoadConfig{
-		D: 2, K: 8,
-		Duration: 100 * time.Millisecond,
-		Seed:     11,
-	}, 16000)
+	snap, err := FlightStorm(ServeLoadConfig{D: 2, K: 8, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +66,7 @@ func TestFlightStormFreezes(t *testing.T) {
 }
 
 func TestFlightTableShape(t *testing.T) {
-	tab, err := FlightTable(ServeLoadConfig{
-		D: 2, K: 8,
-		Duration: 100 * time.Millisecond,
-		Seed:     7,
-	}, 16000)
+	tab, err := FlightTable(ServeLoadConfig{D: 2, K: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

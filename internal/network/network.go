@@ -448,7 +448,7 @@ func (n *Network) Stats() Stats {
 	if len(n.linkLoad) > 0 {
 		s.MeanLinkLoad = float64(sum) / float64(len(n.linkLoad))
 	}
-	s.LoadGini = giniOverAllLinks(n.g, n.linkLoad, n.cfg.Unidirectional)
+	s.LoadGini = giniOverAllLinks(n.g, n.linkLoad)
 	n.gini.Set(s.LoadGini)
 	for _, c := range n.siteLoad {
 		if c > s.MaxSiteLoad {
@@ -482,13 +482,14 @@ func (n *Network) ResetStats() {
 	}
 }
 
-func giniOverAllLinks(g *graph.Graph, load map[[2]int]int, unidirectional bool) float64 {
+// giniOverAllLinks is the Gini coefficient of load over every link of
+// g; an undirected adjacency already lists both directions.
+func giniOverAllLinks(g *graph.Graph, load map[[2]int]int) float64 {
 	loads := make([]int, 0, 2*g.NumEdges())
 	for u := 0; u < g.NumVertices(); u++ {
 		for _, v := range g.OutNeighbors(u) {
 			loads = append(loads, load[[2]int{u, int(v)}])
 		}
 	}
-	_ = unidirectional // undirected adjacency already lists both directions
 	return stats.Gini(loads)
 }

@@ -225,16 +225,6 @@ type Engine struct {
 	cache *Cache
 	key   []byte
 
-	// Batch state: fr holds the packed operands of the current batch
-	// (BeginBatch), slot maps batch index to frame slot (-1 when the
-	// sub-query failed validation and will be rejected downstream),
-	// and curSlot routes the kernel calls of the sub-query being
-	// answered through the frame. Scalar Answer calls leave curSlot
-	// at -1 and take the exact pre-batch path.
-	fr      *core.Frame
-	slot    []int32
-	curSlot int32
-
 	// Fault state for the LevelDetour rung: the shared failed-link set
 	// (SetFaults; nil means no faults and detour answers degenerate to
 	// tree paths) and the per-(d,k) fault routers, built lazily. A
@@ -247,43 +237,24 @@ type Engine struct {
 // NewEngine returns an Engine with the default kernel configuration,
 // consulting cache when non-nil.
 func NewEngine(cache *Cache) *Engine {
-	return &Engine{kn: core.NewKernels(core.KernelConfig{}), cache: cache, curSlot: -1}
+	return &Engine{kn: core.NewKernels(core.KernelConfig{}), cache: cache}
 }
 
 // Kernels exposes the engine's tier dispatcher (dbstats and tests
 // inspect tier selection through it).
 func (e *Engine) Kernels() *core.Kernels { return e.kn }
 
-// BeginBatch prepares the engine for a batch of sub-queries: every
-// valid pair's operands are packed into the kernel frame once, up
-// front, with consecutive repeats of a source or destination shared —
-// so a batch that walks one destination set pays one packing pass,
-// not one per sub-query. Answering then reuses the packed forms via
-// AnswerBatchTraced. The frame state lives until the next BeginBatch.
-func (e *Engine) BeginBatch(qs []Query) {
-	e.fr = e.kn.Frame()
-	e.slot = e.slot[:0]
-	for _, q := range qs {
-		s := int32(-1)
-		if q.Validate() == nil {
-			if i, err := e.fr.Add(q.Src, q.Dst); err == nil {
-				s = int32(i)
-			}
-		}
-		e.slot = append(e.slot, s)
-	}
-}
+// BeginBatch does nothing: every sub-query of a batch is answered on
+// its own by one kernel call, so there is nothing to prepare.
+//
+// Deprecated: answer each sub-query with AnswerTraced.
+func (e *Engine) BeginBatch([]Query) {}
 
-// AnswerBatchTraced is AnswerTraced for sub-query i of the batch given
-// to BeginBatch: identical answers, but kernel calls reuse the batch
-// frame's packed operands.
-func (e *Engine) AnswerBatchTraced(i int, q Query, level Level, tr *obs.ReqTrace) (Answer, bool, error) {
-	if e.fr != nil && i < len(e.slot) {
-		e.curSlot = e.slot[i]
-	}
-	a, cached, err := e.AnswerTraced(q, level, tr)
-	e.curSlot = -1
-	return a, cached, err
+// AnswerBatchTraced is AnswerTraced; the batch index is ignored.
+//
+// Deprecated: use AnswerTraced.
+func (e *Engine) AnswerBatchTraced(_ int, q Query, level Level, tr *obs.ReqTrace) (Answer, bool, error) {
+	return e.AnswerTraced(q, level, tr)
 }
 
 // Answer resolves q at the given degrade level. The boolean reports a
@@ -402,97 +373,68 @@ func boundsAnswer(q Query) Answer {
 	return a
 }
 
-// compute runs the routing kernels at the requested degrade level.
+// compute runs the routing kernels at the requested degrade level,
+// one kernel call per answer. A full-fidelity route takes its
+// distance from its path: Algorithm 2 builds the path from the
+// anchors that minimize Theorem 2, so it has exactly D(src,dst) hops
+// (Property 1's directed path likewise has k−l).
 func (e *Engine) compute(q Query, level Level) (Answer, error) {
 	var a Answer
-	switch q.Kind {
-	case KindDistance:
-		d, err := e.distance(q)
-		if err != nil {
-			return a, err
-		}
-		a.Distance = d
-	case KindRoute:
-		d, err := e.distance(q)
-		if err != nil {
-			return a, err
-		}
-		a.Distance = d
-		if level >= LevelDistance {
-			a.Level = LevelDistance
+	var err error
+	detourRoute := level == LevelDetour && q.Mode == Undirected
+	switch {
+	case q.Kind == KindNextHop:
+		a.Hop, a.HasHop, err = e.nextHop(q)
+	case q.Kind == KindRoute && level < LevelDistance && !detourRoute:
+		a.Path, err = e.route(q)
+		a.Distance = len(a.Path)
+	default:
+		a.Distance, err = e.distance(q)
+		if err != nil || q.Kind == KindDistance {
 			break
 		}
-		if level == LevelDetour && q.Mode == Undirected {
+		// A degraded route: the detour path around the failed links,
+		// or — with no fault router for this (d,k), or a failure set
+		// beyond its tolerance — one rung further down rather than a
+		// path that crosses known-dead links.
+		a.Level = LevelDistance
+		if detourRoute {
 			if p, ok := e.detour(q); ok {
-				a.Path = p
-				a.Level = LevelDetour
-				break
+				a.Path, a.Level = p, LevelDetour
 			}
-			// No fault router for this (d,k) or the failure set
-			// exceeds the tolerance: degrade one rung further rather
-			// than serve a path that crosses known-dead links.
-			a.Level = LevelDistance
-			break
 		}
-		p, err := e.route(q)
-		if err != nil {
-			return a, err
-		}
-		a.Path = p
-	case KindNextHop:
-		h, ok, err := e.nextHop(q)
-		if err != nil {
-			return a, err
-		}
-		a.Hop, a.HasHop = h, ok
 	}
-	return a, nil
+	return a, err
 }
 
 func (e *Engine) distance(q Query) (int, error) {
 	if q.Mode == Directed {
-		if s := e.curSlot; s >= 0 {
-			return e.fr.DirectedDistance(int(s))
-		}
 		return e.kn.DirectedDistance(q.Src, q.Dst)
-	}
-	if s := e.curSlot; s >= 0 {
-		return e.fr.UndirectedDistance(int(s))
 	}
 	return e.kn.UndirectedDistance(q.Src, q.Dst)
 }
 
 func (e *Engine) route(q Query) (core.Path, error) {
-	if q.Mode == Directed {
-		// Property 1: distance k-l leaves the digit sequence
-		// y_{l+1..k}; one exactly-sized allocation for the path.
-		dist, err := e.distance(q)
-		if err != nil {
-			return nil, err
-		}
-		k := q.Dst.Len()
-		p := make(core.Path, 0, dist)
-		for j := k - dist; j < k; j++ {
-			p = append(p, core.L(q.Dst.Digit(j)))
-		}
-		return p, nil
+	if q.Mode == Undirected {
+		return e.kn.RouteUndirected(q.Src, q.Dst)
 	}
-	if s := e.curSlot; s >= 0 {
-		return e.fr.RouteUndirected(int(s))
+	// Property 1: distance k-l leaves the digit sequence y_{l+1..k};
+	// one exactly-sized allocation for the path.
+	dist, err := e.kn.DirectedDistance(q.Src, q.Dst)
+	if err != nil {
+		return nil, err
 	}
-	return e.kn.RouteUndirected(q.Src, q.Dst)
+	k := q.Dst.Len()
+	p := make(core.Path, 0, dist)
+	for j := k - dist; j < k; j++ {
+		p = append(p, core.L(q.Dst.Digit(j)))
+	}
+	return p, nil
 }
 
 func (e *Engine) nextHop(q Query) (core.Hop, bool, error) {
 	if q.Mode == Directed {
-		dist, err := e.distance(q)
-		if err != nil || dist == 0 {
-			return core.Hop{}, false, err
-		}
-		return core.L(q.Dst.Digit(q.Dst.Len() - dist)), true, nil
-	}
-	if s := e.curSlot; s >= 0 {
-		return e.fr.NextHopUndirected(int(s))
+		return e.kn.NextHopDirected(q.Src, q.Dst)
 	}
 	return e.kn.NextHopUndirected(q.Src, q.Dst)
 }

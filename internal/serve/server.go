@@ -779,9 +779,6 @@ func (s *Server) answerTask(eng *Engine, t *task) {
 	maxLevel := LevelFull
 	if t.batch != nil {
 		resp = Response{ID: t.req.ID, Status: StatusOK, Batch: make([]Response, len(t.batch))}
-		// One packing pass over the whole batch: the frame shares
-		// packed operands across sub-queries before any cache lookup.
-		eng.BeginBatch(t.batch)
 		for i, q := range t.batch {
 			if time.Now().After(t.deadline) {
 				// Deadline hit mid-batch: the whole request resolves to
@@ -796,7 +793,7 @@ func (s *Server) answerTask(eng *Engine, t *task) {
 				// One wire trace id for the frame; spans tag the sub-query.
 				t.tr.CurSub = i + 1
 			}
-			a, cached, err := eng.AnswerBatchTraced(i, q, level, t.tr)
+			a, cached, err := eng.AnswerTraced(q, level, t.tr)
 			if err != nil {
 				if t.tr != nil {
 					t.tr.CurSub = 0
