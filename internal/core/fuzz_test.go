@@ -101,8 +101,9 @@ func FuzzDirectedAgainstBFS(f *testing.F) {
 
 // FuzzKernelTierEquivalence throws arbitrary digit material at the
 // tier ladder: a scratch-forced, a packed-forced, and a table-admitting
-// engine must return identical distances, paths, and next hops for every input. Lengths reach 256,
-// so base-2 inputs span up to four packed words.
+// engine must return identical distances, paths, and next hops for every input. Lengths reach 512,
+// so base-2 inputs span up to eight packed words and bases 3 and 4 up
+// to sixteen, where the lane scan's groups span several lane words.
 func FuzzKernelTierEquivalence(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 1, 1, 0, 1, 0}, []byte{1, 0, 0, 1, 1, 1})
 	f.Add(uint8(3), []byte{0, 1, 2, 2}, []byte{2, 1, 0, 0})
@@ -118,8 +119,12 @@ func FuzzKernelTierEquivalence(f *testing.F) {
 	f.Add(uint8(2), digits(65, func(i int) int { return i / 3 % 2 }), digits(65, func(i int) int { return (i + 1) / 3 % 2 }))
 	f.Add(uint8(2), digits(129, func(i int) int { return i * 7 % 5 % 2 }), digits(129, func(i int) int { return b2i(i == 64) }))
 	f.Add(uint8(4), digits(65, func(i int) int { return i % 4 }), digits(65, func(i int) int { return (i + 5) % 4 }))
+	// Periodic multi-word operands in the two-bit-plane layout: long
+	// runs on every aligned shift, none on the others.
+	f.Add(uint8(3), digits(100, func(i int) int { return i / 2 % 3 }), digits(100, func(i int) int { return (i + 4) / 2 % 3 }))
+	f.Add(uint8(4), digits(200, func(i int) int { return i % 4 }), digits(200, func(i int) int { return (i + 2) % 4 }))
 	f.Fuzz(func(t *testing.T, base uint8, xd, yd []byte) {
-		if len(xd) != len(yd) || len(xd) == 0 || len(xd) > 256 {
+		if len(xd) != len(yd) || len(xd) == 0 || len(xd) > 512 {
 			return
 		}
 		if base < 2 || base > 6 {

@@ -86,7 +86,7 @@ func TestPackedAnchorsMatchQuadratic(t *testing.T) {
 	// Multi-word sizes: runs cross element boundaries and the
 	// saturated ties span several words.
 	for _, tc := range []struct{ d, k, n int }{
-		{2, 65, 60}, {2, 128, 40}, {2, 256, 20}, {2, 512, 4}, {2, 1024, 2},
+		{2, 65, 60}, {2, 128, 40}, {2, 129, 40}, {2, 130, 40}, {2, 256, 20}, {2, 512, 4}, {2, 1024, 2},
 		{3, 33, 60}, {3, 100, 30},
 		{4, 33, 60}, {4, 200, 10}, {4, 512, 2},
 	} {
@@ -131,6 +131,58 @@ func TestPackedAnchorsMatchQuadratic(t *testing.T) {
 		}
 		for i := 0; i < 8; i++ {
 			check(structured[rng.Intn(len(structured))], structured[rng.Intn(len(structured))])
+		}
+	}
+
+	for _, dk := range thresholdSizes {
+		forThresholdPairs(rng, dk[0], dk[1], check)
+	}
+}
+
+// thresholdSizes are the multi-word graphs of the threshold pairs: the
+// lane-word boundary (k = 129, 130: 65 lanes in the largest group),
+// and both digit-plane layouts.
+var thresholdSizes = [][2]int{{2, 129}, {2, 130}, {2, 256}, {3, 100}, {4, 200}}
+
+// forThresholdPairs calls check on pairs whose shift c has a run of
+// exactly ⌊w/2⌋ or ⌊w/2⌋+1 digits through its window's center, cut off
+// by a disagreement at each end that lies inside the window: the two
+// sides of the lane scan's candidate test. Shifts cover both window
+// parities, both signs and the extremes.
+func forThresholdPairs(rng *rand.Rand, d, k int, check func(x, y word.Word)) {
+	shifts := []int{0, 1, -1, 2, -2, k - 1, -(k - 1), k - 2, -(k - 2), k / 2, -k / 2}
+	for i := 0; i < 8; i++ {
+		shifts = append(shifts, rng.Intn(2*k-1)-(k-1))
+	}
+	for _, c := range shifts {
+		a := max(-c, 0) // x's first window digit; y's is max(c, 0)
+		w := k - a - max(c, 0)
+		m := w / 2
+		for _, n := range []int{m, m + 1} {
+			if n < 1 || n > w {
+				continue
+			}
+			// The run reaches m-s+1 digits down from the center and
+			// s+n-m up. Besides the extremes and a random start, the
+			// two most even splits make both directions as short as
+			// the run allows, right at the lane scan's threshold.
+			lo, hi := max(0, m-n+1), min(m, w-n)
+			clamp := func(s int) int { return max(lo, min(hi, s)) }
+			for _, s := range []int{lo, hi, clamp(m - (n-1)/2), clamp(m - n/2), lo + rng.Intn(hi-lo+1)} {
+				x, y := word.Random(d, k, rng), word.Random(d, k, rng)
+				xd, yd := x.Digits(), y.Digits()
+				for i := s; i < s+n; i++ {
+					yd[i+a+c] = xd[i+a]
+				}
+				for _, i := range []int{s - 1, s + n} {
+					if i >= 0 && i < w {
+						yd[i+a+c] = (xd[i+a] + 1) % byte(d)
+					}
+				}
+				x, y = word.MustNew(d, xd), word.MustNew(d, yd)
+				check(x, y)
+				check(y, x)
+			}
 		}
 	}
 }
@@ -187,7 +239,7 @@ func TestPackedDistanceMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, tc := range []struct{ d, k, n int }{
 		{2, 64, 400}, {2, 65, 200}, {2, 100, 200}, {2, 128, 100},
-		{2, 129, 100}, {2, 511, 50}, {2, 1024, 30},
+		{2, 129, 100}, {2, 130, 100}, {2, 511, 50}, {2, 1024, 30},
 		{3, 32, 200}, {3, 33, 100}, {3, 100, 100}, {3, 512, 30},
 		{4, 32, 200}, {4, 33, 100}, {4, 200, 50}, {4, 512, 30},
 	} {
@@ -208,6 +260,11 @@ func TestPackedDistanceMatchesLinear(t *testing.T) {
 			}
 			check(word.MustNew(tc.d, xd), word.MustNew(tc.d, yd))
 		}
+	}
+
+	rng = rand.New(rand.NewSource(17))
+	for _, dk := range thresholdSizes {
+		forThresholdPairs(rng, dk[0], dk[1], check)
 	}
 }
 
@@ -450,6 +507,8 @@ func TestKernelAllocBudgets(t *testing.T) {
 		{"packed-2-64", NewKernels(KernelConfig{TableBudget: -1}), word.Random(2, 64, rng), word.Random(2, 64, rng)},
 		{"packed-4-32", NewKernels(KernelConfig{TableBudget: -1}), word.Random(4, 32, rng), word.Random(4, 32, rng)},
 		{"packed-multi-2-200", NewKernels(KernelConfig{TableBudget: -1}), word.Random(2, 200, rng), word.Random(2, 200, rng)},
+		{"packed-multi-4-200", NewKernels(KernelConfig{TableBudget: -1}), word.Random(4, 200, rng), word.Random(4, 200, rng)},
+		{"packed-multi-2-256", NewKernels(KernelConfig{TableBudget: -1}), word.Random(2, 256, rng), word.Random(2, 256, rng)},
 		{"table-2-6", NewKernels(KernelConfig{SyncTableBuild: true}), word.Random(2, 6, rng), word.Random(2, 6, rng)},
 	}
 	for _, p := range probes {

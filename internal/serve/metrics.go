@@ -50,8 +50,9 @@ func (r shedReason) String() string { return shedReasonNames[r] }
 // TriggerConservation on accounting drift). Exported so tools reading
 // /debug/flight can match on them.
 const (
-	// TriggerShedSpike fires when the shed fraction of a monitor window
-	// reaches shedSpikeFraction.
+	// TriggerShedSpike fires when a monitor window sheds a request on
+	// a full queue, or when its shed fraction reaches
+	// shedSpikeFraction. Its value is the window's shed fraction.
 	TriggerShedSpike = "shed_spike"
 	// TriggerDegrade fires on the first degraded answer — the ladder
 	// engaging is an anomaly worth a postmortem even when it works.

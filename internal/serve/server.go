@@ -390,8 +390,9 @@ func (s *Server) Close() error {
 
 // monitor is the anomaly loop feeding the flight recorder: each window
 // it records the load metrics as flight events and fires a trigger —
-// freezing the recorder — on a shed-rate spike, the degrade ladder
-// engaging, or window p99 exceeding the default deadline.
+// freezing the recorder — on a queue_full shed or a shed-rate spike,
+// the degrade ladder engaging, or window p99 exceeding the default
+// deadline.
 func (s *Server) monitor() {
 	defer close(s.monitorDone)
 	ticker := time.NewTicker(s.cfg.MonitorInterval)
@@ -408,6 +409,7 @@ func (s *Server) monitor() {
 		curLat := s.cfg.Registry.Snapshot().Histogram(metricLatencyNs)
 		sent := cur.Sent - prev.Sent
 		shed := cur.Shed - prev.Shed
+		queueFull := cur.ShedByReason[shedQueueFull.String()] - prev.ShedByReason[shedQueueFull.String()]
 		degraded := cur.Degraded - prev.Degraded
 		lat := curLat.Diff(prevLat)
 		p99 := time.Duration(lat.Quantile(0.99))
@@ -427,6 +429,12 @@ func (s *Server) monitor() {
 			s.flight.Record(obs.FlightEvent{Kind: obs.FlightMetric, Name: "latency_p99_ns", Value: float64(p99)})
 		}
 		switch {
+		case queueFull > 0:
+			// A full queue is overload however few requests the window
+			// saw: a slow host can shed a third of a storm at two
+			// requests a window, which the rate test below never sees.
+			s.TriggerFlight(TriggerShedSpike,
+				fmt.Sprintf("shed %d of %d this window, %d on a full queue", shed, sent, queueFull), shedFrac)
 		case sent >= monitorMinWindow && shedFrac >= shedSpikeFraction:
 			s.TriggerFlight(TriggerShedSpike,
 				fmt.Sprintf("shed %d of %d this window", shed, sent), shedFrac)
@@ -441,8 +449,9 @@ func (s *Server) monitor() {
 }
 
 // monitorMinWindow is the minimum per-window sample size before the
-// rate triggers may fire — a two-request window shedding one is not a
-// spike.
+// rate triggers may fire — a two-request window that sheds one request
+// past its deadline is not a spike. A queue_full shed fires at any
+// window size.
 const monitorMinWindow = 16
 
 // shedSpikeFraction is the per-window shed fraction that fires the
