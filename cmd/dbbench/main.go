@@ -28,7 +28,8 @@
 // The serve suite measures the route-query serving engine per call:
 // ServeHit* (warmed LRU lookups, pinned at 0 allocs/op) and ServeMiss*
 // (cache-disabled computes at the kernels' allocation budgets), plus
-// ServeWireRoute, the wire codec's share of one route round trip.
+// ServeWireRoute and ServeWireBatch, the wire codec's share of one
+// route round trip and of one 16-query batch round trip.
 package main
 
 import (
@@ -414,11 +415,15 @@ func benchServeCells(d, k int) ([]Result, error) {
 			BytesPerOp:  br.AllocedBytesPerOp(),
 		})
 	}
-	wire, err := benchWireRoute(d, k, pairs, cold)
+	route, err := benchWireRoute(d, k, pairs, cold)
 	if err != nil {
 		return nil, err
 	}
-	return append(out, wire), nil
+	batch, err := benchWireBatch(d, k, pairs, cold)
+	if err != nil {
+		return nil, err
+	}
+	return append(out, route, batch), nil
 }
 
 // benchWireRoute measures ServeWireRoute: the wire codec's share of one
@@ -431,23 +436,71 @@ func benchWireRoute(d, k int, pairs [][2]word.Word, eng *serve.Engine) (Result, 
 	reqs := make([]serve.Request, len(pairs))
 	resps := make([]serve.Response, len(pairs))
 	for i, p := range pairs {
-		a, _, err := eng.Answer(serve.Query{Kind: serve.KindRoute, Src: p[0], Dst: p[1]}, serve.LevelFull)
+		var err error
+		reqs[i], resps[i], err = wireExchange(eng, serve.KindRoute, p, uint64(i+1))
 		if err != nil {
 			return Result{}, err
 		}
-		reqs[i] = serve.RouteRequest(p[0], p[1], serve.Undirected)
+	}
+	return benchWire("ServeWireRoute", d, k, reqs, resps)
+}
+
+// benchWireBatch measures ServeWireBatch: ServeWireRoute's round trip
+// for the batch frames of batch-uniform-k256 — 16 sub-queries, routes
+// and distances alternating, and their answers in one response. The
+// allocations are the frames' read buffers, 32 addresses, the batch
+// slices and 8 paths.
+func benchWireBatch(d, k int, pairs [][2]word.Word, eng *serve.Engine) (Result, error) {
+	const batch = 16
+	reqs := make([]serve.Request, len(pairs)/batch)
+	resps := make([]serve.Response, len(reqs))
+	for i := range reqs {
+		reqs[i] = serve.BatchRequest(make([]serve.Request, batch)...)
 		reqs[i].ID = uint64(i + 1)
-		resps[i] = serve.Response{ID: uint64(i + 1), Status: serve.StatusOK, Distance: a.Distance, Path: make([]string, len(a.Path))}
-		for j, h := range a.Path {
-			resps[i].Path[j] = serve.FormatHop(h)
+		resps[i] = serve.Response{ID: uint64(i + 1), Status: serve.StatusOK, Batch: make([]serve.Response, batch)}
+		for j := range batch {
+			kind := serve.KindRoute
+			if j%2 == 1 {
+				kind = serve.KindDistance
+			}
+			var err error
+			reqs[i].Batch[j], resps[i].Batch[j], err = wireExchange(eng, kind, pairs[i*batch+j], uint64(j+1))
+			if err != nil {
+				return Result{}, err
+			}
 		}
 	}
+	return benchWire("ServeWireBatch", d, k, reqs, resps)
+}
+
+// wireExchange returns the request frame and the full-fidelity answer
+// frame of one query of the given kind on pair p.
+func wireExchange(eng *serve.Engine, kind serve.Kind, p [2]word.Word, id uint64) (serve.Request, serve.Response, error) {
+	a, _, err := eng.Answer(serve.Query{Kind: kind, Src: p[0], Dst: p[1]}, serve.LevelFull)
+	if err != nil {
+		return serve.Request{}, serve.Response{}, err
+	}
+	req := serve.DistanceRequest(p[0], p[1], serve.Undirected)
+	resp := serve.Response{ID: id, Status: serve.StatusOK, Distance: a.Distance}
+	if kind == serve.KindRoute {
+		req = serve.RouteRequest(p[0], p[1], serve.Undirected)
+		resp.Path = make([]string, len(a.Path))
+		for j, h := range a.Path {
+			resp.Path[j] = serve.FormatHop(h)
+		}
+	}
+	req.ID = id
+	return req, resp, nil
+}
+
+// benchWire times wireRoundTrip over the frame pairs, in turn.
+func benchWire(name string, d, k int, reqs []serve.Request, resps []serve.Response) (Result, error) {
 	var wire bytes.Buffer
 	var failure error
 	br := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			j := i % len(pairs)
+			j := i % len(reqs)
 			failure = wireRoundTrip(&wire, &reqs[j], &resps[j])
 			if failure != nil {
 				b.FailNow()
@@ -455,10 +508,10 @@ func benchWireRoute(d, k int, pairs [][2]word.Word, eng *serve.Engine) (Result, 
 		}
 	})
 	if failure != nil {
-		return Result{}, fmt.Errorf("ServeWireRoute d=%d k=%d: %w", d, k, failure)
+		return Result{}, fmt.Errorf("%s d=%d k=%d: %w", name, d, k, failure)
 	}
 	return Result{
-		Op: "ServeWireRoute", D: d, K: k,
+		Op: name, D: d, K: k,
 		Iterations:  br.N,
 		NsPerOp:     float64(br.T.Nanoseconds()) / float64(br.N),
 		AllocsPerOp: br.AllocsPerOp(),
@@ -466,7 +519,7 @@ func benchWireRoute(d, k int, pairs [][2]word.Word, eng *serve.Engine) (Result, 
 	}, nil
 }
 
-// wireRoundTrip runs one ServeWireRoute iteration over wire.
+// wireRoundTrip runs one round trip of req and resp over wire.
 func wireRoundTrip(wire *bytes.Buffer, req *serve.Request, resp *serve.Response) error {
 	wire.Reset()
 	if err := serve.WriteFrame(wire, req); err != nil {
@@ -480,8 +533,8 @@ func wireRoundTrip(wire *bytes.Buffer, req *serve.Request, resp *serve.Response)
 	if err != nil {
 		return err
 	}
-	if got.Src != req.Src {
-		return fmt.Errorf("request decoded src %q, sent %q", got.Src, req.Src)
+	if got.Src != req.Src || len(got.Batch) != len(req.Batch) {
+		return fmt.Errorf("request decoded src %q and %d sub-queries, sent %q and %d", got.Src, len(got.Batch), req.Src, len(req.Batch))
 	}
 	if err := serve.WriteFrame(wire, resp); err != nil {
 		return err
@@ -493,8 +546,8 @@ func wireRoundTrip(wire *bytes.Buffer, req *serve.Request, resp *serve.Response)
 	if err != nil {
 		return err
 	}
-	if len(back.Path) != len(resp.Path) {
-		return fmt.Errorf("response decoded %d hops, sent %d", len(back.Path), len(resp.Path))
+	if len(back.Path) != len(resp.Path) || len(back.Batch) != len(resp.Batch) {
+		return fmt.Errorf("response decoded %d hops and %d answers, sent %d and %d", len(back.Path), len(back.Batch), len(resp.Path), len(resp.Batch))
 	}
 	return nil
 }

@@ -110,9 +110,9 @@ func TestServeSuiteRoundTrip(t *testing.T) {
 	if rep.Schema != SchemaServe {
 		t.Errorf("schema = %q, want %q", rep.Schema, SchemaServe)
 	}
-	// 9 ops × 2 k values.
-	if len(rep.Results) != 18 {
-		t.Fatalf("got %d results, want 18", len(rep.Results))
+	// 10 ops × 2 k values.
+	if len(rep.Results) != 20 {
+		t.Fatalf("got %d results, want 20", len(rep.Results))
 	}
 	for _, r := range rep.Results {
 		if r.NsPerOp <= 0 || r.Iterations <= 0 {
@@ -132,6 +132,10 @@ func TestServeSuiteRoundTrip(t *testing.T) {
 			// Per frame read one or two buffers (the body outgrows the
 			// header's), then src, dst and the decoded path.
 			budget = 6
+		case "ServeWireBatch":
+			// Two read buffers per frame, 32 addresses, the two batch
+			// slices and 8 paths.
+			budget = 46
 		}
 		if r.AllocsPerOp > budget {
 			t.Errorf("%s d=%d k=%d: %d allocs/op, budget %d", r.Op, r.D, r.K, r.AllocsPerOp, budget)

@@ -288,8 +288,38 @@ func route64(t testing.TB) (Request, Answer) {
 	return req, a
 }
 
+// batch256 is a 16-query DG(2,256) batch request, routes and
+// distances alternating, and its answered response: the frame shapes
+// of batch-uniform-k256 (an 8-route, 8-distance response is about
+// 10.8 KB).
+func batch256(t testing.TB) (Request, Response) {
+	rng := rand.New(rand.NewSource(256))
+	eng := NewEngine(nil)
+	req := Request{ID: 54321, Kind: "batch"}
+	resp := Response{ID: req.ID, Status: StatusOK, TraceID: 0x0123456789abcdef}
+	for i := 0; i < 16; i++ {
+		src, dst := word.Random(2, 256, rng), word.Random(2, 256, rng)
+		q := Query{Kind: KindRoute, Src: src, Dst: dst}
+		sub := RouteRequest(src, dst, Undirected)
+		if i%2 == 1 {
+			q.Kind, sub = KindDistance, DistanceRequest(src, dst, Undirected)
+		}
+		sub.ID = uint64(i + 1)
+		a, _, err := eng.Answer(q, LevelFull)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Batch = append(req.Batch, sub)
+		resp.Batch = append(resp.Batch, answerResponse(sub.ID, q.Kind, a, false))
+	}
+	return req, resp
+}
+
 // TestCodecAllocations pins the codec's allocation budget on the
-// route shapes the serve benchmark sends.
+// frame shapes the serve benchmark sends: scalar DG(2,64) routes and
+// 16-query DG(2,256) batches. A route response's one allocation per
+// path and a batch's one for its slice are the sizes read ahead; a
+// request's are its addresses.
 func TestCodecAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -300,27 +330,40 @@ func TestCodecAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { resp = answerResponse(7, KindRoute, a, false) }); n != 1 {
 		t.Errorf("answerResponse of a %d-hop route: %v allocs, want 1 (the path slice)", len(a.Path), n)
 	}
-	buf := appendResponse(nil, &resp)
-	if n := testing.AllocsPerRun(100, func() { buf = appendResponse(buf[:0], &resp) }); n != 0 {
-		t.Errorf("appendResponse into a reused buffer: %v allocs, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := ParseResponse(buf); err != nil {
-			t.Fatal(err)
+	breq, bresp := batch256(t)
+	for _, c := range []struct {
+		name            string
+		req             Request
+		resp            Response
+		maxResp, maxReq float64
+	}{
+		{"DG(2,64) route", req, resp, 2, 3},
+		{"DG(2,256) batch", breq, bresp, 9, 33},
+	} {
+		buf := appendResponse(nil, &c.resp)
+		if n := testing.AllocsPerRun(100, func() { buf = appendResponse(buf[:0], &c.resp) }); n != 0 {
+			t.Errorf("%s: appendResponse into a reused buffer: %v allocs, want 0", c.name, n)
 		}
-	}); n > 2 {
-		t.Errorf("ParseResponse of a route: %v allocs, want ≤ 2", n)
-	}
-	body := appendRequest(nil, &req)
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := ParseRequest(body); err != nil {
-			t.Fatal(err)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := ParseResponse(buf); err != nil {
+				t.Fatal(err)
+			}
+		}); n > c.maxResp {
+			t.Errorf("%s: ParseResponse: %v allocs, want ≤ %v", c.name, n, c.maxResp)
 		}
-	}); n > 3 {
-		t.Errorf("ParseRequest of a scalar request: %v allocs, want ≤ 3", n)
-	}
-	got, err := ParseResponse(buf)
-	if err != nil || !reflect.DeepEqual(got, resp) {
-		t.Fatalf("ParseResponse = %+v, %v; want %+v", got, err, resp)
+		body := appendRequest(nil, &c.req)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := ParseRequest(body); err != nil {
+				t.Fatal(err)
+			}
+		}); n > c.maxReq {
+			t.Errorf("%s: ParseRequest: %v allocs, want ≤ %v", c.name, n, c.maxReq)
+		}
+		if got, err := ParseResponse(buf); err != nil || !reflect.DeepEqual(got, c.resp) {
+			t.Fatalf("%s: ParseResponse = %+v, %v; want %+v", c.name, got, err, c.resp)
+		}
+		if got, err := ParseRequest(body); err != nil || !reflect.DeepEqual(got, c.req) {
+			t.Fatalf("%s: ParseRequest = %+v, %v; want %+v", c.name, got, err, c.req)
+		}
 	}
 }

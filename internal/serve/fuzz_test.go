@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -35,6 +36,21 @@ func FuzzServeDecode(f *testing.F) {
 		`{"ID":1,"Kind":null,"batch":[{"id":2},null],"batch":[{"kind":"x"}],"x":[{"y":[1.5e3,true]}]}`,
 		`{"fwd":{"origin":"o","key":"k","imag":"i","remaining":1,"final":true,"hops":0,"ttl":4},"src":"\u00e9\ud83d\ude00<>&"}`,
 		"null", "{\"src\":\"\xff\u2028\"}",
+	} {
+		f.Add([]byte(body))
+	}
+	// Bodies that just miss the fast paths: a plain string broken
+	// early, late or at the end of the frame by an escape, a control
+	// byte or non-ASCII, and batch arrays the sizing bound miscounts
+	// ('{' inside strings, nulls, duplicate and nested batches).
+	plain := strings.Repeat("01", 130)
+	for _, body := range []string{
+		`{"src":"` + plain + `\u0030","dst":"` + plain[:5] + "\x01" + `"}`,
+		`{"src":"` + plain + "\xc3\xa9" + `","dst":"0` + `\"","kind":"r` + "\x7f" + `"}`,
+		`{"src":"` + plain, `{"src":"` + plain + `\`, `{"src":"` + plain + `"`,
+		`{"kind":"batch","batch":[{"src":"{{{{"},null,{"dst":"}"}]}`,
+		`{"batch":[null,null,{}],"batch":[{},{"batch":[{},{}]}],"batch":[{"fwd":{}},{}]}`,
+		`{"batch":[` + strings.Repeat(`{},`, maxPresize+3) + `{}]}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -114,6 +130,22 @@ func FuzzResponseCodec(f *testing.F) {
 	}
 	f.Add([]byte(`{"PATH":["L0",null],"path":[],"bounds":null,"x":{"y":[]},"cached":null}`))
 	f.Add([]byte("null"))
+	// Bodies that just miss the hop fast paths and the path sizing
+	// bound: near-hops, hops with whitespace around them, strings
+	// holding ']' and ',', and paths longer than maxPresize.
+	for _, body := range []string{
+		`{"path":["L","LA","l0","L0 ","L0","R*"],"next_hop":"L0 "}`,
+		`{"path":[ "L0" ,"R1"	,` + "\n" + `"Lz" ]}`,
+		`{"path":["L0","a]b","c,d",",","]","R*"]}`,
+		`{"path":["L0","R1"],"path":["]",null,"L2"]}`,
+		`{"path":["L0"`, `{"path":["L0",`, `{"path":["L0`, `{"path":["L`,
+		`{"path":["L\u0030","\u004c0","L` + "\xc3\xa9" + `"]}`,
+		`{"path":[` + strings.Repeat(`"L0",`, maxPresize) + `"R*"]}`,
+		`{"path":[` + strings.Repeat(`"L0","x]",`, maxPresize/2+1) + `"R*"]}`,
+		`{"batch":[{"path":["L0"]},{"bounds":{"lo":1,"hi":2}},null],"batch":[{"batch":[{"path":["R1"]}]}]}`,
+	} {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkResponseDecode(t, data)
 	})

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -471,9 +472,14 @@ func errorResponse(id uint64, err error) Response {
 // both directions against it); what changes is the cost. The encoder
 // appends into a caller's buffer, with no reflection and no
 // allocation. The decoder is a one-pass scanner that validates as it
-// goes, sizes each slice once and interns the protocol's fixed
-// vocabulary (hop names, kinds, modes, statuses), so a parsed route
-// response costs one allocation: its path.
+// goes and interns the protocol's fixed vocabulary (hop names, kinds,
+// modes, statuses), so a parsed route response costs one allocation:
+// its path. It sizes a path, and the frame's own batch, once from a
+// bound that package bytes' assembly scans find (see presize), so no
+// loop in Go walks the frame ahead of it. The bulk of a route frame
+// takes one tight loop per value on both sides: an escape-free string
+// is one table loop to its closing quote, a quoted hop name in a path
+// one 4-byte compare.
 
 // appendRequest appends r's JSON encoding, byte-identical to
 // json.Marshal(r).
@@ -541,13 +547,15 @@ func appendResponse(b []byte, r *Response) []byte {
 	b = strconv.AppendInt(b, int64(r.Distance), 10)
 	if len(r.Path) > 0 {
 		b = append(b, `,"path":[`...)
-		for i, h := range r.Path {
-			if i > 0 {
-				b = append(b, ',')
+		// Every element is followed by a comma; the last becomes ']'.
+		for _, h := range r.Path {
+			if _, ok := hopIndex(h); ok {
+				b = append(b, '"', h[0], h[1], '"', ',')
+			} else {
+				b = append(appendString(b, h), ',')
 			}
-			b = appendString(b, h)
 		}
-		b = append(b, ']')
+		b[len(b)-1] = ']'
 	}
 	b = appendStringField(b, `,"next_hop":`, r.NextHop)
 	if r.Done {
@@ -608,11 +616,29 @@ func appendTraceID(b []byte, id obs.TraceID) []byte {
 
 const lowerHex = "0123456789abcdef"
 
-// htmlSafe reports the ASCII bytes json.Marshal copies into a string
-// unescaped: printable, and none of " \ < > &.
-var htmlSafe = func() (safe [utf8.RuneSelf]bool) {
+// plainRun returns the index of the first byte from i on that table
+// marks 0, or len(s): the end of a run of bytes that need no escaping.
+// It tests four bytes a step, so a long plain run costs about one
+// branch per four bytes.
+func plainRun[S string | []byte](s S, i int, table *[256]uint8) int {
+	for ; i+4 <= len(s); i += 4 {
+		if table[s[i]]&table[s[i+1]]&table[s[i+2]]&table[s[i+3]] == 0 {
+			break
+		}
+	}
+	for i < len(s) && table[s[i]] != 0 {
+		i++
+	}
+	return i
+}
+
+// htmlSafe is 1 for the bytes json.Marshal copies into a string
+// unescaped: printable ASCII but for " \ < > &.
+var htmlSafe = func() (safe [256]uint8) {
 	for c := byte(' '); c < utf8.RuneSelf; c++ {
-		safe[c] = !strings.ContainsRune(`"\<>&`, rune(c))
+		if !strings.ContainsRune(`"\<>&`, rune(c)) {
+			safe[c] = 1
+		}
 	}
 	return safe
 }()
@@ -624,12 +650,10 @@ func appendString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if htmlSafe[c] {
-				i++
-				continue
-			}
+		if i = plainRun(s, i, &htmlSafe); i == len(s) {
+			break
+		}
+		if c := s[i]; c < utf8.RuneSelf {
 			b = append(b, s[start:i]...)
 			switch c {
 			case '"', '\\':
@@ -679,13 +703,6 @@ const maxDepth = 10000
 // a large slice before it finds the frame malformed.
 const maxPresize = 1024
 
-// maxPresizeDepth is the deepest nesting at which an array is counted
-// ahead: a frame's own path and batch (depth 1) and its sub-requests'
-// or sub-responses' (depth 3). Deeper arrays, which no valid query
-// frame has, grow by appending instead, so nested batches cannot make
-// the scan-ahead quadratic.
-const maxPresizeDepth = 3
-
 // decoder is a one-pass JSON scanner over one frame body. Each value
 // method accepts a value of its Go type, or null, after optional
 // whitespace, following encoding/json's rules: null leaves strings,
@@ -697,6 +714,10 @@ type decoder struct {
 	data  []byte
 	off   int
 	depth int
+	// batchSized records that presize has sized a batch array: the
+	// frame's own, which is reached before any nested one. Later ones
+	// (repeated keys, nested batches) grow by appending.
+	batchSized bool
 }
 
 func (d *decoder) errorf(format string, args ...any) error {
@@ -715,6 +736,14 @@ func (d *decoder) unexpected(want string) error {
 // peek skips whitespace and returns the next byte, 0 at the end (a
 // NUL byte is no valid start of anything either).
 func (d *decoder) peek() byte {
+	if d.off < len(d.data) && d.data[d.off] > ' ' {
+		return d.data[d.off]
+	}
+	return d.skipSpace()
+}
+
+// skipSpace is peek's loop, kept out of line so peek inlines.
+func (d *decoder) skipSpace() byte {
 	for ; d.off < len(d.data); d.off++ {
 		switch c := d.data[d.off]; c {
 		case ' ', '\t', '\n', '\r':
@@ -761,14 +790,33 @@ func (d *decoder) lit(word string) error {
 	return nil
 }
 
+// strPlain is 1 for the bytes a string's raw contents hold as they
+// are: printable ASCII but for the closing quote and the backslash.
+var strPlain = func() (plain [256]uint8) {
+	for c := byte(' '); c < utf8.RuneSelf; c++ {
+		if c != '"' && c != '\\' {
+			plain[c] = 1
+		}
+	}
+	return plain
+}()
+
 // str consumes a string and returns its raw contents. plain reports
 // that they are the string itself: ASCII without escapes.
 func (d *decoder) str() (raw []byte, plain bool, err error) {
 	if d.peek() != '"' {
 		return nil, false, d.unexpected("string")
 	}
+	i := plainRun(d.data, d.off+1, &strPlain)
+	if i < len(d.data) && d.data[i] == '"' {
+		raw = d.data[d.off+1 : i]
+		d.off = i + 1
+		return raw, true, nil
+	}
+	// An escape, a control character or non-ASCII byte: go on from it
+	// with the escape-aware loop.
 	plain = true
-	for i := d.off + 1; i < len(d.data); {
+	for i < len(d.data) {
 		switch c := d.data[i]; {
 		case c == '"':
 			raw = d.data[d.off+1 : i]
@@ -1194,57 +1242,59 @@ func match(key []byte, names []string) string {
 	return ""
 }
 
-// presize returns the capacity to give the array whose '[' is at the
-// offset: its element count, capped at maxPresize, near the top of the
-// frame, and 0 deeper down.
-func (d *decoder) presize() int {
-	if d.depth > maxPresizeDepth {
-		return 0
+// hop consumes the quoted hop name that starts at the offset, with no
+// whitespace before it, and returns its hopNames entry; ok is false,
+// and nothing is consumed, when anything else is there.
+func (d *decoder) hop() (h string, ok bool) {
+	if len(d.data)-d.off < 4 {
+		return "", false
 	}
-	return min(d.count(), maxPresize)
+	q := d.data[d.off : d.off+4]
+	if q[0] != '"' || q[3] != '"' {
+		return "", false
+	}
+	i, ok := hopIndex(q[1:3])
+	if !ok {
+		return "", false
+	}
+	d.off += 4
+	return hopNames[2*i : 2*i+2], true
 }
 
-// count returns the number of elements of the array whose '[' is at
-// the offset, scanning ahead without validating; a malformed array
-// may count wrong, which decodeSlice tolerates.
-func (d *decoder) count() int {
-	save := d.off
-	d.off++
-	empty := d.peek() == ']'
-	i := d.off
-	d.off = save
-	if empty {
-		return 0
-	}
-	n, depth := 1, 1
-	for ; i < len(d.data); i++ {
-		switch d.data[i] {
-		case '"':
-			for i++; i < len(d.data) && d.data[i] != '"'; i++ {
-				if d.data[i] == '\\' {
-					i++
-				}
-			}
-		case '[', '{':
-			depth++
-		case ']', '}':
-			if depth--; depth == 0 {
-				return n
-			}
-		case ',':
-			if depth == 1 {
-				n++
-			}
+// presize returns the capacity to give the non-empty array whose first
+// element is at the offset, capped at maxPresize. A string array has
+// one more element than commas outside its strings, and ends at the
+// first ']' outside them: counting every comma before the first ']'
+// is exact on hop paths and elsewhere only changes how often the
+// slice grows. That scan stops at the array's end or sooner (or where
+// the parse then fails), so a parse reads each byte at most once more.
+// A batch array holds objects, at most as many as the '{' bytes to the
+// end of the frame; only the first batch array, the frame's own, is
+// sized, so that scan too runs once.
+func presize[T Request | Response | string](d *decoder) int {
+	rest := d.data[d.off:]
+	var n int
+	switch any((*T)(nil)).(type) {
+	case *string:
+		if end := bytes.IndexByte(rest, ']'); end >= 0 {
+			rest = rest[:end]
 		}
+		n = bytes.Count(rest, []byte{','}) + 1
+	default:
+		if d.batchSized {
+			return 0
+		}
+		d.batchSized = true
+		n = bytes.Count(rest, []byte{'{'})
 	}
-	return n
+	return min(n, maxPresize)
 }
 
 // decodeSlice decodes an array into s, reusing s's elements and
 // storage as encoding/json does: it decodes into whatever elements s
 // already holds (up to its capacity), grows it with zero elements,
-// and leaves a non-nil empty slice for []. Near the top of the frame
-// it sizes the slice once from a scan-ahead count.
+// and leaves a non-nil empty slice for []. It sizes the slice once,
+// by presize, before the first element.
 func decodeSlice[T Request | Response | string](d *decoder, s []T) ([]T, error) {
 	switch d.peek() {
 	case 'n':
@@ -1253,17 +1303,17 @@ func decodeSlice[T Request | Response | string](d *decoder, s []T) ([]T, error) 
 	default:
 		return s, d.unexpected("array")
 	}
-	if n := d.presize(); n > cap(s) {
-		grown := make([]T, n)
-		copy(grown, s[:cap(s)])
-		s = grown[:len(s)]
-	}
 	if err := d.push(); err != nil {
 		return s, err
 	}
 	if d.peek() == ']' {
 		d.pop()
 		return make([]T, 0), nil
+	}
+	if n := presize[T](d); n > cap(s) {
+		grown := make([]T, n)
+		copy(grown, s[:cap(s)])
+		s = grown[:len(s)]
 	}
 	for i := 0; ; i++ {
 		if i == len(s) {
@@ -1283,7 +1333,11 @@ func decodeSlice[T Request | Response | string](d *decoder, s []T) ([]T, error) 
 		case *Response:
 			err = d.response(e)
 		case *string:
-			err = d.string(e)
+			if h, ok := d.hop(); ok {
+				*e = h
+			} else {
+				err = d.string(e)
+			}
 		}
 		if err != nil {
 			return s, err
