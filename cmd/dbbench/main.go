@@ -24,7 +24,11 @@
 // Distance (Theorem 2, O(k)), Route (Algorithm 4, O(k)). The network
 // suite measures whole seeded simulation runs per iteration:
 // Contention (batch store-and-forward), OpenLoop (Bernoulli-arrival
-// store-and-forward), Deflect (bufferless deflection, layer-aware).
+// store-and-forward), Deflect (bufferless deflection, layer-aware),
+// plus E18Cell, measured once at DG(2,6) whatever -d and -k say: one
+// seed of the sim-e18 cell loop, E18's five offered loads each through
+// the three deflection policies and the store-and-forward open loop,
+// 16 rounds of injection.
 // The serve suite measures the route-query serving engine per call:
 // ServeHit* (warmed LRU lookups, pinned at 0 allocs/op) and ServeMiss*
 // (cache-disabled computes at the kernels' allocation budgets), plus
@@ -48,6 +52,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/deflect"
+	"repro/internal/experiments"
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -105,6 +110,7 @@ func run(args []string, out io.Writer) error {
 	}
 	schema := Schema
 	cells := benchCells
+	var fixed func() (Result, error) // one cell at its own (d,k), measured once
 	switch *suite {
 	case "core":
 		if *ks == "" {
@@ -113,6 +119,7 @@ func run(args []string, out io.Writer) error {
 	case "network":
 		schema = SchemaNetwork
 		cells = benchNetworkCells
+		fixed = benchE18Cell
 		if *ks == "" {
 			*ks = "5,7"
 		}
@@ -169,6 +176,14 @@ func run(args []string, out io.Writer) error {
 		}
 		rep.Results = append(rep.Results, cs...)
 		fmt.Fprintf(out, "d=%d k=%d done\n", *d, k)
+	}
+	if fixed != nil {
+		r, err := fixed()
+		if err != nil {
+			return err
+		}
+		rep.Results = append(rep.Results, r)
+		fmt.Fprintf(out, "%s d=%d k=%d done\n", r.Op, r.D, r.K)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -595,27 +610,51 @@ func benchNetworkCells(d, k int) ([]Result, error) {
 	}
 	out := make([]Result, 0, len(ops))
 	for _, op := range ops {
-		fn := op.fn
-		var failure error
-		br := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := fn(); err != nil {
-					failure = err
-					b.FailNow()
-				}
-			}
-		})
-		if failure != nil {
-			return nil, fmt.Errorf("%s d=%d k=%d: %w", op.name, d, k, failure)
+		r, err := benchRun(op.name, d, k, op.fn)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, Result{
-			Op: op.name, D: d, K: k,
-			Iterations:  br.N,
-			NsPerOp:     float64(br.T.Nanoseconds()) / float64(br.N),
-			AllocsPerOp: br.AllocsPerOp(),
-			BytesPerOp:  br.AllocedBytesPerOp(),
-		})
+		out = append(out, r)
 	}
 	return out, nil
+}
+
+// e18Rates are E18's offered loads, as cmd/dbstats -table deflect and
+// the sim-e18 workload run them.
+var e18Rates = []float64{0.05, 0.15, 0.30, 0.60, 0.90}
+
+// benchE18Cell measures one seed of the sim-e18 cell loop on DG(2,6):
+// every E18 rate through the three deflection policies and the
+// rate-matched store-and-forward open loop, 16 rounds of injection
+// each, so -compare defends the deflection engine's per-run setup as
+// well as its rounds.
+func benchE18Cell() (Result, error) {
+	return benchRun("E18Cell", 2, 6, func() error {
+		_, err := experiments.DeflectSweep(2, 6, e18Rates, 16, 17)
+		return err
+	})
+}
+
+// benchRun times fn, one whole seeded run per iteration.
+func benchRun(name string, d, k int, fn func() error) (Result, error) {
+	var failure error
+	br := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := fn(); err != nil {
+				failure = err
+				b.FailNow()
+			}
+		}
+	})
+	if failure != nil {
+		return Result{}, fmt.Errorf("%s d=%d k=%d: %w", name, d, k, failure)
+	}
+	return Result{
+		Op: name, D: d, K: k,
+		Iterations:  br.N,
+		NsPerOp:     float64(br.T.Nanoseconds()) / float64(br.N),
+		AllocsPerOp: br.AllocsPerOp(),
+		BytesPerOp:  br.AllocedBytesPerOp(),
+	}, nil
 }

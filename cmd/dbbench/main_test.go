@@ -71,9 +71,9 @@ func TestNetworkSuiteRoundTrip(t *testing.T) {
 	if rep.Schema != SchemaNetwork {
 		t.Errorf("schema = %q, want %q", rep.Schema, SchemaNetwork)
 	}
-	// 3 engines × 2 k values.
-	if len(rep.Results) != 6 {
-		t.Fatalf("got %d results, want 6", len(rep.Results))
+	// 3 engines × 2 k values, plus E18Cell at DG(2,6).
+	if len(rep.Results) != 7 {
+		t.Fatalf("got %d results, want 7", len(rep.Results))
 	}
 	seen := map[string]bool{}
 	for _, r := range rep.Results {
@@ -82,7 +82,7 @@ func TestNetworkSuiteRoundTrip(t *testing.T) {
 			t.Errorf("%s d=%d k=%d: non-positive measurement %+v", r.Op, r.D, r.K, r)
 		}
 	}
-	for _, op := range []string{"Contention", "OpenLoop", "Deflect"} {
+	for _, op := range []string{"Contention", "OpenLoop", "Deflect", "E18Cell"} {
 		if !seen[op] {
 			t.Errorf("op %s missing from report", op)
 		}

@@ -181,7 +181,7 @@ func structuredPair(d, k int, rng *rand.Rand) [2]word.Word {
 // undirected and directed, against the row-major reference matrices.
 func compareColumns(f *findings, name string, kn *core.Kernels, words []word.Word, refU, refD []int32) {
 	n := len(words)
-	col := make([]int32, n)
+	col := make([]uint8, n)
 	for j, y := range words {
 		for _, c := range []struct {
 			directed bool
@@ -193,7 +193,7 @@ func compareColumns(f *findings, name string, kn *core.Kernels, words []word.Wor
 				continue
 			}
 			for v, got := range col {
-				if want := c.ref[v*n+j]; got != want {
+				if want := c.ref[v*n+j]; int32(got) != want {
 					f.addf(c.oracle, "%s: column toward %v: D(%v) = %d, reference %d", name, y, words[v], got, want)
 				}
 			}

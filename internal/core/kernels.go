@@ -229,10 +229,11 @@ func (kn *Kernels) UndirectedDistance(x, y word.Word) (int, error) {
 
 // DistanceColumn fills col[v] with the distance from the vertex of
 // rank v to dst, for every vertex of DG(d,k): Theorem 2, or
-// Property 1 when directed. col must hold d^k entries. The table tier
-// ranks dst once and reads the stored column; the other tiers run
+// Property 1 when directed. col must hold d^k entries; every distance
+// is at most k, which an enumerable DG(d,k) keeps below 64. The table
+// tier ranks dst once and reads the stored column; the other tiers run
 // their kernel once per vertex.
-func (kn *Kernels) DistanceColumn(dst word.Word, directed bool, col []int32) error {
+func (kn *Kernels) DistanceColumn(dst word.Word, directed bool, col []uint8) error {
 	d, k := dst.Base(), dst.Len()
 	n, err := word.Count(d, k)
 	if err != nil {
@@ -247,7 +248,7 @@ func (kn *Kernels) DistanceColumn(dst word.Word, directed bool, col []int32) err
 			dist = ti.tab.ddist
 		}
 		for v, i := 0, int(dst.MustRank()); v < n; v, i = v+1, i+n {
-			col[v] = int32(dist[i])
+			col[v] = dist[i]
 		}
 		return nil
 	}
@@ -260,13 +261,29 @@ func (kn *Kernels) DistanceColumn(dst word.Word, directed bool, col []int32) err
 	if _, err := word.ForEachInPlace(d, k, func(w word.Word) bool {
 		var dv int
 		dv, derr = distance(w, dst)
-		col[v] = int32(dv)
+		col[v] = uint8(dv)
 		v++
 		return derr == nil
 	}); err != nil {
 		return err
 	}
 	return derr
+}
+
+// UndirectedRow returns the shared rank table's row of Theorem 2
+// distances from the vertex of rank v, row[u] = D(v,u), when the table
+// tier answers DG(d,k) right now, and nil otherwise (no table, or its
+// asynchronous build still running). The undirected distance is
+// symmetric, so the row equals DistanceColumn's undirected column
+// toward v without the copy. The row is a read-only view into the
+// table; v must be a rank of DG(d,k).
+func (kn *Kernels) UndirectedRow(d, k, v int) []uint8 {
+	ti := kn.resolve(d, k)
+	if ti.tier != TierTable {
+		return nil
+	}
+	n := ti.tab.n
+	return ti.tab.udist[v*n : (v+1)*n : (v+1)*n]
 }
 
 func clampDist(k, dL, dR int) int {

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -555,8 +556,9 @@ func TestKernelAllocBudgets(t *testing.T) {
 
 // TestDistanceColumn compares every tier's distance column with the
 // tier-free Theorem 2 and Property 1 functions toward every
-// destination, and checks that a column of the wrong length is
-// refused.
+// destination, checks that UndirectedRow, on the table tier only,
+// reads the same values as the undirected column, and checks that a
+// column of the wrong length is refused.
 func TestDistanceColumn(t *testing.T) {
 	configs := map[string]KernelConfig{
 		"scratch": {TableBudget: -1, DisablePacked: true},
@@ -574,7 +576,7 @@ func TestDistanceColumn(t *testing.T) {
 		}
 		for name, cfg := range configs {
 			kn := NewKernels(cfg)
-			col := make([]int32, len(words))
+			col := make([]uint8, len(words))
 			for _, y := range words {
 				for _, directed := range []bool{false, true} {
 					if err := kn.DistanceColumn(y, directed, col); err != nil {
@@ -591,6 +593,13 @@ func TestDistanceColumn(t *testing.T) {
 						if int(col[v]) != want {
 							t.Fatalf("%s DG(%d,%d) directed=%v: column toward %v reads %d at %v, want %d", name, d, k, directed, y, col[v], x, want)
 						}
+					}
+					row := kn.UndirectedRow(d, k, int(y.MustRank()))
+					switch {
+					case (row != nil) != (name == "table"):
+						t.Fatalf("%s DG(%d,%d): UndirectedRow toward %v is nil: %v", name, d, k, y, row == nil)
+					case row != nil && !directed && !slices.Equal(row, col):
+						t.Fatalf("%s DG(%d,%d): UndirectedRow toward %v reads %v, column %v", name, d, k, y, row, col)
 					}
 				}
 			}

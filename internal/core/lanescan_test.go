@@ -47,11 +47,16 @@ func centerReach(xd, yd []byte, c int) (w, up, dn, longest int) {
 // while other lanes go on dying, so that the early stop does not mark
 // them first; a lane whose reach is exactly h then pins the threshold
 // on lane words past the first, which the kernel tests alone do not.
+// Ladder operands (see ladder) go further: their walks kill at least
+// one lane per two lane words at every offset up to 32 and end with no
+// lane alive, so a lane q ≥ 64 whose reach is exactly h-1 must come
+// out unmarked; that pins the threshold from the other side.
 func TestLaneScanCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	var ps packedScratch
 	var ls laneScan
-	edge := 0 // lanes q ≥ 64 whose reach from the center is exactly h
+	edge := 0  // lanes q ≥ 64 whose reach from the center is exactly h
+	short := 0 // lanes q ≥ 64 one digit short of h in walks that ran out
 	check := func(x, y word.Word) {
 		t.Helper()
 		d, k := x.Base(), x.Len()
@@ -100,6 +105,9 @@ func TestLaneScanCandidates(t *testing.T) {
 					if q >= 64 && max(up, dn) == h {
 						edge++
 					}
+					if q >= 64 && max(up, dn) == h-1 && exact {
+						short++
+					}
 				}
 			}
 		}
@@ -140,8 +148,37 @@ func TestLaneScanCandidates(t *testing.T) {
 				check(word.MustNew(d, xd), word.MustNew(d, yd))
 			}
 		}
+		zw, lw := word.MustNew(d, zero), word.MustNew(d, ladder(k, byte(d-1)))
+		check(lw, zw)
+		check(zw, lw)
 	}
 	if edge < 10 {
 		t.Fatalf("%d lanes of 64 or more reach exactly their threshold, want ≥ 10", edge)
 	}
+	if short < 10 {
+		t.Fatalf("%d lanes of 64 or more fall one digit short of their threshold in a walk that ran out, want ≥ 10", short)
+	}
+}
+
+// ladder returns k digits, zero but for the digit a at the defects
+// 25, 27, 29, 32, 37, 46, 63, 96, 129, … : gaps of 2, 2, 3, 5, 9, 17,
+// 33 and 33, repeated. Against the zero word, the lane of a positive
+// shift centered at q (the p = 0 and p = 1 groups alike) dies at the
+// offset max(b-q, q-a) for the defects a ≤ q ≤ b around it, and a gap
+// of g kills two lanes at each offset ⌈g/2⌉…g-1. One ladder therefore
+// kills two lanes at every offset 1…32, and a defect lane each at
+// offset 0, so on DG(2,256) the walk never stops early; every lane
+// past the first defect dies by offset 32, which ends the walk with
+// no lane alive. Lane 64 dies there: the defect at 63 kills its way
+// down at once, the one at 96 its way up at offset 32, one offset
+// before its threshold h = 33 would mark it. Wider k repeat the
+// ladder, adding two kills per offset for each repetition, which keeps
+// pace with the lane words.
+func ladder(k int, a byte) []byte {
+	gaps := [...]int{2, 2, 3, 5, 9, 17, 33, 33}
+	v := make([]byte, k)
+	for i, g := 25, 0; i < k; i, g = i+gaps[g], (g+1)%len(gaps) {
+		v[i] = a
+	}
+	return v
 }

@@ -27,11 +27,16 @@ import (
 // processed in vertex order, residents in priority order, and every
 // random choice draws from the seeded generator. Not safe for
 // concurrent use.
+//
+// Sites are vertex ranks throughout: out-links come from the rank
+// arithmetic of the LayerCache's adjacency, messages carry their
+// destination's rank, and no graph or site word exists unless Graph or
+// Word asks for one.
 type Engine struct {
 	cfg   Config
-	g     *graph.Graph
+	adj   *adjacency
+	g     *graph.Graph // built by the first Graph call
 	rng   *rand.Rand
-	sites []word.Word // vertex → word
 	cache *LayerCache
 
 	resident [][]*msg
@@ -58,8 +63,7 @@ type Engine struct {
 
 type msg struct {
 	id          int
-	dst         word.Word
-	dstV        int
+	dstV        int     // destination rank
 	ly          *Layers // toward dst; resolved on the message's first round
 	born        int     // round at injection
 	hops        int
@@ -91,15 +95,13 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// New validates the configuration and builds the engine.
+// New validates the configuration and builds the engine: O(N·d)
+// entries of adjacency and resident slots in a number of allocations
+// that does not grow with N.
 func New(cfg Config) (*Engine, error) {
-	kind := graph.Undirected
-	if cfg.Unidirectional {
-		kind = graph.Directed
-	}
-	g, err := graph.DeBruijn(kind, cfg.D, cfg.K)
+	cache, err := NewLayerCache(cfg.D, cfg.K, cfg.Unidirectional)
 	if err != nil {
-		return nil, fmt.Errorf("deflect: %w", err)
+		return nil, err
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = PolicyRandom{}
@@ -110,33 +112,19 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.MaxAge < cfg.K {
 		return nil, fmt.Errorf("deflect: MaxAge %d below diameter %d", cfg.MaxAge, cfg.K)
 	}
-	n := g.NumVertices()
+	adj := cache.adj
 	// A site holds at most one message per output link, so each
 	// resident set gets exactly that capacity from one backing array.
-	resident := make([][]*msg, n)
-	slots := 0
+	resident := make([][]*msg, adj.n)
+	backing := make([]*msg, len(adj.nbr))
 	for v := range resident {
-		slots += len(g.OutNeighbors(v))
-	}
-	backing := make([]*msg, slots)
-	for v, off := 0, 0; v < n; v++ {
-		deg := len(g.OutNeighbors(v))
-		resident[v] = backing[off : off : off+deg]
-		off += deg
-	}
-	sites := make([]word.Word, n)
-	if _, err := word.ForEach(cfg.D, cfg.K, func(w word.Word) bool {
-		sites[graph.DeBruijnVertex(w)] = w
-		return true
-	}); err != nil {
-		return nil, fmt.Errorf("deflect: %w", err)
+		resident[v] = backing[adj.off[v]:adj.off[v]:adj.off[v+1]]
 	}
 	return &Engine{
 		cfg:      cfg,
-		g:        g,
+		adj:      adj,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		sites:    sites,
-		cache:    NewLayerCache(g),
+		cache:    cache,
 		resident: resident,
 		m:        newDeflectMetrics(cfg.Obs),
 	}, nil
@@ -145,14 +133,35 @@ func New(cfg Config) (*Engine, error) {
 // Config returns the configuration with defaults resolved.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Graph exposes the underlying topology (read-only use).
-func (e *Engine) Graph() *graph.Graph { return e.g }
+// Graph exposes the underlying topology (read-only use): the
+// graph.DeBruijn graph whose OutNeighbors the engine's rank adjacency
+// equals, built on the first call.
+func (e *Engine) Graph() *graph.Graph {
+	if e.g == nil {
+		kind := graph.Undirected
+		if e.cfg.Unidirectional {
+			kind = graph.Directed
+		}
+		g, err := graph.DeBruijn(kind, e.cfg.D, e.cfg.K)
+		if err != nil {
+			panic(err) // unreachable: New accepted d and k
+		}
+		e.g = g
+	}
+	return e.g
+}
 
 // NumSites returns d^k.
-func (e *Engine) NumSites() int { return len(e.sites) }
+func (e *Engine) NumSites() int { return e.adj.n }
 
 // Word returns the address of vertex v.
-func (e *Engine) Word(v int) word.Word { return e.sites[v] }
+func (e *Engine) Word(v int) word.Word {
+	w, err := word.Unrank(e.cfg.D, e.cfg.K, uint64(v))
+	if err != nil {
+		panic(err) // v is not a vertex of DN(d,k)
+	}
+	return w
+}
 
 // Round returns the number of completed rounds.
 func (e *Engine) Round() int { return e.round }
@@ -167,7 +176,7 @@ func (e *Engine) Capacity(w word.Word) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(e.g.OutNeighbors(v)), nil
+	return len(e.adj.OutNeighbors(v)), nil
 }
 
 func (e *Engine) vertex(w word.Word) (int, error) {
@@ -191,16 +200,21 @@ func (e *Engine) Inject(src, dst word.Word) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	return e.inject(sv, dv), nil
+}
+
+// inject is Inject by vertex rank.
+func (e *Engine) inject(sv, dv int) bool {
 	if sv == dv {
 		e.injected++
 		e.m.injected.Inc()
 		e.deliver(&msg{dstV: dv, born: e.round})
-		return true, nil
+		return true
 	}
-	if len(e.resident[sv]) >= len(e.g.OutNeighbors(sv)) {
+	if len(e.resident[sv]) >= len(e.adj.OutNeighbors(sv)) {
 		e.refused++
 		e.m.refused.Inc()
-		return false, nil
+		return false
 	}
 	var m *msg
 	if n := len(e.spare); n > 0 {
@@ -208,14 +222,14 @@ func (e *Engine) Inject(src, dst word.Word) (bool, error) {
 	} else {
 		m = new(msg)
 	}
-	*m = msg{id: e.nextID, dst: dst, dstV: dv, born: e.round}
+	*m = msg{id: e.nextID, dstV: dv, born: e.round}
 	e.nextID++
 	e.resident[sv] = append(e.resident[sv], m)
 	e.inflight++
 	e.injected++
 	e.m.injected.Inc()
 	e.m.inflight.Set(float64(e.inflight))
-	return true, nil
+	return true
 }
 
 // Step advances one synchronous round: every site emits all resident
@@ -233,13 +247,13 @@ func (e *Engine) Step() error {
 			continue
 		}
 		byPriority(rs)
-		free := append(e.free[:0], e.g.OutNeighbors(v)...)
+		free := append(e.free[:0], e.adj.OutNeighbors(v)...)
 		for _, m := range rs {
 			if len(free) == 0 {
-				return fmt.Errorf("deflect: site %v holds more messages than output links (internal invariant)", e.sites[v])
+				return fmt.Errorf("deflect: site %v holds more messages than output links (internal invariant)", e.Word(v))
 			}
 			if m.ly == nil {
-				ly, err := e.cache.For(m.dst)
+				ly, err := e.cache.For(m.dstV)
 				if err != nil {
 					return err
 				}
@@ -251,7 +265,7 @@ func (e *Engine) Step() error {
 			cand, candIdx := e.cand[:0], e.candIdx[:0]
 			dv := ly.dist[v]
 			for i, u := range free {
-				if ly.dist[u] == dv-1 {
+				if ly.dist[u]+1 == dv {
 					cand = append(cand, u)
 					candIdx = append(candIdx, i)
 				}

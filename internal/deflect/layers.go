@@ -13,9 +13,10 @@
 // given destination, and a deflection policy can bound the cost of
 // losing a contention. Fàbrega, Martí-Farré & Muñoz (PAPERS.md,
 // arXiv:2203.09918) formalize this as the distance-layer structure
-// B_0..B_k of the de Bruijn digraph; Layers materializes that
-// decomposition from the closed-form distance function and the tests
-// validate it against BFS on the explicit graph.
+// B_0..B_k of the de Bruijn digraph; Layers holds that decomposition
+// as one distance per vertex rank, from the closed-form distance
+// function, and the tests validate it against BFS on the explicit
+// graph.
 //
 // The engine (engine.go) is synchronous and slotted: per round, each
 // directed channel carries at most one message, contention is resolved
@@ -28,6 +29,7 @@ package deflect
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -45,90 +47,151 @@ type Link struct {
 	Advancing bool
 }
 
+// shape is one DG(d,k) of either kind: n = d^k vertices, ranked.
+type shape struct {
+	d, k, n  int
+	directed bool
+}
+
+// neighbors lists out-neighbours by vertex rank: a graph built by
+// graph.DeBruijn, or the engine's adjacency, which lists the same
+// neighbours in the same order.
+type neighbors interface {
+	OutNeighbors(v int) []int32
+}
+
+// adjacency is DG(d,k)'s out-neighbour lists computed by rank
+// arithmetic, with no words and no graph. The left shifts of rank v
+// are (v·d + a) mod N, a contiguous ascending run; on the undirected
+// graph the right shifts a·N/d + v/d, ascending in steps of N/d, join
+// them. Merging the two runs and dropping repeats and the self-loop
+// gives exactly graph.DeBruijn's OutNeighbors, in its ascending order,
+// which policies index candidates by.
+type adjacency struct {
+	shape
+	off []int32 // the out-neighbours of v are nbr[off[v]:off[v+1]]
+	nbr []int32
+}
+
+// newAdjacency computes the lists in one O(N·d) pass into one array.
+func newAdjacency(d, k int, directed bool) (*adjacency, error) {
+	n, err := word.Count(d, k)
+	if err != nil {
+		return nil, fmt.Errorf("deflect: %w", err)
+	}
+	deg := 2 * d
+	if directed {
+		deg = d
+	}
+	if n > (math.MaxInt32-1)/(deg+1) {
+		return nil, fmt.Errorf("deflect: DG(%d,%d) has more links than int32 adjacency offsets number", d, k)
+	}
+	buf := make([]int32, n+1+n*deg)
+	a := &adjacency{shape: shape{d: d, k: k, n: n, directed: directed}, off: buf[:n+1], nbr: buf[n+1 : n+1]}
+	step := n / d
+	for v := 0; v < n; v++ {
+		lo, r := v*d%n, v/d
+		last := -1
+		for i, j := 0, 0; i < d || !directed && j < d; {
+			u := lo + i
+			if i < d && (directed || u <= r+j*step) {
+				i++
+			} else {
+				u = r + j*step
+				j++
+			}
+			if u != v && u != last {
+				a.nbr = append(a.nbr, int32(u))
+			}
+			last = u
+		}
+		a.off[v+1] = int32(len(a.nbr))
+	}
+	return a, nil
+}
+
+// OutNeighbors returns the ascending out-neighbours of the vertex of
+// rank v. The returned slice must not be modified.
+func (a *adjacency) OutNeighbors(v int) []int32 { return a.nbr[a.off[v]:a.off[v+1]] }
+
 // Layers is the distance-layer decomposition of DG(d,k) relative to
 // one destination Y: the partition of the vertex set into layers
 // B_i = {X : D(X,Y) = i}, i = 0..k, with every output link of every
 // site classified as advancing or deflecting. Distances come from the
 // paper's closed-form functions (Property 1 for the directed graph,
 // Theorem 2 for the undirected one), not from graph search; the tests
-// assert the two agree on every graph up to 4096 vertices.
+// assert the two agree on every graph up to 4096 vertices. Only the
+// distance of each vertex is stored; Layer buckets them on demand.
 type Layers struct {
-	g     *graph.Graph
-	dst   word.Word
-	dist  []int32 // dist[v] = D(v, dst)
-	order []int32 // vertices bucketed by layer, ascending within each
-	off   []int32 // B_i = order[off[i]:off[i+1]]
+	nb   neighbors
+	k    int
+	dist []uint8 // dist[v] = D(v, dst); read-only, possibly the shared rank table's row
 }
 
 // NewLayers computes the decomposition of g — a de Bruijn graph built
 // by graph.DeBruijn with matching d and k — toward dst. Directed
-// graphs use Property 1, undirected ones Theorem 2, both evaluated
-// through core.Kernels.DistanceColumn: one O(k) kernel call per
-// vertex, or one read of the shared table's column toward dst on
-// table-eligible graphs. Cost: O(N·k), O(N) from the table.
+// graphs use Property 1, undirected ones Theorem 2, both through
+// core.Kernels. On a table-eligible undirected graph whose shared table
+// is built the distances are the table's row for dst, read in place;
+// otherwise core.Kernels.DistanceColumn computes them, one O(k) kernel
+// call per vertex. Cost: O(N·k), O(1) from the table.
 func NewLayers(g *graph.Graph, dst word.Word) (*Layers, error) {
-	return newLayers(g, dst, core.NewKernels(core.KernelConfig{}))
+	s := shape{d: dst.Base(), k: dst.Len(), directed: g.Kind() == graph.Directed}
+	var err error
+	if s.n, err = word.Count(s.d, s.k); err != nil {
+		return nil, fmt.Errorf("deflect: %w", err)
+	}
+	if g.NumVertices() != s.n {
+		return nil, fmt.Errorf("deflect: graph has %d vertices, DG(%d,%d) needs %d",
+			g.NumVertices(), s.d, s.k, s.n)
+	}
+	return newLayers(g, s, int(dst.MustRank()), core.NewKernels(core.KernelConfig{}))
 }
 
-func newLayers(g *graph.Graph, dst word.Word, kn *core.Kernels) (*Layers, error) {
-	n, err := word.Count(dst.Base(), dst.Len())
+// newLayers builds the decomposition toward the vertex of rank dst.
+func newLayers(nb neighbors, s shape, dst int, kn *core.Kernels) (*Layers, error) {
+	ly := &Layers{nb: nb, k: s.k}
+	if !s.directed {
+		if ly.dist = kn.UndirectedRow(s.d, s.k, dst); ly.dist != nil {
+			return ly, nil
+		}
+	}
+	w, err := word.Unrank(s.d, s.k, uint64(dst))
 	if err != nil {
 		return nil, fmt.Errorf("deflect: %w", err)
 	}
-	if g.NumVertices() != n {
-		return nil, fmt.Errorf("deflect: graph has %d vertices, DG(%d,%d) needs %d",
-			g.NumVertices(), dst.Base(), dst.Len(), n)
-	}
-	k := dst.Len()
-	buf := make([]int32, 2*n)
-	ly := &Layers{
-		g:     g,
-		dst:   dst,
-		dist:  buf[:n],
-		order: buf[n:],
-		off:   make([]int32, k+2),
-	}
-	if err := kn.DistanceColumn(dst, g.Kind() == graph.Directed, ly.dist); err != nil {
+	ly.dist = make([]uint8, s.n)
+	if err := kn.DistanceColumn(w, s.directed, ly.dist); err != nil {
 		return nil, fmt.Errorf("deflect: %w", err)
 	}
-	for _, dv := range ly.dist {
-		ly.off[dv+1]++
-	}
-	// Counting sort: off[i+1] holds |B_i|, prefix sums make off[i] the
-	// start of B_i, filling in vertex order (so each layer ascends)
-	// moves it to the end of B_i, and one shift restores the starts.
-	for i := 1; i <= k+1; i++ {
-		ly.off[i] += ly.off[i-1]
-	}
-	for u, du := range ly.dist {
-		ly.order[ly.off[du]] = int32(u)
-		ly.off[du]++
-	}
-	copy(ly.off[1:], ly.off[:k+1])
-	ly.off[0] = 0
 	return ly, nil
 }
-
-// Dst returns the destination the decomposition is relative to.
-func (l *Layers) Dst() word.Word { return l.dst }
 
 // Dist returns D(v, dst) per the closed-form distance function.
 func (l *Layers) Dist(v int) int { return int(l.dist[v]) }
 
 // NumLayers returns k+1, the number of (possibly empty) layers B_0..B_k.
-func (l *Layers) NumLayers() int { return len(l.off) - 1 }
+func (l *Layers) NumLayers() int { return l.k + 1 }
 
-// Layer returns the vertices of B_i in ascending order. The returned
-// slice must not be modified.
-func (l *Layers) Layer(i int) []int32 { return l.order[l.off[i]:l.off[i+1]] }
+// Layer returns the vertices of B_i in ascending order, in a fresh
+// slice: one O(N) pass over the distances per call.
+func (l *Layers) Layer(i int) []int32 {
+	var b []int32
+	for v, dv := range l.dist {
+		if int(dv) == i {
+			b = append(b, int32(v))
+		}
+	}
+	return b
+}
 
 // Links returns the classified out-links of v, in the adjacency order
 // of the underlying graph (ascending neighbor), in a fresh slice.
 func (l *Layers) Links(v int) []Link {
-	outs := l.g.OutNeighbors(v)
+	outs := l.nb.OutNeighbors(v)
 	links := make([]Link, len(outs))
 	for i, u := range outs {
-		links[i] = Link{To: u, Advancing: l.dist[u] == l.dist[v]-1}
+		links[i] = Link{To: u, Advancing: l.dist[u]+1 == l.dist[v]}
 	}
 	return links
 }
@@ -137,42 +200,55 @@ func (l *Layers) Links(v int) []Link {
 // the shortest-path out-diversity the deflection engine can exploit.
 func (l *Layers) Advancing(v int) int {
 	n := 0
-	for _, u := range l.g.OutNeighbors(v) {
-		if l.dist[u] == l.dist[v]-1 {
+	for _, u := range l.nb.OutNeighbors(v) {
+		if l.dist[u]+1 == l.dist[v] {
 			n++
 		}
 	}
 	return n
 }
 
-// LayerCache lazily builds and memoizes one Layers per destination.
-// The deflection engine resolves every contention through it, so each
-// destination pays for its decomposition once per run, and every build
-// shares the cache's core.Kernels. Not safe for concurrent use.
+// LayerCache lazily builds and memoizes one Layers per destination
+// rank. The deflection engine resolves every contention through it, so
+// each destination pays for its decomposition once per run, and every
+// build shares the cache's core.Kernels: once the shared table of an
+// undirected table-eligible graph is built, a miss allocates only the
+// Layers header. Not safe for concurrent use.
 type LayerCache struct {
-	g  *graph.Graph
-	kn *core.Kernels
-	m  map[int]*Layers
+	adj  *adjacency
+	kn   *core.Kernels
+	m    []*Layers // by destination rank
+	size int
 }
 
-// NewLayerCache returns an empty cache over g.
-func NewLayerCache(g *graph.Graph) *LayerCache {
-	return &LayerCache{g: g, kn: core.NewKernels(core.KernelConfig{}), m: make(map[int]*Layers)}
-}
-
-// For returns the (possibly newly computed) decomposition toward dst.
-func (c *LayerCache) For(dst word.Word) (*Layers, error) {
-	v := graph.DeBruijnVertex(dst)
-	if ly, ok := c.m[v]; ok {
-		return ly, nil
-	}
-	ly, err := newLayers(c.g, dst, c.kn)
+// NewLayerCache returns an empty cache over DG(d,k), the directed
+// graph when directed is set.
+func NewLayerCache(d, k int, directed bool) (*LayerCache, error) {
+	adj, err := newAdjacency(d, k, directed)
 	if err != nil {
 		return nil, err
 	}
-	c.m[v] = ly
+	return newLayerCache(adj, core.NewKernels(core.KernelConfig{})), nil
+}
+
+func newLayerCache(adj *adjacency, kn *core.Kernels) *LayerCache {
+	return &LayerCache{adj: adj, kn: kn, m: make([]*Layers, adj.n)}
+}
+
+// For returns the (possibly newly computed) decomposition toward the
+// vertex of rank dst.
+func (c *LayerCache) For(dst int) (*Layers, error) {
+	if ly := c.m[dst]; ly != nil {
+		return ly, nil
+	}
+	ly, err := newLayers(c.adj, c.adj.shape, dst, c.kn)
+	if err != nil {
+		return nil, err
+	}
+	c.m[dst] = ly
+	c.size++
 	return ly, nil
 }
 
 // Size returns the number of destinations decomposed so far.
-func (c *LayerCache) Size() int { return len(c.m) }
+func (c *LayerCache) Size() int { return c.size }

@@ -1,7 +1,10 @@
 package deflect
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -58,13 +61,72 @@ func bfsToDst(t *testing.T, g *graph.Graph, dst int) []int {
 	return dist
 }
 
-// TestLayersAgreeWithBFS is the acceptance-criteria assertion: on every
-// de Bruijn graph with at most 4096 vertices (both kinds), the
-// closed-form layer decomposition matches BFS distances exactly, the
-// layers partition the vertex set, link classification is consistent,
-// and every non-destination site has at least one advancing link — so
-// the engine deflects only under contention, never for lack of a
+// testDests picks the destinations a check visits on an n-vertex
+// graph: all of them up to 128 vertices, else the constant word 0^k
+// and six random ranks.
+func testDests(rng *rand.Rand, n int) []int {
+	var dests []int
+	if n <= 128 {
+		for v := 0; v < n; v++ {
+			dests = append(dests, v)
+		}
+		return dests
+	}
+	dests = append(dests, 0)
+	for i := 0; i < 6; i++ {
+		dests = append(dests, rng.Intn(n))
+	}
+	return dests
+}
+
+// checkLayers asserts that ly, the decomposition of g toward the
+// vertex dv, matches BFS distances exactly, that its layers partition
+// the vertex set, that link classification is consistent, and that
+// every non-destination site has at least one advancing link — so the
+// engine deflects only under contention, never for lack of a
 // shortest-path move.
+func checkLayers(t *testing.T, name string, g *graph.Graph, ly *Layers, dv int) {
+	t.Helper()
+	n := g.NumVertices()
+	want := bfsToDst(t, g, dv)
+	total := 0
+	for i := 0; i < ly.NumLayers(); i++ {
+		total += len(ly.Layer(i))
+		for _, v := range ly.Layer(i) {
+			if ly.Dist(int(v)) != i {
+				t.Fatalf("%s dst %d: vertex %d in layer %d but Dist=%d", name, dv, v, i, ly.Dist(int(v)))
+			}
+		}
+	}
+	if total != n {
+		t.Fatalf("%s dst %d: layers cover %d of %d vertices", name, dv, total, n)
+	}
+	for v := 0; v < n; v++ {
+		if ly.Dist(v) != want[v] {
+			t.Fatalf("%s: closed-form D(%d,%d)=%d, BFS says %d", name, v, dv, ly.Dist(v), want[v])
+		}
+		adv := 0
+		for _, lk := range ly.Links(v) {
+			wantAdv := ly.Dist(int(lk.To)) == ly.Dist(v)-1
+			if lk.Advancing != wantAdv {
+				t.Fatalf("%s dst %d: link %d→%d classified %v, want %v", name, dv, v, lk.To, lk.Advancing, wantAdv)
+			}
+			if lk.Advancing {
+				adv++
+			}
+		}
+		if adv != ly.Advancing(v) {
+			t.Fatalf("Advancing(%d)=%d, counted %d", v, ly.Advancing(v), adv)
+		}
+		if v != dv && adv == 0 {
+			t.Fatalf("%s dst %d: site %d at distance %d has no advancing link", name, dv, v, ly.Dist(v))
+		}
+	}
+}
+
+// TestLayersAgreeWithBFS is the acceptance-criteria assertion: on every
+// de Bruijn graph with at most 4096 vertices (both kinds), NewLayers'
+// closed-form decomposition passes checkLayers.
 func TestLayersAgreeWithBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, kind := range []graph.Kind{graph.Directed, graph.Undirected} {
@@ -73,19 +135,7 @@ func TestLayersAgreeWithBFS(t *testing.T) {
 			if err != nil {
 				t.Fatalf("DeBruijn(%v,%d,%d): %v", kind, dk.d, dk.k, err)
 			}
-			n := g.NumVertices()
-			var dests []int
-			if n <= 128 {
-				for v := 0; v < n; v++ {
-					dests = append(dests, v)
-				}
-			} else {
-				dests = append(dests, 0) // the constant word 0^k
-				for i := 0; i < 6; i++ {
-					dests = append(dests, rng.Intn(n))
-				}
-			}
-			for _, dv := range dests {
+			for _, dv := range testDests(rng, g.NumVertices()) {
 				dw, err := graph.DeBruijnWord(dk.d, dk.k, dv)
 				if err != nil {
 					t.Fatal(err)
@@ -94,44 +144,114 @@ func TestLayersAgreeWithBFS(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NewLayers(%v, DG(%v,%d,%d)): %v", dw, kind, dk.d, dk.k, err)
 				}
-				want := bfsToDst(t, g, dv)
-				total := 0
-				for i := 0; i < ly.NumLayers(); i++ {
-					total += len(ly.Layer(i))
-					for _, v := range ly.Layer(i) {
-						if ly.Dist(int(v)) != i {
-							t.Fatalf("DG(%v,%d,%d) dst %v: vertex %d in layer %d but Dist=%d",
-								kind, dk.d, dk.k, dw, v, i, ly.Dist(int(v)))
-						}
+				checkLayers(t, fmt.Sprintf("DG(%v,%d,%d)", kind, dk.d, dk.k), g, ly, dv)
+			}
+		}
+	}
+}
+
+// TestLayerCacheAgreesWithBFS runs checkLayers on the engine's path to
+// a decomposition, LayerCache over the rank adjacency, on both of its
+// sources: the shared rank table's row, read in place (table tier
+// built synchronously), and the computed column (table tier disabled).
+// On the table side every undirected table-eligible graph must take
+// the row path — its distances alias the table — and at least one
+// graph must.
+func TestLayerCacheAgreesWithBFS(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  core.KernelConfig
+	}{
+		{"table", core.KernelConfig{SyncTableBuild: true}},
+		{"computed", core.KernelConfig{TableBudget: -1}},
+	} {
+		rng := rand.New(rand.NewSource(43))
+		rows := 0
+		for _, kind := range []graph.Kind{graph.Directed, graph.Undirected} {
+			for _, dk := range smallGraphs() {
+				g, err := graph.DeBruijn(kind, dk.d, dk.k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				adj, err := newAdjacency(dk.d, dk.k, kind == graph.Directed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kn := core.NewKernels(tc.cfg)
+				c := newLayerCache(adj, kn)
+				name := fmt.Sprintf("%s DG(%v,%d,%d)", tc.name, kind, dk.d, dk.k)
+				for _, dv := range testDests(rng, adj.n) {
+					ly, err := c.For(dv)
+					if err != nil {
+						t.Fatalf("%s: For(%d): %v", name, dv, err)
+					}
+					checkLayers(t, name, g, ly, dv)
+					row := kn.UndirectedRow(dk.d, dk.k, dv)
+					if tc.name == "computed" && row != nil {
+						t.Fatalf("%s: the table tier answers with the tier disabled", name)
+					}
+					if aliased := row != nil && &row[0] == &ly.dist[0]; aliased != (row != nil && kind == graph.Undirected) {
+						t.Fatalf("%s dst %d: distances alias the table row: %v, table row available: %v", name, dv, aliased, row != nil)
+					} else if aliased {
+						rows++
 					}
 				}
-				if total != n {
-					t.Fatalf("DG(%v,%d,%d) dst %v: layers cover %d of %d vertices",
-						kind, dk.d, dk.k, dw, total, n)
+			}
+		}
+		if tc.name == "table" && rows == 0 {
+			t.Fatal("no decomposition was read from the rank table")
+		}
+	}
+}
+
+// TestAdjacencyMatchesGraph: the rank-arithmetic out-neighbours equal
+// graph.DeBruijn's OutNeighbors element for element, in order, at
+// every vertex of every DG(d,k) with at most 4096 vertices, both
+// kinds. That covers the constant words, which lose their self-loop,
+// and on the undirected graph the alternating words, where a left and
+// a right shift coincide; their degrees are checked so both cases are
+// known to be hit.
+func TestAdjacencyMatchesGraph(t *testing.T) {
+	for d := 2; d <= word.MaxBase; d++ {
+		for k := 1; ; k++ {
+			n, err := word.Count(d, k)
+			if err != nil || n > 4096 {
+				break
+			}
+			alt := make([]byte, k) // 0101…
+			for i := range alt {
+				alt[i] = byte(i % 2)
+			}
+			for _, kind := range []graph.Kind{graph.Directed, graph.Undirected} {
+				g, err := graph.DeBruijn(kind, d, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				adj, err := newAdjacency(d, k, kind == graph.Directed)
+				if err != nil {
+					t.Fatal(err)
 				}
 				for v := 0; v < n; v++ {
-					if ly.Dist(v) != want[v] {
-						t.Fatalf("DG(%v,%d,%d): closed-form D(%d,%v)=%d, BFS says %d",
-							kind, dk.d, dk.k, v, dw, ly.Dist(v), want[v])
+					if got, want := adj.OutNeighbors(v), g.OutNeighbors(v); !slices.Equal(got, want) {
+						t.Fatalf("DG(%v,%d,%d) vertex %d: rank adjacency %v, graph %v", kind, d, k, v, got, want)
 					}
-					adv := 0
-					for _, lk := range ly.Links(v) {
-						wantAdv := ly.Dist(int(lk.To)) == ly.Dist(v)-1
-						if lk.Advancing != wantAdv {
-							t.Fatalf("DG(%v,%d,%d) dst %v: link %d→%d classified %v, want %v",
-								kind, dk.d, dk.k, dw, v, lk.To, lk.Advancing, wantAdv)
-						}
-						if lk.Advancing {
-							adv++
-						}
+				}
+				if k < 2 {
+					continue
+				}
+				wantConst, wantAlt := d-1, d
+				if kind == graph.Undirected {
+					wantConst, wantAlt = 2*d-2, 2*d-1
+				}
+				for c := 0; c < d; c++ {
+					cw := word.MustNew(d, bytes.Repeat([]byte{byte(c)}, k))
+					if got := len(adj.OutNeighbors(int(cw.MustRank()))); got != wantConst {
+						t.Fatalf("DG(%v,%d,%d): constant word %v has %d out-neighbours, want %d", kind, d, k, cw, got, wantConst)
 					}
-					if adv != ly.Advancing(v) {
-						t.Fatalf("Advancing(%d)=%d, counted %d", v, ly.Advancing(v), adv)
-					}
-					if v != dv && adv == 0 {
-						t.Fatalf("DG(%v,%d,%d) dst %v: site %d at distance %d has no advancing link",
-							kind, dk.d, dk.k, dw, v, ly.Dist(v))
-					}
+				}
+				aw := word.MustNew(d, alt)
+				if got := len(adj.OutNeighbors(int(aw.MustRank()))); got != wantAlt {
+					t.Fatalf("DG(%v,%d,%d): alternating word %v has %d out-neighbours, want %d", kind, d, k, aw, got, wantAlt)
 				}
 			}
 		}
@@ -139,12 +259,11 @@ func TestLayersAgreeWithBFS(t *testing.T) {
 }
 
 func TestLayerCacheMemoizes(t *testing.T) {
-	g, err := graph.DeBruijn(graph.Undirected, 2, 5)
+	c, err := NewLayerCache(2, 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewLayerCache(g)
-	dst := word.MustParse(2, "10110")
+	dst := int(word.MustParse(2, "10110").MustRank())
 	a, err := c.For(dst)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +278,7 @@ func TestLayerCacheMemoizes(t *testing.T) {
 	if c.Size() != 1 {
 		t.Fatalf("Size() = %d, want 1", c.Size())
 	}
-	if _, err := c.For(word.MustParse(2, "00000")); err != nil {
+	if _, err := c.For(0); err != nil {
 		t.Fatal(err)
 	}
 	if c.Size() != 2 {
@@ -177,13 +296,25 @@ func TestNewLayersRejectsMismatchedGraph(t *testing.T) {
 	}
 }
 
-// TestAllocBudgets: once DG(2,6)'s shared distance table exists,
-// NewLayers allocates a constant five objects, independent of N — the
-// Layers, its dist, order and offset arrays, and the enumeration's one
-// digit buffer — and PolicyMinIncrease reads candidate distances from
-// the layer without allocating.
+// TestAllocBudgets pins the allocations of building a decomposition
+// and an engine on DG(2,6), once its shared distance table exists:
+//   - NewLayers: at most five objects, independent of N (today just
+//     the Layers: the distances are the table's row);
+//   - a LayerCache hit allocates nothing and a miss at most the Layers
+//     header;
+//   - New allocates at most newBudget objects, the same number on
+//     DG(2,6) as on DG(2,10): its arrays grow with N, their count
+//     does not;
+//   - PolicyMinIncrease reads candidate distances from the layer
+//     without allocating.
 func TestAllocBudgets(t *testing.T) {
-	if tier := core.NewKernels(core.KernelConfig{SyncTableBuild: true}).TierFor(2, 6); tier != core.TierTable {
+	// The engine, its rank adjacency and LayerCache with their arrays,
+	// the Kernels, the seeded generator and its source, and the
+	// resident sets with their backing array.
+	const newBudget = 10
+
+	kn := core.NewKernels(core.KernelConfig{SyncTableBuild: true})
+	if tier := kn.TierFor(2, 6); tier != core.TierTable {
 		t.Fatalf("DG(2,6) resolves to the %v tier, want table", tier)
 	}
 	g, err := graph.DeBruijn(graph.Undirected, 2, 6)
@@ -199,6 +330,41 @@ func TestAllocBudgets(t *testing.T) {
 	}); a > 5 {
 		t.Errorf("NewLayers on DG(2,6): %v allocs, budget 5", a)
 	}
+
+	adj, err := newAdjacency(2, 6, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newLayerCache(adj, kn)
+	next := 0
+	if a := testing.AllocsPerRun(20, func() {
+		if _, err := c.For(next); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); a > 1 {
+		t.Errorf("LayerCache miss on DG(2,6): %v allocs, budget 1", a)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		if _, err := c.For(5); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("LayerCache hit: %v allocs, want 0", a)
+	}
+
+	newAllocs := func(k int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := New(Config{D: 2, K: k, Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a6, a10 := newAllocs(6), newAllocs(10)
+	if a6 > newBudget || a10 != a6 {
+		t.Errorf("New: %v allocs on DG(2,6), %v on DG(2,10); want the same count, at most %d", a6, a10, newBudget)
+	}
+
 	cand := []int32{0, 21, 42, 63}
 	if a := testing.AllocsPerRun(100, func() {
 		if _, err := (PolicyMinIncrease{}).Choose(nil, ly, 0, cand); err != nil {

@@ -71,11 +71,8 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 			if arr.Float64() >= cfg.Rate {
 				continue
 			}
-			dst := e.Word(word.RandomRank(cfg.D, cfg.K, arr))
 			res.Offered++
-			if _, err := e.Inject(e.Word(v), dst); err != nil {
-				return res, err
-			}
+			e.inject(v, word.RandomRank(cfg.D, cfg.K, arr))
 		}
 		if err := e.Step(); err != nil {
 			return res, err
