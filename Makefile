@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test lint race cover bench bench-json bench-compare check serve-check fuzz experiments examples clean
+.PHONY: all build vet test lint race cover bench bench-json bench-compare check serve-check chaos-check fuzz experiments examples clean
 
 all: build vet test
 

@@ -267,38 +267,54 @@ func compareReports(base, cur Report, tolNs float64) (regs []string, compared in
 
 // benchCells measures the core ops at one (d,k) point: the scratch
 // primitives (Router/Distance/Route), then the tiered kernel engine —
-// PackedDistance/PackedRoute on the bit-packed tier (falling back to
-// scratch where the alphabet doesn't pack), TableDistance/TableRoute
-// on the rank-table tier when (d,k) fits the default budget.
+// PackedDistance/PackedRoute on the packed tier (the scratch tier past
+// its 1024 plane bits), the same two on constant-but-one pairs
+// (PackedDistanceConstOne/PackedRouteConstOne: every shift's center
+// run is long, so the packed kernels probe all 2k-1 shifts, their
+// worst case), and TableDistance/TableRoute on the rank-table tier
+// when (d,k) fits the default budget.
 func benchCells(d, k int) ([]Result, error) {
 	rng := rand.New(rand.NewSource(17))
 	pairs := make([][2]word.Word, 64)
 	for i := range pairs {
 		pairs[i] = [2]word.Word{word.Random(d, k, rng), word.Random(d, k, rng)}
 	}
+	constOne := make([][2]word.Word, 64)
+	for i := range constOne {
+		x, y := constantButOne(d, k, rng), constantButOne(d, k, rng)
+		for x.Equal(y) {
+			y = constantButOne(d, k, rng)
+		}
+		constOne[i] = [2]word.Word{x, y}
+	}
 	router := core.NewRouter(k)
 	packed := core.NewKernels(core.KernelConfig{TableBudget: -1})
 	tabled := core.NewKernels(core.KernelConfig{SyncTableBuild: true})
 	type coreOp struct {
-		name string
-		fn   func(x, y word.Word) error
+		name  string
+		pairs [][2]word.Word
+		fn    func(x, y word.Word) error
 	}
+	packedDistance := func(x, y word.Word) error { _, err := packed.UndirectedDistance(x, y); return err }
+	packedRoute := func(x, y word.Word) error { _, err := packed.RouteUndirected(x, y); return err }
 	ops := []coreOp{
-		{"Router", func(x, y word.Word) error { _, err := router.Route(x, y); return err }},
-		{"Distance", func(x, y word.Word) error { _, err := core.UndirectedDistanceLinear(x, y); return err }},
-		{"Route", func(x, y word.Word) error { _, err := core.RouteUndirectedLinear(x, y); return err }},
-		{"PackedDistance", func(x, y word.Word) error { _, err := packed.UndirectedDistance(x, y); return err }},
-		{"PackedRoute", func(x, y word.Word) error { _, err := packed.RouteUndirected(x, y); return err }},
+		{"Router", pairs, func(x, y word.Word) error { _, err := router.Route(x, y); return err }},
+		{"Distance", pairs, func(x, y word.Word) error { _, err := core.UndirectedDistanceLinear(x, y); return err }},
+		{"Route", pairs, func(x, y word.Word) error { _, err := core.RouteUndirectedLinear(x, y); return err }},
+		{"PackedDistance", pairs, packedDistance},
+		{"PackedRoute", pairs, packedRoute},
+		{"PackedDistanceConstOne", constOne, packedDistance},
+		{"PackedRouteConstOne", constOne, packedRoute},
 	}
 	if tabled.TierFor(d, k) == core.TierTable {
 		ops = append(ops,
-			coreOp{"TableDistance", func(x, y word.Word) error { _, err := tabled.UndirectedDistance(x, y); return err }},
-			coreOp{"TableRoute", func(x, y word.Word) error { _, err := tabled.RouteUndirected(x, y); return err }},
+			coreOp{"TableDistance", pairs, func(x, y word.Word) error { _, err := tabled.UndirectedDistance(x, y); return err }},
+			coreOp{"TableRoute", pairs, func(x, y word.Word) error { _, err := tabled.RouteUndirected(x, y); return err }},
 		)
 	}
 	out := make([]Result, 0, len(ops))
 	for _, op := range ops {
-		fn := op.fn
+		fn, pairs := op.fn, op.pairs
 		var failure error
 		br := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -322,6 +338,15 @@ func benchCells(d, k int) ([]Result, error) {
 		})
 	}
 	return out, nil
+}
+
+// constantButOne returns k copies of one random digit with one other
+// digit at a random position.
+func constantButOne(d, k int, rng *rand.Rand) word.Word {
+	a := byte(rng.Intn(d))
+	digits := bytes.Repeat([]byte{a}, k)
+	digits[rng.Intn(k)] = (a + 1 + byte(rng.Intn(d-1))) % byte(d)
+	return word.MustNew(d, digits)
 }
 
 // benchServeCells measures the route-query serving engine's hot paths

@@ -30,10 +30,11 @@ func TestReportRoundTrip(t *testing.T) {
 	if rep.GoVersion == "" || rep.Benchtime != "1ms" {
 		t.Errorf("header incomplete: %+v", rep)
 	}
-	// k=8: 3 scratch ops + 2 packed + 2 table; k=16: the same minus
-	// the table cells (DG(2,16) is over the default table budget).
-	if len(rep.Results) != 12 {
-		t.Fatalf("got %d results, want 12", len(rep.Results))
+	// k=8: 3 scratch ops + 4 packed (random and constant-but-one
+	// pairs) + 2 table; k=16: the same minus the table cells (DG(2,16)
+	// is over the default table budget).
+	if len(rep.Results) != 16 {
+		t.Fatalf("got %d results, want 16", len(rep.Results))
 	}
 	seen := map[string]bool{}
 	for _, r := range rep.Results {
@@ -45,7 +46,7 @@ func TestReportRoundTrip(t *testing.T) {
 			t.Errorf("unexpected cell %+v", r)
 		}
 	}
-	for _, op := range []string{"Router", "Distance", "Route", "PackedDistance", "PackedRoute", "TableDistance", "TableRoute"} {
+	for _, op := range []string{"Router", "Distance", "Route", "PackedDistance", "PackedRoute", "PackedDistanceConstOne", "PackedRouteConstOne", "TableDistance", "TableRoute"} {
 		if !seen[op] {
 			t.Errorf("op %s missing from report", op)
 		}
@@ -285,7 +286,7 @@ func TestCompareReadsBaselineBeforeWrite(t *testing.T) {
 	if err := json.Unmarshal(fresh, &got); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Results) != 7 || got.Results[0].NsPerOp == 1e12 {
+	if len(got.Results) != 9 || got.Results[0].NsPerOp == 1e12 {
 		t.Errorf("refreshed report not rewritten: %+v", got)
 	}
 }

@@ -155,12 +155,12 @@ func tableList(o options) []table {
 			// ledger must balance in every cell.
 			return experiments.ChaosTable(experiments.ChaosRunConfig{Seed: o.seed})
 		}},
-		{"kernels", "E25 — tiered routing kernels: scratch vs selected tier", func() (*stats.Table, error) {
+		{"kernels", "E25 — tiered routing kernels: Algorithm 4 vs selected tier", func() (*stats.Table, error) {
 			// The tier ladder across graph scales: table tier on small
-			// graphs, packed tier through k=512 at d=2, scratch where
-			// the alphabet doesn't pack.
+			// graphs, packed tier within 1024 plane bits on every
+			// alphabet, scratch past them.
 			return experiments.KernelsTable([][2]int{
-				{2, 6}, {2, 8}, {3, 4}, {2, 16}, {2, 64}, {4, 32}, {2, 512}, {5, 16},
+				{2, 6}, {2, 8}, {3, 4}, {2, 16}, {2, 64}, {4, 32}, {2, 512}, {5, 16}, {8, 100}, {36, 40},
 			}, 0, o.seed)
 		}},
 		{"faultroutes", "E26 — fault routing: arborescence failover vs BFS recompute under arc failures", func() (*stats.Table, error) {

@@ -41,18 +41,20 @@ func (o *KernelsOptions) defaults() {
 // Kernels runs the tier-differential oracle on DG(d,k): the same
 // query evaluated by every rung of the kernel ladder must produce
 // byte-identical answers to the tier-free reference — Property 1,
-// Theorem 2's quadratic sweep and Algorithm 2's path. Three engines
-// are checked: the scratch-forced engine (T3, the suffix-tree walk), the packed
-// engine (T2 where the alphabet packs), and the table-admitting
-// engine (T1 where the pair matrix fits the default budget, built
-// synchronously). Every directed distance, undirected distance,
-// canonical route (hop for hop) and next hop is compared, and on
-// exhaustively swept graphs every distance column (DistanceColumn
-// toward each destination, both orientations). Sampled graphs mix
-// uniform pairs with a structured family (structuredPair) that
-// reaches equal-distance anchor ties. The ladder's contract is exact
-// equality, not mere optimality: tier selection must be semantically
-// invisible.
+// Theorem 2's quadratic sweep and Algorithm 2's path. Two engines
+// are checked: the packed engine (T2 within the plane budget, T3's
+// suffix-tree walk past it) and the table-admitting engine (T1 where
+// the pair matrix fits the default budget, built synchronously).
+// Every directed distance, undirected distance, canonical route (hop
+// for hop) and next hop is compared, and on exhaustively swept graphs
+// every distance column (DistanceColumn toward each destination, both
+// orientations). Algorithm 4's one-shots (UndirectedDistanceLinear,
+// RouteUndirectedLinear) answer the same pairs, so the suffix-tree
+// walk's tie-break is checked on every graph, not only past the
+// budget. Sampled graphs mix uniform pairs with a structured family
+// (structuredPair) that reaches equal-distance anchor ties. The
+// ladder's contract is exact equality, not mere optimality: tier
+// selection must be semantically invisible.
 func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 	opt.defaults()
 	rep := Report{Mode: "kernels", D: d, K: k}
@@ -66,7 +68,6 @@ func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 		name string
 		kn   *core.Kernels
 	}{
-		{"scratch", core.NewKernels(core.KernelConfig{TableBudget: -1, DisablePacked: true})},
 		{"packed", core.NewKernels(core.KernelConfig{TableBudget: -1})},
 		{"table", core.NewKernels(core.KernelConfig{SyncTableBuild: true})},
 	}
@@ -130,6 +131,7 @@ func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 		for _, e := range engines {
 			compareKernel(f, e.name, e.kn, x, y, wantU, wantD, wantP, wantH, wantOK)
 		}
+		compareLinear(f, x, y, wantU, wantP)
 		if exhaustive {
 			refU[rep.Checked], refD[rep.Checked] = int32(wantU), int32(wantD)
 		}
@@ -164,9 +166,16 @@ func structuredPair(d, k int, rng *rand.Rand) [2]word.Word {
 			copy(y[s:], x)
 		}
 	} else {
+		// The block is binary: digits 0 and 1, or for d ≥ 3 half the
+		// time 0 and 2^(b-1), which differ in the top digit plane
+		// alone.
+		one := byte(1)
+		if d >= 3 && rng.Intn(2) == 0 {
+			one <<= word.PackedBits(d) - 1
+		}
 		block := make([]byte, 1+rng.Intn(4))
 		for i := range block {
-			block[i] = byte(rng.Intn(min(d, 2)))
+			block[i] = one * byte(rng.Intn(2))
 		}
 		r := 1 + rng.Intn(len(block))
 		for i := range x {
@@ -198,6 +207,16 @@ func compareColumns(f *findings, name string, kn *core.Kernels, words []word.Wor
 				}
 			}
 		}
+	}
+}
+
+// compareLinear checks Algorithm 4's one-shots against the references.
+func compareLinear(f *findings, x, y word.Word, wantU int, wantP core.Path) {
+	if got, err := core.UndirectedDistanceLinear(x, y); err != nil || got != wantU {
+		f.addf("kernel-udist", "linear: D(%v,%v) = %d (err %v), reference %d", x, y, got, err, wantU)
+	}
+	if got, err := core.RouteUndirectedLinear(x, y); err != nil || !slices.Equal(got, wantP) {
+		f.addf("kernel-route", "linear: route(%v,%v) = %v (err %v), reference %v", x, y, got, err, wantP)
 	}
 }
 

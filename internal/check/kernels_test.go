@@ -4,11 +4,11 @@ import "testing"
 
 // TestKernelsMultiWord runs the tier oracle on graphs whose vertex
 // count is past word.Count's range: pairs are sampled, and the packed
-// tier's multi-word anchors and the scratch tier's suffix-tree walk
-// (d > 4, and past the packed tier's 1024 bits) must match Algorithm
-// 2's path hop for hop.
+// tier's multi-word anchors on one to six digit planes, the scratch
+// tier past the 1024 plane bits, and Algorithm 4's one-shots must all
+// match Algorithm 2's path hop for hop.
 func TestKernelsMultiWord(t *testing.T) {
-	for _, tc := range []struct{ d, k int }{{2, 256}, {3, 100}, {5, 40}, {2, 1030}} {
+	for _, tc := range []struct{ d, k int }{{2, 256}, {3, 100}, {5, 40}, {8, 100}, {36, 171}, {2, 1030}} {
 		rep, err := Kernels(tc.d, tc.k, KernelsOptions{Seed: 3, Pairs: 24})
 		if err != nil {
 			t.Fatalf("Kernels(%d,%d): %v", tc.d, tc.k, err)

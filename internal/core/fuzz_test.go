@@ -100,10 +100,12 @@ func FuzzDirectedAgainstBFS(f *testing.F) {
 }
 
 // FuzzKernelTierEquivalence throws arbitrary digit material at the
-// tier ladder: a scratch-forced, a packed-forced, and a table-admitting
-// engine must return identical distances, paths, and next hops for every input. Lengths reach 512,
-// so base-2 inputs span up to eight packed words and bases 3 and 4 up
-// to sixteen, where the lane scan's groups span several lane words.
+// tier ladder: a packed-admitting and a table-admitting engine, and
+// Algorithm 4's one-shots, must return identical distances, paths,
+// and next hops for every input. Bases run 2–36 and lengths reach
+// 512, so inputs span up to eight words per digit plane, where the
+// lane scan's groups span several lane words, and the lengths past a
+// base's plane budget (171 at b = 6) reach the suffix-tree tier.
 func FuzzKernelTierEquivalence(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 1, 1, 0, 1, 0}, []byte{1, 0, 0, 1, 1, 1})
 	f.Add(uint8(3), []byte{0, 1, 2, 2}, []byte{2, 1, 0, 0})
@@ -123,11 +125,17 @@ func FuzzKernelTierEquivalence(f *testing.F) {
 	// runs on every aligned shift, none on the others.
 	f.Add(uint8(3), digits(100, func(i int) int { return i / 2 % 3 }), digits(100, func(i int) int { return (i + 4) / 2 % 3 }))
 	f.Add(uint8(4), digits(200, func(i int) int { return i % 4 }), digits(200, func(i int) int { return (i + 2) % 4 }))
+	// Digits that differ only in the top plane (0 against 2^(b-1)), so
+	// a kernel that skips that plane sees equal operands.
+	f.Add(uint8(8), digits(100, func(i int) int { return 4 * (i / 3 % 2) }), digits(100, func(i int) int { return 4 * ((i + 1) / 3 % 2) }))
+	f.Add(uint8(36), digits(40, func(i int) int { return 32 * b2i(i == 13) }), digits(40, func(i int) int { return 32 * b2i(i == 29) }))
+	f.Add(uint8(36), digits(170, func(i int) int { return 32 * (i % 2) }), digits(170, func(i int) int { return 32 * b2i(i == 85) }))
+	f.Add(uint8(5), digits(64, func(i int) int { return 4 * (i * 7 % 3 % 2) }), digits(64, func(i int) int { return 4 * b2i(i%9 == 0) }))
 	f.Fuzz(func(t *testing.T, base uint8, xd, yd []byte) {
 		if len(xd) != len(yd) || len(xd) == 0 || len(xd) > 512 {
 			return
 		}
-		if base < 2 || base > 6 {
+		if base < 2 || base > word.MaxBase {
 			return
 		}
 		x, err := word.New(int(base), xd)
@@ -139,9 +147,8 @@ func FuzzKernelTierEquivalence(f *testing.F) {
 			return
 		}
 		engines := map[string]*Kernels{
-			"scratch": NewKernels(KernelConfig{TableBudget: -1, DisablePacked: true}),
-			"packed":  NewKernels(KernelConfig{TableBudget: -1}),
-			"table":   NewKernels(KernelConfig{SyncTableBuild: true}),
+			"packed": NewKernels(KernelConfig{TableBudget: -1}),
+			"table":  NewKernels(KernelConfig{SyncTableBuild: true}),
 		}
 		// The reference is tier-free: Theorem 2, Property 1 and
 		// Algorithm 2's path, which every tier must reproduce.
@@ -161,6 +168,12 @@ func FuzzKernelTierEquivalence(f *testing.F) {
 		wantOK := len(wantP) > 0
 		if wantOK {
 			wantH = wantP[0]
+		}
+		if got, err := UndirectedDistanceLinear(x, y); err != nil || got != wantU {
+			t.Fatalf("UndirectedDistanceLinear(%v,%v) = %d,%v want %d", x, y, got, err, wantU)
+		}
+		if got, err := RouteUndirectedLinear(x, y); err != nil || !slices.Equal(got, wantP) {
+			t.Fatalf("RouteUndirectedLinear(%v,%v) = %v,%v want %v", x, y, got, err, wantP)
 		}
 		for name, kn := range engines {
 			gotU, err := kn.UndirectedDistance(x, y)

@@ -11,9 +11,12 @@ import (
 //
 //	T1 TierTable   — rank-indexed precomputed tables, O(1) per query,
 //	                 when 7·(d^k)² bytes fit the memory budget.
-//	T2 TierPacked  — bit-packed shift-XOR kernels (packed.go) for
-//	                 d ≤ 4 with k·b ≤ 1024 packed bits.
-//	T3 TierScratch — the byte-digit scratch kernels, any (d,k).
+//	T2 TierPacked  — bit-sliced shift-XOR kernels (packed.go) on
+//	                 b = ⌈log₂ d⌉ digit planes, any d, when the k·b
+//	                 plane bits fit 1024.
+//	T3 TierScratch — the byte-digit scratch kernels past that budget:
+//	                 Algorithm 4's suffix-tree walk, linear in k where
+//	                 the packed probes of periodic pairs grow as k².
 //
 // Every tier returns byte-identical answers: for a given (d,k) there
 // is one canonical result set (distances are Theorem 2's values;
@@ -27,7 +30,7 @@ import (
 type Tier uint8
 
 const (
-	// TierScratch is T3, the general fallback (scratch.go).
+	// TierScratch is T3, the fallback past the plane budget (scratch.go).
 	TierScratch Tier = iota
 	// TierPacked is T2, the bit-packed kernels (packed.go).
 	TierPacked
@@ -59,11 +62,6 @@ type KernelConfig struct {
 	// DG(d,k) is table-eligible when its 7·(d^k)² pair bytes fit.
 	// 0 means DefaultTableBudget; negative disables the tier.
 	TableBudget int64
-	// DisablePacked turns off the bit-packed tier (T2); eligible
-	// queries fall through to the scratch kernels. Answers do not
-	// change — the scratch path reproduces the packed tier's
-	// canonical anchors.
-	DisablePacked bool
 	// SyncTableBuild makes the first query of a table-eligible (d,k)
 	// block until its table is built. The default is asynchronous:
 	// queries are answered by the packed/scratch tiers while the
@@ -102,8 +100,7 @@ type Kernels struct {
 type tierInfo struct {
 	tier   Tier
 	tab    *rankTable // non-nil iff tier == TierTable
-	b      int        // packed bits per digit (tier == TierPacked)
-	single bool       // packed operands fit one uint64
+	single bool       // packed planes fit one uint64 each
 }
 
 // NewKernels returns a tiered engine with the given configuration.
@@ -133,7 +130,7 @@ func (kn *Kernels) resolve(d, k int) tierInfo {
 }
 
 // resolveSlow walks the ladder: table if eligible and built, packed
-// if the alphabet packs, scratch otherwise. While an asynchronous
+// if the planes fit the budget, scratch otherwise. While an asynchronous
 // table build is pending the fallback decision is not memoized, so
 // the upgrade is observed on a later query.
 func (kn *Kernels) resolveSlow(d, k int) (tierInfo, bool) {
@@ -145,26 +142,25 @@ func (kn *Kernels) resolveSlow(d, k int) (tierInfo, bool) {
 		}
 		pending = bldg
 	}
-	if !kn.cfg.DisablePacked && packedEligible(d, k) {
-		return tierInfo{tier: TierPacked, b: word.PackedBits(d), single: packedSingleWord(d, k)}, !pending
+	if packedEligible(d, k) {
+		return tierInfo{tier: TierPacked, single: packedSingleWord(k)}, !pending
 	}
 	return tierInfo{tier: TierScratch}, !pending
 }
 
 // canonicalAnchors returns the anchors that define x→y's path: the
 // first minimizer of Theorem 2 in the quadratic sweep's (dist, s, t)
-// order. Packed operands go to the single- or multi-word packed
-// kernels, everything else to the suffix-tree walk, which breaks ties
-// in the same order.
+// order. Operands within the plane budget go to the single- or
+// multi-word packed kernels, longer ones to the suffix-tree walk,
+// which breaks ties in the same order.
 func (kn *Kernels) canonicalAnchors(x, y word.Word) (anchor, anchor, error) {
-	d, k := x.Base(), x.Len()
-	if !kn.cfg.DisablePacked && packedEligible(d, k) {
+	if k := x.Len(); packedEligible(x.Base(), k) {
 		kn.ps.load(x, y)
 		var aL, aR anchor
-		if b := word.PackedBits(d); len(kn.ps.x) == 1 {
-			aL, aR = packedAnchors1(kn.ps.x[0], kn.ps.y[0], k, b, kn.lens(k))
+		if packedSingleWord(k) {
+			aL, aR = packedAnchors1(kn.ps.x, kn.ps.y, k, kn.lens(k))
 		} else {
-			aL, aR = packedAnchorsN(kn.ps.x, kn.ps.y, k, b)
+			aL, aR = packedAnchorsN(kn.ps.scan(), kn.ps.x, kn.ps.y, k)
 		}
 		return aL, aR, nil
 	}
@@ -194,7 +190,7 @@ func (kn *Kernels) DirectedDistance(x, y word.Word) (int, error) {
 		return int(ti.tab.ddist[ti.tab.index(x, y)]), nil
 	case ti.tier == TierPacked && ti.single:
 		kn.ps.load(x, y)
-		return k - packedOverlap1(kn.ps.x[0], kn.ps.y[0], k, ti.b), nil
+		return k - packedOverlap1(kn.ps.x, kn.ps.y, k), nil
 	default:
 		return kn.sc.DirectedDistance(x, y)
 	}
@@ -217,9 +213,9 @@ func (kn *Kernels) UndirectedDistance(x, y word.Word) (int, error) {
 		kn.ps.load(x, y)
 		var dL, dR int
 		if ti.single {
-			dL, dR = packedDistance1(kn.ps.x[0], kn.ps.y[0], k, ti.b)
+			dL, dR = packedDistance1(kn.ps.x, kn.ps.y, k)
 		} else {
-			dL, dR = packedDistanceN(kn.ps.x, kn.ps.y, k, ti.b)
+			dL, dR = packedDistanceN(kn.ps.scan(), kn.ps.x, kn.ps.y, k)
 		}
 		return clampDist(k, dL, dR), nil
 	default:

@@ -25,25 +25,24 @@ func TestPackedAnchorsMatchQuadratic(t *testing.T) {
 			return // handled before the kernels in every caller
 		}
 		d, k := x.Base(), x.Len()
-		b := word.PackedBits(d)
 		sc.loadDigits(x, y)
 		wantL, wantR := sc.anchorsQuadratic(sc.xd, sc.yd)
 		ps.load(x, y)
-		if len(ps.x) == 1 {
-			gotL, gotR := packedAnchors1(ps.x[0], ps.y[0], k, b, make([]int16, 2*k-1))
+		if packedSingleWord(k) {
+			gotL, gotR := packedAnchors1(ps.x, ps.y, k, make([]int16, 2*k-1))
 			if gotL != wantL || gotR != wantR {
 				t.Fatalf("packedAnchors1 DG(%d,%d) %v -> %v:\n  packed L=%+v R=%+v\n  quad   L=%+v R=%+v",
 					d, k, x, y, gotL, gotR, wantL, wantR)
 			}
 		}
-		gotL, gotR := packedAnchorsN(ps.x, ps.y, k, b)
+		gotL, gotR := packedAnchorsN(ps.scan(), ps.x, ps.y, k)
 		if gotL != wantL || gotR != wantR {
 			t.Fatalf("packedAnchorsN DG(%d,%d) %v -> %v:\n  packed L=%+v R=%+v\n  quad   L=%+v R=%+v",
 				d, k, x, y, gotL, gotR, wantL, wantR)
 		}
 	}
 
-	for _, tc := range []struct{ d, maxK int }{{2, 8}, {3, 4}, {4, 4}} {
+	for _, tc := range []struct{ d, maxK int }{{2, 8}, {3, 4}, {4, 4}, {5, 3}, {8, 2}, {36, 1}} {
 		for k := 1; k <= tc.maxK; k++ {
 			words := allWords(t, tc.d, k)
 			for _, x := range words {
@@ -58,6 +57,7 @@ func TestPackedAnchorsMatchQuadratic(t *testing.T) {
 	for _, tc := range []struct{ d, k, n int }{
 		{2, 64, 500}, {2, 63, 300}, {2, 33, 300}, {2, 17, 300},
 		{3, 32, 300}, {3, 20, 300}, {4, 32, 300}, {4, 15, 300},
+		{5, 64, 200}, {8, 40, 200}, {36, 64, 200}, {36, 9, 200},
 	} {
 		for i := 0; i < tc.n; i++ {
 			check(word.Random(tc.d, tc.k, rng), word.Random(tc.d, tc.k, rng))
@@ -90,6 +90,7 @@ func TestPackedAnchorsMatchQuadratic(t *testing.T) {
 		{2, 65, 60}, {2, 128, 40}, {2, 129, 40}, {2, 130, 40}, {2, 256, 20}, {2, 512, 4}, {2, 1024, 2},
 		{3, 33, 60}, {3, 100, 30},
 		{4, 33, 60}, {4, 200, 10}, {4, 512, 2},
+		{8, 65, 30}, {8, 200, 6}, {8, 341, 2}, {36, 100, 10}, {36, 170, 4},
 	} {
 		d, k := tc.d, tc.k
 		for i := 0; i < tc.n; i++ {
@@ -114,9 +115,17 @@ func TestPackedAnchorsMatchQuadratic(t *testing.T) {
 			func(i int) int { return (i + 1) % 2 },     // alternating, shifted
 			func(i int) int { return (i + 1) / 3 % 2 }, // near-periodic, shifted
 		} {
+			// Past b = 2 the binary patterns use the digits 0 and
+			// 2^(b-1), which differ in the top plane alone.
+			top := 1
+			if b := word.PackedBits(d); b > 2 {
+				top = 1 << (b - 1)
+			}
 			wd := make([]byte, k)
 			for i := range wd {
-				wd[i] = byte(digit(i) % d)
+				if wd[i] = byte(digit(i) % d); top > 1 && digit(i) < 2 {
+					wd[i] = byte(digit(i) * top)
+				}
 			}
 			structured = append(structured, word.MustNew(d, wd))
 		}
@@ -142,8 +151,8 @@ func TestPackedAnchorsMatchQuadratic(t *testing.T) {
 
 // thresholdSizes are the multi-word graphs of the threshold pairs: the
 // lane-word boundary (k = 129, 130: 65 lanes in the largest group),
-// and both digit-plane layouts.
-var thresholdSizes = [][2]int{{2, 129}, {2, 130}, {2, 256}, {3, 100}, {4, 200}}
+// and one, two, three and six digit planes.
+var thresholdSizes = [][2]int{{2, 129}, {2, 130}, {2, 256}, {3, 100}, {4, 200}, {8, 130}, {36, 100}}
 
 // forThresholdPairs calls check on pairs whose shift c has a run of
 // exactly ⌊w/2⌋ or ⌊w/2⌋+1 digits through its window's center, cut off
@@ -208,25 +217,24 @@ func TestPackedDistanceMatchesLinear(t *testing.T) {
 			return
 		}
 		d, k := x.Base(), x.Len()
-		b := word.PackedBits(d)
 		want, err := sc.UndirectedDistanceLinear(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ps.load(x, y)
-		if packedSingleWord(d, k) {
-			dL, dR := packedDistance1(ps.x[0], ps.y[0], k, b)
+		if packedSingleWord(k) {
+			dL, dR := packedDistance1(ps.x, ps.y, k)
 			if got := clampDist(k, dL, dR); got != want {
 				t.Fatalf("packedDistance1 DG(%d,%d) %v -> %v: got %d, want %d", d, k, x, y, got, want)
 			}
 		}
-		dL, dR := packedDistanceN(ps.x, ps.y, k, b)
+		dL, dR := packedDistanceN(ps.scan(), ps.x, ps.y, k)
 		if got := clampDist(k, dL, dR); got != want {
 			t.Fatalf("packedDistanceN DG(%d,%d) %v -> %v: got %d, want %d", d, k, x, y, got, want)
 		}
 	}
 
-	for _, tc := range []struct{ d, maxK int }{{2, 8}, {3, 4}, {4, 4}} {
+	for _, tc := range []struct{ d, maxK int }{{2, 8}, {3, 4}, {4, 4}, {5, 3}, {8, 2}, {36, 1}} {
 		for k := 1; k <= tc.maxK; k++ {
 			words := allWords(t, tc.d, k)
 			for _, x := range words {
@@ -243,6 +251,8 @@ func TestPackedDistanceMatchesLinear(t *testing.T) {
 		{2, 129, 100}, {2, 130, 100}, {2, 511, 50}, {2, 1024, 30},
 		{3, 32, 200}, {3, 33, 100}, {3, 100, 100}, {3, 512, 30},
 		{4, 32, 200}, {4, 33, 100}, {4, 200, 50}, {4, 512, 30},
+		{5, 64, 200}, {7, 30, 200}, {8, 100, 50}, {8, 341, 20},
+		{20, 64, 200}, {36, 65, 50}, {36, 170, 20},
 	} {
 		for i := 0; i < tc.n; i++ {
 			check(word.Random(tc.d, tc.k, rng), word.Random(tc.d, tc.k, rng))
@@ -251,7 +261,7 @@ func TestPackedDistanceMatchesLinear(t *testing.T) {
 
 	// Near-periodic operands at multi-word sizes: long runs crossing
 	// element boundaries.
-	for _, tc := range []struct{ d, k int }{{2, 100}, {2, 130}, {4, 40}, {3, 70}} {
+	for _, tc := range []struct{ d, k int }{{2, 100}, {2, 130}, {4, 40}, {3, 70}, {8, 100}, {36, 130}} {
 		for _, p := range []int{1, 2, 7, 13} {
 			xd := make([]byte, tc.k)
 			yd := make([]byte, tc.k)
@@ -285,11 +295,11 @@ func TestPackedOverlapMatchesDirected(t *testing.T) {
 			t.Fatal(err)
 		}
 		ps.load(x, y)
-		if got := k - packedOverlap1(ps.x[0], ps.y[0], k, word.PackedBits(d)); got != want {
+		if got := k - packedOverlap1(ps.x, ps.y, k); got != want {
 			t.Fatalf("packedOverlap1 DG(%d,%d) %v -> %v: got %d, want %d", d, k, x, y, got, want)
 		}
 	}
-	for _, tc := range []struct{ d, maxK int }{{2, 8}, {3, 4}, {4, 4}} {
+	for _, tc := range []struct{ d, maxK int }{{2, 8}, {3, 4}, {4, 4}, {5, 3}, {8, 2}, {36, 1}} {
 		for k := 1; k <= tc.maxK; k++ {
 			words := allWords(t, tc.d, k)
 			for _, x := range words {
@@ -300,7 +310,7 @@ func TestPackedOverlapMatchesDirected(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(17))
-	for _, tc := range []struct{ d, k, n int }{{2, 64, 400}, {2, 40, 200}, {3, 32, 200}, {4, 32, 200}} {
+	for _, tc := range []struct{ d, k, n int }{{2, 64, 400}, {2, 40, 200}, {3, 32, 200}, {4, 32, 200}, {8, 64, 200}, {36, 64, 200}} {
 		for i := 0; i < tc.n; i++ {
 			x, y := word.Random(tc.d, tc.k, rng), word.Random(tc.d, tc.k, rng)
 			check(x, y)
@@ -315,6 +325,9 @@ func TestPackedOverlapMatchesDirected(t *testing.T) {
 // TestKernelsTierSelection pins the ladder: exact tier per (d, k,
 // budget) permutation.
 func TestKernelsTierSelection(t *testing.T) {
+	if b := word.PackedBits(word.MaxBase); b != maxPlanes {
+		t.Fatalf("base %d has %d digit planes, the lane scan holds %d", word.MaxBase, b, maxPlanes)
+	}
 	def := NewKernels(KernelConfig{SyncTableBuild: true})
 	for _, tc := range []struct {
 		d, k int
@@ -328,8 +341,12 @@ func TestKernelsTierSelection(t *testing.T) {
 		{3, 512, TierPacked},   // 1024 packed bits exactly
 		{3, 513, TierScratch},
 		{4, 512, TierPacked},
-		{5, 4, TierScratch}, // 7·625² = 2.7 MiB over budget; base 5 doesn't pack
-		{7, 30, TierScratch},
+		{5, 4, TierPacked}, // 7·625² = 2.7 MiB over budget; 3 planes
+		{7, 30, TierPacked},
+		{8, 341, TierPacked}, // 1023 plane bits
+		{8, 342, TierScratch},
+		{36, 170, TierPacked}, // 1020 plane bits
+		{36, 171, TierScratch},
 	} {
 		if got := def.TierFor(tc.d, tc.k); got != tc.want {
 			t.Errorf("default budget: TierFor(%d,%d) = %v, want %v", tc.d, tc.k, got, tc.want)
@@ -339,10 +356,6 @@ func TestKernelsTierSelection(t *testing.T) {
 	noTable := NewKernels(KernelConfig{TableBudget: -1})
 	if got := noTable.TierFor(2, 6); got != TierPacked {
 		t.Errorf("TableBudget<0: TierFor(2,6) = %v, want packed", got)
-	}
-	scratchOnly := NewKernels(KernelConfig{TableBudget: -1, DisablePacked: true})
-	if got := scratchOnly.TierFor(2, 6); got != TierScratch {
-		t.Errorf("scratch-only: TierFor(2,6) = %v, want scratch", got)
 	}
 
 	// The budget boundary is exact: DG(2,6) needs 7·64² = 28672 bytes.
@@ -404,10 +417,12 @@ func TestKernelsMatchScratch(t *testing.T) {
 		{"packed-multi-4-40", 4, 40, KernelConfig{TableBudget: -1}, TierPacked},
 		{"packed-multi-2-256", 2, 256, KernelConfig{TableBudget: -1}, TierPacked},
 		{"packed-multi-3-100", 3, 100, KernelConfig{TableBudget: -1}, TierPacked},
-		{"scratch-5-4", 5, 4, KernelConfig{TableBudget: -1}, TierScratch},
-		{"scratch-2-12", 2, 12, KernelConfig{TableBudget: -1, DisablePacked: true}, TierScratch},
-		{"scratch-multi-2-100", 2, 100, KernelConfig{TableBudget: -1, DisablePacked: true}, TierScratch},
+		{"packed-5-4", 5, 4, KernelConfig{TableBudget: -1}, TierPacked},
+		{"packed-36-64", 36, 64, KernelConfig{TableBudget: -1}, TierPacked},
+		{"packed-multi-8-100", 8, 100, KernelConfig{TableBudget: -1}, TierPacked},
+		{"packed-multi-36-170", 36, 170, KernelConfig{TableBudget: -1}, TierPacked},
 		{"scratch-2-1030", 2, 1030, KernelConfig{TableBudget: -1}, TierScratch},
+		{"scratch-8-342", 8, 342, KernelConfig{TableBudget: -1}, TierScratch},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			kn := NewKernels(tc.cfg)
@@ -510,6 +525,10 @@ func TestKernelAllocBudgets(t *testing.T) {
 		{"packed-multi-2-200", NewKernels(KernelConfig{TableBudget: -1}), word.Random(2, 200, rng), word.Random(2, 200, rng)},
 		{"packed-multi-4-200", NewKernels(KernelConfig{TableBudget: -1}), word.Random(4, 200, rng), word.Random(4, 200, rng)},
 		{"packed-multi-2-256", NewKernels(KernelConfig{TableBudget: -1}), word.Random(2, 256, rng), word.Random(2, 256, rng)},
+		{"packed-8-64", NewKernels(KernelConfig{TableBudget: -1}), word.Random(8, 64, rng), word.Random(8, 64, rng)},
+		{"packed-multi-8-341", NewKernels(KernelConfig{TableBudget: -1}), word.Random(8, 341, rng), word.Random(8, 341, rng)},
+		{"packed-36-40", NewKernels(KernelConfig{TableBudget: -1}), word.Random(36, 40, rng), word.Random(36, 40, rng)},
+		{"packed-multi-36-170", NewKernels(KernelConfig{TableBudget: -1}), word.Random(36, 170, rng), word.Random(36, 170, rng)},
 		{"table-2-6", NewKernels(KernelConfig{SyncTableBuild: true}), word.Random(2, 6, rng), word.Random(2, 6, rng)},
 	}
 	for _, p := range probes {
@@ -561,9 +580,8 @@ func TestKernelAllocBudgets(t *testing.T) {
 // column of the wrong length is refused.
 func TestDistanceColumn(t *testing.T) {
 	configs := map[string]KernelConfig{
-		"scratch": {TableBudget: -1, DisablePacked: true},
-		"packed":  {TableBudget: -1},
-		"table":   {SyncTableBuild: true},
+		"packed": {TableBudget: -1},
+		"table":  {SyncTableBuild: true},
 	}
 	for _, dk := range [][2]int{{2, 5}, {3, 3}, {5, 2}} {
 		d, k := dk[0], dk[1]

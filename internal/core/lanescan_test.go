@@ -42,7 +42,8 @@ func centerReach(xd, yd []byte, c int) (w, up, dn, longest int) {
 //     walk ends with no lane alive no other shift is. A walk that
 //     stops early marks every lane still alive as well.
 //
-// Random operands end their walks within a few offsets. Sparse and
+// Every plane count runs, b = 1, 2, 3 and 6. Random operands end their
+// walks within a few offsets. Sparse and
 // near-periodic ones keep lanes of 64 and up alive to their threshold
 // while other lanes go on dying, so that the early stop does not mark
 // them first; a lane whose reach is exactly h then pins the threshold
@@ -50,21 +51,24 @@ func centerReach(xd, yd []byte, c int) (w, up, dn, longest int) {
 // Ladder operands (see ladder) go further: their walks kill at least
 // one lane per two lane words at every offset up to 32 and end with no
 // lane alive, so a lane q ≥ 64 whose reach is exactly h-1 must come
-// out unmarked; that pins the threshold from the other side.
+// out unmarked; that pins the threshold from the other side. Sparse
+// and ladder operands set the digit 2^(b-1) against zero, and from
+// b = 3 on the near-periodic ones use the digits 0 and 2^(b-1) too, so
+// that their pairs differ in the top plane alone; random operands over
+// 0, 1 and 2^(b-1) make a scan that skips that plane mark lanes it
+// must not.
 func TestLaneScanCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	var ps packedScratch
-	var ls laneScan
+	ls := new(laneScan)
 	edge := 0  // lanes q ≥ 64 whose reach from the center is exactly h
 	short := 0 // lanes q ≥ 64 one digit short of h in walks that ran out
 	check := func(x, y word.Word) {
 		t.Helper()
 		d, k := x.Base(), x.Len()
-		b := word.PackedBits(d)
 		xd, yd := x.Digits(), y.Digits()
 		ps.load(x, y)
-		ls = laneScan{}
-		ls.scan(ps.x, ps.y, k, b)
+		ls.scan(ps.x, ps.y, k)
 		for c := -(k - 1); c <= k-1; c++ {
 			i := 2*max(c, -c) + b2i(c < 0)
 			w, _, _, longest := centerReach(xd, yd, c)
@@ -72,9 +76,8 @@ func TestLaneScanCandidates(t *testing.T) {
 				t.Fatalf("DG(%d,%d) %v -> %v: shift %d has a run of %d in a window of %d but is no candidate", d, k, x, y, c, longest, w)
 			}
 		}
-		ls = laneScan{b: b}
-		loadPlanes(&ls.x, &ls.xr, ps.x, k, b)
-		loadPlanes(&ls.y, &ls.yr, ps.y, k, b)
+		// scan left the planes loaded; walk each group again to read
+		// its lanes.
 		for p := 0; p <= 1; p++ {
 			for neg := 0; neg <= 1; neg++ {
 				u, r, qhi := &ls.x, &ls.yr, (k-p)>>1
@@ -113,16 +116,34 @@ func TestLaneScanCandidates(t *testing.T) {
 		}
 	}
 
-	for _, dk := range [][2]int{{2, 64}, {2, 65}, {2, 129}, {2, 130}, {2, 256}, {2, 511}, {2, 1024}, {3, 100}, {4, 200}, {4, 512}} {
+	for _, dk := range [][2]int{
+		{2, 64}, {2, 65}, {2, 129}, {2, 130}, {2, 256}, {2, 511}, {2, 1024},
+		{3, 100}, {4, 200}, {4, 512},
+		{5, 129}, {8, 100}, {8, 341}, {33, 65}, {36, 130}, {36, 170},
+	} {
 		d, k := dk[0], dk[1]
+		top := byte(1) << (word.PackedBits(d) - 1)
 		for i := 0; i < 4; i++ {
 			check(word.Random(d, k, rng), word.Random(d, k, rng))
 		}
-		// Sparse: zeros against ones 40–130 digits apart.
+		// Random over the digits 0, 1 and 2^(b-1): a scan that skips
+		// the top plane takes 2^(b-1) for 0, so lanes that die at
+		// such a pair live on while the 0/1 pairs still end the walk.
+		for i := 0; top > 1 && i < 4; i++ {
+			var pair [2][]byte
+			for j := range pair {
+				pair[j] = make([]byte, k)
+				for n := range pair[j] {
+					pair[j][n] = [3]byte{0, 1, top}[rng.Intn(3)]
+				}
+			}
+			check(word.MustNew(d, pair[0]), word.MustNew(d, pair[1]))
+		}
+		// Sparse: zeros against top digits 40–130 digits apart.
 		zero := make([]byte, k)
 		sparse := make([]byte, k)
 		for i := rng.Intn(40); i < k; i += 40 + rng.Intn(91) {
-			sparse[i] = 1
+			sparse[i] = top
 		}
 		check(word.MustNew(d, zero), word.MustNew(d, sparse))
 		check(word.MustNew(d, sparse), word.MustNew(d, zero))
@@ -133,14 +154,21 @@ func TestLaneScanCandidates(t *testing.T) {
 				xd, yd := make([]byte, k), make([]byte, k)
 				s := P * rng.Intn(k/P/4+1)
 				for i := range xd {
-					xd[i] = byte(i % P % d)
+					if xd[i] = byte(i % P % d); top > 2 {
+						xd[i] = byte(i%P%2) * top
+					}
 				}
 				for i := range yd {
 					yd[i] = xd[(i+s)%k]
 				}
 				for _, v := range [][]byte{xd, yd} {
 					for i := range v {
-						if rng.Intn(g) == 0 {
+						if rng.Intn(g) != 0 {
+							continue
+						}
+						if top > 2 {
+							v[i] ^= top
+						} else {
 							v[i] = byte((int(v[i]) + 1 + rng.Intn(d-1)) % d)
 						}
 					}
@@ -148,7 +176,7 @@ func TestLaneScanCandidates(t *testing.T) {
 				check(word.MustNew(d, xd), word.MustNew(d, yd))
 			}
 		}
-		zw, lw := word.MustNew(d, zero), word.MustNew(d, ladder(k, byte(d-1)))
+		zw, lw := word.MustNew(d, zero), word.MustNew(d, ladder(k, top))
 		check(lw, zw)
 		check(zw, lw)
 	}

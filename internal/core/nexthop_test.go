@@ -88,7 +88,7 @@ func TestSelfRouteContractsByOneEachHop(t *testing.T) {
 	// distance exactly D-1: every wildcard digit keeps the remaining
 	// route valid.
 	rng := rand.New(rand.NewSource(62))
-	kn := NewKernels(KernelConfig{TableBudget: -1, DisablePacked: true})
+	kn := NewKernels(KernelConfig{TableBudget: -1})
 	for iter := 0; iter < 100; iter++ {
 		d := 2 + rng.Intn(3)
 		k := 2 + rng.Intn(10)

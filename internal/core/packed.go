@@ -6,13 +6,16 @@ import (
 	"repro/internal/word"
 )
 
-// Bit-packed kernels (tier T2 of the kernel ladder, see kernels.go).
+// Bit-sliced kernels (tier T2 of the kernel ladder, see kernels.go).
 //
-// For d ≤ 4 a word's digits pack into machine words (word.AppendPacked)
-// and Theorem 2 reduces to run arithmetic on shift-aligned agreement
-// masks. Write c for the alignment shift (y-position = x-position + c,
-// 1-based, c ∈ [-(k-1), k-1]) and L_c for the longest agreement run at
-// shift c. A matching pair (i, j, θ) with j = i + c - θ + 1 … after
+// Every operand is b = ⌈log₂ d⌉ digit planes (word.AppendPlanes), bit i
+// of plane p holding bit p of digit i, so two aligned digit strings
+// agree where the OR of their b plane XORs is clear: an agreement mask
+// has one bit per digit for every alphabet, and Theorem 2 reduces to
+// run arithmetic on shift-aligned agreement masks. Write c for the
+// alignment shift (y-position = x-position + c, 1-based,
+// c ∈ [-(k-1), k-1]) and L_c for the longest agreement run at shift c.
+// A matching pair (i, j, θ) with j = i + c - θ + 1 … after
 // minimization over each shift only the longest run matters, and
 //
 //	bestL = min(k, min_c 2k - 2L_c - c)
@@ -40,103 +43,100 @@ import (
 //   - full anchors: ties at the saturated value k involve runs of
 //     exactly half the window, which need not span the center. The
 //     single-word kernel computes every shift's exact longest run with
-//     the m &= m<<b reduction (packedAnchors1). The multi-word kernel
+//     the m &= m<<1 reduction (packedAnchors1). The multi-word kernel
 //     (packedAnchorsN) probes the lane scan's shifts for minima below k
 //     and resolves a saturated minimum with one more probe per shift,
 //     placed so that every run able to beat the trivial-pair sentinel
 //     covers it.
 
-// maxPackedBits bounds the packed operand size the bit tier accepts;
-// beyond it (k > 1024 at d=2, k > 512 at d=3/4) the scratch kernels
-// take over and the suffix-tree walk's anchors are canonical.
+// maxPackedBits bounds the plane bits k·b the tier accepts: k ≤ 1024
+// at d = 2, 512 at d ≤ 4, 341 at d ≤ 8, 170 at d ≤ 36. Past it the
+// scratch kernels take over and the suffix-tree walk's anchors are
+// canonical: the probes of a periodic pair grow as k² there, while
+// Algorithm 4 stays linear.
 const maxPackedBits = 1024
 
-// packedSingleWord reports whether DG(d,k) operands fit one uint64 —
+// maxPlanes is the plane count of the largest alphabet.
+const maxPlanes = 6 // word.PackedBits(word.MaxBase)
+
+// packedEligible reports whether the packed tier evaluates DG(d,k);
+// on these graphs the quadratic sweep's anchors are canonical.
+func packedEligible(d, k int) bool {
+	return k*word.PackedBits(d) <= maxPackedBits
+}
+
+// packedSingleWord reports whether DG(d,k) planes fit one uint64 each:
 // the regime of the single-word kernels, the only one with a packed
 // directed overlap.
-func packedSingleWord(d, k int) bool {
-	b := word.PackedBits(d)
-	return b != 0 && k*b <= 64
-}
+func packedSingleWord(k int) bool { return k <= 64 }
 
-// packedEligible reports whether the packed tier evaluates DG(d,k) at
-// all (single- or multi-word); on these graphs the quadratic sweep's
-// anchors are canonical.
-func packedEligible(d, k int) bool {
-	b := word.PackedBits(d)
-	return b != 0 && k*b <= maxPackedBits
-}
-
-// packedScratch holds the packed operand and bookkeeping buffers of
-// one Kernels instance. Zero value ready; buffers grow on first use.
+// packedScratch holds the plane and bookkeeping buffers of one Kernels
+// instance. Zero value ready; buffers grow on first use.
 type packedScratch struct {
-	x, y []uint64
-	lens []int16 // per-shift longest run, indexed c+k-1
+	x, y []uint64  // digit planes, ⌈k/64⌉ words each
+	lens []int16   // per-shift longest run, indexed c+k-1
+	ls   *laneScan // the multi-word kernels' scan state, made on first use
 }
 
-// load packs both operands, reusing the scratch vectors.
+// load writes both operands' planes, reusing the scratch vectors.
 func (ps *packedScratch) load(x, y word.Word) {
-	ps.x = x.AppendPacked(ps.x[:0])
-	ps.y = y.AppendPacked(ps.y[:0])
+	ps.x = x.AppendPlanes(ps.x[:0])
+	ps.y = y.AppendPlanes(ps.y[:0])
 }
 
-// packedAgree1 returns the filled agreement mask of two packed
-// single-word operands: every agreeing digit contributes b set bits,
-// so runs of agreeing digits are runs of set bits and all run
-// arithmetic works in bit space with stride b. The caller masks the
-// result to the alignment window.
-func packedAgree1(x, y uint64, b int) uint64 {
-	v := x ^ y
-	if b == 1 {
-		return ^v
+// scan returns the lane scan state, making it on first use.
+func (ps *packedScratch) scan() *laneScan {
+	if ps.ls == nil {
+		ps.ls = new(laneScan)
 	}
-	t := ^(v | v>>1) & 0x5555555555555555
-	return t | t<<1
+	return ps.ls
+}
+
+// shiftDiff returns the disagreement masks of single-word planes x
+// against y shifted by a digits each way: bit i of plus is set where
+// x's digit i differs from y's digit i+a, bit i of minus where it
+// differs from y's digit i-a. The caller masks them to the window.
+func shiftDiff(x, y []uint64, a uint) (plus, minus uint64) {
+	y = y[:len(x)]
+	for p, xp := range x {
+		plus |= xp ^ y[p]>>a
+		minus |= xp ^ y[p]<<a
+	}
+	return plus, minus
 }
 
 // runThrough1 returns the length (in digits) of the agreement run
-// containing the digit whose low bit is at position bit, 0 if that
-// digit disagrees. Branch-free: the mask is filled, so the two scans
-// count whole digits.
-func runThrough1(g uint64, bit, b int) int {
-	up := bits.TrailingZeros64(^(g >> uint(bit)))
-	dn := bits.LeadingZeros64(^(g << uint(64-bit)))
-	return (up + dn) / b
+// containing digit i, 0 if that digit disagrees. Branch-free.
+func runThrough1(g uint64, i int) int {
+	up := bits.TrailingZeros64(^(g >> uint(i)))
+	dn := bits.LeadingZeros64(^(g << uint(64-i)))
+	return up + dn
 }
 
 // packedDistance1 evaluates Theorem 2's two minima on single-word
-// packed operands. Every shift is scanned, but only via the center
-// digit of its window: a run short of half the window cannot beat the
-// running minima (both start at the trivial bound k), and a longer
-// run necessarily spans the center, where runThrough1 measures it
-// exactly. Underestimates for non-qualifying runs only produce values
-// that are ≥ k and therefore harmless. Returns the unclamped minima;
-// the distance is min(k, dL, dR).
-func packedDistance1(x, y uint64, k, b int) (dL, dR int) {
-	kb := uint(k * b)
-	full := ^uint64(0)
-	if kb < 64 {
-		full = uint64(1)<<kb - 1
-	}
+// planes. Every shift is scanned, but only via the center digit of its
+// window: a run short of half the window cannot beat the running
+// minima (both start at the trivial bound k), and a longer run
+// necessarily spans the center, where runThrough1 measures it exactly.
+// Underestimates for non-qualifying runs only produce values that are
+// ≥ k and therefore harmless. Returns the unclamped minima; the
+// distance is min(k, dL, dR).
+func packedDistance1(x, y []uint64, k int) (dL, dR int) {
+	full := ^uint64(0) >> uint(64-k)
 	dL, dR = k, k
 	{
-		g := packedAgree1(x, y, b) & full
-		n := runThrough1(g, (k>>1)*b, b)
+		g, _ := shiftDiff(x, y, 0)
+		n := runThrough1(^g&full, k>>1)
 		if v := 2 * (k - n); v < dL {
 			dL = v
 			dR = v
 		}
 	}
-	digMask := uint64(1)<<uint(b) - 1
-	low := uint64(0)
 	for a := 1; a <= k-1; a++ {
-		ab := uint(a * b)
-		low = low<<uint(b) | digMask
 		w := k - a
-		gp := packedAgree1(x, y>>ab, b) & (full >> ab)
-		gm := packedAgree1(x, y<<ab, b) & full &^ low
-		np := runThrough1(gp, (w>>1)*b, b)
-		nm := runThrough1(gm, (a+w>>1)*b, b)
+		dp, dm := shiftDiff(x, y, uint(a))
+		np := runThrough1(^dp&(full>>uint(a)), w>>1)
+		nm := runThrough1(^dm&full&^(uint64(1)<<uint(a)-1), a+w>>1)
 		if v := 2*(k-np) - a; v < dL {
 			dL = v
 		}
@@ -154,25 +154,30 @@ func packedDistance1(x, y uint64, k, b int) (dL, dR int) {
 }
 
 // packedAnchors1 computes the exact Theorem 2 anchors on single-word
-// packed operands, byte-identical to anchorsQuadratic. Pass 1 records
-// every shift's exact longest run (the m &= m<<b reduction, its +c
-// and -c dependency chains interleaved); pass 2 revisits only the
-// qualifying shifts and resolves the row-major tie-break: the first
-// longest run of each qualifying shift yields candidate (s, t, θ),
-// the lexicographic minimum by (s, then t) wins, and the trivial pair
+// planes, byte-identical to anchorsQuadratic. Pass 1 records every
+// shift's exact longest run (the m &= m<<1 reduction, its +c and -c
+// dependency chains interleaved); pass 2 revisits only the qualifying
+// shifts and resolves the row-major tie-break: the first longest run
+// of each qualifying shift yields candidate (s, t, θ), the
+// lexicographic minimum by (s, then t) wins, and the trivial pair
 // competes as a sentinel when the minimum saturates at k.
-func packedAnchors1(x, y uint64, k, b int, lens []int16) (aL, aR anchor) {
-	kb := uint(k * b)
-	full := ^uint64(0)
-	if kb < 64 {
-		full = uint64(1)<<kb - 1
+func packedAnchors1(x, y []uint64, k int, lens []int16) (aL, aR anchor) {
+	full := ^uint64(0) >> uint(64-k)
+	// agree returns shift c's agreement mask, masked to its window.
+	agree := func(c int) uint64 {
+		if c >= 0 {
+			dp, _ := shiftDiff(x, y, uint(c))
+			return ^dp & (full >> uint(c))
+		}
+		_, dm := shiftDiff(x, y, uint(-c))
+		return ^dm & full &^ (uint64(1)<<uint(-c) - 1)
 	}
 	dL, dR := k, k
 	{
-		g := packedAgree1(x, y, b) & full
+		g := agree(0)
 		n := 0
 		for g != 0 {
-			g &= g << uint(b)
+			g &= g << 1
 			n++
 		}
 		lens[k-1] = int16(n)
@@ -183,26 +188,23 @@ func packedAnchors1(x, y uint64, k, b int, lens []int16) (aL, aR anchor) {
 			}
 		}
 	}
-	digMask := uint64(1)<<uint(b) - 1
-	low := uint64(0)
 	for a := 1; a <= k-1; a++ {
-		ab := uint(a * b)
-		low = low<<uint(b) | digMask
-		gp := packedAgree1(x, y>>ab, b) & (full >> ab)
-		gm := packedAgree1(x, y<<ab, b) & full &^ low
+		dp, dm := shiftDiff(x, y, uint(a))
+		gp := ^dp & (full >> uint(a))
+		gm := ^dm & full &^ (uint64(1)<<uint(a) - 1)
 		np, nm := 0, 0
 		for gp != 0 && gm != 0 {
-			gp &= gp << uint(b)
-			gm &= gm << uint(b)
+			gp &= gp << 1
+			gm &= gm << 1
 			np++
 			nm++
 		}
 		for gp != 0 {
-			gp &= gp << uint(b)
+			gp &= gp << 1
 			np++
 		}
 		for gm != 0 {
-			gm &= gm << uint(b)
+			gm &= gm << 1
 			nm++
 		}
 		lens[a+k-1] = int16(np)
@@ -243,20 +245,12 @@ func packedAnchors1(x, y uint64, k, b int, lens []int16) (aL, aR anchor) {
 		if !okL && !okR {
 			continue
 		}
-		var g uint64
-		if c >= 0 {
-			cb := uint(c * b)
-			g = packedAgree1(x, y>>cb, b) & (full >> cb)
-		} else {
-			cb := uint(-c * b)
-			g = packedAgree1(x, y<<cb, b) & full &^ (uint64(1)<<cb - 1)
-		}
-		r := g
+		r := agree(c)
 		for i := 1; i < n; i++ {
-			r &= r << uint(b)
+			r &= r << 1
 		}
-		e := bits.TrailingZeros64(r) / b // 0-based end digit of first longest run
-		a0 := e - n + 1                  // 0-based start digit
+		e := bits.TrailingZeros64(r) // 0-based end digit of first longest run
+		a0 := e - n + 1              // 0-based start digit
 		if okL {
 			cand := anchor{s: a0 + 1, t: e + 1 + c, theta: n, dist: dL}
 			if cand.s < aL.s || (cand.s == aL.s && cand.t < aL.t) {
@@ -274,13 +268,18 @@ func packedAnchors1(x, y uint64, k, b int, lens []int16) (aL, aR anchor) {
 }
 
 // packedOverlap1 is Property 1's suffix/prefix overlap on single-word
-// packed operands: the largest s < k with suffix_s(x) = prefix_s(y).
-// The overlap value is unique, so this agrees with the Morris–Pratt
-// scan by definition. Callers handle x = y (overlap k) beforehand.
-func packedOverlap1(x, y uint64, k, b int) int {
+// planes: the largest s < k with suffix_s(x) = prefix_s(y). The
+// overlap value is unique, so this agrees with the Morris–Pratt scan
+// by definition. Callers handle x = y (overlap k) beforehand.
+func packedOverlap1(x, y []uint64, k int) int {
+	y = y[:len(x)]
 	for s := k - 1; s >= 1; s-- {
-		m := uint64(1)<<uint(s*b) - 1
-		if x>>uint((k-s)*b) == y&m {
+		m := uint64(1)<<uint(s) - 1
+		var v uint64
+		for p, xp := range x {
+			v |= xp>>uint(k-s) ^ y[p]&m
+		}
+		if v == 0 {
 			return s
 		}
 	}
@@ -288,75 +287,72 @@ func packedOverlap1(x, y uint64, k, b int) int {
 }
 
 // shiftView is one alignment of the multi-word scans: the agreement
-// between x and y shifted by sbits (toward lower positions when plus,
-// higher when minus), windowed to [loBit, hiBit).
+// between x and y shifted by c digits, windowed to x's digits
+// [lo, hi). Word i of y aligned to x is y[i+dw]>>r | y[i+dw+1]<<l, a
+// word out of range reading as zero.
 type shiftView struct {
-	x, y         []uint64
-	b            int
-	sbits        int
-	plus         bool
-	loBit, hiBit int
+	x, y   []uint64 // digit planes, nw words each
+	nw     int
+	dw     int
+	r, l   uint
+	lo, hi int
 }
 
 // align points the view at shift c of length-k operands and returns
 // the window's first digit in x coordinates.
 func (sv *shiftView) align(c, k int) (lo int) {
 	if c >= 0 {
-		sv.sbits, sv.plus, sv.loBit, sv.hiBit = c*sv.b, true, 0, (k-c)*sv.b
+		sh := uint(c & 63)
+		sv.dw, sv.r, sv.l, sv.lo, sv.hi = c>>6, sh, 64-sh, 0, k-c
 		return 0
 	}
-	sv.sbits, sv.plus, sv.loBit, sv.hiBit = -c*sv.b, false, -c*sv.b, k*sv.b
+	sh := uint(-c & 63)
+	sv.dw, sv.r, sv.l, sv.lo, sv.hi = -(-c>>6)-1, 64-sh, sh, -c, k
 	return -c
 }
 
-// agreeWord materializes word i of the view's filled agreement mask.
+// agreeWord materializes word i of the view's agreement mask: the
+// complement of the OR of the planes' XORs, masked to the window.
 func (sv *shiftView) agreeWord(i int) uint64 {
 	base := i << 6
-	if base >= sv.hiBit || base+64 <= sv.loBit {
+	if base >= sv.hi || base+64 <= sv.lo {
 		return 0
 	}
-	var yw uint64
-	off, sh := sv.sbits>>6, uint(sv.sbits&63)
-	if sv.plus {
-		j := i + off
-		if j < len(sv.y) {
-			yw = sv.y[j] >> sh
-			if sh != 0 && j+1 < len(sv.y) {
-				yw |= sv.y[j+1] << (64 - sh)
-			}
-		}
-	} else {
-		j := i - off
-		if j >= 0 {
-			yw = sv.y[j] << sh
-		}
-		if sh != 0 && j-1 >= 0 {
-			yw |= sv.y[j-1] >> (64 - sh)
-		}
+	// A shift by 64 clears a word past either end of y.
+	j0, j1, r, l := i+sv.dw, i+sv.dw+1, sv.r, sv.l
+	if uint(j0) >= uint(sv.nw) {
+		j0, r = 0, 64
 	}
-	g := packedAgree1(sv.x[i], yw, sv.b)
-	if lo := sv.loBit - base; lo > 0 {
+	if uint(j1) >= uint(sv.nw) {
+		j1, l = 0, 64
+	}
+	var diff uint64
+	for p := 0; p < len(sv.x); p += sv.nw {
+		diff |= sv.x[p+i] ^ (sv.y[p+j0]>>r | sv.y[p+j1]<<l)
+	}
+	g := ^diff
+	if lo := sv.lo - base; lo > 0 {
 		g &= ^uint64(0) << uint(lo)
 	}
-	if hi := sv.hiBit - base; hi < 64 {
+	if hi := sv.hi - base; hi < 64 {
 		g &= uint64(1)<<uint(hi) - 1
 	}
 	return g
 }
 
-// runThrough returns the length in digits and the first digit of the
-// agreement run containing the digit at absolute bit position bit. If
-// that digit disagrees it describes the run ending just below it
-// instead (empty if that digit disagrees too): callers only accept
-// runs long enough to cover the probed digit, and keeping the scan
-// branch-free here is worth more than the early out. It materializes
-// only the words the run actually touches (typically one).
-func (sv *shiftView) runThrough(bit int) (n, start int) {
-	wi, wb := bit>>6, uint(bit&63)
+// runThrough returns the length and the first digit of the agreement
+// run containing digit i. If that digit disagrees it describes the run
+// ending just below it instead (empty if that digit disagrees too):
+// callers only accept runs long enough to cover the probed digit, and
+// keeping the scan branch-free here is worth more than the early out.
+// It materializes only the words the run actually touches (typically
+// one).
+func (sv *shiftView) runThrough(i int) (n, start int) {
+	wi, wb := i>>6, uint(i&63)
 	g := sv.agreeWord(wi)
 	up := bits.TrailingZeros64(^(g >> wb))
 	if int(wb)+up == 64 {
-		for j := wi + 1; (j << 6) < sv.hiBit; j++ {
+		for j := wi + 1; (j << 6) < sv.hi; j++ {
 			t := bits.TrailingZeros64(^sv.agreeWord(j))
 			up += t
 			if t < 64 {
@@ -368,7 +364,7 @@ func (sv *shiftView) runThrough(bit int) (n, start int) {
 	if wb > 0 {
 		dn = bits.LeadingZeros64(^(g << (64 - wb)))
 	}
-	if dn == int(wb) && bit > int(wb) {
+	if dn == int(wb) && i > int(wb) {
 		for j := wi - 1; j >= 0; j-- {
 			t := bits.LeadingZeros64(^sv.agreeWord(j))
 			dn += t
@@ -377,10 +373,7 @@ func (sv *shiftView) runThrough(bit int) (n, start int) {
 			}
 		}
 	}
-	// b is 1 or 2, so b-1 is log2(b): shifts, not integer divisions,
-	// on the hot path.
-	sh := uint(sv.b - 1)
-	return (up + dn) >> sh, (bit - dn) >> sh
+	return up + dn, i - dn
 }
 
 // Lane scan. A multi-word kernel only has to probe a shift whose
@@ -398,10 +391,10 @@ func (sv *shiftView) runThrough(bit int) (n, start int) {
 //	c < 0 (c = -(k-2q-p)):  y[q+t] with x[k-q+t-p]
 //
 // As q grows, one operand runs forward and the other backward. Reverse
-// the second operand (r[i] = v[k-1-i], so y[k-q+t-p] is r[q-t-1+p]),
-// and offset t of all lanes becomes two bit strings t positions apart
-// in opposite directions. One XOR per digit plane then tests 64 lanes;
-// digits of b = 2 bits are split into a low and a high bit plane.
+// the second operand's planes (r[i] = v[k-1-i], so y[k-q+t-p] is
+// r[q-t-1+p]), and offset t of all lanes becomes two bit strings t
+// positions apart in opposite directions. The OR of one XOR per digit
+// plane then tests 64 lanes.
 //
 // The scan walks t outward and keeps, per lane, whether offsets 0…t
 // (up) and 0…-t (down) all agree. Lane q reaches its threshold h at
@@ -446,25 +439,33 @@ func (p *plane) at(o planePos, j int) uint64 {
 	return p[(o.i+j)&(planeWords-1)]>>(o.s&63) | p[(o.i+j+1)&(planeWords-1)]<<(o.s1&63)<<1
 }
 
-// laneScan holds the digit planes and lane state of one scan. Each
-// scan starts from a zero value: it relies on the zero padding and
-// only ever sets candidate bits.
+// laneScan holds the padded digit planes and lane state of one scan.
+// scan rewrites or clears every plane word it reads and clears the
+// candidates, so one laneScan serves any sequence of scans.
 type laneScan struct {
 	cand   [2*maxPackedBits/64 + 1]uint64 // bit 2|c|+(c < 0) set: probe shift c
-	x, y   [2]plane                       // digit planes: low bit, high bit
-	xr, yr [2]plane                       // the same, reversed
+	x, y   [maxPlanes]plane               // digit planes
+	xr, yr [maxPlanes]plane               // the same, reversed
 	up, dn [laneWords]uint64              // one group's alive lanes,
 	lanes  [laneWords]uint64              // its candidates,
-	kill   [laneWords]uint64              // and the lanes its last step killed
+	kill   [laneWords]uint64              // the lanes its last step killed,
+	du, dd [laneWords]uint64              // and that step's disagreements
 	b      int
+	hw     int // plane words any scan has written, from planePad on
 }
 
 // scan marks in ls.cand every shift of x against y whose longest run
 // may be longer than half its window.
-func (ls *laneScan) scan(x, y []uint64, k, b int) {
-	ls.b = b
-	loadPlanes(&ls.x, &ls.xr, x, k, b)
-	loadPlanes(&ls.y, &ls.yr, y, k, b)
+func (ls *laneScan) scan(x, y []uint64, k int) {
+	nw := (k + 63) >> 6
+	ls.b = len(x) / nw
+	ls.cand = [len(ls.cand)]uint64{}
+	ls.du, ls.dd = [laneWords]uint64{}, [laneWords]uint64{}
+	ls.hw = max(ls.hw, nw)
+	for p := 0; p < ls.b; p++ {
+		loadPlane(&ls.x[p], &ls.xr[p], x[p*nw:(p+1)*nw], k, ls.hw)
+		loadPlane(&ls.y[p], &ls.yr[p], y[p*nw:(p+1)*nw], k, ls.hw)
+	}
 	for p := 0; p <= 1; p++ {
 		ls.mark(ls.group(&ls.x, &ls.yr, p, (k-p)>>1), k-p, 0)
 		ls.mark(ls.group(&ls.y, &ls.xr, p, (k-1-p)>>1), k-p, 1)
@@ -514,52 +515,30 @@ func (ls *laneScan) mark(n, top, neg int) {
 	}
 }
 
-// loadPlanes splits the packed operand v (k digits of b bits) into
-// its digit planes, forward into f and reversed into r.
-func loadPlanes(f, r *[2]plane, v []uint64, k, b int) {
-	nw := (k + 63) >> 6
-	if b == 1 {
-		copy(f[0][planePad:], v)
-	} else {
-		for i := 0; i < nw; i++ {
-			lo := v[2*i]
-			var hi uint64
-			if 2*i+1 < len(v) {
-				hi = v[2*i+1]
-			}
-			f[0][planePad+i] = evenBits(lo) | evenBits(hi)<<32
-			f[1][planePad+i] = evenBits(lo>>1) | evenBits(hi>>1)<<32
-		}
-	}
+// loadPlane copies the k-digit plane v into f from word planePad on
+// and its reversal into r, clearing the words above both up to hw,
+// past which no scan has written.
+func loadPlane(f, r *plane, v []uint64, k, hw int) {
+	nw := len(v)
+	copy(f[planePad:], v)
+	clear(f[planePad+nw : planePad+hw])
 	// Reversing the nw words puts digit k-1 at bit sh; shift it to 0.
 	sh := uint(nw<<6 - k)
-	for pl := 0; pl < b; pl++ {
-		src := f[pl][planePad : planePad+nw]
-		dst := r[pl][planePad : planePad+nw]
-		for i := range dst {
-			w := bits.Reverse64(src[nw-1-i]) >> sh
-			if i+1 < nw {
-				w |= bits.Reverse64(src[nw-2-i]) << (64 - sh)
-			}
-			dst[i] = w
+	dst := r[planePad : planePad+nw]
+	for i := range dst {
+		w := bits.Reverse64(v[nw-1-i]) >> sh
+		if i+1 < nw {
+			w |= bits.Reverse64(v[nw-2-i]) << (64 - sh)
 		}
+		dst[i] = w
 	}
-}
-
-// evenBits gathers bits 0, 2, …, 62 of v into its low 32 bits.
-func evenBits(v uint64) uint64 {
-	v &= 0x5555555555555555
-	v = (v | v>>1) & 0x3333333333333333
-	v = (v | v>>2) & 0x0f0f0f0f0f0f0f0f
-	v = (v | v>>4) & 0x00ff00ff00ff00ff
-	v = (v | v>>8) & 0x0000ffff0000ffff
-	return (v | v>>16) & 0x00000000ffffffff
+	clear(r[planePad+nw : planePad+hw])
 }
 
 // group walks the lanes q ∈ [1-p, qhi] of window parity p, which
 // compare u[q+t] with r[q-t-1+p] at offset t, and leaves the
 // candidates in ls.lanes[:n], returning n.
-func (ls *laneScan) group(u, r *[2]plane, p, qhi int) (n int) {
+func (ls *laneScan) group(u, r *[maxPlanes]plane, p, qhi int) (n int) {
 	if qhi < 0 {
 		return 0 // k = 1 has no shift c < 0
 	}
@@ -570,25 +549,35 @@ func (ls *laneScan) group(u, r *[2]plane, p, qhi int) (n int) {
 	ls.up[n-1] >>= uint(63 - qhi&63)
 	ls.up[0] &^= uint64(1 - p) // lane 0 exists only for odd windows
 	ls.dn[n-1], ls.dn[0] = ls.up[n-1], ls.up[0]
-	// This is the scan's hot loop: the digit comparisons are written
-	// out rather than called, both directions are always compared,
-	// and the kill count waits for the end of the step, so that the
-	// loop holds no call or data-dependent branch.
-	two := ls.b == 2
+	// The step loop over j is the scan's hot loop: the digit
+	// comparisons are written out rather than called, both directions
+	// are always compared, and the kill count waits for the end of
+	// the step, so that the loop holds no call or data-dependent
+	// branch. Planes past the first are ORed into ls.du and ls.dd
+	// ahead of it (they stay zero when b = 1): one loop over every
+	// plane holds more values than there are registers.
 	for t := 0; ; t++ {
 		// Lane word j reads its up digits from u at bit 64j+t and r at
 		// 64j-t-1+p, its down digits from u at 64j-t and r at 64j+t-1+p.
 		uu, ru, ud, rd := seek(t), seek(-t-1+p), seek(-t), seek(t-1+p)
-		live := uint64(0)
 		lo := max(2*t-1, 0) >> 6
+		for pl := 1; pl < ls.b; pl++ {
+			u, r := &u[pl], &r[pl]
+			for j := lo; j < n; j++ {
+				du := u.at(uu, j) ^ r.at(ru, j)
+				dd := u.at(ud, j) ^ r.at(rd, j)
+				if pl > 1 {
+					du |= ls.du[j]
+					dd |= ls.dd[j]
+				}
+				ls.du[j], ls.dd[j] = du, dd
+			}
+		}
+		live := uint64(0)
 		for j := lo; j < n; j++ {
 			up, dn := ls.up[j], ls.dn[j]
-			du := u[0].at(uu, j) ^ r[0].at(ru, j)
-			dd := u[0].at(ud, j) ^ r[0].at(rd, j)
-			if two {
-				du |= u[1].at(uu, j) ^ r[1].at(ru, j)
-				dd |= u[1].at(ud, j) ^ r[1].at(rd, j)
-			}
+			du := u[0].at(uu, j) ^ r[0].at(ru, j) | ls.du[j]
+			dd := u[0].at(ud, j) ^ r[0].at(rd, j) | ls.dd[j]
 			alive := (up &^ du) | (dn &^ dd)
 			ls.kill[j] = (up | dn) &^ alive
 			// Lanes up to 2t have reached their threshold: the alive
@@ -625,21 +614,20 @@ func (a anchor) before(b anchor) bool {
 }
 
 // packedDistanceN evaluates Theorem 2's two minima on multi-word
-// packed operands with the same center-digit argument as
-// packedDistance1, but probes only the shifts the lane scan marks:
-// every other shift's longest run is at most half its window, so its
-// values are ≥ k. Returns the unclamped minima.
-func packedDistanceN(x, y []uint64, k, b int) (dL, dR int) {
+// planes with the same center-digit argument as packedDistance1, but
+// probes only the shifts the lane scan ls marks: every other shift's
+// longest run is at most half its window, so its values are ≥ k.
+// Returns the unclamped minima.
+func packedDistanceN(ls *laneScan, x, y []uint64, k int) (dL, dR int) {
 	dL, dR = k, k
-	var ls laneScan
-	ls.scan(x, y, k, b)
-	sv := shiftView{x: x, y: y, b: b}
+	ls.scan(x, y, k)
+	sv := shiftView{x: x, y: y, nw: (k + 63) >> 6}
 	for i, m := range ls.cand {
 		for ; m != 0; m &= m - 1 {
 			c := shift(i<<6 + bits.TrailingZeros64(m))
 			lo := sv.align(c, k)
 			w := k - lo - max(c, 0)
-			n, _ := sv.runThrough((lo + w>>1) * b)
+			n, _ := sv.runThrough(lo + w>>1)
 			dL = min(dL, 2*(k-n)-c)
 			dR = min(dR, 2*(k-n)+c)
 		}
@@ -648,7 +636,7 @@ func packedDistanceN(x, y []uint64, k, b int) (dL, dR int) {
 }
 
 // packedAnchorsN computes the exact Theorem 2 anchors on multi-word
-// packed operands, byte-identical to anchorsQuadratic.
+// planes, byte-identical to anchorsQuadratic.
 //
 // Pass 1 is packedDistanceN's probe of the lane scan's shifts, keeping
 // the run each probe finds: a run that brings a minimum below the
@@ -663,17 +651,16 @@ func packedDistanceN(x, y []uint64, k, b int) (dL, dR int) {
 // the window w, so a shift has at most one such run (two would need
 // 2T+1 digits), and it covers window digit T-1 unless 2T = w and it is
 // the window's upper half.
-func packedAnchorsN(x, y []uint64, k, b int) (aL, aR anchor) {
+func packedAnchorsN(ls *laneScan, x, y []uint64, k int) (aL, aR anchor) {
 	dL, dR := k, k
-	var ls laneScan
-	ls.scan(x, y, k, b)
-	sv := shiftView{x: x, y: y, b: b}
+	ls.scan(x, y, k)
+	sv := shiftView{x: x, y: y, nw: (k + 63) >> 6}
 	for i, m := range ls.cand {
 		for ; m != 0; m &= m - 1 {
 			c := shift(i<<6 + bits.TrailingZeros64(m))
 			lo := sv.align(c, k)
 			w := k - lo - max(c, 0)
-			n, a0 := sv.runThrough((lo + w>>1) * b)
+			n, a0 := sv.runThrough(lo + w>>1)
 			if v := 2*(k-n) - c; v < k && v <= dL {
 				if cand := (anchor{s: a0 + 1, t: a0 + n + c, theta: n, dist: v}); v < dL || cand.before(aL) {
 					aL, dL = cand, v
@@ -709,7 +696,7 @@ func packedAnchorsN(x, y []uint64, k, b int) (aL, aR anchor) {
 		for c := -(k - 2); c <= k/3; c += 2 {
 			T := (k + c) / 2
 			lo := sv.align(c, k)
-			if n, a0 := sv.runThrough((lo + T - 1) * b); n >= T {
+			if n, a0 := sv.runThrough(lo + T - 1); n >= T {
 				if cand := (anchor{s: a0 + T, t: a0 + 1 + c, theta: T, dist: k}); cand.before(aR) {
 					aR = cand
 				}

@@ -2,69 +2,49 @@ package word
 
 import (
 	"encoding/binary"
-	"fmt"
+	"math/bits"
 )
 
-// Packed representation: for small alphabets a word's digits pack into
-// machine words, so the shift-register overlap machinery of the
-// routing kernels can compare whole 64-bit lanes with XOR instead of
-// walking digits one byte at a time. Digit x_{i+1} (0-based position
-// i) occupies bits [i·b, (i+1)·b) of the vector, counting from bit 0
-// of element 0 — little-endian in both bit and element order, so a
-// digit shift of c positions is a bit shift of c·b.
+// Digit planes: the packed representation the routing kernels compare
+// with XOR. A base-d word splits into b = PackedBits(d) bit planes;
+// bit i of plane p is bit p of digit x_{i+1} (0-based position i).
+// Each plane takes ⌈k/64⌉ uint64 elements, little-endian in both bit
+// and element order with the bits past k clear, and the planes follow
+// one another, plane 0 first. Two digits are equal iff they agree on
+// every plane, so the digit agreement of two words is the complement
+// of the OR of b plane XORs, one bit per digit, and a digit shift of c
+// positions is a bit shift of c in every plane.
 
-// PackedBits returns the number of bits one digit occupies in the
-// packed representation of base-d words: 1 for d = 2, 2 for d in
-// {3, 4}, and 0 for every larger base (not packable — the kernels
-// fall back to the byte-digit scratch path).
+// PackedBits returns b = ⌈log₂ base⌉, the number of digit planes of a
+// base-d word: 1 for d = 2, 2 for d ≤ 4, …, 6 for d ≤ 36.
 func PackedBits(base int) int {
-	switch {
-	case base == 2:
-		return 1
-	case base == 3 || base == 4:
-		return 2
-	default:
-		return 0
-	}
-}
-
-// PackedWords returns the number of uint64 elements the packed form of
-// a base-d length-k word occupies, or 0 if the base is not packable.
-func PackedWords(base, k int) int {
-	b := PackedBits(base)
-	if b == 0 {
-		return 0
-	}
-	return (k*b + 63) / 64
+	return bits.Len(uint(base - 1))
 }
 
 // bitGather packs the low bit of each of the 8 bytes of v into the low
-// 8 bits of the result, byte i to bit i. Multiplying by the magic
-// constant lands byte i's bit at position 56+i (every other (i,j) byte
-// pair of the product falls below 56 or past bit 63, where modular
-// multiplication discards it), so one shift extracts all eight.
+// 8 bits of the result, byte i to bit i. Multiplying the masked bytes
+// by the magic constant lands byte i's bit at position 56+i (every
+// other (i,j) byte pair of the product falls below 56 or past bit 63,
+// where modular multiplication discards it, and no two of them share a
+// position, so nothing carries), so one shift extracts all eight.
 func bitGather(v uint64) uint64 {
-	return (v * 0x0102040810204080) >> 56
+	return ((v & 0x0101010101010101) * 0x0102040810204080) >> 56
 }
 
-// AppendPacked appends the packed form of w to dst and returns the
-// extended slice: PackedWords(d,k) elements, digit i at bits
-// [i·b, (i+1)·b) of the vector. Allocation-free once dst has capacity.
-// It panics if the base is not packable (programmer error; callers
-// gate on PackedBits, mirroring the digit-range panics of the shift
-// methods).
-func (w Word) AppendPacked(dst []uint64) []uint64 {
-	b := PackedBits(w.base)
-	if b == 0 {
-		panic(fmt.Sprintf("word: base %d is not packable", w.base))
-	}
-	d := w.digits
-	if b == 1 {
-		// Base 2: gather 8 digit bytes per multiply, 64 per element.
+// AppendPlanes appends the PackedBits(d) digit planes of w to dst and
+// returns the extended slice: ⌈k/64⌉ elements per plane, planes back
+// to back. Allocation-free once dst has capacity.
+func (w Word) AppendPlanes(dst []uint64) []uint64 {
+	b := uint(PackedBits(w.base))
+	for p := uint(0); p < b; p++ {
+		d := w.digits
 		for len(d) >= 64 {
+			// Top byte group first, so that the shift by 8 is constant
+			// and p alone needs the variable-shift register.
+			c := (*[64]byte)(d)
 			var cur uint64
-			for o := 0; o < 64; o += 8 {
-				cur |= bitGather(binary.LittleEndian.Uint64(d[o:])) << uint(o)
+			for o := 56; o >= 0; o -= 8 {
+				cur = cur<<8 | bitGather(binary.LittleEndian.Uint64(c[o:])>>p)
 			}
 			dst = append(dst, cur)
 			d = d[64:]
@@ -73,60 +53,13 @@ func (w Word) AppendPacked(dst []uint64) []uint64 {
 			var cur uint64
 			i := 0
 			for ; i+8 <= len(d); i += 8 {
-				cur |= bitGather(binary.LittleEndian.Uint64(d[i:])) << uint(i)
+				cur |= bitGather(binary.LittleEndian.Uint64(d[i:])>>p) << uint(i)
 			}
 			for ; i < len(d); i++ {
-				cur |= uint64(d[i]) << uint(i)
+				cur |= uint64(d[i]>>p&1) << uint(i)
 			}
 			dst = append(dst, cur)
 		}
-		return dst
-	}
-	var cur uint64
-	shift := 0
-	for _, v := range d {
-		cur |= uint64(v) << uint(shift)
-		shift += b
-		if shift == 64 {
-			dst = append(dst, cur)
-			cur, shift = 0, 0
-		}
-	}
-	if shift > 0 {
-		dst = append(dst, cur)
 	}
 	return dst
-}
-
-// UnpackPacked reconstructs the base-d length-k word from its packed
-// form — the inverse of AppendPacked. It rejects unpackable bases,
-// short vectors, digit values outside the base (base 3 can see field
-// value 3 only through corruption), and set padding bits past k·b.
-func UnpackPacked(base, k int, packed []uint64) (Word, error) {
-	b := PackedBits(base)
-	if b == 0 {
-		return Word{}, fmt.Errorf("%w: base %d is not packable", ErrBadBase, base)
-	}
-	if k < 1 {
-		return Word{}, ErrEmpty
-	}
-	if want := (k*b + 63) / 64; len(packed) != want {
-		return Word{}, fmt.Errorf("word: packed form of DG(%d,%d) needs %d elements, got %d", base, k, want, len(packed))
-	}
-	digits := make([]byte, k)
-	mask := uint64(1)<<uint(b) - 1
-	for i := 0; i < k; i++ {
-		bit := i * b
-		v := byte(packed[bit>>6] >> uint(bit&63) & mask)
-		if int(v) >= base {
-			return Word{}, fmt.Errorf("%w: packed digit %d at position %d, base %d", ErrBadDigit, v, i, base)
-		}
-		digits[i] = v
-	}
-	if tail := uint(k * b & 63); tail != 0 {
-		if packed[len(packed)-1]>>tail != 0 {
-			return Word{}, fmt.Errorf("word: packed form of DG(%d,%d) has set bits past digit %d", base, k, k)
-		}
-	}
-	return Word{base: base, digits: digits}, nil
 }

@@ -2,48 +2,59 @@ package word
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 func TestPackedBits(t *testing.T) {
-	cases := map[int]int{2: 1, 3: 2, 4: 2, 5: 0, 10: 0, 36: 0}
+	cases := map[int]int{2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 10: 4, 16: 4, 17: 5, 32: 5, 33: 6, 36: 6}
 	for base, want := range cases {
 		if got := PackedBits(base); got != want {
 			t.Errorf("PackedBits(%d) = %d, want %d", base, got, want)
 		}
 	}
-	if got := PackedWords(2, 64); got != 1 {
-		t.Errorf("PackedWords(2,64) = %d, want 1", got)
-	}
-	if got := PackedWords(2, 65); got != 2 {
-		t.Errorf("PackedWords(2,65) = %d, want 2", got)
-	}
-	if got := PackedWords(4, 32); got != 1 {
-		t.Errorf("PackedWords(4,32) = %d, want 1", got)
-	}
-	if got := PackedWords(4, 33); got != 2 {
-		t.Errorf("PackedWords(4,33) = %d, want 2", got)
-	}
-	if got := PackedWords(7, 10); got != 0 {
-		t.Errorf("PackedWords(7,10) = %d, want 0", got)
-	}
 }
 
-// TestPackedRoundTrip packs and unpacks words across the packable
-// bases, exhaustively for small k and randomly for the sizes that
-// exercise the d=2 whole-element and 8-at-a-time fast paths.
+// unplane reads digit i of a length-k word back from its planes.
+func unplane(planes []uint64, k, i int) byte {
+	nw := (k + 63) / 64
+	var v byte
+	for p := 0; p*nw < len(planes); p++ {
+		v |= byte(planes[p*nw+i/64]>>uint(i%64)&1) << uint(p)
+	}
+	return v
+}
+
+// TestPackedRoundTrip reads every digit back from the planes across
+// the bases, exhaustively for small k and randomly for the sizes that
+// exercise the whole-element and 8-at-a-time paths, and checks the
+// length and the clear bits past k.
 func TestPackedRoundTrip(t *testing.T) {
-	for _, d := range []int{2, 3, 4} {
-		for k := 1; k <= 8; k++ {
+	check := func(w Word) {
+		t.Helper()
+		d, k := w.Base(), w.Len()
+		nw := (k + 63) / 64
+		planes := w.AppendPlanes(nil)
+		if want := PackedBits(d) * nw; len(planes) != want {
+			t.Fatalf("DG(%d,%d): %d plane elements, want %d", d, k, len(planes), want)
+		}
+		for i := 0; i < k; i++ {
+			if got := unplane(planes, k, i); got != w.Digit(i) {
+				t.Fatalf("DG(%d,%d) %v: digit %d reads %d from the planes, want %d", d, k, w, i, got, w.Digit(i))
+			}
+		}
+		if tail := uint(k % 64); tail != 0 {
+			for p := nw - 1; p < len(planes); p += nw {
+				if planes[p]>>tail != 0 {
+					t.Fatalf("DG(%d,%d) %v: plane %d has set bits past digit %d", d, k, w, p/nw, k)
+				}
+			}
+		}
+	}
+	for _, d := range []int{2, 3, 4, 5} {
+		for k := 1; k <= 6; k++ {
 			if _, err := ForEach(d, k, func(w Word) bool {
-				packed := w.AppendPacked(nil)
-				got, err := UnpackPacked(d, k, packed)
-				if err != nil {
-					t.Fatalf("UnpackPacked(%d,%d,%v): %v", d, k, w, err)
-				}
-				if !got.Equal(w) {
-					t.Fatalf("round trip DG(%d,%d): %v != %v", d, k, got, w)
-				}
+				check(w)
 				return true
 			}); err != nil {
 				t.Fatal(err)
@@ -54,64 +65,31 @@ func TestPackedRoundTrip(t *testing.T) {
 	for _, tc := range []struct{ d, k int }{
 		{2, 63}, {2, 64}, {2, 65}, {2, 100}, {2, 128}, {2, 200}, {2, 1024},
 		{3, 31}, {3, 32}, {3, 33}, {3, 100},
-		{4, 32}, {4, 33}, {4, 512},
+		{4, 33}, {4, 512}, {7, 9}, {8, 341}, {11, 70}, {36, 1}, {36, 64}, {36, 170},
 	} {
 		for trial := 0; trial < 20; trial++ {
-			w := Random(tc.d, tc.k, rng)
-			packed := w.AppendPacked(nil)
-			if want := PackedWords(tc.d, tc.k); len(packed) != want {
-				t.Fatalf("DG(%d,%d): packed length %d, want %d", tc.d, tc.k, len(packed), want)
-			}
-			got, err := UnpackPacked(tc.d, tc.k, packed)
-			if err != nil {
-				t.Fatalf("UnpackPacked(%d,%d): %v", tc.d, tc.k, err)
-			}
-			if !got.Equal(w) {
-				t.Fatalf("round trip DG(%d,%d): %v != %v", tc.d, tc.k, got, w)
-			}
+			check(Random(tc.d, tc.k, rng))
 		}
 	}
 }
 
-// TestPackedLayout pins the bit layout: digit i occupies bits
-// [i·b, (i+1)·b) counting from bit 0 of element 0.
+// TestPackedLayout pins the plane layout: bit i of plane p is bit p
+// of digit i, planes back to back.
 func TestPackedLayout(t *testing.T) {
-	w := MustParse(2, "1101")
-	packed := w.AppendPacked(nil)
-	if len(packed) != 1 || packed[0] != 0b1011 {
-		t.Fatalf("pack(1101 base 2) = %b, want 1011", packed)
-	}
-	w = MustParse(4, "123")
-	packed = w.AppendPacked(nil)
-	if len(packed) != 1 || packed[0] != 1|2<<2|3<<4 {
-		t.Fatalf("pack(123 base 4) = %b, want %b", packed, 1|2<<2|3<<4)
-	}
-}
-
-func TestPackedErrors(t *testing.T) {
-	if _, err := UnpackPacked(5, 4, []uint64{0}); err == nil {
-		t.Error("UnpackPacked accepted unpackable base 5")
-	}
-	if _, err := UnpackPacked(2, 0, nil); err == nil {
-		t.Error("UnpackPacked accepted k = 0")
-	}
-	if _, err := UnpackPacked(2, 65, []uint64{0}); err == nil {
-		t.Error("UnpackPacked accepted short vector")
-	}
-	// Base 3 digit value 3 is representable in 2 bits but invalid.
-	if _, err := UnpackPacked(3, 2, []uint64{3}); err == nil {
-		t.Error("UnpackPacked accepted out-of-base digit")
-	}
-	// Set bits past k·b are corruption, not padding.
-	if _, err := UnpackPacked(2, 4, []uint64{1 << 4}); err == nil {
-		t.Error("UnpackPacked accepted set padding bits")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("AppendPacked did not panic on unpackable base")
+	for _, tc := range []struct {
+		d    int
+		s    string
+		want []uint64
+	}{
+		{2, "1101", []uint64{0b1011}},
+		{4, "123", []uint64{0b101, 0b110}},
+		{8, "7402", []uint64{0b0001, 0b1001, 0b0011}},
+		{36, "z", []uint64{1, 1, 0, 0, 0, 1}},
+	} {
+		if got := MustParse(tc.d, tc.s).AppendPlanes(nil); !slices.Equal(got, tc.want) {
+			t.Errorf("planes(%s base %d) = %b, want %b", tc.s, tc.d, got, tc.want)
 		}
-	}()
-	MustParse(5, "1234").AppendPacked(nil)
+	}
 }
 
 func TestAppendDigits(t *testing.T) {
