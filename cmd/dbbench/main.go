@@ -281,9 +281,12 @@ func benchCells(d, k int) ([]Result, error) {
 	}
 	constOne := make([][2]word.Word, 64)
 	for i := range constOne {
-		x, y := constantButOne(d, k, rng), constantButOne(d, k, rng)
-		for x.Equal(y) {
-			y = constantButOne(d, k, rng)
+		// One constant digit per pair, so x and y agree everywhere
+		// but at their odd digits; DG(2,1) has a single such word.
+		a := byte(rng.Intn(d))
+		x, y := constantButOne(a, d, k, rng), constantButOne(a, d, k, rng)
+		for x.Equal(y) && k*(d-1) > 1 {
+			y = constantButOne(a, d, k, rng)
 		}
 		constOne[i] = [2]word.Word{x, y}
 	}
@@ -340,10 +343,9 @@ func benchCells(d, k int) ([]Result, error) {
 	return out, nil
 }
 
-// constantButOne returns k copies of one random digit with one other
+// constantButOne returns k copies of digit a with one other random
 // digit at a random position.
-func constantButOne(d, k int, rng *rand.Rand) word.Word {
-	a := byte(rng.Intn(d))
+func constantButOne(a byte, d, k int, rng *rand.Rand) word.Word {
 	digits := bytes.Repeat([]byte{a}, k)
 	digits[rng.Intn(k)] = (a + 1 + byte(rng.Intn(d-1))) % byte(d)
 	return word.MustNew(d, digits)

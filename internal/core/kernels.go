@@ -98,9 +98,8 @@ type Kernels struct {
 
 // tierInfo is one resolved (d,k) → tier decision.
 type tierInfo struct {
-	tier   Tier
-	tab    *rankTable // non-nil iff tier == TierTable
-	single bool       // packed planes fit one uint64 each
+	tier Tier
+	tab  *rankTable // non-nil iff tier == TierTable
 }
 
 // NewKernels returns a tiered engine with the given configuration.
@@ -143,7 +142,7 @@ func (kn *Kernels) resolveSlow(d, k int) (tierInfo, bool) {
 		pending = bldg
 	}
 	if packedEligible(d, k) {
-		return tierInfo{tier: TierPacked, single: packedSingleWord(k)}, !pending
+		return tierInfo{tier: TierPacked}, !pending
 	}
 	return tierInfo{tier: TierScratch}, !pending
 }
@@ -188,7 +187,7 @@ func (kn *Kernels) DirectedDistance(x, y word.Word) (int, error) {
 	switch {
 	case ti.tier == TierTable:
 		return int(ti.tab.ddist[ti.tab.index(x, y)]), nil
-	case ti.tier == TierPacked && ti.single:
+	case ti.tier == TierPacked && packedSingleWord(k):
 		kn.ps.load(x, y)
 		return k - packedOverlap1(kn.ps.x, kn.ps.y, k), nil
 	default:
@@ -212,7 +211,7 @@ func (kn *Kernels) UndirectedDistance(x, y word.Word) (int, error) {
 	case TierPacked:
 		kn.ps.load(x, y)
 		var dL, dR int
-		if ti.single {
+		if packedSingleWord(k) {
 			dL, dR = packedDistance1(kn.ps.x, kn.ps.y, k)
 		} else {
 			dL, dR = packedDistanceN(kn.ps.scan(), kn.ps.x, kn.ps.y, k)

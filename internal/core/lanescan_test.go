@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/word"
@@ -43,18 +44,18 @@ func centerReach(xd, yd []byte, c int) (w, up, dn, longest int) {
 //     stops early marks every lane still alive as well.
 //
 // Every plane count runs, b = 1, 2, 3 and 6. Random operands end their
-// walks within a few offsets. Sparse and
-// near-periodic ones keep lanes of 64 and up alive to their threshold
-// while other lanes go on dying, so that the early stop does not mark
-// them first; a lane whose reach is exactly h then pins the threshold
+// walks within a few offsets. Sparse and near-periodic ones keep lanes
+// of 64 and up alive to their threshold while other lanes go on dying,
+// so that the early stop does not mark them first; a lane whose reach is exactly h then pins the threshold
 // on lane words past the first, which the kernel tests alone do not.
 // Ladder operands (see ladder) go further: their walks kill at least
 // one lane per two lane words at every offset up to 32 and end with no
 // lane alive, so a lane q ≥ 64 whose reach is exactly h-1 must come
 // out unmarked; that pins the threshold from the other side. Sparse
-// and ladder operands set the digit 2^(b-1) against zero, and from
-// b = 3 on the near-periodic ones use the digits 0 and 2^(b-1) too, so
-// that their pairs differ in the top plane alone; random operands over
+// (digit 1) and ladder (digit d-1) operands also run with the digit
+// 2^(b-1) against zero, and from b = 3 on the near-periodic ones use
+// the digits 0 and 2^(b-1), so that their pairs differ in the top
+// plane alone; random operands over
 // 0, 1 and 2^(b-1) make a scan that skips that plane mark lanes it
 // must not.
 func TestLaneScanCandidates(t *testing.T) {
@@ -139,14 +140,18 @@ func TestLaneScanCandidates(t *testing.T) {
 			}
 			check(word.MustNew(d, pair[0]), word.MustNew(d, pair[1]))
 		}
-		// Sparse: zeros against top digits 40–130 digits apart.
+		// Sparse: zeros against ones, and against the digit 2^(b-1),
+		// 40–130 digits apart.
 		zero := make([]byte, k)
-		sparse := make([]byte, k)
-		for i := rng.Intn(40); i < k; i += 40 + rng.Intn(91) {
-			sparse[i] = top
+		zw := word.MustNew(d, zero)
+		for _, a := range slices.Compact([]byte{1, top}) {
+			sparse := make([]byte, k)
+			for i := rng.Intn(40); i < k; i += 40 + rng.Intn(91) {
+				sparse[i] = a
+			}
+			check(zw, word.MustNew(d, sparse))
+			check(word.MustNew(d, sparse), zw)
 		}
-		check(word.MustNew(d, zero), word.MustNew(d, sparse))
-		check(word.MustNew(d, sparse), word.MustNew(d, zero))
 		// Near-periodic: a period-P word against itself shifted by a
 		// multiple of P, with one digit in g changed at random.
 		for _, P := range []int{1, 2, 3} {
@@ -176,9 +181,11 @@ func TestLaneScanCandidates(t *testing.T) {
 				check(word.MustNew(d, xd), word.MustNew(d, yd))
 			}
 		}
-		zw, lw := word.MustNew(d, zero), word.MustNew(d, ladder(k, top))
-		check(lw, zw)
-		check(zw, lw)
+		for _, a := range slices.Compact([]byte{byte(d - 1), top}) {
+			lw := word.MustNew(d, ladder(k, a))
+			check(lw, zw)
+			check(zw, lw)
+		}
 	}
 	if edge < 10 {
 		t.Fatalf("%d lanes of 64 or more reach exactly their threshold, want ≥ 10", edge)

@@ -51,9 +51,9 @@ func TestPackedRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, d := range []int{2, 3, 4, 5} {
-		for k := 1; k <= 6; k++ {
-			if _, err := ForEach(d, k, func(w Word) bool {
+	for _, tc := range []struct{ d, maxK int }{{2, 8}, {3, 8}, {4, 8}, {5, 6}, {8, 4}} {
+		for k := 1; k <= tc.maxK; k++ {
+			if _, err := ForEach(tc.d, k, func(w Word) bool {
 				check(w)
 				return true
 			}); err != nil {
@@ -65,7 +65,7 @@ func TestPackedRoundTrip(t *testing.T) {
 	for _, tc := range []struct{ d, k int }{
 		{2, 63}, {2, 64}, {2, 65}, {2, 100}, {2, 128}, {2, 200}, {2, 1024},
 		{3, 31}, {3, 32}, {3, 33}, {3, 100},
-		{4, 33}, {4, 512}, {7, 9}, {8, 341}, {11, 70}, {36, 1}, {36, 64}, {36, 170},
+		{4, 32}, {4, 33}, {4, 512}, {7, 9}, {8, 341}, {11, 70}, {36, 1}, {36, 64}, {36, 170},
 	} {
 		for trial := 0; trial < 20; trial++ {
 			check(Random(tc.d, tc.k, rng))
