@@ -79,10 +79,12 @@ serve-check:
 # Short fuzz sessions over the fuzz targets.
 fuzz:
 	$(GO) test -fuzz=FuzzDistanceEquivalence -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz=FuzzDirectedAgainstBFS -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzKernelTierEquivalence -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzFaultReroute -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzUnmarshalMessage -fuzztime=30s ./internal/network/
 	$(GO) test -fuzz=FuzzParseRoundTrip -fuzztime=30s ./internal/word/
+	$(GO) test -fuzz=FuzzShiftInverses -fuzztime=30s ./internal/word/
 	$(GO) test -fuzz=FuzzDeflectInvariant -fuzztime=30s ./internal/deflect/
 	$(GO) test -fuzz=FuzzCheckRoutes -fuzztime=30s ./internal/check/
 	$(GO) test -fuzz=FuzzServeDecode -fuzztime=30s ./internal/serve/

@@ -148,14 +148,24 @@ func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 }
 
 // structuredPair draws a pair whose Theorem 2 minimum lies well below
-// k and often has several minimizers: y is x shifted by a few digits
-// with a fresh fill, or x and y share one short period at an offset.
+// k and often has several minimizers, from one of three families:
+//   - y is x shifted by a few digits with a fresh fill;
+//   - x and y share one short period at an offset;
+//   - nested runs: y ends with a word T, and the suffixes of T of
+//     lengths θ, 2θ, 4θ, … are copied into x, the one of length l at
+//     position c+l (c ≤ 0), so each is a run of the l-part worth the
+//     same k−1+c and the sweep's first minimizer is the shortest. Half
+//     of these pairs are mirrored (both words reversed), which makes
+//     them r-part ties.
+//
 // Uniform pairs over a large alphabet almost never tie, so without
-// this family the sampled graphs would not reach the tie-break
-// between equal-distance anchors.
+// these families the sampled graphs would not reach the tie-break
+// between equal-distance anchors. The nested runs are copies, not
+// chance agreements, so they tie on every alphabet.
 func structuredPair(d, k int, rng *rand.Rand) [2]word.Word {
 	x, y := make([]byte, k), make([]byte, k)
-	if rng.Intn(2) == 0 {
+	switch rng.Intn(3) {
+	case 0:
 		for i := range x {
 			x[i], y[i] = byte(rng.Intn(d)), byte(rng.Intn(d))
 		}
@@ -165,7 +175,7 @@ func structuredPair(d, k int, rng *rand.Rand) [2]word.Word {
 		} else {
 			copy(y[s:], x)
 		}
-	} else {
+	case 1:
 		// The block is binary: digits 0 and 1, or for d ≥ 3 half the
 		// time 0 and 2^(b-1), which differ in the top digit plane
 		// alone.
@@ -182,6 +192,19 @@ func structuredPair(d, k int, rng *rand.Rand) [2]word.Word {
 			x[i], y[i] = block[i%len(block)], block[(i+r)%len(block)]
 		}
 		y[rng.Intn(k)] = byte(rng.Intn(d))
+	default:
+		for i := range x {
+			x[i], y[i] = byte(rng.Intn(d)), byte(rng.Intn(d))
+		}
+		th := 1 + rng.Intn(max(1, k/8))
+		c := 1 - th + rng.Intn(th) // 1-indexed: the copy of length l starts at x_{c+l}
+		for l := th; c+2*l-1 <= k; l *= 2 {
+			copy(x[c+l-1:], y[k-l:])
+		}
+		if rng.Intn(2) == 0 {
+			slices.Reverse(x)
+			slices.Reverse(y)
+		}
 	}
 	return [2]word.Word{word.MustNew(d, x), word.MustNew(d, y)}
 }

@@ -28,14 +28,13 @@ import (
 // random choice draws from the seeded generator. Not safe for
 // concurrent use.
 //
-// Sites are vertex ranks throughout: out-links come from the rank
-// arithmetic of the LayerCache's adjacency, messages carry their
-// destination's rank, and no graph or site word exists unless Graph or
-// Word asks for one.
+// Sites are vertex ranks throughout: out-links are the OutNeighbors of
+// the LayerCache's graph.DeBruijn graph, messages carry their
+// destination's rank, and no site word exists unless Word asks for
+// one.
 type Engine struct {
 	cfg   Config
-	adj   *adjacency
-	g     *graph.Graph // built by the first Graph call
+	g     *graph.Graph // the LayerCache's
 	rng   *rand.Rand
 	cache *LayerCache
 
@@ -96,8 +95,8 @@ type Config struct {
 }
 
 // New validates the configuration and builds the engine: O(N·d)
-// entries of adjacency and resident slots in a number of allocations
-// that does not grow with N.
+// adjacency entries and resident slots in a number of allocations that
+// does not grow with N.
 func New(cfg Config) (*Engine, error) {
 	cache, err := NewLayerCache(cfg.D, cfg.K, cfg.Unidirectional)
 	if err != nil {
@@ -112,17 +111,23 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.MaxAge < cfg.K {
 		return nil, fmt.Errorf("deflect: MaxAge %d below diameter %d", cfg.MaxAge, cfg.K)
 	}
-	adj := cache.adj
+	g := cache.g
 	// A site holds at most one message per output link, so each
-	// resident set gets exactly that capacity from one backing array.
-	resident := make([][]*msg, adj.n)
-	backing := make([]*msg, len(adj.nbr))
+	// resident set gets exactly that capacity from one backing array
+	// with a slot per arc.
+	arcs := g.NumEdges()
+	if g.Kind() == graph.Undirected {
+		arcs *= 2 // an edge is an output link at both ends
+	}
+	backing := make([]*msg, arcs)
+	resident := make([][]*msg, g.NumVertices())
 	for v := range resident {
-		resident[v] = backing[adj.off[v]:adj.off[v]:adj.off[v+1]]
+		c := len(g.OutNeighbors(v))
+		resident[v], backing = backing[:0:c], backing[c:]
 	}
 	return &Engine{
 		cfg:      cfg,
-		adj:      adj,
+		g:        g,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		cache:    cache,
 		resident: resident,
@@ -134,25 +139,11 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Config() Config { return e.cfg }
 
 // Graph exposes the underlying topology (read-only use): the
-// graph.DeBruijn graph whose OutNeighbors the engine's rank adjacency
-// equals, built on the first call.
-func (e *Engine) Graph() *graph.Graph {
-	if e.g == nil {
-		kind := graph.Undirected
-		if e.cfg.Unidirectional {
-			kind = graph.Directed
-		}
-		g, err := graph.DeBruijn(kind, e.cfg.D, e.cfg.K)
-		if err != nil {
-			panic(err) // unreachable: New accepted d and k
-		}
-		e.g = g
-	}
-	return e.g
-}
+// graph.DeBruijn graph whose OutNeighbors are the sites' output links.
+func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // NumSites returns d^k.
-func (e *Engine) NumSites() int { return e.adj.n }
+func (e *Engine) NumSites() int { return e.g.NumVertices() }
 
 // Word returns the address of vertex v.
 func (e *Engine) Word(v int) word.Word {
@@ -176,7 +167,7 @@ func (e *Engine) Capacity(w word.Word) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(e.adj.OutNeighbors(v)), nil
+	return len(e.g.OutNeighbors(v)), nil
 }
 
 func (e *Engine) vertex(w word.Word) (int, error) {
@@ -211,7 +202,7 @@ func (e *Engine) inject(sv, dv int) bool {
 		e.deliver(&msg{dstV: dv, born: e.round})
 		return true
 	}
-	if len(e.resident[sv]) >= len(e.adj.OutNeighbors(sv)) {
+	if len(e.resident[sv]) >= len(e.g.OutNeighbors(sv)) {
 		e.refused++
 		e.m.refused.Inc()
 		return false
@@ -247,7 +238,7 @@ func (e *Engine) Step() error {
 			continue
 		}
 		byPriority(rs)
-		free := append(e.free[:0], e.adj.OutNeighbors(v)...)
+		free := append(e.free[:0], e.g.OutNeighbors(v)...)
 		for _, m := range rs {
 			if len(free) == 0 {
 				return fmt.Errorf("deflect: site %v holds more messages than output links (internal invariant)", e.Word(v))

@@ -29,7 +29,6 @@ package deflect
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -53,67 +52,6 @@ type shape struct {
 	directed bool
 }
 
-// neighbors lists out-neighbours by vertex rank: a graph built by
-// graph.DeBruijn, or the engine's adjacency, which lists the same
-// neighbours in the same order.
-type neighbors interface {
-	OutNeighbors(v int) []int32
-}
-
-// adjacency is DG(d,k)'s out-neighbour lists computed by rank
-// arithmetic, with no words and no graph. The left shifts of rank v
-// are (v·d + a) mod N, a contiguous ascending run; on the undirected
-// graph the right shifts a·N/d + v/d, ascending in steps of N/d, join
-// them. Merging the two runs and dropping repeats and the self-loop
-// gives exactly graph.DeBruijn's OutNeighbors, in its ascending order,
-// which policies index candidates by.
-type adjacency struct {
-	shape
-	off []int32 // the out-neighbours of v are nbr[off[v]:off[v+1]]
-	nbr []int32
-}
-
-// newAdjacency computes the lists in one O(N·d) pass into one array.
-func newAdjacency(d, k int, directed bool) (*adjacency, error) {
-	n, err := word.Count(d, k)
-	if err != nil {
-		return nil, fmt.Errorf("deflect: %w", err)
-	}
-	deg := 2 * d
-	if directed {
-		deg = d
-	}
-	if n > (math.MaxInt32-1)/(deg+1) {
-		return nil, fmt.Errorf("deflect: DG(%d,%d) has more links than int32 adjacency offsets number", d, k)
-	}
-	buf := make([]int32, n+1+n*deg)
-	a := &adjacency{shape: shape{d: d, k: k, n: n, directed: directed}, off: buf[:n+1], nbr: buf[n+1 : n+1]}
-	step := n / d
-	for v := 0; v < n; v++ {
-		lo, r := v*d%n, v/d
-		last := -1
-		for i, j := 0, 0; i < d || !directed && j < d; {
-			u := lo + i
-			if i < d && (directed || u <= r+j*step) {
-				i++
-			} else {
-				u = r + j*step
-				j++
-			}
-			if u != v && u != last {
-				a.nbr = append(a.nbr, int32(u))
-			}
-			last = u
-		}
-		a.off[v+1] = int32(len(a.nbr))
-	}
-	return a, nil
-}
-
-// OutNeighbors returns the ascending out-neighbours of the vertex of
-// rank v. The returned slice must not be modified.
-func (a *adjacency) OutNeighbors(v int) []int32 { return a.nbr[a.off[v]:a.off[v+1]] }
-
 // Layers is the distance-layer decomposition of DG(d,k) relative to
 // one destination Y: the partition of the vertex set into layers
 // B_i = {X : D(X,Y) = i}, i = 0..k, with every output link of every
@@ -123,7 +61,7 @@ func (a *adjacency) OutNeighbors(v int) []int32 { return a.nbr[a.off[v]:a.off[v+
 // assert the two agree on every graph up to 4096 vertices. Only the
 // distance of each vertex is stored; Layer buckets them on demand.
 type Layers struct {
-	nb   neighbors
+	g    *graph.Graph
 	k    int
 	dist []uint8 // dist[v] = D(v, dst); read-only, possibly the shared rank table's row
 }
@@ -148,9 +86,10 @@ func NewLayers(g *graph.Graph, dst word.Word) (*Layers, error) {
 	return newLayers(g, s, int(dst.MustRank()), core.NewKernels(core.KernelConfig{}))
 }
 
-// newLayers builds the decomposition toward the vertex of rank dst.
-func newLayers(nb neighbors, s shape, dst int, kn *core.Kernels) (*Layers, error) {
-	ly := &Layers{nb: nb, k: s.k}
+// newLayers builds the decomposition of g, of shape s, toward the
+// vertex of rank dst.
+func newLayers(g *graph.Graph, s shape, dst int, kn *core.Kernels) (*Layers, error) {
+	ly := &Layers{g: g, k: s.k}
 	if !s.directed {
 		if ly.dist = kn.UndirectedRow(s.d, s.k, dst); ly.dist != nil {
 			return ly, nil
@@ -188,7 +127,7 @@ func (l *Layers) Layer(i int) []int32 {
 // Links returns the classified out-links of v, in the adjacency order
 // of the underlying graph (ascending neighbor), in a fresh slice.
 func (l *Layers) Links(v int) []Link {
-	outs := l.nb.OutNeighbors(v)
+	outs := l.g.OutNeighbors(v)
 	links := make([]Link, len(outs))
 	for i, u := range outs {
 		links[i] = Link{To: u, Advancing: l.dist[u]+1 == l.dist[v]}
@@ -200,7 +139,7 @@ func (l *Layers) Links(v int) []Link {
 // the shortest-path out-diversity the deflection engine can exploit.
 func (l *Layers) Advancing(v int) int {
 	n := 0
-	for _, u := range l.nb.OutNeighbors(v) {
+	for _, u := range l.g.OutNeighbors(v) {
 		if l.dist[u]+1 == l.dist[v] {
 			n++
 		}
@@ -215,7 +154,8 @@ func (l *Layers) Advancing(v int) int {
 // undirected table-eligible graph is built, a miss allocates only the
 // Layers header. Not safe for concurrent use.
 type LayerCache struct {
-	adj  *adjacency
+	g    *graph.Graph
+	s    shape
 	kn   *core.Kernels
 	m    []*Layers // by destination rank
 	size int
@@ -224,15 +164,21 @@ type LayerCache struct {
 // NewLayerCache returns an empty cache over DG(d,k), the directed
 // graph when directed is set.
 func NewLayerCache(d, k int, directed bool) (*LayerCache, error) {
-	adj, err := newAdjacency(d, k, directed)
-	if err != nil {
-		return nil, err
+	kind := graph.Undirected
+	if directed {
+		kind = graph.Directed
 	}
-	return newLayerCache(adj, core.NewKernels(core.KernelConfig{})), nil
+	g, err := graph.DeBruijn(kind, d, k)
+	if err != nil {
+		return nil, fmt.Errorf("deflect: %w", err)
+	}
+	return newLayerCache(g, d, k, core.NewKernels(core.KernelConfig{})), nil
 }
 
-func newLayerCache(adj *adjacency, kn *core.Kernels) *LayerCache {
-	return &LayerCache{adj: adj, kn: kn, m: make([]*Layers, adj.n)}
+// newLayerCache returns an empty cache over g = DG(d,k).
+func newLayerCache(g *graph.Graph, d, k int, kn *core.Kernels) *LayerCache {
+	s := shape{d: d, k: k, n: g.NumVertices(), directed: g.Kind() == graph.Directed}
+	return &LayerCache{g: g, s: s, kn: kn, m: make([]*Layers, s.n)}
 }
 
 // For returns the (possibly newly computed) decomposition toward the
@@ -241,7 +187,7 @@ func (c *LayerCache) For(dst int) (*Layers, error) {
 	if ly := c.m[dst]; ly != nil {
 		return ly, nil
 	}
-	ly, err := newLayers(c.adj, c.adj.shape, dst, c.kn)
+	ly, err := newLayers(c.g, c.s, dst, c.kn)
 	if err != nil {
 		return nil, err
 	}

@@ -151,7 +151,7 @@ func TestLayersAgreeWithBFS(t *testing.T) {
 }
 
 // TestLayerCacheAgreesWithBFS runs checkLayers on the engine's path to
-// a decomposition, LayerCache over the rank adjacency, on both of its
+// a decomposition, LayerCache over the graph, on both of its
 // sources: the shared rank table's row, read in place (table tier
 // built synchronously), and the computed column (table tier disabled).
 // On the table side every undirected table-eligible graph must take
@@ -173,14 +173,10 @@ func TestLayerCacheAgreesWithBFS(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				adj, err := newAdjacency(dk.d, dk.k, kind == graph.Directed)
-				if err != nil {
-					t.Fatal(err)
-				}
 				kn := core.NewKernels(tc.cfg)
-				c := newLayerCache(adj, kn)
+				c := newLayerCache(g, dk.d, dk.k, kn)
 				name := fmt.Sprintf("%s DG(%v,%d,%d)", tc.name, kind, dk.d, dk.k)
-				for _, dv := range testDests(rng, adj.n) {
+				for _, dv := range testDests(rng, g.NumVertices()) {
 					ly, err := c.For(dv)
 					if err != nil {
 						t.Fatalf("%s: For(%d): %v", name, dv, err)
@@ -200,60 +196,6 @@ func TestLayerCacheAgreesWithBFS(t *testing.T) {
 		}
 		if tc.name == "table" && rows == 0 {
 			t.Fatal("no decomposition was read from the rank table")
-		}
-	}
-}
-
-// TestAdjacencyMatchesGraph: the rank-arithmetic out-neighbours equal
-// graph.DeBruijn's OutNeighbors element for element, in order, at
-// every vertex of every DG(d,k) with at most 4096 vertices, both
-// kinds. That covers the constant words, which lose their self-loop,
-// and on the undirected graph the alternating words, where a left and
-// a right shift coincide; their degrees are checked so both cases are
-// known to be hit.
-func TestAdjacencyMatchesGraph(t *testing.T) {
-	for d := 2; d <= word.MaxBase; d++ {
-		for k := 1; ; k++ {
-			n, err := word.Count(d, k)
-			if err != nil || n > 4096 {
-				break
-			}
-			alt := make([]byte, k) // 0101…
-			for i := range alt {
-				alt[i] = byte(i % 2)
-			}
-			for _, kind := range []graph.Kind{graph.Directed, graph.Undirected} {
-				g, err := graph.DeBruijn(kind, d, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				adj, err := newAdjacency(d, k, kind == graph.Directed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := 0; v < n; v++ {
-					if got, want := adj.OutNeighbors(v), g.OutNeighbors(v); !slices.Equal(got, want) {
-						t.Fatalf("DG(%v,%d,%d) vertex %d: rank adjacency %v, graph %v", kind, d, k, v, got, want)
-					}
-				}
-				if k < 2 {
-					continue
-				}
-				wantConst, wantAlt := d-1, d
-				if kind == graph.Undirected {
-					wantConst, wantAlt = 2*d-2, 2*d-1
-				}
-				for c := 0; c < d; c++ {
-					cw := word.MustNew(d, bytes.Repeat([]byte{byte(c)}, k))
-					if got := len(adj.OutNeighbors(int(cw.MustRank()))); got != wantConst {
-						t.Fatalf("DG(%v,%d,%d): constant word %v has %d out-neighbours, want %d", kind, d, k, cw, got, wantConst)
-					}
-				}
-				aw := word.MustNew(d, alt)
-				if got := len(adj.OutNeighbors(int(aw.MustRank()))); got != wantAlt {
-					t.Fatalf("DG(%v,%d,%d): alternating word %v has %d out-neighbours, want %d", kind, d, k, aw, got, wantAlt)
-				}
-			}
 		}
 	}
 }
@@ -286,6 +228,77 @@ func TestLayerCacheMemoizes(t *testing.T) {
 	}
 }
 
+// TestAdjacencyMatchesGraph: the engine's sites have exactly the
+// links of graph.DeBruijn, at every vertex of every DG(d,k) with at
+// most 4096 vertices, both kinds. Its Graph's OutNeighbors and the
+// targets of its Layers' Links equal the freshly built graph's
+// OutNeighbors element for element, in order, and each site's
+// Capacity is its out-degree. The constant words, which lose their
+// self-loop, and on the undirected graph the alternating words, where
+// a left and a right shift coincide, have their capacities checked so
+// both cases are known to be hit.
+func TestAdjacencyMatchesGraph(t *testing.T) {
+	for d := 2; d <= word.MaxBase; d++ {
+		for k := 1; ; k++ {
+			n, err := word.Count(d, k)
+			if err != nil || n > 4096 {
+				break
+			}
+			for _, kind := range []graph.Kind{graph.Directed, graph.Undirected} {
+				g, err := graph.DeBruijn(kind, d, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := New(Config{D: d, K: k, Unidirectional: kind == graph.Directed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ly, err := e.cache.For(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := 0; v < n; v++ {
+					want := g.OutNeighbors(v)
+					if got := e.Graph().OutNeighbors(v); !slices.Equal(got, want) {
+						t.Fatalf("%v DG(%d,%d) vertex %d: engine links %v, graph %v", kind, d, k, v, got, want)
+					}
+					var to []int32
+					for _, lk := range ly.Links(v) {
+						to = append(to, lk.To)
+					}
+					if !slices.Equal(to, want) {
+						t.Fatalf("%v DG(%d,%d) vertex %d: layer links %v, graph %v", kind, d, k, v, to, want)
+					}
+					if c, err := e.Capacity(e.Word(v)); err != nil || c != len(want) {
+						t.Fatalf("%v DG(%d,%d) vertex %d: capacity %d (%v), want %d", kind, d, k, v, c, err, len(want))
+					}
+				}
+				if k < 2 {
+					continue
+				}
+				wantConst, wantAlt := d-1, d
+				if kind == graph.Undirected {
+					wantConst, wantAlt = 2*d-2, 2*d-1
+				}
+				for c := 0; c < d; c++ {
+					cw := word.MustNew(d, bytes.Repeat([]byte{byte(c)}, k))
+					if got, _ := e.Capacity(cw); got != wantConst {
+						t.Fatalf("%v DG(%d,%d): constant word %v has capacity %d, want %d", kind, d, k, cw, got, wantConst)
+					}
+				}
+				alt := make([]byte, k) // 0101…
+				for i := range alt {
+					alt[i] = byte(i % 2)
+				}
+				aw := word.MustNew(d, alt)
+				if got, _ := e.Capacity(aw); got != wantAlt {
+					t.Fatalf("%v DG(%d,%d): alternating word %v has capacity %d, want %d", kind, d, k, aw, got, wantAlt)
+				}
+			}
+		}
+	}
+}
+
 func TestNewLayersRejectsMismatchedGraph(t *testing.T) {
 	g, err := graph.DeBruijn(graph.Directed, 2, 4)
 	if err != nil {
@@ -308,7 +321,7 @@ func TestNewLayersRejectsMismatchedGraph(t *testing.T) {
 //   - PolicyMinIncrease reads candidate distances from the layer
 //     without allocating.
 func TestAllocBudgets(t *testing.T) {
-	// The engine, its rank adjacency and LayerCache with their arrays,
+	// The engine, its graph and LayerCache with their arrays,
 	// the Kernels, the seeded generator and its source, and the
 	// resident sets with their backing array.
 	const newBudget = 10
@@ -331,11 +344,7 @@ func TestAllocBudgets(t *testing.T) {
 		t.Errorf("NewLayers on DG(2,6): %v allocs, budget 5", a)
 	}
 
-	adj, err := newAdjacency(2, 6, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newLayerCache(adj, kn)
+	c := newLayerCache(g, 2, 6, kn)
 	next := 0
 	if a := testing.AllocsPerRun(20, func() {
 		if _, err := c.For(next); err != nil {

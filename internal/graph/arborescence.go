@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Arc-disjoint in-arborescence packing: the structural backbone of the
@@ -74,23 +75,13 @@ func packAttempt(g *Graph, root, count int, seed int64) ([][]int32, bool) {
 	n := g.NumVertices()
 	rng := rand.New(rand.NewSource(seed))
 
-	// usedArc[v][i] marks the arc v→adj[v][i] as consumed by some tree.
-	usedArc := make([][]bool, n)
-	for v := range usedArc {
-		usedArc[v] = make([]bool, len(g.adj[v]))
-	}
+	// usedArc[g.off[v]+i] marks the arc v→OutNeighbors(v)[i] as
+	// consumed by some tree (a directed graph's in-lists leave some
+	// entries unused).
+	usedArc := make([]bool, len(g.nbr))
 	arcIndex := func(v, p int32) int {
-		lst := g.adj[v]
-		lo, hi := 0, len(lst)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if lst[mid] < p {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo // callers only pass real arcs
+		i, _ := slices.BinarySearch(g.OutNeighbors(int(v)), p)
+		return int(g.off[v]) + i // callers only pass real arcs
 	}
 
 	trees := make([][]int32, count)
@@ -105,7 +96,7 @@ func packAttempt(g *Graph, root, count int, seed int64) ([][]int32, bool) {
 		order := rng.Perm(len(in))
 		for _, i := range order {
 			v := in[i]
-			if !inTree[t][v] && !usedArc[v][arcIndex(v, p)] {
+			if !inTree[t][v] && !usedArc[arcIndex(v, p)] {
 				queues[t] = append(queues[t], arcCand{v: v, p: p})
 			}
 		}
@@ -137,10 +128,10 @@ func packAttempt(g *Graph, root, count int, seed int64) ([][]int32, bool) {
 					continue
 				}
 				idx := arcIndex(c.v, c.p)
-				if usedArc[c.v][idx] {
+				if usedArc[idx] {
 					continue
 				}
-				usedArc[c.v][idx] = true
+				usedArc[idx] = true
 				trees[t][c.v] = c.p
 				inTree[t][c.v] = true
 				sizes[t]++

@@ -15,7 +15,7 @@ import (
 // measure: pairs with many shortest paths give the wildcard policies
 // room to balance load.
 func (g *Graph) CountShortestPathsFrom(src int) ([]int64, []int, error) {
-	n := len(g.adj)
+	n := g.NumVertices()
 	if src < 0 || src >= n {
 		return nil, nil, fmt.Errorf("%w: %d", ErrVertexRange, src)
 	}
@@ -30,7 +30,7 @@ func (g *Graph) CountShortestPathsFrom(src int) ([]int64, []int, error) {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.adj[u] {
+		for _, v := range g.OutNeighbors(int(u)) {
 			switch {
 			case dist[v] < 0:
 				dist[v] = dist[u] + 1

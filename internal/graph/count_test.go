@@ -6,8 +6,7 @@ import (
 
 func TestCountShortestPathsSquare(t *testing.T) {
 	// 4-cycle: two shortest paths to the opposite corner.
-	g := mustNew(t, Undirected, 4)
-	addEdges(t, g, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 0})
+	g := fromEdges(t, Undirected, 4, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 0})
 	counts, dist, err := g.CountShortestPathsFrom(0)
 	if err != nil {
 		t.Fatal(err)
@@ -21,8 +20,7 @@ func TestCountShortestPathsSquare(t *testing.T) {
 }
 
 func TestCountShortestPathsUnreachable(t *testing.T) {
-	g := mustNew(t, Directed, 3)
-	addEdges(t, g, [2]int{0, 1})
+	g := fromEdges(t, Directed, 3, [2]int{0, 1})
 	counts, dist, err := g.CountShortestPathsFrom(0)
 	if err != nil {
 		t.Fatal(err)

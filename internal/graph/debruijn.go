@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/word"
 )
@@ -12,33 +13,74 @@ import (
 // (which also realize every right-shift arc X⁺(a) → X); the undirected
 // graph drops directions. Redundant arcs — self loops at constant
 // words and coincident left/right-shift edges at alternating words —
-// are removed, as in the paper. Vertices are labelled with their word.
+// are removed, as in the paper.
+//
+// The lists come from rank arithmetic, with no words: the left shifts
+// of rank v are (v·d + a) mod N, a contiguous ascending run, and its
+// right shifts a·N/d + v/d ascend in steps of N/d. An undirected
+// vertex's neighbours are the two runs merged ascending, with repeats
+// and the self-loop dropped; a directed vertex's out-neighbours are
+// the left run and its in-neighbours the right run, each minus the
+// self-loop. One O(N·d) pass fills one array.
 func DeBruijn(kind Kind, d, k int) (*Graph, error) {
+	if kind != Directed && kind != Undirected {
+		return nil, ErrKind
+	}
 	n, err := word.Count(d, k)
 	if err != nil {
 		return nil, fmt.Errorf("graph: DG(%d,%d): %w", d, k, err)
 	}
-	g, err := New(kind, n)
-	if err != nil {
-		return nil, err
+	// Both kinds store at most 2d list entries and two offsets per
+	// vertex; every index into the buffer must fit an int32 offset.
+	if n > (math.MaxInt32-2)/(2*d+2) {
+		return nil, fmt.Errorf("graph: DG(%d,%d) has more links than int32 adjacency offsets number", d, k)
 	}
-	if _, err := word.ForEach(d, k, func(w word.Word) bool {
-		v := int(w.MustRank())
-		if err := g.SetLabel(v, w.String()); err != nil {
-			panic(err) // unreachable: v < n by construction
-		}
-		for a := 0; a < d; a++ {
-			u := int(w.ShiftLeft(byte(a)).MustRank())
-			if u == v {
-				continue // self loop at a constant word
+	directed := kind == Directed
+	heads := n + 1
+	if directed {
+		heads *= 2 // in-offsets follow the out-offsets
+	}
+	buf := make([]int32, heads+2*n*d)
+	g := &Graph{kind: kind, d: d, k: k, off: buf[:heads], nbr: buf[heads:]}
+	// out and in are the next free slots of nbr: the out-lists from 0,
+	// a directed graph's in-lists from n·d.
+	out, in := 0, n*d
+	if directed {
+		g.off[n+1] = int32(in)
+	}
+	step := n / d
+	for v := 0; v < n; v++ {
+		lo, r := v*d%n, v/d
+		last := -1
+		for i, j := 0, 0; i < d || !directed && j < d; {
+			u := lo + i
+			if i < d && (directed || u <= r+j*step) {
+				i++
+			} else {
+				u = r + j*step
+				j++
 			}
-			if err := g.AddEdge(v, u); err != nil {
-				panic(err) // unreachable: endpoints in range, not a loop
+			if u != v && u != last {
+				g.nbr[out] = int32(u)
+				out++
 			}
+			last = u
 		}
-		return true
-	}); err != nil {
-		return nil, err
+		g.off[v+1] = int32(out)
+		if directed {
+			for j := 0; j < d; j++ {
+				if u := r + j*step; u != v {
+					g.nbr[in] = int32(u)
+					in++
+				}
+			}
+			g.off[n+2+v] = int32(in)
+		}
+	}
+	if directed {
+		g.nbr, g.edges = g.nbr[:in], out
+	} else {
+		g.nbr, g.edges = g.nbr[:out], out/2
 	}
 	return g, nil
 }

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"bytes"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,11 +44,8 @@ func TestDeBruijnUndirectedDG23Structure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != 11 {
-		// 8 vertices; degrees: 4,4,4,4 (001,011,100,110), 3,3 (010,101), 2,2 (000,111)
-		// sum = 26, edges = 13. Guard against miscounting here:
-		t.Logf("edge count = %d", g.NumEdges())
-	}
+	// Degrees: 4,4,4,4 (001,011,100,110), 3,3 (010,101), 2,2 (000,111);
+	// sum 26, so 13 edges.
 	sum := 0
 	for v := 0; v < g.NumVertices(); v++ {
 		sum += g.Degree(v)
@@ -160,37 +160,114 @@ func TestDeBruijnLabelsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeBruijnEdgesAreShiftMoves holds DeBruijn's rank arithmetic to
+// the paper's definition of DG(d,k) by word shifts, at every vertex of
+// every graph with at most 4096 vertices, both kinds: OutNeighbors(v)
+// is the sorted, distinct ranks of v's left shifts (and, undirected,
+// of its right shifts) minus v, and a directed graph's InNeighbors(v)
+// its right shifts minus v. The degrees of the constant words, which
+// lose their self-loop, and of an alternating word, where a left and a
+// right shift coincide on the undirected graph, are checked so both
+// cases are known to be hit.
 func TestDeBruijnEdgesAreShiftMoves(t *testing.T) {
-	// Every arc of the directed graph is a left shift; every edge of
-	// the undirected graph is a left or right shift.
-	d, k := 3, 3
-	dir, err := DeBruijn(Directed, d, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < dir.NumVertices(); v++ {
-		wv, _ := DeBruijnWord(d, k, v)
-		for _, u := range dir.OutNeighbors(v) {
-			wu, _ := DeBruijnWord(d, k, int(u))
-			if !wv.ShiftLeft(wu.Digit(k - 1)).Equal(wu) {
-				t.Errorf("arc %v→%v is not a left shift", wv, wu)
+	for d := 2; d <= word.MaxBase; d++ {
+		for k := 1; ; k++ {
+			n, err := word.Count(d, k)
+			if err != nil || n > 4096 {
+				break
+			}
+			// shifts lists the ranks one shift away from v, ascending,
+			// distinct and without v.
+			shifts := func(v int, left, right bool) []int32 {
+				w, err := DeBruijnWord(d, k, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var s []int32
+				for a := byte(0); int(a) < d; a++ {
+					if left {
+						s = append(s, int32(w.ShiftLeft(a).MustRank()))
+					}
+					if right {
+						s = append(s, int32(w.ShiftRight(a).MustRank()))
+					}
+				}
+				slices.Sort(s)
+				return slices.DeleteFunc(slices.Compact(s), func(u int32) bool { return u == int32(v) })
+			}
+			for _, kind := range []Kind{Directed, Undirected} {
+				g, err := DeBruijn(kind, d, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := 0; v < n; v++ {
+					if got, want := g.OutNeighbors(v), shifts(v, true, kind == Undirected); !slices.Equal(got, want) {
+						t.Fatalf("%v DG(%d,%d) vertex %d: out-neighbours %v, shift moves %v", kind, d, k, v, got, want)
+					}
+					if kind == Directed {
+						if got, want := g.InNeighbors(v), shifts(v, false, true); !slices.Equal(got, want) {
+							t.Fatalf("directed DG(%d,%d) vertex %d: in-neighbours %v, right shifts %v", d, k, v, got, want)
+						}
+					}
+				}
+				if k < 2 {
+					continue
+				}
+				wantConst, wantAlt := d-1, d
+				if kind == Undirected {
+					wantConst, wantAlt = 2*d-2, 2*d-1
+				}
+				for c := 0; c < d; c++ {
+					cw := word.MustNew(d, bytes.Repeat([]byte{byte(c)}, k))
+					if got := len(g.OutNeighbors(DeBruijnVertex(cw))); got != wantConst {
+						t.Fatalf("%v DG(%d,%d): constant word %v has %d out-neighbours, want %d", kind, d, k, cw, got, wantConst)
+					}
+				}
+				alt := make([]byte, k) // 0101…
+				for i := range alt {
+					alt[i] = byte(i % 2)
+				}
+				aw := word.MustNew(d, alt)
+				if got := len(g.OutNeighbors(DeBruijnVertex(aw))); got != wantAlt {
+					t.Fatalf("%v DG(%d,%d): alternating word %v has %d out-neighbours, want %d", kind, d, k, aw, got, wantAlt)
+				}
 			}
 		}
 	}
-	und, err := DeBruijn(Undirected, d, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < und.NumVertices(); v++ {
-		wv, _ := DeBruijnWord(d, k, v)
-		for _, u := range und.OutNeighbors(v) {
-			wu, _ := DeBruijnWord(d, k, int(u))
-			l := wv.ShiftLeft(wu.Digit(k - 1)).Equal(wu)
-			r := wv.ShiftRight(wu.Digit(0)).Equal(wu)
-			if !l && !r {
-				t.Errorf("edge {%v,%v} is not a shift move", wv, wu)
-			}
+}
+
+// TestDeBruijnAllocs pins DeBruijn to the Graph and its one buffer: at
+// most two allocations, the same count on DG(2,6) as on DG(2,10).
+func TestDeBruijnAllocs(t *testing.T) {
+	for _, kind := range []Kind{Directed, Undirected} {
+		allocs := func(k int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := DeBruijn(kind, 2, k); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
+		if a6, a10 := allocs(6), allocs(10); a6 > 2 || a10 != a6 {
+			t.Errorf("%v DeBruijn: %v allocs on DG(2,6), %v on DG(2,10); want the same count, at most 2", kind, a6, a10)
+		}
+	}
+}
+
+// TestNewValidates: DeBruijn, the only constructor of a Graph, refuses
+// any kind but Directed and Undirected, and a graph without vertices.
+func TestNewValidates(t *testing.T) {
+	for _, kind := range []Kind{Kind(0), Kind(-1), Undirected + 1} {
+		if _, err := DeBruijn(kind, 2, 3); !errors.Is(err, ErrKind) {
+			t.Errorf("accepted invalid kind %v: %v", kind, err)
+		}
+	}
+	for _, kind := range []Kind{Directed, Undirected} {
+		if g, err := DeBruijn(kind, 2, 3); err != nil || g.Kind() != kind {
+			t.Errorf("DeBruijn(%v, 2, 3): kind %v, error %v", kind, g.Kind(), err)
+		}
+	}
+	if _, err := DeBruijn(Directed, 0, 3); err == nil {
+		t.Error("accepted d=0, a graph with no vertices")
 	}
 }
 

@@ -1,6 +1,8 @@
-// Package graph provides the graph substrate of the reproduction:
-// adjacency-list directed and undirected graphs, breadth-first search
-// (the baseline shortest-path oracle the paper's distance functions are
+// Package graph provides the graph substrate of the reproduction: the
+// de Bruijn graph DG(d,k), directed or undirected, as an immutable
+// compressed-sparse-row adjacency that DeBruijn builds by rank
+// arithmetic into one array; and on it breadth-first search (the
+// baseline shortest-path oracle the paper's distance functions are
 // verified against), diameter and degree statistics, connectivity,
 // vertex-disjoint paths, and Graphviz export for Figure 1.
 package graph
@@ -9,8 +11,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
+
+	"repro/internal/word"
 )
 
 // Kind discriminates directed from undirected graphs.
@@ -38,141 +43,90 @@ func (k Kind) String() string {
 var (
 	ErrVertexRange = errors.New("graph: vertex out of range")
 	ErrKind        = errors.New("graph: invalid kind")
-	ErrSelfLoop    = errors.New("graph: self loop rejected")
 )
 
-// Graph is a simple graph (no self loops, no parallel edges): the
-// paper's convention after "removing the redundant arcs". Vertices are
-// 0..N-1; optional string labels name them (de Bruijn words).
+// Graph is an immutable simple graph (no self loops, no parallel
+// edges): the paper's convention after "removing the redundant arcs".
+// Vertices are 0..N-1. Adjacency is compressed sparse rows carved from
+// one []int32: the sorted out-neighbours of v are nbr[off[v]:off[v+1]].
+// A directed graph keeps its sorted in-neighbours the same way in the
+// second half of off, whose offsets point past the out-lists in nbr.
+// A graph built by DeBruijn names vertex v by the word of rank v.
 type Graph struct {
-	kind   Kind
-	adj    [][]int32 // out-neighbors (directed) or neighbors (undirected)
-	radj   [][]int32 // in-neighbors; nil for undirected
-	labels []string
-	edges  int
-}
-
-// New returns an empty graph with n vertices.
-func New(kind Kind, n int) (*Graph, error) {
-	if kind != Directed && kind != Undirected {
-		return nil, ErrKind
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("graph: need at least one vertex, got %d", n)
-	}
-	g := &Graph{kind: kind, adj: make([][]int32, n)}
-	if kind == Directed {
-		g.radj = make([][]int32, n)
-	}
-	return g, nil
+	kind     Kind
+	d, k     int // DG(d,k) for Label; d = 0 on an unlabelled graph
+	off, nbr []int32
+	edges    int
 }
 
 // Kind returns whether the graph is directed.
 func (g *Graph) Kind() Kind { return g.kind }
 
 // NumVertices returns N.
-func (g *Graph) NumVertices() int { return len(g.adj) }
-
-// NumEdges returns the number of arcs (directed) or edges (undirected)
-// after deduplication.
-func (g *Graph) NumEdges() int { return g.edges }
-
-// AddEdge inserts the arc u→v (directed) or edge {u,v} (undirected).
-// Self loops are rejected and duplicates are ignored, mirroring the
-// paper's removal of redundant arcs.
-func (g *Graph) AddEdge(u, v int) error {
-	n := len(g.adj)
-	if u < 0 || u >= n || v < 0 || v >= n {
-		return fmt.Errorf("%w: (%d,%d) with n=%d", ErrVertexRange, u, v, n)
-	}
-	if u == v {
-		return ErrSelfLoop
-	}
-	if g.hasArc(u, v) {
-		return nil
-	}
-	g.adj[u] = insertSorted(g.adj[u], int32(v))
+func (g *Graph) NumVertices() int {
 	if g.kind == Directed {
-		g.radj[v] = insertSorted(g.radj[v], int32(u))
-	} else {
-		g.adj[v] = insertSorted(g.adj[v], int32(u))
+		return len(g.off)/2 - 1
 	}
-	g.edges++
-	return nil
+	return len(g.off) - 1
 }
 
-func (g *Graph) hasArc(u, v int) bool {
-	lst := g.adj[u]
-	i := sort.Search(len(lst), func(i int) bool { return lst[i] >= int32(v) })
-	return i < len(lst) && lst[i] == int32(v)
-}
-
-func insertSorted(lst []int32, v int32) []int32 {
-	i := sort.Search(len(lst), func(i int) bool { return lst[i] >= v })
-	lst = append(lst, 0)
-	copy(lst[i+1:], lst[i:])
-	lst[i] = v
-	return lst
-}
+// NumEdges returns the number of arcs (directed) or edges (undirected).
+func (g *Graph) NumEdges() int { return g.edges }
 
 // HasEdge reports whether the arc u→v (or edge {u,v}) exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
+	n := g.NumVertices()
+	if u < 0 || u >= n || v < 0 || v >= n {
 		return false
 	}
-	return g.hasArc(u, v)
+	_, ok := slices.BinarySearch(g.OutNeighbors(u), int32(v))
+	return ok
 }
 
 // OutNeighbors returns the sorted out-neighbors of v (its neighbors,
 // for undirected graphs). The returned slice must not be modified.
-func (g *Graph) OutNeighbors(v int) []int32 { return g.adj[v] }
+func (g *Graph) OutNeighbors(v int) []int32 { return g.nbr[g.off[v]:g.off[v+1]] }
 
 // InNeighbors returns the sorted in-neighbors of v. For undirected
 // graphs this equals OutNeighbors.
 func (g *Graph) InNeighbors(v int) []int32 {
 	if g.kind == Undirected {
-		return g.adj[v]
+		return g.OutNeighbors(v)
 	}
-	return g.radj[v]
+	in := g.off[len(g.off)/2:]
+	return g.nbr[in[v]:in[v+1]]
 }
 
 // Degree returns the paper's notion of vertex degree: the number of
 // incident edges — out-degree plus in-degree for directed graphs.
 func (g *Graph) Degree(v int) int {
 	if g.kind == Directed {
-		return len(g.adj[v]) + len(g.radj[v])
+		return len(g.OutNeighbors(v)) + len(g.InNeighbors(v))
 	}
-	return len(g.adj[v])
+	return len(g.OutNeighbors(v))
 }
 
 // DegreeCensus returns a histogram degree → number of vertices, the
 // quantity discussed below Figure 1 of the paper.
 func (g *Graph) DegreeCensus() map[int]int {
 	census := make(map[int]int)
-	for v := range g.adj {
+	for v := 0; v < g.NumVertices(); v++ {
 		census[g.Degree(v)]++
 	}
 	return census
 }
 
-// SetLabel assigns a textual name to vertex v.
-func (g *Graph) SetLabel(v int, label string) error {
-	if v < 0 || v >= len(g.adj) {
-		return fmt.Errorf("%w: %d", ErrVertexRange, v)
-	}
-	if g.labels == nil {
-		g.labels = make([]string, len(g.adj))
-	}
-	g.labels[v] = label
-	return nil
-}
-
-// Label returns the textual name of v, or its number if unnamed.
+// Label returns the word of v on a de Bruijn graph, its number
+// otherwise.
 func (g *Graph) Label(v int) string {
-	if g.labels != nil && g.labels[v] != "" {
-		return g.labels[v]
+	if g.d == 0 {
+		return strconv.Itoa(v)
 	}
-	return fmt.Sprintf("%d", v)
+	w, err := word.Unrank(g.d, g.k, uint64(v))
+	if err != nil {
+		panic(err) // v is not a vertex of DG(d,k)
+	}
+	return w.String()
 }
 
 // BFSFrom returns the distance from src to every vertex along arcs
@@ -185,7 +139,7 @@ func (g *Graph) BFSFrom(src int) ([]int, error) {
 // that the search may not enter; src itself must not be blocked. The
 // fault-tolerance experiments route around failed sites with it.
 func (g *Graph) BFSFromAvoiding(src int, blocked map[int]bool) ([]int, error) {
-	n := len(g.adj)
+	n := g.NumVertices()
 	if src < 0 || src >= n {
 		return nil, fmt.Errorf("%w: %d", ErrVertexRange, src)
 	}
@@ -202,7 +156,7 @@ func (g *Graph) BFSFromAvoiding(src int, blocked map[int]bool) ([]int, error) {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.adj[u] {
+		for _, v := range g.OutNeighbors(int(u)) {
 			if dist[v] < 0 && !blocked[int(v)] {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
@@ -219,7 +173,7 @@ func (g *Graph) BFSFromAvoiding(src int, blocked map[int]bool) ([]int, error) {
 // u→v does not fail v→u unless the caller's predicate says so. A nil
 // predicate makes this BFSFrom.
 func (g *Graph) BFSFromAvoidingArcs(src int, failed func(u, v int) bool) ([]int, error) {
-	n := len(g.adj)
+	n := g.NumVertices()
 	if src < 0 || src >= n {
 		return nil, fmt.Errorf("%w: %d", ErrVertexRange, src)
 	}
@@ -233,7 +187,7 @@ func (g *Graph) BFSFromAvoidingArcs(src int, failed func(u, v int) bool) ([]int,
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.adj[u] {
+		for _, v := range g.OutNeighbors(int(u)) {
 			if dist[v] < 0 && (failed == nil || !failed(int(u), int(v))) {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
@@ -250,7 +204,7 @@ func (g *Graph) BFSFromAvoidingArcs(src int, failed func(u, v int) bool) ([]int,
 // the faultroutes oracle prices a whole failure set with a single
 // search instead of one BFS per source.
 func (g *Graph) BFSToAvoidingArcs(dst int, failed func(u, v int) bool) ([]int, error) {
-	n := len(g.adj)
+	n := g.NumVertices()
 	if dst < 0 || dst >= n {
 		return nil, fmt.Errorf("%w: %d", ErrVertexRange, dst)
 	}
@@ -282,8 +236,8 @@ func (g *Graph) BFSToAvoidingArcs(dst int, failed func(u, v int) bool) ([]int, e
 func (g *Graph) SampleArcs(size int, rng *rand.Rand) map[[2]int]bool {
 	arcs := make(map[[2]int]bool, size)
 	for len(arcs) < size {
-		u := rng.Intn(len(g.adj))
-		nbs := g.adj[u]
+		u := rng.Intn(g.NumVertices())
+		nbs := g.OutNeighbors(u)
 		if len(nbs) == 0 {
 			continue
 		}
@@ -301,7 +255,7 @@ func (g *Graph) ShortestPath(src, dst int) ([]int, error) {
 // ShortestPathAvoiding is ShortestPath restricted to vertices outside
 // the blocked set.
 func (g *Graph) ShortestPathAvoiding(src, dst int, blocked map[int]bool) ([]int, error) {
-	n := len(g.adj)
+	n := g.NumVertices()
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return nil, fmt.Errorf("%w: (%d,%d)", ErrVertexRange, src, dst)
 	}
@@ -320,7 +274,7 @@ func (g *Graph) ShortestPathAvoiding(src, dst int, blocked map[int]bool) ([]int,
 		if int(u) == dst {
 			break
 		}
-		for _, v := range g.adj[u] {
+		for _, v := range g.OutNeighbors(int(u)) {
 			if parent[v] == -2 && !blocked[int(v)] {
 				parent[v] = u
 				queue = append(queue, v)
@@ -359,7 +313,7 @@ func (g *Graph) Distance(u, v int) (int, error) {
 // the graph is not (strongly) connected.
 func (g *Graph) Diameter() (int, error) {
 	best := 0
-	for v := range g.adj {
+	for v := 0; v < g.NumVertices(); v++ {
 		dist, err := g.BFSFrom(v)
 		if err != nil {
 			return 0, err
@@ -381,11 +335,11 @@ func (g *Graph) Diameter() (int, error) {
 // disconnected graphs.
 func (g *Graph) AvgDistance() (float64, error) {
 	var sum float64
-	n := len(g.adj)
+	n := g.NumVertices()
 	if n < 2 {
 		return 0, nil
 	}
-	for v := range g.adj {
+	for v := 0; v < g.NumVertices(); v++ {
 		dist, err := g.BFSFrom(v)
 		if err != nil {
 			return 0, err
@@ -418,7 +372,7 @@ func (g *Graph) IsConnectedAvoiding(blocked map[int]bool) bool {
 }
 
 func (g *Graph) isConnectedAvoiding(blocked map[int]bool) bool {
-	n := len(g.adj)
+	n := g.NumVertices()
 	src := -1
 	alive := 0
 	for v := 0; v < n; v++ {
@@ -432,24 +386,24 @@ func (g *Graph) isConnectedAvoiding(blocked map[int]bool) bool {
 	if alive <= 1 {
 		return true
 	}
-	if !g.reachesAll(src, g.adj, blocked, alive) {
+	if !g.reachesAll(src, g.OutNeighbors, blocked, alive) {
 		return false
 	}
 	if g.kind == Directed {
-		return g.reachesAll(src, g.radj, blocked, alive)
+		return g.reachesAll(src, g.InNeighbors, blocked, alive)
 	}
 	return true
 }
 
-func (g *Graph) reachesAll(src int, adj [][]int32, blocked map[int]bool, alive int) bool {
-	seen := make([]bool, len(adj))
+func (g *Graph) reachesAll(src int, adj func(int) []int32, blocked map[int]bool, alive int) bool {
+	seen := make([]bool, g.NumVertices())
 	seen[src] = true
 	queue := []int32{int32(src)}
 	count := 1
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range adj[u] {
+		for _, v := range adj(int(u)) {
 			if !seen[v] && !blocked[int(v)] {
 				seen[v] = true
 				count++
@@ -466,7 +420,7 @@ func (g *Graph) reachesAll(src int, adj [][]int32, blocked map[int]bool, alive i
 // max-flow on the vertex-split graph. This lower-bounds the number of
 // vertex failures needed to disconnect t from s.
 func (g *Graph) VertexDisjointPaths(s, t int) (int, error) {
-	n := len(g.adj)
+	n := g.NumVertices()
 	if s < 0 || s >= n || t < 0 || t >= n {
 		return 0, fmt.Errorf("%w: (%d,%d)", ErrVertexRange, s, t)
 	}
@@ -496,7 +450,7 @@ func (g *Graph) VertexDisjointPaths(s, t int) (int, error) {
 	// Each stored arc u→v becomes u_out→v_in; undirected adjacency is
 	// symmetric, so both directions of every edge are covered.
 	for u := 0; u < n; u++ {
-		for _, v := range g.adj[u] {
+		for _, v := range g.OutNeighbors(int(u)) {
 			addFlowEdge(2*u+1, 2*int(v), 1)
 		}
 	}
@@ -551,11 +505,11 @@ func (g *Graph) DOT(name string) string {
 		b.WriteString("digraph ")
 	}
 	fmt.Fprintf(&b, "%q {\n", name)
-	for v := range g.adj {
+	for v := 0; v < g.NumVertices(); v++ {
 		fmt.Fprintf(&b, "  n%d [label=%q];\n", v, g.Label(v))
 	}
-	for u := range g.adj {
-		for _, v := range g.adj[u] {
+	for u := 0; u < g.NumVertices(); u++ {
+		for _, v := range g.OutNeighbors(int(u)) {
 			if g.kind == Undirected && int(v) < u {
 				continue // emit each undirected edge once
 			}

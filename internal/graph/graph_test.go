@@ -2,66 +2,54 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
 
-func mustNew(t *testing.T, kind Kind, n int) *Graph {
+// fromEdges builds an n-vertex graph of the given kind from an edge
+// list. Repeated arcs (and, undirected, reversed edges) count once;
+// self loops are not allowed.
+func fromEdges(t *testing.T, kind Kind, n int, edges ...[2]int) *Graph {
 	t.Helper()
-	g, err := New(kind, n)
-	if err != nil {
-		t.Fatal(err)
+	out, in := make([][]int32, n), make([][]int32, n)
+	g := &Graph{kind: kind}
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u == v || u < 0 || v < 0 || u >= n || v >= n {
+			t.Fatalf("fromEdges: bad edge %v on %d vertices", e, n)
+		}
+		if slices.Contains(out[u], int32(v)) {
+			continue
+		}
+		out[u] = append(out[u], int32(v))
+		if kind == Directed {
+			in[v] = append(in[v], int32(u))
+		} else {
+			out[v] = append(out[v], int32(u))
+		}
+		g.edges++
+	}
+	// add lays the lists out back to back, each sorted, with their
+	// offsets and a closing one; a directed graph's in-lists follow its
+	// out-lists.
+	add := func(lists [][]int32) {
+		for _, l := range lists {
+			g.off = append(g.off, int32(len(g.nbr)))
+			g.nbr = append(g.nbr, l...)
+			slices.Sort(g.nbr[len(g.nbr)-len(l):])
+		}
+		g.off = append(g.off, int32(len(g.nbr)))
+	}
+	add(out)
+	if kind == Directed {
+		add(in)
 	}
 	return g
 }
 
-func addEdges(t *testing.T, g *Graph, pairs ...[2]int) {
-	t.Helper()
-	for _, p := range pairs {
-		if err := g.AddEdge(p[0], p[1]); err != nil {
-			t.Fatalf("AddEdge(%d,%d): %v", p[0], p[1], err)
-		}
-	}
-}
-
-func TestNewValidates(t *testing.T) {
-	if _, err := New(Kind(0), 3); err == nil {
-		t.Error("New accepted invalid kind")
-	}
-	if _, err := New(Directed, 0); err == nil {
-		t.Error("New accepted zero vertices")
-	}
-}
-
-func TestAddEdgeRejectsLoopAndRange(t *testing.T) {
-	g := mustNew(t, Directed, 3)
-	if err := g.AddEdge(1, 1); err == nil {
-		t.Error("accepted self loop")
-	}
-	if err := g.AddEdge(0, 3); err == nil {
-		t.Error("accepted out-of-range vertex")
-	}
-	if err := g.AddEdge(-1, 0); err == nil {
-		t.Error("accepted negative vertex")
-	}
-}
-
-func TestAddEdgeDeduplicates(t *testing.T) {
-	g := mustNew(t, Undirected, 3)
-	addEdges(t, g, [2]int{0, 1}, [2]int{1, 0}, [2]int{0, 1})
-	if g.NumEdges() != 1 {
-		t.Errorf("NumEdges = %d, want 1", g.NumEdges())
-	}
-	d := mustNew(t, Directed, 3)
-	addEdges(t, d, [2]int{0, 1}, [2]int{0, 1}, [2]int{1, 0})
-	if d.NumEdges() != 2 {
-		t.Errorf("directed NumEdges = %d, want 2 (mutual arcs distinct)", d.NumEdges())
-	}
-}
-
 func TestDegreeDirectedCountsBothDirections(t *testing.T) {
-	g := mustNew(t, Directed, 3)
-	addEdges(t, g, [2]int{0, 1}, [2]int{1, 0}, [2]int{2, 1})
+	g := fromEdges(t, Directed, 3, [2]int{0, 1}, [2]int{1, 0}, [2]int{2, 1})
 	if got := g.Degree(1); got != 3 {
 		t.Errorf("Degree(1) = %d, want 3 (in 2 + out 1)", got)
 	}
@@ -72,8 +60,7 @@ func TestDegreeDirectedCountsBothDirections(t *testing.T) {
 
 func TestBFSPathDistanceLine(t *testing.T) {
 	// 0-1-2-3 line.
-	g := mustNew(t, Undirected, 4)
-	addEdges(t, g, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3})
+	g := fromEdges(t, Undirected, 4, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3})
 	dist, err := g.BFSFrom(0)
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +80,7 @@ func TestBFSPathDistanceLine(t *testing.T) {
 }
 
 func TestBFSUnreachable(t *testing.T) {
-	g := mustNew(t, Directed, 3)
-	addEdges(t, g, [2]int{0, 1})
+	g := fromEdges(t, Directed, 3, [2]int{0, 1})
 	dist, err := g.BFSFrom(1)
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +99,7 @@ func TestBFSUnreachable(t *testing.T) {
 
 func TestBFSAvoidingBlocked(t *testing.T) {
 	// 0-1-3 and 0-2-3; block 1, still reach 3 via 2 at distance 2.
-	g := mustNew(t, Undirected, 4)
-	addEdges(t, g, [2]int{0, 1}, [2]int{1, 3}, [2]int{0, 2}, [2]int{2, 3})
+	g := fromEdges(t, Undirected, 4, [2]int{0, 1}, [2]int{1, 3}, [2]int{0, 2}, [2]int{2, 3})
 	dist, err := g.BFSFromAvoiding(0, map[int]bool{1: true})
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +121,7 @@ func TestBFSAvoidingBlocked(t *testing.T) {
 
 func TestDiameterAndAvg(t *testing.T) {
 	// Cycle of 4: diameter 2, avg distance (1+1+2)*4 / 12 = 16/12.
-	g := mustNew(t, Undirected, 4)
-	addEdges(t, g, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 0})
+	g := fromEdges(t, Undirected, 4, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 0})
 	dia, err := g.Diameter()
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +139,7 @@ func TestDiameterAndAvg(t *testing.T) {
 }
 
 func TestDiameterDisconnected(t *testing.T) {
-	g := mustNew(t, Undirected, 3)
-	addEdges(t, g, [2]int{0, 1})
+	g := fromEdges(t, Undirected, 3, [2]int{0, 1})
 	if _, err := g.Diameter(); err == nil {
 		t.Error("Diameter accepted disconnected graph")
 	}
@@ -166,31 +149,26 @@ func TestDiameterDisconnected(t *testing.T) {
 }
 
 func TestIsConnected(t *testing.T) {
-	g := mustNew(t, Undirected, 3)
-	addEdges(t, g, [2]int{0, 1})
+	g := fromEdges(t, Undirected, 3, [2]int{0, 1})
 	if g.IsConnected() {
 		t.Error("disconnected graph reported connected")
 	}
-	addEdges(t, g, [2]int{1, 2})
-	if !g.IsConnected() {
+	if g = fromEdges(t, Undirected, 3, [2]int{0, 1}, [2]int{1, 2}); !g.IsConnected() {
 		t.Error("connected graph reported disconnected")
 	}
 	// Directed: 0→1→2 is weakly but not strongly connected.
-	d := mustNew(t, Directed, 3)
-	addEdges(t, d, [2]int{0, 1}, [2]int{1, 2})
+	d := fromEdges(t, Directed, 3, [2]int{0, 1}, [2]int{1, 2})
 	if d.IsConnected() {
 		t.Error("non-strongly-connected digraph reported connected")
 	}
-	addEdges(t, d, [2]int{2, 0})
-	if !d.IsConnected() {
+	if d = fromEdges(t, Directed, 3, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}); !d.IsConnected() {
 		t.Error("strongly connected digraph reported disconnected")
 	}
 }
 
 func TestIsConnectedAvoiding(t *testing.T) {
 	// 0-1-2 line: removing 1 disconnects.
-	g := mustNew(t, Undirected, 3)
-	addEdges(t, g, [2]int{0, 1}, [2]int{1, 2})
+	g := fromEdges(t, Undirected, 3, [2]int{0, 1}, [2]int{1, 2})
 	if !g.IsConnectedAvoiding(map[int]bool{0: true}) {
 		t.Error("line minus endpoint should stay connected")
 	}
@@ -201,8 +179,7 @@ func TestIsConnectedAvoiding(t *testing.T) {
 
 func TestVertexDisjointPaths(t *testing.T) {
 	// Two disjoint 0→·→3 routes.
-	g := mustNew(t, Undirected, 4)
-	addEdges(t, g, [2]int{0, 1}, [2]int{1, 3}, [2]int{0, 2}, [2]int{2, 3})
+	g := fromEdges(t, Undirected, 4, [2]int{0, 1}, [2]int{1, 3}, [2]int{0, 2}, [2]int{2, 3})
 	got, err := g.VertexDisjointPaths(0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +188,7 @@ func TestVertexDisjointPaths(t *testing.T) {
 		t.Errorf("VertexDisjointPaths = %d, want 2", got)
 	}
 	// Cut vertex: 0-1, 1-2 → only one path 0..2.
-	h := mustNew(t, Undirected, 3)
-	addEdges(t, h, [2]int{0, 1}, [2]int{1, 2})
+	h := fromEdges(t, Undirected, 3, [2]int{0, 1}, [2]int{1, 2})
 	got, err = h.VertexDisjointPaths(0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -227,8 +203,7 @@ func TestVertexDisjointPaths(t *testing.T) {
 
 func TestVertexDisjointPathsDirected(t *testing.T) {
 	// 0→1→3, 0→2→3 and a reverse arc that must not help.
-	g := mustNew(t, Directed, 4)
-	addEdges(t, g, [2]int{0, 1}, [2]int{1, 3}, [2]int{0, 2}, [2]int{2, 3}, [2]int{3, 0})
+	g := fromEdges(t, Directed, 4, [2]int{0, 1}, [2]int{1, 3}, [2]int{0, 2}, [2]int{2, 3}, [2]int{3, 0})
 	got, err := g.VertexDisjointPaths(0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -239,20 +214,20 @@ func TestVertexDisjointPathsDirected(t *testing.T) {
 }
 
 func TestDOT(t *testing.T) {
-	g := mustNew(t, Undirected, 2)
-	addEdges(t, g, [2]int{0, 1})
-	if err := g.SetLabel(0, "00"); err != nil {
+	// DG(2,2) undirected: 01 and 10 are joined once, by a left and a
+	// right shift that coincide.
+	g, err := DeBruijn(Undirected, 2, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	dot := g.DOT("t")
-	if !strings.Contains(dot, "graph") || !strings.Contains(dot, "n0 -- n1") || !strings.Contains(dot, `"00"`) {
+	if !strings.Contains(dot, "graph") || !strings.Contains(dot, "n1 -- n2") || !strings.Contains(dot, `n2 [label="10"]`) {
 		t.Errorf("DOT output unexpected:\n%s", dot)
 	}
-	if strings.Contains(dot, "n1 -- n0") {
+	if strings.Contains(dot, "n2 -- n1") || strings.Count(dot, "n1 -- n2") != 1 {
 		t.Error("DOT emitted undirected edge twice")
 	}
-	d := mustNew(t, Directed, 2)
-	addEdges(t, d, [2]int{0, 1}, [2]int{1, 0})
+	d := fromEdges(t, Directed, 2, [2]int{0, 1}, [2]int{1, 0})
 	ddot := d.DOT("t")
 	if !strings.Contains(ddot, "digraph") || !strings.Contains(ddot, "n0 -> n1") || !strings.Contains(ddot, "n1 -> n0") {
 		t.Errorf("directed DOT unexpected:\n%s", ddot)
@@ -260,12 +235,9 @@ func TestDOT(t *testing.T) {
 }
 
 func TestLabelFallback(t *testing.T) {
-	g := mustNew(t, Directed, 2)
+	g := fromEdges(t, Directed, 2, [2]int{0, 1})
 	if g.Label(1) != "1" {
 		t.Errorf("Label fallback = %q", g.Label(1))
-	}
-	if err := g.SetLabel(5, "x"); err == nil {
-		t.Error("SetLabel accepted out-of-range vertex")
 	}
 }
 
@@ -274,13 +246,14 @@ func TestRandomGraphBFSSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for iter := 0; iter < 30; iter++ {
 		n := 2 + rng.Intn(20)
-		g := mustNew(t, Undirected, n)
+		var edges [][2]int
 		for e := 0; e < 2*n; e++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				_ = g.AddEdge(u, v)
+				edges = append(edges, [2]int{u, v})
 			}
 		}
+		g := fromEdges(t, Undirected, n, edges...)
 		du, err := g.BFSFrom(0)
 		if err != nil {
 			t.Fatal(err)
