@@ -89,6 +89,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCheckRoutes -fuzztime=30s ./internal/check/
 	$(GO) test -fuzz=FuzzServeDecode -fuzztime=30s ./internal/serve/
 	$(GO) test -fuzz=FuzzResponseCodec -fuzztime=30s ./internal/serve/
+	$(GO) test -fuzz=FuzzAnchorExpand -fuzztime=30s ./internal/serve/
 
 # Regenerates every experiment table (EXPERIMENTS.md source data).
 experiments:

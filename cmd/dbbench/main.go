@@ -471,9 +471,11 @@ func benchServeCells(d, k int) ([]Result, error) {
 // benchWireRoute measures ServeWireRoute: the wire codec's share of one
 // route round trip through the exported frame API — the client encodes
 // the request frame, the server reads and decodes it, encodes the
-// route response frame, and the client reads and decodes that. The
-// allocations are the frames' read buffers, the request's two
-// addresses and the response's path.
+// route response frame the server sends (serve.AnswerResponse: the
+// route's anchor), and the client reads and decodes that and expands
+// the anchor into hops (serve.ExpandAnchors). The allocations are the
+// frames' read buffers, the request's two addresses, the response's
+// anchor and the expanded path.
 func benchWireRoute(d, k int, pairs [][2]word.Word, eng *serve.Engine) (Result, error) {
 	reqs := make([]serve.Request, len(pairs))
 	resps := make([]serve.Response, len(pairs))
@@ -491,7 +493,8 @@ func benchWireRoute(d, k int, pairs [][2]word.Word, eng *serve.Engine) (Result, 
 // for the batch frames of batch-uniform-k256 — 16 sub-queries, routes
 // and distances alternating, and their answers in one response. The
 // allocations are the frames' read buffers, 32 addresses, the batch
-// slices and 8 paths.
+// slices, one slab of the 8 anchors and one backing array of the 8
+// expanded paths.
 func benchWireBatch(d, k int, pairs [][2]word.Word, eng *serve.Engine) (Result, error) {
 	const batch = 16
 	reqs := make([]serve.Request, len(pairs)/batch)
@@ -515,24 +518,20 @@ func benchWireBatch(d, k int, pairs [][2]word.Word, eng *serve.Engine) (Result, 
 	return benchWire("ServeWireBatch", d, k, reqs, resps)
 }
 
-// wireExchange returns the request frame and the full-fidelity answer
-// frame of one query of the given kind on pair p.
+// wireExchange returns the request frame of one query of the given
+// kind on pair p and the full-fidelity answer frame the server sends
+// for it.
 func wireExchange(eng *serve.Engine, kind serve.Kind, p [2]word.Word, id uint64) (serve.Request, serve.Response, error) {
 	a, _, err := eng.Answer(serve.Query{Kind: kind, Src: p[0], Dst: p[1]}, serve.LevelFull)
 	if err != nil {
 		return serve.Request{}, serve.Response{}, err
 	}
 	req := serve.DistanceRequest(p[0], p[1], serve.Undirected)
-	resp := serve.Response{ID: id, Status: serve.StatusOK, Distance: a.Distance}
 	if kind == serve.KindRoute {
 		req = serve.RouteRequest(p[0], p[1], serve.Undirected)
-		resp.Path = make([]string, len(a.Path))
-		for j, h := range a.Path {
-			resp.Path[j] = serve.FormatHop(h)
-		}
 	}
 	req.ID = id
-	return req, resp, nil
+	return req, serve.AnswerResponse(id, kind, a, false), nil
 }
 
 // benchWire times wireRoundTrip over the frame pairs, in turn.
@@ -588,8 +587,11 @@ func wireRoundTrip(wire *bytes.Buffer, req *serve.Request, resp *serve.Response)
 	if err != nil {
 		return err
 	}
-	if len(back.Path) != len(resp.Path) || len(back.Batch) != len(resp.Batch) {
-		return fmt.Errorf("response decoded %d hops and %d answers, sent %d and %d", len(back.Path), len(back.Batch), len(resp.Path), len(resp.Batch))
+	if err := serve.ExpandAnchors(req, &back); err != nil {
+		return err
+	}
+	if len(back.Path) != back.Distance || len(back.Batch) != len(resp.Batch) {
+		return fmt.Errorf("response expanded to %d hops at distance %d and %d answers, sent %d", len(back.Path), back.Distance, len(back.Batch), len(resp.Batch))
 	}
 	return nil
 }

@@ -131,12 +131,14 @@ func TestServeSuiteRoundTrip(t *testing.T) {
 			budget = 1
 		case "ServeWireRoute":
 			// Per frame read one or two buffers (the body outgrows the
-			// header's), then src, dst and the decoded path.
-			budget = 6
+			// header's), then src, dst, the decoded anchor and the
+			// path the client expands from it.
+			budget = 7
 		case "ServeWireBatch":
 			// Two read buffers per frame, 32 addresses, the two batch
-			// slices and 8 paths.
-			budget = 46
+			// slices, the response's one slab of anchors and the one
+			// backing array the client expands all 8 paths into.
+			budget = 40
 		}
 		if r.AllocsPerOp > budget {
 			t.Errorf("%s d=%d k=%d: %d allocs/op, budget %d", r.Op, r.D, r.K, r.AllocsPerOp, budget)

@@ -16,7 +16,12 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/word"
 )
+
+// maxSummaryVertices bounds the graphs -format summary accepts: its
+// all-pairs BFS over DG(2,14)'s 16384 vertices takes a few seconds.
+const maxSummaryVertices = 1 << 14
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -38,6 +43,13 @@ func run(args []string, out io.Writer) error {
 	if *undirected {
 		kind = graph.Undirected
 	}
+	if *format == "summary" {
+		// The summary's diameter and mean distance run a BFS from
+		// every vertex: N² work, refused before the graph is built.
+		if n, err := word.Count(*d, *k); err == nil && n > maxSummaryVertices {
+			return fmt.Errorf("DG(%d,%d) has %d vertices: the summary's all-pairs BFS is %d² work, past its limit of %d vertices (-format dot and adj are linear)", *d, *k, n, n, maxSummaryVertices)
+		}
+	}
 	g, err := graph.DeBruijn(kind, *d, *k)
 	if err != nil {
 		return err
@@ -57,15 +69,11 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "%v DG(%d,%d)\n", kind, *d, *k)
 		fmt.Fprintf(out, "vertices: %d\n", g.NumVertices())
 		fmt.Fprintf(out, "edges:    %d\n", g.NumEdges())
-		dia, err := g.Diameter()
+		dia, avg, err := g.DistanceStats()
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "diameter: %d\n", dia)
-		avg, err := g.AvgDistance()
-		if err != nil {
-			return err
-		}
 		fmt.Fprintf(out, "mean distance (off-diagonal): %.4f\n", avg)
 		census := g.DegreeCensus()
 		degs := make([]int, 0, len(census))

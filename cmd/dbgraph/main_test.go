@@ -50,3 +50,20 @@ func TestErrors(t *testing.T) {
 		t.Error("accepted overflowing graph")
 	}
 }
+
+// TestSummaryRefusesLargeGraphs checks that the summary refuses a graph
+// past its vertex limit before building it, with an error naming the
+// size, while the linear formats still render that graph.
+func TestSummaryRefusesLargeGraphs(t *testing.T) {
+	var b strings.Builder
+	err := run([]string{"-d", "2", "-k", "15"}, &b)
+	if err == nil || !strings.Contains(err.Error(), "32768 vertices") {
+		t.Fatalf("summary of DG(2,15): err = %v, want a refusal naming 32768 vertices", err)
+	}
+	if b.Len() != 0 {
+		t.Fatalf("refused summary wrote output:\n%s", b.String())
+	}
+	if err := run([]string{"-d", "2", "-k", "15", "-format", "adj"}, &b); err != nil {
+		t.Fatalf("adjacency of DG(2,15): %v", err)
+	}
+}

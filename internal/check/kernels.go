@@ -48,7 +48,10 @@ func (o *KernelsOptions) defaults() {
 // Every directed distance, undirected distance, canonical route (hop
 // for hop) and next hop is compared, and on exhaustively swept graphs
 // every distance column (DistanceColumn toward each destination, both
-// orientations). Algorithm 4's one-shots (UndirectedDistanceLinear,
+// orientations). Each engine's route anchors (RouteAnchor, and
+// RouteAnchorDirected for Algorithm 1) must pass Anchor.Hops and
+// Anchor.Joins and expand through core.AppendRoute to the reference
+// paths. Algorithm 4's one-shots (UndirectedDistanceLinear,
 // RouteUndirectedLinear) answer the same pairs, so the suffix-tree
 // walk's tie-break is checked on every graph, not only past the
 // budget. Sampled graphs mix uniform pairs with a structured family
@@ -123,6 +126,10 @@ func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 		if err != nil {
 			return rep, fmt.Errorf("check: reference RouteUndirected(%v,%v): %w", x, y, err)
 		}
+		wantDP, err := core.RouteDirected(x, y)
+		if err != nil {
+			return rep, fmt.Errorf("check: reference RouteDirected(%v,%v): %w", x, y, err)
+		}
 		var wantH core.Hop
 		wantOK := len(wantP) > 0
 		if wantOK {
@@ -130,6 +137,7 @@ func Kernels(d, k int, opt KernelsOptions) (Report, error) {
 		}
 		for _, e := range engines {
 			compareKernel(f, e.name, e.kn, x, y, wantU, wantD, wantP, wantH, wantOK)
+			compareAnchors(f, e.name, e.kn, x, y, wantP, wantDP)
 		}
 		compareLinear(f, x, y, wantU, wantP)
 		if exhaustive {
@@ -240,6 +248,35 @@ func compareLinear(f *findings, x, y word.Word, wantU int, wantP core.Path) {
 	}
 	if got, err := core.RouteUndirectedLinear(x, y); err != nil || !slices.Equal(got, wantP) {
 		f.addf("kernel-route", "linear: route(%v,%v) = %v (err %v), reference %v", x, y, got, err, wantP)
+	}
+}
+
+// compareAnchors checks that kn's undirected and directed route
+// anchors are anchors Hops accepts that join x to y, and that
+// AppendRoute expands them to Algorithm 2's and Algorithm 1's paths,
+// hop for hop.
+func compareAnchors(f *findings, name string, kn *core.Kernels, x, y word.Word, wantP, wantDP core.Path) {
+	for _, c := range []struct {
+		alg   string
+		route func(x, y word.Word) (core.Anchor, error)
+		want  core.Path
+	}{{"Algorithm 2", kn.RouteAnchor, wantP}, {"Algorithm 1", kn.RouteAnchorDirected, wantDP}} {
+		a, err := c.route(x, y)
+		if err != nil {
+			f.addf("kernel-anchor", "%s: %s anchor(%v,%v): %v", name, c.alg, x, y, err)
+			continue
+		}
+		// Hops guards the expansion: AppendRoute may panic on an
+		// anchor it rejects.
+		n, ok := a.Hops(y.Len())
+		var got core.Path
+		if ok {
+			ok = a.Joins(x.Digits(), y.Digits())
+			got = core.AppendRoute(nil, y.Digits(), a)
+		}
+		if !ok || n != len(c.want) || !slices.Equal(got, c.want) {
+			f.addf("kernel-anchor", "%s: %s anchor(%v,%v) = %+v (hops %d, ok %v) expands to %v, reference %v", name, c.alg, x, y, a, n, ok, got, c.want)
+		}
 	}
 }
 

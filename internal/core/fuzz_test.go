@@ -102,7 +102,7 @@ func FuzzDirectedAgainstBFS(f *testing.F) {
 // FuzzKernelTierEquivalence throws arbitrary digit material at the
 // tier ladder: a packed-admitting and a table-admitting engine, and
 // Algorithm 4's one-shots, must return identical distances, paths,
-// and next hops for every input. Bases run 2–36 and lengths reach
+// anchors and next hops for every input. Bases run 2–36 and lengths reach
 // 512, so inputs span up to eight words per digit plane, where the
 // lane scan's groups span several lane words, and the lengths past a
 // base's plane budget (171 at b = 6) reach the suffix-tree tier.
@@ -175,7 +175,26 @@ func FuzzKernelTierEquivalence(f *testing.F) {
 		if got, err := RouteUndirectedLinear(x, y); err != nil || !slices.Equal(got, wantP) {
 			t.Fatalf("RouteUndirectedLinear(%v,%v) = %v,%v want %v", x, y, got, err, wantP)
 		}
-		for name, kn := range engines {
+		var wantA Anchor
+		for _, name := range []string{"packed", "table"} {
+			kn := engines[name]
+			// Every tier stores or finds the same anchor, and it expands
+			// to Algorithm 2's path.
+			gotA, err := kn.RouteAnchor(x, y)
+			if err != nil {
+				t.Fatalf("%s: RouteAnchor(%v,%v): %v", name, x, y, err)
+			}
+			if name == "packed" {
+				wantA = gotA
+			} else if gotA != wantA {
+				t.Fatalf("table: RouteAnchor(%v,%v) = %+v, packed %+v", x, y, gotA, wantA)
+			}
+			if n, ok := gotA.Hops(len(yd)); !ok || n != wantU {
+				t.Fatalf("%s: anchor %+v of %v->%v: Hops = %d,%v want %d", name, gotA, x, y, n, ok, wantU)
+			}
+			if got := AppendRoute(nil, yd, gotA); !slices.Equal(got, wantP) {
+				t.Fatalf("%s: AppendRoute(%+v) = %v want %v", name, gotA, got, wantP)
+			}
 			gotU, err := kn.UndirectedDistance(x, y)
 			if err != nil || gotU != wantU {
 				t.Fatalf("%s: UndirectedDistance(%v,%v) = %d,%v want %d", name, x, y, gotU, err, wantU)

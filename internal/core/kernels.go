@@ -292,24 +292,50 @@ func clampDist(k, dL, dR int) int {
 	return d
 }
 
-// RouteUndirected is Algorithm 2 through the tier ladder; only the
-// returned path is allocated.
-func (kn *Kernels) RouteUndirected(x, y word.Word) (Path, error) {
+// RouteAnchor returns the anchor of the canonical Algorithm 2 path from
+// x to y through the tier ladder, with no allocation: the table tier
+// reads the stored line and (s, t, θ), the others run their anchor
+// search. AppendRoute expands it into RouteUndirected's path. For
+// x = y it is the empty path's anchor (line 8, s = 1, t = θ = k).
+func (kn *Kernels) RouteAnchor(x, y word.Word) (Anchor, error) {
 	if err := validatePair(x, y); err != nil {
-		return nil, err
+		return Anchor{}, err
 	}
+	k := x.Len()
 	if x.Equal(y) {
-		return Path{}, nil
+		return sameAnchor(k), nil
 	}
-	ti := kn.resolve(x.Base(), x.Len())
+	ti := kn.resolve(x.Base(), k)
 	if ti.tier == TierTable {
-		return ti.tab.appendRoute(nil, x, y), nil
+		return ti.tab.anchor(ti.tab.index(x, y)), nil
 	}
 	aL, aR, err := kn.canonicalAnchors(x, y)
 	if err != nil {
+		return Anchor{}, err
+	}
+	return anchorOf(k, aL, aR), nil
+}
+
+// RouteAnchorDirected returns Algorithm 1's anchor for x to y: line 1
+// with the overlap l = k − D→(x,y), through the tier ladder's directed
+// distance.
+func (kn *Kernels) RouteAnchorDirected(x, y word.Word) (Anchor, error) {
+	dist, err := kn.DirectedDistance(x, y)
+	if err != nil {
+		return Anchor{}, err
+	}
+	return Anchor{Line: 1, L: y.Len() - dist}, nil
+}
+
+// RouteUndirected is Algorithm 2 through the tier ladder: RouteAnchor
+// expanded by AppendRoute. Only the returned path is allocated.
+func (kn *Kernels) RouteUndirected(x, y word.Word) (Path, error) {
+	a, err := kn.RouteAnchor(x, y)
+	if err != nil {
 		return nil, err
 	}
-	return buildUndirectedPath(y, aL, aR), nil
+	kn.sc.yd = y.AppendDigits(kn.sc.yd[:0])
+	return AppendRoute(make(Path, 0, a.hops(y.Len())), kn.sc.yd, a), nil
 }
 
 // NextHopUndirected returns the first hop of the canonical Algorithm 2
@@ -325,17 +351,14 @@ func (kn *Kernels) NextHopUndirected(x, y word.Word) (Hop, bool, error) {
 	if ti.tier == TierTable {
 		return ti.tab.nextHop(x, y), true, nil
 	}
-	aL, aR, err := kn.canonicalAnchors(x, y)
+	a, err := kn.RouteAnchor(x, y)
 	if err != nil {
 		return Hop{}, false, err
 	}
-	return kn.firstHop(x, y, aL, aR)
-}
-
-// firstHop materializes the anchors' path into the scratch hop buffer
-// and returns its first hop, so next-hop queries do not allocate.
-func (kn *Kernels) firstHop(x, y word.Word, aL, aR anchor) (Hop, bool, error) {
-	kn.sc.path = appendUndirectedPath(kn.sc.path[:0], y, aL, aR)
+	// The anchor's path goes into the scratch hop buffer, so next-hop
+	// queries do not allocate.
+	kn.sc.yd = y.AppendDigits(kn.sc.yd[:0])
+	kn.sc.path = AppendRoute(kn.sc.path[:0], kn.sc.yd, a)
 	if len(kn.sc.path) == 0 {
 		return Hop{}, false, fmt.Errorf("core: empty route for distinct vertices %v, %v", x, y)
 	}

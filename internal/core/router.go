@@ -48,7 +48,7 @@ func (r *Router) Route(x, y word.Word) (Path, error) {
 		return Path{}, nil
 	}
 	aL, aR := r.sc.anchorsQuadratic(r.sc.xd, r.sc.yd)
-	return buildUndirectedPath(y, aL, aR), nil
+	return buildUndirectedPath(r.sc.yd, aL, aR), nil
 }
 
 func (r *Router) load(x, y word.Word) error {

@@ -114,7 +114,7 @@ func (sc *scratch) RouteUndirected(x, y word.Word) (Path, error) {
 	}
 	sc.loadDigits(x, y)
 	aL, aR := sc.anchorsQuadratic(sc.xd, sc.yd)
-	return buildUndirectedPath(y, aL, aR), nil
+	return buildUndirectedPath(sc.yd, aL, aR), nil
 }
 
 // RouteUndirectedLinear is Algorithm 4 with scratch buffers; only the
@@ -131,7 +131,7 @@ func (sc *scratch) RouteUndirectedLinear(x, y word.Word) (Path, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildUndirectedPath(y, aL, aR), nil
+	return buildUndirectedPath(sc.yd, aL, aR), nil
 }
 
 // anchorsQuadratic computes both Theorem 2 anchors with the O(k²)

@@ -26,8 +26,9 @@ import (
 // the size uses the same table.
 
 // tableEntryBytes is the storage per (src, dst) pair: undirected and
-// directed distance, next hop, path side, and the winning anchor's
-// (s, t, θ) — all ≤ k ≤ 255 at any table-eligible size.
+// directed distance, next hop, and the canonical route's Anchor (its
+// Algorithm 2 line and (s, t, θ)) — all ≤ k ≤ 255 at any
+// table-eligible size.
 const tableEntryBytes = 7
 
 // tableStoreCap bounds the total bytes of all tables in the process,
@@ -36,13 +37,6 @@ const tableEntryBytes = 7
 // first; a table too large to ever fit stays on the lower tiers. A
 // variable (not a const) so the eviction tests can shrink it.
 var tableStoreCap = int64(64 << 20)
-
-// Path-side encoding of rankTable.uside.
-const (
-	sideL       = 0 // line 8, anchor from the l-part
-	sideR       = 1 // line 9, anchor from the r-part
-	sideTrivial = 2 // line 6, the trivial k-hop directed path
-)
 
 // tableSize returns the byte size of a DG(d,k) pair table and whether
 // it is representable at all (d^k small enough to square within
@@ -65,8 +59,8 @@ type rankTable struct {
 	udist []uint8 // undirected distance
 	ddist []uint8 // directed distance
 	uhop  []uint8 // packed first hop of the canonical undirected path
-	uside []uint8 // which Algorithm 2 line builds the path
-	as    []uint8 // winning anchor s (1-based; unused for sideTrivial)
+	uline []uint8 // which Algorithm 2 line builds the path: 6, 8 or 9
+	as    []uint8 // winning anchor s (1-based; 0 on line 6)
 	at    []uint8 // winning anchor t
 	ath   []uint8 // winning anchor θ
 }
@@ -92,24 +86,9 @@ func (t *rankTable) nextHop(x, y word.Word) Hop {
 	return unpackHop(t.uhop[t.index(x, y)])
 }
 
-// appendRoute reconstructs the canonical Algorithm 2 path from the
-// stored side and anchor, allocating exactly once when p is nil.
-func (t *rankTable) appendRoute(p Path, x, y word.Word) Path {
-	i := t.index(x, y)
-	if p == nil {
-		p = make(Path, 0, int(t.udist[i]))
-	}
-	switch t.uside[i] {
-	case sideTrivial:
-		for j := 0; j < t.k; j++ {
-			p = append(p, L(y.Digit(j)))
-		}
-	case sideL:
-		p = appendLine8(p, y, anchor{s: int(t.as[i]), t: int(t.at[i]), theta: int(t.ath[i])})
-	default:
-		p = appendLine9(p, y, anchor{s: int(t.as[i]), t: int(t.at[i]), theta: int(t.ath[i])})
-	}
-	return p
+// anchor returns the stored Anchor of pair index i.
+func (t *rankTable) anchor(i int) Anchor {
+	return Anchor{Line: int(t.uline[i]), S: int(t.as[i]), T: int(t.at[i]), Theta: int(t.ath[i])}
 }
 
 // buildRankTable computes the full pair matrix with the canonical
@@ -133,13 +112,14 @@ func buildRankTable(d, k int) (*rankTable, error) {
 		udist: make([]uint8, n*n),
 		ddist: make([]uint8, n*n),
 		uhop:  make([]uint8, n*n),
-		uside: make([]uint8, n*n),
+		uline: make([]uint8, n*n),
 		as:    make([]uint8, n*n),
 		at:    make([]uint8, n*n),
 		ath:   make([]uint8, n*n),
 	}
 	kn := NewKernels(KernelConfig{TableBudget: -1})
 	var path Path
+	var yd []byte
 	for i, x := range words {
 		for j, y := range words {
 			if i == j {
@@ -151,21 +131,13 @@ func buildRankTable(d, k int) (*rankTable, error) {
 				return nil, fmt.Errorf("core: table build %v->%v: %w", x, y, err)
 			}
 			t.ddist[idx] = uint8(dd)
-			aL, aR, err := kn.canonicalAnchors(x, y)
+			a, err := kn.RouteAnchor(x, y)
 			if err != nil {
 				return nil, fmt.Errorf("core: table build %v->%v: %w", x, y, err)
 			}
-			switch {
-			case aL.dist >= k && aR.dist >= k:
-				t.uside[idx] = sideTrivial
-			case aL.dist <= aR.dist:
-				t.uside[idx] = sideL
-				t.as[idx], t.at[idx], t.ath[idx] = uint8(aL.s), uint8(aL.t), uint8(aL.theta)
-			default:
-				t.uside[idx] = sideR
-				t.as[idx], t.at[idx], t.ath[idx] = uint8(aR.s), uint8(aR.t), uint8(aR.theta)
-			}
-			path = appendUndirectedPath(path[:0], y, aL, aR)
+			t.uline[idx], t.as[idx], t.at[idx], t.ath[idx] = uint8(a.Line), uint8(a.S), uint8(a.T), uint8(a.Theta)
+			yd = y.AppendDigits(yd[:0])
+			path = AppendRoute(path[:0], yd, a)
 			if len(path) == 0 {
 				return nil, fmt.Errorf("core: table build %v->%v: empty path", x, y)
 			}

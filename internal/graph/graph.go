@@ -312,49 +312,42 @@ func (g *Graph) Distance(u, v int) (int, error) {
 // by running a BFS from every vertex: O(N(N+E)). Returns an error if
 // the graph is not (strongly) connected.
 func (g *Graph) Diameter() (int, error) {
-	best := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		dist, err := g.BFSFrom(v)
-		if err != nil {
-			return 0, err
-		}
-		for _, d := range dist {
-			if d < 0 {
-				return 0, errors.New("graph: not connected, diameter undefined")
-			}
-			if d > best {
-				best = d
-			}
-		}
-	}
-	return best, nil
+	dia, _, err := g.DistanceStats()
+	return dia, err
 }
 
 // AvgDistance computes the mean distance over all ordered pairs of
 // distinct vertices via all-pairs BFS. Returns an error on
 // disconnected graphs.
 func (g *Graph) AvgDistance() (float64, error) {
-	var sum float64
+	_, mean, err := g.DistanceStats()
+	return mean, err
+}
+
+// DistanceStats returns the diameter and the mean distance over all
+// ordered pairs of distinct vertices (0 below two vertices) from one
+// all-pairs BFS sweep: O(N(N+E)). Returns an error if the graph is not
+// (strongly) connected.
+func (g *Graph) DistanceStats() (diameter int, mean float64, err error) {
 	n := g.NumVertices()
-	if n < 2 {
-		return 0, nil
-	}
-	for v := 0; v < g.NumVertices(); v++ {
+	sum := 0
+	for v := 0; v < n; v++ {
 		dist, err := g.BFSFrom(v)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		for u, d := range dist {
-			if u == v {
-				continue
-			}
+		for _, d := range dist {
 			if d < 0 {
-				return 0, errors.New("graph: not connected, average distance undefined")
+				return 0, 0, errors.New("graph: not connected, distances undefined")
 			}
-			sum += float64(d)
+			sum += d
+			diameter = max(diameter, d)
 		}
 	}
-	return sum / float64(n*(n-1)), nil
+	if n < 2 {
+		return diameter, 0, nil
+	}
+	return diameter, float64(sum) / float64(n*(n-1)), nil
 }
 
 // IsConnected reports connectivity: strong connectivity for directed

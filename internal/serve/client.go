@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/word"
 )
 
@@ -94,7 +95,9 @@ func (c *Client) readLoop() {
 }
 
 // Do sends req (its ID is overwritten) and waits for the matching
-// response, the context, or connection death.
+// response, the context, or connection death. Route answers that
+// arrive as anchors are expanded into Path (ExpandAnchors); a response
+// whose anchors cannot answer req is an error.
 func (c *Client) Do(ctx context.Context, req Request) (Response, error) {
 	ch := make(chan Response, 1)
 	c.mu.Lock()
@@ -124,6 +127,9 @@ func (c *Client) Do(ctx context.Context, req Request) (Response, error) {
 	}
 	select {
 	case resp := <-ch:
+		if err := ExpandAnchors(&req, &resp); err != nil {
+			return Response{}, err
+		}
 		return resp, nil
 	case <-ctx.Done():
 		c.forget(req.ID)
@@ -139,11 +145,140 @@ func (c *Client) Do(ctx context.Context, req Request) (Response, error) {
 		// died; prefer it.
 		select {
 		case resp := <-ch:
+			if err := ExpandAnchors(&req, &resp); err != nil {
+				return Response{}, err
+			}
 			return resp, nil
 		default:
 		}
 		return Response{}, fmt.Errorf("%w: %w", ErrClientClosed, err)
 	}
+}
+
+// ExpandAnchors expands every route anchor in resp, the answer to req,
+// into its hops in Path, keeping the anchor: core.AppendRoute on the
+// digits of the route sub-request's dst, with one backing array for
+// all the paths of the frame. It fails, wrapping ErrBadFrame, when an
+// anchor cannot be the full-fidelity answer to its sub-request: it
+// rides a non-route, non-ok or degraded answer, or a batch item with
+// no request; its line is not the request's mode's (1 directed, 6, 8
+// or 9 undirected); it is out of range for the request's k
+// (core.Anchor.Hops); it does not expand to exactly the answer's
+// distance; src or dst is no word of the request's DG(d,k) as
+// word.Parse spells them; or its path does not lead from src to dst
+// (core.Anchor.Joins). On failure resp's paths are unspecified.
+func ExpandAnchors(req *Request, resp *Response) error {
+	hops, anchors, err := walkAnchors(req, resp, nil)
+	if err != nil || anchors == 0 {
+		return err
+	}
+	sc := expandPool.Get().(*expandScratch)
+	sc.hops = make([]string, hops)
+	_, _, err = walkAnchors(req, resp, sc)
+	sc.hops = nil
+	expandPool.Put(sc)
+	return err
+}
+
+// expandScratch holds ExpandAnchors' digit and hop buffers and the
+// frame's backing array of hop names, which walkAnchors cuts the
+// paths from.
+type expandScratch struct {
+	src, dst []byte
+	path     core.Path
+	hops     []string
+}
+
+var expandPool = sync.Pool{New: func() any { return new(expandScratch) }}
+
+// walkAnchors visits every response in resp that carries an anchor,
+// with the request it answers: resp itself for req, and batch item i
+// for req's item i; an anchored batch item of a request with no such
+// item fails. With sc nil it checks each anchor (anchorHops) and
+// returns the frame's total hop count and number of anchors; with sc
+// it expands each checked anchor into its Path.
+func walkAnchors(req *Request, resp *Response, sc *expandScratch) (hops, anchors int, err error) {
+	if resp.Anchor != nil {
+		anchors = 1
+		if sc == nil {
+			hops, err = anchorHops(req, resp)
+		} else {
+			err = sc.expand(req, resp)
+		}
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+	for i := range resp.Batch {
+		sub := &resp.Batch[i]
+		if sub.Anchor == nil && len(sub.Batch) == 0 {
+			continue
+		}
+		if i >= len(req.Batch) {
+			return 0, 0, fmt.Errorf("%w: batch item %d answers no request", ErrBadFrame, i)
+		}
+		h, a, err := walkAnchors(&req.Batch[i], sub, sc)
+		if err != nil {
+			return 0, 0, err
+		}
+		hops, anchors = hops+h, anchors+a
+	}
+	return hops, anchors, nil
+}
+
+// expand writes the path of r's anchor, checked by anchorHops against
+// the scalar request req, into r.Path: the hop names of
+// core.AppendRoute on dst's digits, once they are words of DG(d,k) and
+// the anchor joins them.
+func (sc *expandScratch) expand(req *Request, r *Response) error {
+	var err error
+	if sc.src, err = word.AppendParsed(sc.src[:0], req.D, req.Src); err != nil {
+		return fmt.Errorf("%w: anchor of src %q: %w", ErrBadFrame, req.Src, err)
+	}
+	if sc.dst, err = word.AppendParsed(sc.dst[:0], req.D, req.Dst); err != nil {
+		return fmt.Errorf("%w: anchor of dst %q: %w", ErrBadFrame, req.Dst, err)
+	}
+	if !r.Anchor.Joins(sc.src, sc.dst) {
+		return fmt.Errorf("%w: anchor %+v does not lead from %s to %s", ErrBadFrame, *r.Anchor, req.Src, req.Dst)
+	}
+	sc.path = core.AppendRoute(sc.path[:0], sc.dst, *r.Anchor)
+	if len(sc.path) == 0 {
+		r.Path = nil // as an omitted path decodes
+		return nil
+	}
+	n := len(sc.path)
+	r.Path, sc.hops = sc.hops[:n:n], sc.hops[n:]
+	for i, h := range sc.path {
+		r.Path[i] = FormatHop(h)
+	}
+	return nil
+}
+
+// anchorHops checks that r's anchor can be the full-fidelity answer to
+// the scalar request req and returns the number of hops it expands to.
+func anchorHops(req *Request, r *Response) (int, error) {
+	a := *r.Anchor
+	if req.Kind != "route" || r.Status != StatusOK || r.Degrade != "" {
+		return 0, fmt.Errorf("%w: anchor on a %q answer to a %q request (degrade %q)", ErrBadFrame, r.Status, req.Kind, r.Degrade)
+	}
+	mode, err := ParseMode(req.Mode)
+	if err != nil {
+		return 0, fmt.Errorf("%w: anchor: %w", ErrBadFrame, err)
+	}
+	if (mode == Directed) != (a.Line == 1) {
+		return 0, fmt.Errorf("%w: line %d anchor answers a %v route", ErrBadFrame, a.Line, mode)
+	}
+	if len(req.Src) != req.K || len(req.Dst) != req.K {
+		return 0, fmt.Errorf("%w: anchor of a %d-digit src and %d-digit dst, k = %d", ErrBadFrame, len(req.Src), len(req.Dst), req.K)
+	}
+	n, ok := a.Hops(req.K)
+	if !ok {
+		return 0, fmt.Errorf("%w: anchor %+v out of range for k = %d", ErrBadFrame, a, req.K)
+	}
+	if n != r.Distance {
+		return 0, fmt.Errorf("%w: anchor %+v expands to %d hops, distance %d", ErrBadFrame, a, n, r.Distance)
+	}
+	return n, nil
 }
 
 // SetWriteTimeout bounds every subsequent frame write; 0 (the

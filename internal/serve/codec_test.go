@@ -79,7 +79,11 @@ func checkRequestEncode(t *testing.T, r *Request) []byte {
 
 func checkResponseEncode(t *testing.T, r *Response) []byte {
 	t.Helper()
-	want, err := json.Marshal(r)
+	var v any = r
+	if r != nil {
+		v = dropAnchoredPaths(*r)
+	}
+	want, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +91,22 @@ func checkResponseEncode(t *testing.T, r *Response) []byte {
 		t.Fatalf("response encoding of %#v:\ncodec %s\njson  %s", r, got, want)
 	}
 	return want
+}
+
+// dropAnchoredPaths returns a copy of r without the paths the encoder
+// leaves out: those next to an anchor, which stands for them.
+func dropAnchoredPaths(r Response) Response {
+	if r.Anchor != nil {
+		r.Path = nil
+	}
+	if r.Batch != nil {
+		batch := make([]Response, len(r.Batch))
+		for i := range r.Batch {
+			batch[i] = dropAnchoredPaths(r.Batch[i])
+		}
+		r.Batch = batch
+	}
+	return r
 }
 
 // awkward holds strings json.Marshal escapes: HTML characters, the
@@ -133,6 +153,14 @@ func TestEncoderMatchesJSON(t *testing.T) {
 		{Status: StatusOK, Degrade: "distance", Batch: []Response{
 			{ID: 1, Status: StatusOK, Path: []string{"L1"}},
 			{ID: 2, Status: StatusError, Error: "bad", Batch: []Response{{Status: StatusOK}}},
+		}},
+		{ID: 10, Status: StatusOK, Distance: 4, Anchor: &core.Anchor{Line: 8, S: 3, T: 200, Theta: 41}},
+		{Status: StatusOK, Anchor: &core.Anchor{}},
+		{Status: StatusOK, Anchor: &core.Anchor{Line: 1, L: -7, S: 1, T: 1<<31 - 1, Theta: -1 << 31}},
+		{Status: StatusOK, Batch: []Response{
+			{ID: 1, Status: StatusOK, Distance: 6, Anchor: &core.Anchor{Line: 6}},
+			{ID: 2, Status: StatusOK, Distance: 2},
+			{ID: 3, Status: StatusOK, Distance: 1, Anchor: &core.Anchor{Line: 9, S: 2, T: 1, Theta: 2}},
 		}},
 	}
 	for _, s := range awkward {
@@ -198,6 +226,11 @@ func TestDecoderMatchesJSON(t *testing.T) {
 		`{"batch":[{"id":1,"path":["L1"]},{"id":2,"status":"error","error":"e"}],"degrade":"detour"}`,
 		`{"batch":[{"batch":[{"bounds":{"lo":0,"hi":0}}]}]}`,
 		`{"distance":-3,"distance":1e1}`, `{"trace_id":"abc","x":{"y":[null]}}`,
+		`{"anchor":{"line":8,"s":3,"t":200,"theta":41},"distance":4}`, `{"anchor":null}`, `{"anchor":{}}`,
+		`{"anchor":{"line":1,"l":2},"anchor":{"s":5}}`, `{"anchor":{"line":1},"anchor":null,"anchor":{"t":1}}`,
+		`{"ANCHOR":{"LINE":9,"S":1,"L":2,"Theta":3,"x":[1]}}`, `{"anchor":{"line":-1,"theta":-9223372036854775808}}`,
+		`{"anchor":{"line":9223372036854775808}}`, `{"anchor":{"line":1.5}}`, `{"anchor":{"line":"8"}}`, `{"anchor":[]}`, `{"anchor":8}`,
+		`{"path":["L0"],"anchor":{"line":1,"l":3}}`, `{"batch":[{"anchor":{"line":6}},{"Anchor":{"line":8}},{"anchor":null},{"anchor":{"line":1}}]}`,
 	}
 	for _, b := range resps {
 		checkResponseDecode(t, []byte(b))
@@ -290,8 +323,7 @@ func route64(t testing.TB) (Request, Answer) {
 
 // batch256 is a 16-query DG(2,256) batch request, routes and
 // distances alternating, and its answered response: the frame shapes
-// of batch-uniform-k256 (an 8-route, 8-distance response is about
-// 10.8 KB).
+// of batch-uniform-k256.
 func batch256(t testing.TB) (Request, Response) {
 	rng := rand.New(rand.NewSource(256))
 	eng := NewEngine(nil)
@@ -310,16 +342,19 @@ func batch256(t testing.TB) (Request, Response) {
 			t.Fatal(err)
 		}
 		req.Batch = append(req.Batch, sub)
-		resp.Batch = append(resp.Batch, answerResponse(sub.ID, q.Kind, a, false))
+		resp.Batch = append(resp.Batch, AnswerResponse(sub.ID, q.Kind, a, false))
 	}
 	return req, resp
 }
 
 // TestCodecAllocations pins the codec's allocation budget on the
 // frame shapes the serve benchmark sends: scalar DG(2,64) routes and
-// 16-query DG(2,256) batches. A route response's one allocation per
-// path and a batch's one for its slice are the sizes read ahead; a
-// request's are its addresses.
+// 16-query DG(2,256) batches, route answers in anchor form. The
+// server's conversion of a full route allocates its anchor and no hop
+// slice. A parsed response allocates one slab for all of its anchors
+// and, for a batch, the slice read ahead; a request, its addresses.
+// The client's expansion of a batch's anchors is one allocation, the
+// backing array of all its paths.
 func TestCodecAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -327,7 +362,7 @@ func TestCodecAllocations(t *testing.T) {
 	req, a := route64(t)
 	settleTableBuilds()
 	var resp Response
-	if n := testing.AllocsPerRun(100, func() { resp = answerResponse(7, KindRoute, a, false) }); n != 1 {
+	if n := testing.AllocsPerRun(100, func() { resp = AnswerResponse(7, KindRoute, a, false) }); n != 1 {
 		t.Errorf("answerResponse of a %d-hop route: %v allocs, want 1 (the path slice)", len(a.Path), n)
 	}
 	breq, bresp := batch256(t)
@@ -337,8 +372,8 @@ func TestCodecAllocations(t *testing.T) {
 		resp            Response
 		maxResp, maxReq float64
 	}{
-		{"DG(2,64) route", req, resp, 2, 3},
-		{"DG(2,256) batch", breq, bresp, 9, 33},
+		{"DG(2,64) route", req, resp, 1, 3},
+		{"DG(2,256) batch", breq, bresp, 2, 33},
 	} {
 		buf := appendResponse(nil, &c.resp)
 		if n := testing.AllocsPerRun(100, func() { buf = appendResponse(buf[:0], &c.resp) }); n != 0 {
@@ -359,8 +394,16 @@ func TestCodecAllocations(t *testing.T) {
 		}); n > c.maxReq {
 			t.Errorf("%s: ParseRequest: %v allocs, want ≤ %v", c.name, n, c.maxReq)
 		}
-		if got, err := ParseResponse(buf); err != nil || !reflect.DeepEqual(got, c.resp) {
+		got, err := ParseResponse(buf)
+		if err != nil || !reflect.DeepEqual(got, c.resp) {
 			t.Fatalf("%s: ParseResponse = %+v, %v; want %+v", c.name, got, err, c.resp)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := ExpandAnchors(&c.req, &got); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("%s: ExpandAnchors: %v allocs, want 1", c.name, n)
 		}
 		if got, err := ParseRequest(body); err != nil || !reflect.DeepEqual(got, c.req) {
 			t.Fatalf("%s: ParseRequest = %+v, %v; want %+v", c.name, got, err, c.req)

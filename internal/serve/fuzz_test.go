@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // FuzzServeDecode throws arbitrary bytes at the frame reader and the
@@ -98,7 +100,7 @@ func FuzzServeDecode(f *testing.F) {
 				if err != nil {
 					t.Fatalf("validated query %+v failed at level %v: %v", q, level, err)
 				}
-				resp := answerResponse(req.ID, q.Kind, a, false)
+				resp := AnswerResponse(req.ID, q.Kind, a, false)
 				var buf bytes.Buffer
 				if err := WriteFrame(&buf, &resp); err != nil {
 					t.Fatalf("response encode: %v", err)
@@ -125,6 +127,8 @@ func FuzzResponseCodec(f *testing.F) {
 		{ID: 6, Status: StatusError, Error: "serve: bad <query> & \u2028"},
 		{ID: 7, Status: StatusRedirect, RedirectAddr: "127.0.0.1:7000"},
 		{ID: 8, Status: StatusOK, Batch: []Response{{ID: 1, Status: StatusOK, Path: []string{"L1"}}, {ID: 2, Status: StatusOK, Distance: 2}}},
+		{ID: 9, Status: StatusOK, Distance: 40, Anchor: &core.Anchor{Line: 8, S: 3, T: 200, Theta: 41}},
+		{ID: 10, Status: StatusOK, Batch: []Response{{ID: 1, Status: StatusOK, Distance: 2, Anchor: &core.Anchor{Line: 1, L: 2}}, {ID: 2, Anchor: &core.Anchor{Line: 6}}}},
 	} {
 		f.Add(appendResponse(nil, &r))
 	}
@@ -143,6 +147,13 @@ func FuzzResponseCodec(f *testing.F) {
 		`{"path":[` + strings.Repeat(`"L0",`, maxPresize) + `"R*"]}`,
 		`{"path":[` + strings.Repeat(`"L0","x]",`, maxPresize/2+1) + `"R*"]}`,
 		`{"batch":[{"path":["L0"]},{"bounds":{"lo":1,"hi":2}},null],"batch":[{"batch":[{"path":["R1"]}]}]}`,
+		// Anchors: null, negative, huge, missing and repeated keys, and
+		// the slab's count of "anchor" keys thrown off by strings and
+		// case-folded keys.
+		`{"anchor":null}`, `{"anchor":{"line":-8,"s":-1,"t":-2,"theta":-3,"l":-4}}`,
+		`{"anchor":{"line":9223372036854775807,"theta":9223372036854775808}}`, `{"anchor":{}}`,
+		`{"anchor":{"line":8,"line":9,"s":1,"s":null}}`, `{"anchor":{"line":1},"anchor":{"l":3},"path":["L0"]}`,
+		`{"error":"\"anchor\"","batch":[{"ANCHOR":{"line":6}},{"Anchor":{"line":6}},{"anchor":{"line":6}}]}`,
 	} {
 		f.Add([]byte(body))
 	}

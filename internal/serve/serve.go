@@ -160,6 +160,10 @@ type Answer struct {
 	// Path is the routing path (KindRoute): the shortest path at
 	// LevelFull, the fault-avoiding detour path at LevelDetour.
 	Path core.Path
+	// Anchor is the shortest path's compact form (KindRoute at
+	// LevelFull): the wire carries it in place of the hops, and
+	// core.AppendRoute expands it into Path from dst's digits.
+	Anchor core.Anchor
 	// Hop is the optimal next hop and HasHop its validity flag
 	// (KindNextHop; HasHop false means src == dst).
 	Hop    core.Hop
@@ -224,6 +228,7 @@ type Engine struct {
 	kn    *core.Kernels
 	cache *Cache
 	key   []byte
+	dst   []byte // the route destination's digits
 
 	// Fault state for the LevelDetour rung: the shared failed-link set
 	// (SetFaults; nil means no faults and detour answers degenerate to
@@ -386,7 +391,7 @@ func (e *Engine) compute(q Query, level Level) (Answer, error) {
 	case q.Kind == KindNextHop:
 		a.Hop, a.HasHop, err = e.nextHop(q)
 	case q.Kind == KindRoute && level < LevelDistance && !detourRoute:
-		a.Path, err = e.route(q)
+		a.Anchor, a.Path, err = e.route(q)
 		a.Distance = len(a.Path)
 	default:
 		a.Distance, err = e.distance(q)
@@ -414,22 +419,23 @@ func (e *Engine) distance(q Query) (int, error) {
 	return e.kn.UndirectedDistance(q.Src, q.Dst)
 }
 
-func (e *Engine) route(q Query) (core.Path, error) {
-	if q.Mode == Undirected {
-		return e.kn.RouteUndirected(q.Src, q.Dst)
+// route returns the canonical route's anchor — Algorithm 2's, or
+// Algorithm 1's when directed — and its path, allocated once at its
+// exact length.
+func (e *Engine) route(q Query) (core.Anchor, core.Path, error) {
+	var a core.Anchor
+	var err error
+	if q.Mode == Directed {
+		a, err = e.kn.RouteAnchorDirected(q.Src, q.Dst)
+	} else {
+		a, err = e.kn.RouteAnchor(q.Src, q.Dst)
 	}
-	// Property 1: distance k-l leaves the digit sequence y_{l+1..k};
-	// one exactly-sized allocation for the path.
-	dist, err := e.kn.DirectedDistance(q.Src, q.Dst)
 	if err != nil {
-		return nil, err
+		return core.Anchor{}, nil, err
 	}
-	k := q.Dst.Len()
-	p := make(core.Path, 0, dist)
-	for j := k - dist; j < k; j++ {
-		p = append(p, core.L(q.Dst.Digit(j)))
-	}
-	return p, nil
+	e.dst = q.Dst.AppendDigits(e.dst[:0])
+	n, _ := a.Hops(len(e.dst))
+	return a, core.AppendRoute(make(core.Path, 0, n), e.dst, a), nil
 }
 
 func (e *Engine) nextHop(q Query) (core.Hop, bool, error) {

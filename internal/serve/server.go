@@ -810,7 +810,7 @@ func (s *Server) answerTask(eng *Engine, t *task) {
 				s.shed(t.out, t.ctx, t.tr, shedBadRequest, withTraceID(errorResponse(t.req.ID, err), t.id))
 				return
 			}
-			resp.Batch[i] = answerResponse(t.req.Batch[i].ID, q.Kind, a, cached)
+			resp.Batch[i] = AnswerResponse(t.req.Batch[i].ID, q.Kind, a, cached)
 			if a.Level > maxLevel {
 				maxLevel = a.Level
 			}
@@ -826,7 +826,7 @@ func (s *Server) answerTask(eng *Engine, t *task) {
 			return
 		}
 		maxLevel = a.Level
-		resp = answerResponse(t.req.ID, t.q.Kind, a, cached)
+		resp = AnswerResponse(t.req.ID, t.q.Kind, a, cached)
 	}
 	if maxLevel > LevelFull {
 		s.degraded.Add(1)

@@ -120,9 +120,15 @@ type Response struct {
 	// Cached reports the answer came from the result cache.
 	Cached   bool `json:"cached,omitempty"`
 	Distance int  `json:"distance"`
-	// Path holds the route hops ("L3", "R*", ...) for kind route at
-	// full fidelity, or the fault-avoiding hops of a detour answer.
+	// Path holds the route hops ("L3", "R*", ...): the fault-avoiding
+	// hops of a detour answer, or a full-fidelity route expanded from
+	// Anchor by Client.Do (ExpandAnchors).
 	Path []string `json:"path,omitempty"`
+	// Anchor is a full-fidelity route answer on the wire: the
+	// Algorithm 2 line and (s, t, θ), or Algorithm 1's overlap, that
+	// build the path from the request's dst (core.AppendRoute). The
+	// encoder writes no path next to an anchor.
+	Anchor *core.Anchor `json:"anchor,omitempty"`
 	// NextHop is the optimal next hop for kind nexthop; Done true
 	// means src == dst (no hop needed).
 	NextHop    string     `json:"next_hop,omitempty"`
@@ -423,8 +429,11 @@ func ParseHop(s string) (core.Hop, error) {
 	return h, nil
 }
 
-// answerResponse converts an engine answer into a wire response.
-func answerResponse(id uint64, kind Kind, a Answer, cached bool) Response {
+// AnswerResponse converts an engine answer into the server's wire
+// response. A full-fidelity route answer carries its anchor and no
+// hops; a detour answer, which is no Algorithm 2 path, carries its
+// (stretch-bounded, fault-avoiding) hops.
+func AnswerResponse(id uint64, kind Kind, a Answer, cached bool) Response {
 	resp := Response{
 		ID:      id,
 		Status:  StatusOK,
@@ -438,9 +447,11 @@ func answerResponse(id uint64, kind Kind, a Answer, cached bool) Response {
 	resp.Distance = a.Distance
 	switch kind {
 	case KindRoute:
-		// Detour answers carry their (stretch-bounded, fault-avoiding)
-		// path too — that path is the point of the rung.
-		if a.Level == LevelFull || a.Level == LevelDetour {
+		switch a.Level {
+		case LevelFull:
+			anchor := a.Anchor
+			resp.Anchor = &anchor
+		case LevelDetour:
 			resp.Path = make([]string, len(a.Path))
 			for i, h := range a.Path {
 				resp.Path[i] = FormatHop(h)
@@ -474,7 +485,7 @@ func errorResponse(id uint64, err error) Response {
 // allocation. The decoder is a one-pass scanner that validates as it
 // goes and interns the protocol's fixed vocabulary (hop names, kinds,
 // modes, statuses), so a parsed route response costs one allocation:
-// its path. It sizes a path, and the frame's own batch, once from a
+// its anchor, or a detour answer's path. It sizes a path, and the frame's own batch, once from a
 // bound that package bytes' assembly scans find (see presize), so no
 // loop in Go walks the frame ahead of it. The bulk of a route frame
 // takes one tight loop per value on both sides: an escape-free string
@@ -530,7 +541,8 @@ func appendRequest(b []byte, r *Request) []byte {
 }
 
 // appendResponse appends r's JSON encoding, byte-identical to
-// json.Marshal(r).
+// json.Marshal(r) but for one departure: a response with an Anchor
+// is written without its Path, which the anchor stands for.
 func appendResponse(b []byte, r *Response) []byte {
 	if r == nil {
 		return append(b, "null"...)
@@ -545,7 +557,16 @@ func appendResponse(b []byte, r *Response) []byte {
 	}
 	b = append(b, `,"distance":`...)
 	b = strconv.AppendInt(b, int64(r.Distance), 10)
-	if len(r.Path) > 0 {
+	if a := r.Anchor; a != nil {
+		// The anchor stands for the path: a frame never carries both.
+		b = append(b, `,"anchor":{"line":`...)
+		b = strconv.AppendInt(b, int64(a.Line), 10)
+		b = appendIntField(b, `,"l":`, int64(a.L))
+		b = appendIntField(b, `,"s":`, int64(a.S))
+		b = appendIntField(b, `,"t":`, int64(a.T))
+		b = appendIntField(b, `,"theta":`, int64(a.Theta))
+		b = append(b, '}')
+	} else if len(r.Path) > 0 {
 		b = append(b, `,"path":[`...)
 		// Every element is followed by a comma; the last becomes ']'.
 		for _, h := range r.Path {
@@ -718,6 +739,8 @@ type decoder struct {
 	// frame's own, which is reached before any nested one. Later ones
 	// (repeated keys, nested batches) grow by appending.
 	batchSized bool
+	// anchors is the slab new anchors are cut from (newAnchor).
+	anchors []core.Anchor
 }
 
 func (d *decoder) errorf(format string, args ...any) error {
@@ -1428,7 +1451,7 @@ func (d *decoder) forward(p **ForwardState) error {
 	})
 }
 
-var responseFields = []string{"id", "status", "degrade", "cached", "distance", "path", "next_hop", "done", "bounds", "shed_reason", "error", "batch", "redirect_addr", "trace_id"}
+var responseFields = []string{"id", "status", "degrade", "cached", "distance", "path", "anchor", "next_hop", "done", "bounds", "shed_reason", "error", "batch", "redirect_addr", "trace_id"}
 
 // response decodes a Response object (or null) into r.
 func (d *decoder) response(r *Response) error {
@@ -1451,6 +1474,8 @@ func (d *decoder) response(r *Response) error {
 		case "path":
 			r.Path, err = decodeSlice(d, r.Path)
 			return err
+		case "anchor":
+			return d.anchor(&r.Anchor)
 		case "next_hop":
 			return d.string(&r.NextHop)
 		case "done":
@@ -1497,6 +1522,55 @@ func (d *decoder) bounds(p **Bounds) error {
 		}
 		return d.skip()
 	})
+}
+
+var anchorFields = []string{"line", "l", "s", "t", "theta"}
+
+// anchor decodes a core.Anchor object into *p (taking a new one from
+// the frame's slab), or null (clearing it).
+func (d *decoder) anchor(p **core.Anchor) error {
+	switch d.peek() {
+	case 'n':
+		*p = nil
+		return d.lit("null")
+	case '{':
+		if *p == nil {
+			*p = d.newAnchor()
+		}
+	}
+	a := *p
+	return d.object(func(key []byte) error {
+		switch match(key, anchorFields) {
+		case "line":
+			return d.int(&a.Line)
+		case "l":
+			return d.int(&a.L)
+		case "s":
+			return d.int(&a.S)
+		case "t":
+			return d.int(&a.T)
+		case "theta":
+			return d.int(&a.Theta)
+		}
+		return d.skip()
+	})
+}
+
+// newAnchor returns a zero anchor cut from the frame's slab, so a
+// batch of route answers costs one allocation for all its anchors. The
+// first slab holds the "anchor" keys from here to the end of the frame
+// (the one being decoded included), capped at maxPresize; a later one,
+// when that count fell short, doubles, so a frame is counted once.
+func (d *decoder) newAnchor() *core.Anchor {
+	if len(d.anchors) == cap(d.anchors) {
+		n := 2 * cap(d.anchors)
+		if n == 0 {
+			n = 1 + bytes.Count(d.data[d.off:], []byte(`"anchor"`))
+		}
+		d.anchors = make([]core.Anchor, 0, min(n, maxPresize))
+	}
+	d.anchors = d.anchors[:len(d.anchors)+1]
+	return &d.anchors[len(d.anchors)-1]
 }
 
 // intern returns the string raw spells, without allocating when it is

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -152,19 +153,24 @@ func TestHopRoundTrip(t *testing.T) {
 // TestAnswerResponseShapes checks the payload fields per kind and
 // degrade rung.
 func TestAnswerResponseShapes(t *testing.T) {
-	full := answerResponse(1, KindRoute, Answer{Distance: 2, Path: core.Path{core.L(1), core.L(0)}}, false)
-	if full.Status != StatusOK || full.Degrade != "" || full.Distance != 2 || len(full.Path) != 2 {
+	anchor := core.Anchor{Line: 1, L: 1}
+	full := AnswerResponse(1, KindRoute, Answer{Distance: 2, Path: core.Path{core.L(1), core.L(0)}, Anchor: anchor}, false)
+	if full.Status != StatusOK || full.Degrade != "" || full.Distance != 2 || full.Path != nil || full.Anchor == nil || *full.Anchor != anchor {
 		t.Fatalf("full route response = %+v", full)
 	}
-	deg := answerResponse(2, KindRoute, Answer{Distance: 2, Level: LevelDistance}, false)
+	detour := AnswerResponse(6, KindRoute, Answer{Distance: 2, Path: core.Path{core.R(1), core.LStar()}, Anchor: anchor, Level: LevelDetour}, false)
+	if detour.Degrade != "detour" || !slices.Equal(detour.Path, []string{"R1", "L*"}) || detour.Anchor != nil {
+		t.Fatalf("detour route response = %+v", detour)
+	}
+	deg := AnswerResponse(2, KindRoute, Answer{Distance: 2, Level: LevelDistance}, false)
 	if deg.Degrade != "distance" || deg.Path != nil || deg.Distance != 2 {
 		t.Fatalf("degraded route response = %+v", deg)
 	}
-	bounds := answerResponse(3, KindDistance, Answer{Level: LevelBounds, Lo: 1, Hi: 5}, false)
+	bounds := AnswerResponse(3, KindDistance, Answer{Level: LevelBounds, Lo: 1, Hi: 5}, false)
 	if bounds.Degrade != "bounds" || bounds.Bounds == nil || bounds.Bounds.Hi != 5 {
 		t.Fatalf("bounds response = %+v", bounds)
 	}
-	done := answerResponse(4, KindNextHop, Answer{HasHop: false}, true)
+	done := AnswerResponse(4, KindNextHop, Answer{HasHop: false}, true)
 	if !done.Done || done.NextHop != "" || !done.Cached {
 		t.Fatalf("self-pair nexthop response = %+v", done)
 	}

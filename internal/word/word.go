@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -74,31 +75,53 @@ func MustNew(base int, digits []byte) Word {
 // Parse decodes a textual word such as "0110" (base 2) or "a3f" (base
 // 16). Characters 0-9 and a-z encode digit values 0-35.
 func Parse(base int, s string) (Word, error) {
-	if base < 2 || base > MaxBase {
-		return Word{}, fmt.Errorf("%w: got %d", ErrBadBase, base)
-	}
-	if s == "" {
-		return Word{}, ErrEmpty
-	}
-	digits := make([]byte, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		var v int
-		switch {
-		case c >= '0' && c <= '9':
-			v = int(c - '0')
-		case c >= 'a' && c <= 'z':
-			v = int(c-'a') + 10
-		default:
-			return Word{}, fmt.Errorf("%w: character %q at position %d", ErrBadDigit, c, i)
-		}
-		if v >= base {
-			return Word{}, fmt.Errorf("%w: digit %d at position %d, base %d", ErrBadDigit, v, i, base)
-		}
-		digits[i] = byte(v)
+	digits, err := AppendParsed(make([]byte, 0, len(s)), base, s)
+	if err != nil {
+		return Word{}, err
 	}
 	return Word{base: base, digits: digits}, nil
 }
+
+// AppendParsed appends the digit values of the textual word s to dst
+// and returns the extended slice: Parse's decoding, accepting exactly
+// the spellings Parse accepts, into a buffer the caller can reuse. On
+// error it returns dst unextended.
+func AppendParsed(dst []byte, base int, s string) ([]byte, error) {
+	if base < 2 || base > MaxBase {
+		return dst, fmt.Errorf("%w: got %d", ErrBadBase, base)
+	}
+	if s == "" {
+		return dst, ErrEmpty
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(s))[:n+len(s)]
+	out := dst[n:]
+	for i := range out {
+		v := digitValue[s[i]]
+		if int(v) >= base {
+			if v == notDigit {
+				return dst[:n], fmt.Errorf("%w: character %q at position %d", ErrBadDigit, s[i], i)
+			}
+			return dst[:n], fmt.Errorf("%w: digit %d at position %d, base %d", ErrBadDigit, v, i, base)
+		}
+		out[i] = v
+	}
+	return dst, nil
+}
+
+// digitValue maps each character of digitChars to its digit value and
+// every other byte to notDigit.
+var digitValue = func() (t [256]byte) {
+	for i := range t {
+		t[i] = notDigit
+	}
+	for v := 0; v < len(digitChars); v++ {
+		t[digitChars[v]] = byte(v)
+	}
+	return t
+}()
+
+const notDigit = 0xff
 
 // MustParse is Parse for programmer-controlled literals; it panics on
 // error.
