@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -251,4 +252,49 @@ func FuzzAnchorExpand(f *testing.F) {
 			t.Fatalf("canonical anchor %+v of %s->%s: %v, %v; want %v", ca, src, dst, resp.Path, err, want)
 		}
 	})
+}
+
+// TestClientExpandsAnchorsConcurrently shares one client between
+// goroutines that send batches of routes, some under an already
+// canceled context, and overwrite their batch as soon as Do returns:
+// the reader expands anchors against the caller's request, so under
+// -race this catches it still reading a request Do has given back.
+func TestClientExpandsAnchorsConcurrently(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 2, CacheSize: 64})
+	c, err := s.SelfClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 40; i++ {
+				x, y := word.Random(2, 12, rng), word.Random(2, 12, rng)
+				want, _ := core.RouteUndirected(x, y)
+				req := BatchRequest(RouteRequest(x, y, Undirected), DistanceRequest(x, y, Undirected))
+				ctx := context.Background()
+				if i%3 == 0 {
+					ctx = canceled
+				}
+				resp, err := c.Do(ctx, req)
+				req.Batch[0] = Request{} // the caller owns its request again
+				if err != nil {
+					if !errors.Is(err, context.Canceled) {
+						t.Errorf("Do: %v", err)
+					}
+					continue
+				}
+				if got := resp.Batch[0].Path; !slices.Equal(got, hopNamesOf(want)) {
+					t.Errorf("route %v->%v: path %v, want %v", x, y, got, want)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -34,9 +34,30 @@ type Client struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan Response
+	pending map[uint64]call
 	err     error // set once the reader exits
 	done    chan struct{}
+}
+
+// call is one Do waiting for its response: the request the reader
+// expands the response's anchors against, and the buffered channel it
+// delivers the result on.
+type call struct {
+	req *Request
+	ch  chan reply
+}
+
+// reply is the reader's result for one call.
+type reply struct {
+	resp Response
+	err  error
+}
+
+func (r reply) result() (Response, error) {
+	if r.err != nil {
+		return Response{}, r.err
+	}
+	return r.resp, nil
 }
 
 // NewClient wraps an established connection (see also Dial and
@@ -45,7 +66,7 @@ func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:     conn,
 		maxFrame: DefaultMaxFrame,
-		pending:  make(map[uint64]chan Response),
+		pending:  make(map[uint64]call),
 		done:     make(chan struct{}),
 	}
 	go c.readLoop()
@@ -63,7 +84,11 @@ func Dial(addr string) (*Client, error) {
 
 // readLoop dispatches responses to waiting callers until the
 // connection dies. It reads through a bufio.Reader into one reused
-// body buffer: ParseResponse copies out everything it keeps.
+// body buffer: ParseResponse copies out everything it keeps. It also
+// expands each response's anchors against the caller's request: the
+// caller is parked until its reply arrives either way, and a closed
+// loop of scalar routes on DG(2,64) measured a lower p90 latency with
+// the expansion here than in Do.
 func (c *Client) readLoop() {
 	br := bufio.NewReader(c.conn)
 	var body []byte
@@ -79,11 +104,12 @@ func (c *Client) readLoop() {
 			break
 		}
 		c.mu.Lock()
-		ch := c.pending[resp.ID]
+		cl, ok := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
 		c.mu.Unlock()
-		if ch != nil {
-			ch <- resp // buffered: never blocks
+		if ok {
+			err := ExpandAnchors(cl.req, &resp)
+			cl.ch <- reply{resp, err} // buffered: never blocks
 		}
 	}
 	c.mu.Lock()
@@ -96,10 +122,10 @@ func (c *Client) readLoop() {
 
 // Do sends req (its ID is overwritten) and waits for the matching
 // response, the context, or connection death. Route answers that
-// arrive as anchors are expanded into Path (ExpandAnchors); a response
-// whose anchors cannot answer req is an error.
+// arrive as anchors come back expanded into Path (ExpandAnchors); a
+// response whose anchors cannot answer req is an error.
 func (c *Client) Do(ctx context.Context, req Request) (Response, error) {
-	ch := make(chan Response, 1)
+	ch := make(chan reply, 1)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -108,7 +134,7 @@ func (c *Client) Do(ctx context.Context, req Request) (Response, error) {
 	}
 	c.nextID++
 	req.ID = c.nextID
-	c.pending[req.ID] = ch
+	c.pending[req.ID] = call{req: &req, ch: ch}
 	c.mu.Unlock()
 
 	c.wmu.Lock()
@@ -118,7 +144,7 @@ func (c *Client) Do(ctx context.Context, req Request) (Response, error) {
 	err := WriteFrame(c.conn, &req)
 	c.wmu.Unlock()
 	if err != nil {
-		c.forget(req.ID)
+		c.abandon(req.ID, ch)
 		// A failed write leaves the stream in an unknown state
 		// (possibly mid-frame); the connection is unusable. Closing it
 		// unsticks the reader so Err() reports the death.
@@ -126,13 +152,10 @@ func (c *Client) Do(ctx context.Context, req Request) (Response, error) {
 		return Response{}, err
 	}
 	select {
-	case resp := <-ch:
-		if err := ExpandAnchors(&req, &resp); err != nil {
-			return Response{}, err
-		}
-		return resp, nil
+	case r := <-ch:
+		return r.result()
 	case <-ctx.Done():
-		c.forget(req.ID)
+		c.abandon(req.ID, ch)
 		return Response{}, ctx.Err()
 	case <-c.done:
 		c.mu.Lock()
@@ -144,11 +167,8 @@ func (c *Client) Do(ctx context.Context, req Request) (Response, error) {
 		// The response may have been delivered just before the reader
 		// died; prefer it.
 		select {
-		case resp := <-ch:
-			if err := ExpandAnchors(&req, &resp); err != nil {
-				return Response{}, err
-			}
-			return resp, nil
+		case r := <-ch:
+			return r.result()
 		default:
 		}
 		return Response{}, fmt.Errorf("%w: %w", ErrClientClosed, err)
@@ -299,10 +319,17 @@ func (c *Client) Err() error {
 	return c.err
 }
 
-func (c *Client) forget(id uint64) {
+// abandon withdraws the pending call id. When the reader has already
+// taken it, abandon waits for the reply, so the reader is done reading
+// the caller's request before Do returns.
+func (c *Client) abandon(id uint64, ch chan reply) {
 	c.mu.Lock()
+	_, ok := c.pending[id]
 	delete(c.pending, id)
 	c.mu.Unlock()
+	if !ok {
+		<-ch
+	}
 }
 
 // Close tears the connection down; in-flight Do calls return
