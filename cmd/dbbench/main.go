@@ -473,7 +473,7 @@ func benchServeCells(d, k int) ([]Result, error) {
 // the request frame, the server reads and decodes it, encodes the
 // route response frame the server sends (serve.AnswerResponse: the
 // route's anchor), and the client reads and decodes that and expands
-// the anchor into hops (serve.ExpandAnchors). The allocations are the
+// the anchor into hops (serve.Expander). The allocations are the
 // frames' read buffers, the request's two addresses, the response's
 // anchor and the expanded path.
 func benchWireRoute(d, k int, pairs [][2]word.Word, eng *serve.Engine) (Result, error) {
@@ -493,8 +493,8 @@ func benchWireRoute(d, k int, pairs [][2]word.Word, eng *serve.Engine) (Result, 
 // for the batch frames of batch-uniform-k256 — 16 sub-queries, routes
 // and distances alternating, and their answers in one response. The
 // allocations are the frames' read buffers, 32 addresses, the batch
-// slices, one slab of the 8 anchors and one backing array of the 8
-// expanded paths.
+// slices, the 8 anchors and one backing array of the 8 expanded
+// paths.
 func benchWireBatch(d, k int, pairs [][2]word.Word, eng *serve.Engine) (Result, error) {
 	const batch = 16
 	reqs := make([]serve.Request, len(pairs)/batch)
@@ -537,12 +537,13 @@ func wireExchange(eng *serve.Engine, kind serve.Kind, p [2]word.Word, id uint64)
 // benchWire times wireRoundTrip over the frame pairs, in turn.
 func benchWire(name string, d, k int, reqs []serve.Request, resps []serve.Response) (Result, error) {
 	var wire bytes.Buffer
+	var ex serve.Expander
 	var failure error
 	br := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			j := i % len(reqs)
-			failure = wireRoundTrip(&wire, &reqs[j], &resps[j])
+			failure = wireRoundTrip(&wire, &ex, &reqs[j], &resps[j])
 			if failure != nil {
 				b.FailNow()
 			}
@@ -560,8 +561,9 @@ func benchWire(name string, d, k int, reqs []serve.Request, resps []serve.Respon
 	}, nil
 }
 
-// wireRoundTrip runs one round trip of req and resp over wire.
-func wireRoundTrip(wire *bytes.Buffer, req *serve.Request, resp *serve.Response) error {
+// wireRoundTrip runs one round trip of req and resp over wire,
+// expanding the response's anchors with ex.
+func wireRoundTrip(wire *bytes.Buffer, ex *serve.Expander, req *serve.Request, resp *serve.Response) error {
 	wire.Reset()
 	if err := serve.WriteFrame(wire, req); err != nil {
 		return err
@@ -587,7 +589,7 @@ func wireRoundTrip(wire *bytes.Buffer, req *serve.Request, resp *serve.Response)
 	if err != nil {
 		return err
 	}
-	if err := serve.ExpandAnchors(req, &back); err != nil {
+	if err := ex.Expand(req, &back); err != nil {
 		return err
 	}
 	if len(back.Path) != back.Distance || len(back.Batch) != len(resp.Batch) {

@@ -170,13 +170,19 @@ func TestClientRejectsMalformedAnchors(t *testing.T) {
 		{"anchor nested under a scalar answer", route, Response{Status: StatusOK, Batch: []Response{ok}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := cannedClient(t, func(Request) Response { return tc.resp })
-			resp, err := c.Do(context.Background(), tc.req)
-			if !errors.Is(err, ErrBadFrame) {
-				t.Fatalf("Do = %+v, %v; want an ErrBadFrame error", resp, err)
-			}
-			if resp.Path != nil || len(resp.Batch) != 0 {
-				t.Fatalf("failed Do returned paths: %+v", resp)
+			// Also as a cluster node's forwarded request, whose
+			// anchors are checked and not expanded.
+			for _, fwd := range []*ForwardState{nil, {}} {
+				c := cannedClient(t, func(Request) Response { return tc.resp })
+				req := tc.req
+				req.Fwd = fwd
+				resp, err := c.Do(context.Background(), req)
+				if !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("fwd %v: Do = %+v, %v; want an ErrBadFrame error", fwd, resp, err)
+				}
+				if resp.Path != nil || len(resp.Batch) != 0 {
+					t.Fatalf("fwd %v: failed Do returned paths: %+v", fwd, resp)
+				}
 			}
 		})
 	}
@@ -186,13 +192,22 @@ func TestClientRejectsMalformedAnchors(t *testing.T) {
 	if err != nil || !slices.Equal(resp.Path, hopNamesOf(want)) {
 		t.Fatalf("well-formed anchor: %+v, %v; want path %v", resp, err, want)
 	}
+	// The answer to a forwarded request keeps its anchor and gets no
+	// path.
+	fwd := route
+	fwd.Fwd = &ForwardState{Origin: "n0", Hops: 1}
+	resp, err = c.Do(context.Background(), fwd)
+	if err != nil || resp.Path != nil || resp.Anchor == nil || *resp.Anchor != a {
+		t.Fatalf("well-formed anchor of a forwarded request: %+v, %v; want anchor %+v and no path", resp, err, a)
+	}
 }
 
 // FuzzAnchorExpand throws arbitrary anchors, distances and addresses
-// at ExpandAnchors: nothing may panic, every failure is an ErrBadFrame
-// error, an accepted anchor's path is a walk of exactly the answer's
-// distance from src to dst, and the canonical anchor of a valid
-// route query yields Algorithm 2's (or Algorithm 1's) path hop for hop.
+// at Expander.Expand: nothing may panic, every failure is an
+// ErrBadFrame error, Check accepts exactly what Expand accepts, an
+// accepted anchor's path is a walk of exactly the answer's distance
+// from src to dst, and the canonical anchor of a valid route query
+// yields Algorithm 2's (or Algorithm 1's) path hop for hop.
 func FuzzAnchorExpand(f *testing.F) {
 	f.Add(uint8(2), "011010", "110100", false, 8, 0, 2, 4, 3, 3)
 	f.Add(uint8(2), "011010", "110100", true, 1, 3, 0, 0, 0, 3)
@@ -210,9 +225,15 @@ func FuzzAnchorExpand(f *testing.F) {
 		req := Request{Kind: "route", D: int(d), K: len(dst), Src: src, Dst: dst, Mode: mode.String()}
 		a := core.Anchor{Line: line, L: l, S: s, T: tt, Theta: theta}
 		resp := Response{Status: StatusOK, Distance: dist, Anchor: &a}
-		err := ExpandAnchors(&req, &resp)
+		var ex Expander
+		checked := resp
+		cerr := ex.Check(&req, &checked)
+		err := ex.Expand(&req, &resp)
 		if err != nil && !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("error outside ErrBadFrame: %v", err)
+		}
+		if (cerr == nil) != (err == nil) || checked.Path != nil {
+			t.Fatalf("anchor %+v: Check = %v with path %v, Expand = %v", a, cerr, checked.Path, err)
 		}
 		q, qerr := ParseQuery(req)
 		if err == nil {
@@ -248,7 +269,7 @@ func FuzzAnchorExpand(f *testing.F) {
 			t.Fatal(werr, cerr)
 		}
 		resp = Response{Status: StatusOK, Distance: len(want), Anchor: &ca}
-		if err := ExpandAnchors(&req, &resp); err != nil || !slices.Equal(resp.Path, hopNamesOf(want)) {
+		if err := ex.Expand(&req, &resp); err != nil || !slices.Equal(resp.Path, hopNamesOf(want)) {
 			t.Fatalf("canonical anchor %+v of %s->%s: %v, %v; want %v", ca, src, dst, resp.Path, err, want)
 		}
 	})

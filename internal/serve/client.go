@@ -92,6 +92,7 @@ func Dial(addr string) (*Client, error) {
 func (c *Client) readLoop() {
 	br := bufio.NewReader(c.conn)
 	var body []byte
+	var ex Expander
 	var err error
 	for {
 		body, err = readFrame(br, body, c.maxFrame)
@@ -108,8 +109,15 @@ func (c *Client) readLoop() {
 		delete(c.pending, resp.ID)
 		c.mu.Unlock()
 		if ok {
-			err := ExpandAnchors(cl.req, &resp)
-			cl.ch <- reply{resp, err} // buffered: never blocks
+			// A cluster node that forwarded the request (Fwd) sends the
+			// answer on in anchor form and needs no hops.
+			var xerr error
+			if cl.req.Fwd != nil {
+				xerr = ex.Check(cl.req, &resp)
+			} else {
+				xerr = ex.Expand(cl.req, &resp)
+			}
+			cl.ch <- reply{resp, xerr} // buffered: never blocks
 		}
 	}
 	c.mu.Lock()
@@ -122,8 +130,10 @@ func (c *Client) readLoop() {
 
 // Do sends req (its ID is overwritten) and waits for the matching
 // response, the context, or connection death. Route answers that
-// arrive as anchors come back expanded into Path (ExpandAnchors); a
-// response whose anchors cannot answer req is an error.
+// arrive as anchors come back expanded into Path (Expander.Expand), or,
+// for a request a cluster node forwards (Fwd set), checked and left in
+// anchor form (Expander.Check); a response whose anchors cannot answer
+// req is an error.
 func (c *Client) Do(ctx context.Context, req Request) (Response, error) {
 	ch := make(chan reply, 1)
 	c.mu.Lock()
@@ -175,55 +185,68 @@ func (c *Client) Do(ctx context.Context, req Request) (Response, error) {
 	}
 }
 
-// ExpandAnchors expands every route anchor in resp, the answer to req,
-// into its hops in Path, keeping the anchor: core.AppendRoute on the
-// digits of the route sub-request's dst, with one backing array for
-// all the paths of the frame. It fails, wrapping ErrBadFrame, when an
-// anchor cannot be the full-fidelity answer to its sub-request: it
-// rides a non-route, non-ok or degraded answer, or a batch item with
-// no request; its line is not the request's mode's (1 directed, 6, 8
-// or 9 undirected); it is out of range for the request's k
+// An Expander expands the route anchors of responses into hops. Its
+// zero value is ready to use. It reuses its digit and hop buffers, so
+// one Expander serves one goroutine: a Client's reader owns one.
+type Expander struct {
+	src, dst []byte
+	path     core.Path
+	// build is false while Check runs; hops is the frame's backing
+	// array of hop names, which expand cuts the paths from.
+	build bool
+	hops  []string
+}
+
+// Expand expands every route anchor in resp, the answer to req, into
+// its hops in Path, keeping the anchor: core.AppendRoute on the digits
+// of the route sub-request's dst, with one backing array for all the
+// paths of the frame. It fails, wrapping ErrBadFrame, when an anchor
+// cannot be the full-fidelity answer to its sub-request: it rides a
+// non-route, non-ok or degraded answer, or a batch item with no
+// request; its line is not the request's mode's (1 directed, 6, 8 or 9
+// undirected); it is out of range for the request's k
 // (core.Anchor.Hops); it does not expand to exactly the answer's
 // distance; src or dst is no word of the request's DG(d,k) as
 // word.Parse spells them; or its path does not lead from src to dst
 // (core.Anchor.Joins). On failure resp's paths are unspecified.
-func ExpandAnchors(req *Request, resp *Response) error {
+func (e *Expander) Expand(req *Request, resp *Response) error {
+	return e.run(req, resp, true)
+}
+
+// Check checks resp's anchors as Expand does and builds no path. A
+// cluster node that proxies a peer's answer uses it: the answer goes
+// on in anchor form, which the encoder writes without Path.
+func (e *Expander) Check(req *Request, resp *Response) error {
+	return e.run(req, resp, false)
+}
+
+func (e *Expander) run(req *Request, resp *Response, build bool) error {
 	hops, anchors, err := walkAnchors(req, resp, nil)
 	if err != nil || anchors == 0 {
 		return err
 	}
-	sc := expandPool.Get().(*expandScratch)
-	sc.hops = make([]string, hops)
-	_, _, err = walkAnchors(req, resp, sc)
-	sc.hops = nil
-	expandPool.Put(sc)
+	if e.build = build; build {
+		e.hops = make([]string, hops)
+	}
+	_, _, err = walkAnchors(req, resp, e)
+	e.hops = nil
 	return err
 }
-
-// expandScratch holds ExpandAnchors' digit and hop buffers and the
-// frame's backing array of hop names, which walkAnchors cuts the
-// paths from.
-type expandScratch struct {
-	src, dst []byte
-	path     core.Path
-	hops     []string
-}
-
-var expandPool = sync.Pool{New: func() any { return new(expandScratch) }}
 
 // walkAnchors visits every response in resp that carries an anchor,
 // with the request it answers: resp itself for req, and batch item i
 // for req's item i; an anchored batch item of a request with no such
-// item fails. With sc nil it checks each anchor (anchorHops) and
-// returns the frame's total hop count and number of anchors; with sc
-// it expands each checked anchor into its Path.
-func walkAnchors(req *Request, resp *Response, sc *expandScratch) (hops, anchors int, err error) {
+// item fails. With e nil it checks each anchor (anchorHops) and
+// returns the frame's total hop count and number of anchors; with e it
+// checks that each anchor joins its sub-request's src and dst and, for
+// Expand, expands it into its Path.
+func walkAnchors(req *Request, resp *Response, e *Expander) (hops, anchors int, err error) {
 	if resp.Anchor != nil {
 		anchors = 1
-		if sc == nil {
+		if e == nil {
 			hops, err = anchorHops(req, resp)
 		} else {
-			err = sc.expand(req, resp)
+			err = e.expand(req, resp)
 		}
 		if err != nil {
 			return 0, 0, err
@@ -237,7 +260,7 @@ func walkAnchors(req *Request, resp *Response, sc *expandScratch) (hops, anchors
 		if i >= len(req.Batch) {
 			return 0, 0, fmt.Errorf("%w: batch item %d answers no request", ErrBadFrame, i)
 		}
-		h, a, err := walkAnchors(&req.Batch[i], sub, sc)
+		h, a, err := walkAnchors(&req.Batch[i], sub, e)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -246,29 +269,32 @@ func walkAnchors(req *Request, resp *Response, sc *expandScratch) (hops, anchors
 	return hops, anchors, nil
 }
 
-// expand writes the path of r's anchor, checked by anchorHops against
-// the scalar request req, into r.Path: the hop names of
-// core.AppendRoute on dst's digits, once they are words of DG(d,k) and
-// the anchor joins them.
-func (sc *expandScratch) expand(req *Request, r *Response) error {
+// expand checks that r's anchor, already checked by anchorHops against
+// the scalar request req, leads from src to dst once they are words of
+// DG(d,k), and, for Expand, writes its path into r.Path: the hop
+// names of core.AppendRoute on dst's digits.
+func (e *Expander) expand(req *Request, r *Response) error {
 	var err error
-	if sc.src, err = word.AppendParsed(sc.src[:0], req.D, req.Src); err != nil {
+	if e.src, err = word.AppendParsed(e.src[:0], req.D, req.Src); err != nil {
 		return fmt.Errorf("%w: anchor of src %q: %w", ErrBadFrame, req.Src, err)
 	}
-	if sc.dst, err = word.AppendParsed(sc.dst[:0], req.D, req.Dst); err != nil {
+	if e.dst, err = word.AppendParsed(e.dst[:0], req.D, req.Dst); err != nil {
 		return fmt.Errorf("%w: anchor of dst %q: %w", ErrBadFrame, req.Dst, err)
 	}
-	if !r.Anchor.Joins(sc.src, sc.dst) {
+	if !r.Anchor.Joins(e.src, e.dst) {
 		return fmt.Errorf("%w: anchor %+v does not lead from %s to %s", ErrBadFrame, *r.Anchor, req.Src, req.Dst)
 	}
-	sc.path = core.AppendRoute(sc.path[:0], sc.dst, *r.Anchor)
-	if len(sc.path) == 0 {
+	if !e.build {
+		return nil
+	}
+	e.path = core.AppendRoute(e.path[:0], e.dst, *r.Anchor)
+	if len(e.path) == 0 {
 		r.Path = nil // as an omitted path decodes
 		return nil
 	}
-	n := len(sc.path)
-	r.Path, sc.hops = sc.hops[:n:n], sc.hops[n:]
-	for i, h := range sc.path {
+	n := len(e.path)
+	r.Path, e.hops = e.hops[:n:n], e.hops[n:]
+	for i, h := range e.path {
 		r.Path[i] = FormatHop(h)
 	}
 	return nil

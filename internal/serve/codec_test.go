@@ -351,10 +351,10 @@ func batch256(t testing.TB) (Request, Response) {
 // frame shapes the serve benchmark sends: scalar DG(2,64) routes and
 // 16-query DG(2,256) batches, route answers in anchor form. The
 // server's conversion of a full route allocates its anchor and no hop
-// slice. A parsed response allocates one slab for all of its anchors
-// and, for a batch, the slice read ahead; a request, its addresses.
-// The client's expansion of a batch's anchors is one allocation, the
-// backing array of all its paths.
+// slice. A parsed response allocates each of its anchors and, for a
+// batch, the slice read ahead; a request, its addresses. The client's
+// expansion of a batch's anchors is one allocation, the backing array
+// of all its paths, and checking them without expanding is none.
 func TestCodecAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -363,7 +363,7 @@ func TestCodecAllocations(t *testing.T) {
 	settleTableBuilds()
 	var resp Response
 	if n := testing.AllocsPerRun(100, func() { resp = AnswerResponse(7, KindRoute, a, false) }); n != 1 {
-		t.Errorf("answerResponse of a %d-hop route: %v allocs, want 1 (the path slice)", len(a.Path), n)
+		t.Errorf("AnswerResponse of a %d-hop route: %v allocs, want 1 (the anchor; no hop slice)", len(a.Path), n)
 	}
 	breq, bresp := batch256(t)
 	for _, c := range []struct {
@@ -373,7 +373,7 @@ func TestCodecAllocations(t *testing.T) {
 		maxResp, maxReq float64
 	}{
 		{"DG(2,64) route", req, resp, 1, 3},
-		{"DG(2,256) batch", breq, bresp, 2, 33},
+		{"DG(2,256) batch", breq, bresp, 9, 33},
 	} {
 		buf := appendResponse(nil, &c.resp)
 		if n := testing.AllocsPerRun(100, func() { buf = appendResponse(buf[:0], &c.resp) }); n != 0 {
@@ -398,12 +398,23 @@ func TestCodecAllocations(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, c.resp) {
 			t.Fatalf("%s: ParseResponse = %+v, %v; want %+v", c.name, got, err, c.resp)
 		}
+		if cap(got.Batch) != len(got.Batch) {
+			t.Errorf("%s: ParseResponse sized the batch of %d answers for %d", c.name, len(got.Batch), cap(got.Batch))
+		}
+		var ex Expander
 		if n := testing.AllocsPerRun(100, func() {
-			if err := ExpandAnchors(&c.req, &got); err != nil {
+			if err := ex.Expand(&c.req, &got); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 1 {
-			t.Errorf("%s: ExpandAnchors: %v allocs, want 1", c.name, n)
+			t.Errorf("%s: Expander.Expand: %v allocs, want 1", c.name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := ex.Check(&c.req, &got); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Expander.Check: %v allocs, want 0", c.name, n)
 		}
 		if got, err := ParseRequest(body); err != nil || !reflect.DeepEqual(got, c.req) {
 			t.Fatalf("%s: ParseRequest = %+v, %v; want %+v", c.name, got, err, c.req)

@@ -148,12 +148,13 @@ func FuzzResponseCodec(f *testing.F) {
 		`{"path":[` + strings.Repeat(`"L0","x]",`, maxPresize/2+1) + `"R*"]}`,
 		`{"batch":[{"path":["L0"]},{"bounds":{"lo":1,"hi":2}},null],"batch":[{"batch":[{"path":["R1"]}]}]}`,
 		// Anchors: null, negative, huge, missing and repeated keys, and
-		// the slab's count of "anchor" keys thrown off by strings and
-		// case-folded keys.
+		// the batch presize's count of anchor objects thrown off by
+		// strings and case-folded keys.
 		`{"anchor":null}`, `{"anchor":{"line":-8,"s":-1,"t":-2,"theta":-3,"l":-4}}`,
 		`{"anchor":{"line":9223372036854775807,"theta":9223372036854775808}}`, `{"anchor":{}}`,
 		`{"anchor":{"line":8,"line":9,"s":1,"s":null}}`, `{"anchor":{"line":1},"anchor":{"l":3},"path":["L0"]}`,
 		`{"error":"\"anchor\"","batch":[{"ANCHOR":{"line":6}},{"Anchor":{"line":6}},{"anchor":{"line":6}}]}`,
+		`{"batch":[{"x":{"anchor":{}}},{"a\"anchor":{}},null,null,{"anchor":{"line":6}}]}`,
 	} {
 		f.Add([]byte(body))
 	}

@@ -122,7 +122,7 @@ type Response struct {
 	Distance int  `json:"distance"`
 	// Path holds the route hops ("L3", "R*", ...): the fault-avoiding
 	// hops of a detour answer, or a full-fidelity route expanded from
-	// Anchor by Client.Do (ExpandAnchors).
+	// Anchor by Client.Do (Expander).
 	Path []string `json:"path,omitempty"`
 	// Anchor is a full-fidelity route answer on the wire: the
 	// Algorithm 2 line and (s, t, θ), or Algorithm 1's overlap, that
@@ -485,9 +485,10 @@ func errorResponse(id uint64, err error) Response {
 // allocation. The decoder is a one-pass scanner that validates as it
 // goes and interns the protocol's fixed vocabulary (hop names, kinds,
 // modes, statuses), so a parsed route response costs one allocation:
-// its anchor, or a detour answer's path. It sizes a path, and the frame's own batch, once from a
-// bound that package bytes' assembly scans find (see presize), so no
-// loop in Go walks the frame ahead of it. The bulk of a route frame
+// its anchor, or a detour answer's path. It sizes a path, and the
+// frame's own batch, once from a bound that package bytes' assembly
+// scans find (see presize), so no loop in Go walks the frame ahead of
+// it. The bulk of a route frame
 // takes one tight loop per value on both sides: an escape-free string
 // is one table loop to its closing quote, a quoted hop name in a path
 // one 4-byte compare.
@@ -739,8 +740,6 @@ type decoder struct {
 	// frame's own, which is reached before any nested one. Later ones
 	// (repeated keys, nested batches) grow by appending.
 	batchSized bool
-	// anchors is the slab new anchors are cut from (newAnchor).
-	anchors []core.Anchor
 }
 
 func (d *decoder) errorf(format string, args ...any) error {
@@ -1292,8 +1291,9 @@ func (d *decoder) hop() (h string, ok bool) {
 // slice grows. That scan stops at the array's end or sooner (or where
 // the parse then fails), so a parse reads each byte at most once more.
 // A batch array holds objects, at most as many as the '{' bytes to the
-// end of the frame; only the first batch array, the frame's own, is
-// sized, so that scan too runs once.
+// end of the frame, less, for responses, the anchor objects the
+// encoder writes inside them; only the first batch array, the frame's
+// own, is sized, so that scan too runs once.
 func presize[T Request | Response | string](d *decoder) int {
 	rest := d.data[d.off:]
 	var n int
@@ -1309,6 +1309,9 @@ func presize[T Request | Response | string](d *decoder) int {
 		}
 		d.batchSized = true
 		n = bytes.Count(rest, []byte{'{'})
+		if _, ok := any((*T)(nil)).(*Response); ok {
+			n -= bytes.Count(rest, []byte(`"anchor":{`))
+		}
 	}
 	return min(n, maxPresize)
 }
@@ -1526,8 +1529,8 @@ func (d *decoder) bounds(p **Bounds) error {
 
 var anchorFields = []string{"line", "l", "s", "t", "theta"}
 
-// anchor decodes a core.Anchor object into *p (taking a new one from
-// the frame's slab), or null (clearing it).
+// anchor decodes a core.Anchor object into *p (a new one unless a
+// repeated key already set it), or null (clearing it).
 func (d *decoder) anchor(p **core.Anchor) error {
 	switch d.peek() {
 	case 'n':
@@ -1535,7 +1538,7 @@ func (d *decoder) anchor(p **core.Anchor) error {
 		return d.lit("null")
 	case '{':
 		if *p == nil {
-			*p = d.newAnchor()
+			*p = new(core.Anchor)
 		}
 	}
 	a := *p
@@ -1554,23 +1557,6 @@ func (d *decoder) anchor(p **core.Anchor) error {
 		}
 		return d.skip()
 	})
-}
-
-// newAnchor returns a zero anchor cut from the frame's slab, so a
-// batch of route answers costs one allocation for all its anchors. The
-// first slab holds the "anchor" keys from here to the end of the frame
-// (the one being decoded included), capped at maxPresize; a later one,
-// when that count fell short, doubles, so a frame is counted once.
-func (d *decoder) newAnchor() *core.Anchor {
-	if len(d.anchors) == cap(d.anchors) {
-		n := 2 * cap(d.anchors)
-		if n == 0 {
-			n = 1 + bytes.Count(d.data[d.off:], []byte(`"anchor"`))
-		}
-		d.anchors = make([]core.Anchor, 0, min(n, maxPresize))
-	}
-	d.anchors = d.anchors[:len(d.anchors)+1]
-	return &d.anchors[len(d.anchors)-1]
 }
 
 // intern returns the string raw spells, without allocating when it is
