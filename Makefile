@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test lint race cover bench bench-json bench-compare check serve-check chaos-check fuzz experiments examples clean
+.PHONY: all build vet test lint race cover bench bench-json bench-compare check serve-check chaos-check hang-check fuzz experiments examples clean
 
 all: build vet test
 
@@ -25,6 +25,7 @@ lint: vet
 test:
 	$(GO) test ./...
 
+# The race-detector package list; CI's Race step runs this target.
 race:
 	$(GO) test -race ./internal/network/ ./internal/dht/ ./internal/obs/ ./internal/deflect/ ./internal/check/ ./internal/core/ ./internal/match/ ./internal/suffixtree/ ./internal/serve/ ./internal/cluster/
 
@@ -63,8 +64,12 @@ check:
 
 # The adversarial serving gate: chaos oracle sweep plus the hang-bug
 # regression tests under the race detector.
-chaos-check:
+chaos-check: hang-check
 	$(GO) run ./cmd/dbcheck -mode chaos
+
+# The hang-bug regression tests (mid-frame severs, stalled peers, slow
+# readers, storms) under the race detector; CI runs this target too.
+hang-check:
 	$(GO) test -race -run 'Chaos|Peer|SlowReader|WriteTimeout|StalledPeer|Storm|SingleShard|Eviction' ./internal/serve/ ./internal/cluster/ ./internal/check/
 
 # In-process load check of the route-query server: runs the closed- and

@@ -120,7 +120,7 @@ func BenchmarkContention(b *testing.B) {
 	for _, batch := range []int{250, 1000} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c, err := network.NewContention(network.ContentionConfig{D: 2, K: 8, Seed: 23, Policy: network.PlanLeastLoaded{}})
+				c, err := network.NewContention(network.ContentionConfig{D: 2, K: 8, Seed: 23, Policy: network.PolicyLeastLoaded{}})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -3,15 +3,14 @@
 //
 //	dbcluster -addr :4700 -peer :4710                  # boot a standalone node
 //	dbcluster -addr :4701 -peer :4711 -seed :4710      # join through a member
-//	dbcluster -replication 1 -redirect                 # placement knobs
+//	dbcluster -replication 1                           # placement knob
 //	dbcluster -debug-addr :4720                        # plus /metrics and pprof
 //	dbcluster -status 127.0.0.1:4710                   # print a node's status JSON
 //	dbcluster -probe 127.0.0.1:4700                    # client smoke, then exit
 //
 // A node serves the ordinary dbserve wire protocol on -addr: any
 // member answers any query, proxying misses hop-by-hop over the
-// Koorde fabric toward the owner (or redirecting when -redirect is
-// set — the probe follows one redirect). The control listener on
+// Koorde fabric toward the owner. The control listener on
 // -peer speaks the join/membership/status protocol; -status is its
 // standalone client. On SIGINT/SIGTERM the node announces departure
 // (a clean leave) before shutting down.
@@ -55,8 +54,6 @@ func run(args []string, out io.Writer) error {
 	idBase := fs.Int("idbase", cluster.DefaultIDBase, "identifier alphabet size (all members must agree)")
 	idLen := fs.Int("idlen", cluster.DefaultIDLen, "identifier length (all members must agree)")
 	replication := fs.Int("replication", cluster.DefaultReplication, "replica-set size R: owner plus R-1 ring successors hold each key")
-	maxHops := fs.Int("max-hops", 0, "forward TTL (0: 4*idlen + 16)")
-	redirect := fs.Bool("redirect", false, "redirect client misses to the owner instead of proxying")
 	shards := fs.Int("shards", 0, "worker shards per node (0: GOMAXPROCS)")
 	queue := fs.Int("queue", 1024, "admission queue depth (full queue sheds)")
 	cacheSize := fs.Int("cache", 4096, "LRU result-cache capacity in answers (0 disables)")
@@ -103,8 +100,6 @@ func run(args []string, out io.Writer) error {
 		PeerAddr:       *peer,
 		Transport:      serve.TCP{},
 		Replication:    *replication,
-		MaxHops:        *maxHops,
-		Redirect:       *redirect,
 		Seeds:          seedList,
 		Serve:          serveCfg,
 		PeerIOTimeout:  *peerIOTimeout,
@@ -156,20 +151,13 @@ func runStatus(addr string, out io.Writer) error {
 // runProbe is the CI smoke client: it dials one node's query address,
 // issues traced queries across several key-space slices (so some land
 // outside the dialed node's replica set and must ride the fabric),
-// and verifies a full-fidelity answer for each. In redirect mode it
-// follows one redirect per query.
+// and verifies a full-fidelity answer for each.
 func runProbe(addr string, out io.Writer) error {
 	c, err := serve.Dial(addr)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	redirects := make(map[string]*serve.Client)
-	defer func() {
-		for _, rc := range redirects {
-			rc.Close()
-		}
-	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -200,18 +188,6 @@ func runProbe(addr string, out io.Writer) error {
 		resp, err := c.Do(ctx, req)
 		if err != nil {
 			return fmt.Errorf("probe %s→%s: %w", p.src, p.dst, err)
-		}
-		if resp.Status == serve.StatusRedirect {
-			rc, ok := redirects[resp.RedirectAddr]
-			if !ok {
-				if rc, err = serve.Dial(resp.RedirectAddr); err != nil {
-					return fmt.Errorf("probe %s→%s: redirect to %s: %w", p.src, p.dst, resp.RedirectAddr, err)
-				}
-				redirects[resp.RedirectAddr] = rc
-			}
-			if resp, err = rc.Do(ctx, req); err != nil {
-				return fmt.Errorf("probe %s→%s via %s: %w", p.src, p.dst, resp.RedirectAddr, err)
-			}
 		}
 		if resp.Status != serve.StatusOK || resp.Degrade != "" {
 			return fmt.Errorf("probe %s→%s: status %q (shed %q, degrade %q, error %q), want a full-fidelity answer",

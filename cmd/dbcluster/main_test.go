@@ -73,7 +73,7 @@ func startNode(t *testing.T, args ...string) (clientAddr, peerAddr string, out *
 }
 
 // joinNode boots an in-process TCP node joined through seed.
-func joinNode(t *testing.T, id, seed string, redirect bool) *cluster.Node {
+func joinNode(t *testing.T, id, seed string) *cluster.Node {
 	t.Helper()
 	n, err := cluster.New(cluster.Config{
 		ID:          id,
@@ -82,7 +82,6 @@ func joinNode(t *testing.T, id, seed string, redirect bool) *cluster.Node {
 		PeerAddr:    "127.0.0.1:0",
 		Transport:   serve.TCP{},
 		Replication: 1,
-		Redirect:    redirect,
 		Seeds:       []string{seed},
 		Serve:       serve.Config{Shards: 2, QueueDepth: 256, CacheSize: 256, DefaultDeadline: 5 * time.Second},
 	})
@@ -125,9 +124,9 @@ func TestServeProbeStatus(t *testing.T) {
 	// forwarded count) deterministic for the fixed probe pairs.
 	clientAddr, peerAddr, out, stop := startNode(t,
 		"-id", "0000000000", "-idlen", "10", "-replication", "1")
-	n2 := joinNode(t, "0101010101", peerAddr, false)
+	n2 := joinNode(t, "0101010101", peerAddr)
 	defer n2.Close()
-	n3 := joinNode(t, "1100110011", peerAddr, false)
+	n3 := joinNode(t, "1100110011", peerAddr)
 	defer n3.Close()
 	waitMembers(t, 3, peerAddr, n2.PeerAddr(), n3.PeerAddr())
 
@@ -174,27 +173,6 @@ func TestServeProbeStatus(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "leaving cluster") {
 		t.Fatalf("missing leave line:\n%s", out.String())
-	}
-}
-
-// TestProbeFollowsRedirect pins the probe's redirect handling against
-// a redirect-mode cluster.
-func TestProbeFollowsRedirect(t *testing.T) {
-	clientAddr, peerAddr, _, stop := startNode(t,
-		"-id", "0000000000", "-idlen", "10", "-replication", "1", "-redirect")
-	defer stop()
-	n2 := joinNode(t, "0101010101", peerAddr, true)
-	defer n2.Close()
-	n3 := joinNode(t, "1100110011", peerAddr, true)
-	defer n3.Close()
-	waitMembers(t, 3, peerAddr, n2.PeerAddr(), n3.PeerAddr())
-
-	var probeOut strings.Builder
-	if err := run([]string{"-probe", clientAddr}, &probeOut); err != nil {
-		t.Fatalf("probe: %v\n%s", err, probeOut.String())
-	}
-	if !strings.Contains(probeOut.String(), "probe complete: 8/8 ok") {
-		t.Fatalf("probe output:\n%s", probeOut.String())
 	}
 }
 

@@ -16,8 +16,8 @@
 // Link failures can be injected at startup with repeated -fail-link
 // flags ("d:srcword:dstword"); route answers then carry arborescence
 // detour paths around the failed links, labelled degrade="detour" on
-// the wire. -degrade-detour tunes the queue-fill fraction where the
-// detour rung engages on its own.
+// the wire. The detour rung also engages on its own at 60% queue
+// fill.
 //
 // With -trace-sample N, one request in N records a full span trace
 // (admission, queue wait, cache, kernel, response write) served on
@@ -71,7 +71,6 @@ func run(args []string, out io.Writer) error {
 	traceSeed := fs.Uint64("trace-seed", 1, "seed of the deterministic trace sampler")
 	traceBuffer := fs.Int("trace-buffer", 256, "sampled traces retained for /debug/traces")
 	flightSize := fs.Int("flight-size", 0, "flight-recorder ring capacity in events (0 disables)")
-	degradeDetour := fs.Float64("degrade-detour", 0, "queue-fill fraction that degrades routes to detour paths (0: default 0.60)")
 	var failLinks failLinkFlags
 	fs.Var(&failLinks, "fail-link", "fail the link d:srcword:dstword (repeatable); route answers detour around failed links")
 	selfcheck := fs.Bool("selfcheck", false, "run an in-process load sweep instead of listening")
@@ -115,7 +114,6 @@ func run(args []string, out io.Writer) error {
 		TraceSeed:       *traceSeed,
 		TraceBufferSize: *traceBuffer,
 		FlightSize:      *flightSize,
-		DegradeDetour:   *degradeDetour,
 		Faults:          faults,
 	})
 	defer srv.Close()

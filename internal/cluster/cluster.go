@@ -7,12 +7,11 @@
 // hops), one dht.Ring.Step per real hop. The system that serves
 // queries about de Bruijn routing is itself routed by it.
 //
-// Any node answers any query: a node that does not hold a key either
-// proxies the query hop-by-hop toward the owner (default) or
-// redirects the client to it. Forwards ride the ordinary client wire
-// protocol with a resumable ForwardState attached, so every hop is a
-// plain admitted request and the serve conservation identity extends
-// cluster-wide:
+// Any node answers any query: a node that does not hold a key proxies
+// the query hop-by-hop toward the owner. Forwards ride the ordinary
+// client wire protocol with a resumable ForwardState attached, so every
+// hop is a plain admitted request and the serve conservation identity
+// extends cluster-wide:
 //
 //	Σ sent = Σ answered + Σ degraded + Σ shed + Σ forwarded
 //
@@ -48,6 +47,15 @@ const (
 	DefaultReplication = 2
 )
 
+// joinTimeout bounds each control-plane RPC a node makes: a join
+// attempt, a membership push or gossip exchange, a leave broadcast.
+const joinTimeout = 5 * time.Second
+
+// maxHops is the forward TTL of a walk started on DG(d, idLen): a node
+// receiving an exhausted budget answers locally. It sits comfortably
+// above the Koorde walk's own guard for any sane node count.
+func maxHops(idLen int) int { return 4*idLen + 16 }
+
 // Config describes one cluster node.
 type Config struct {
 	// ID is the node's identifier in the DG(IDBase, IDLen) space, as
@@ -69,15 +77,6 @@ type Config struct {
 	// owner plus the R-1 following ring nodes, any of which answers
 	// without forwarding. Default 2.
 	Replication int
-	// MaxHops bounds a forward chain (TTL); a node receiving an
-	// exhausted budget answers locally. Default 4*IDLen + 16,
-	// comfortably above the Koorde walk's guard for sane N.
-	MaxHops int
-	// Redirect switches miss handling from proxying to redirecting:
-	// the client gets StatusRedirect naming the owner's ClientAddr
-	// instead of a proxied answer. Forwarded-in requests are always
-	// proxied; only client-fresh misses redirect.
-	Redirect bool
 	// Seeds are peer addresses of existing members to join through
 	// (tried in order). Empty boots a standalone single-node cluster.
 	Seeds []string
@@ -85,8 +84,6 @@ type Config struct {
 	// is owned by the cluster and must be nil; its Registry, when
 	// set, also receives the cluster metrics.
 	Serve serve.Config
-	// JoinTimeout bounds each join attempt (default 5s).
-	JoinTimeout time.Duration
 	// PeerIOTimeout bounds every control-plane frame read/write in
 	// handlePeer and every data-plane forward frame write (via the
 	// pooled peer clients' write timeout). Without it, a peer that
@@ -147,12 +144,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.Replication < 1 {
 		return cfg, fmt.Errorf("cluster: Replication %d < 1", cfg.Replication)
-	}
-	if cfg.MaxHops == 0 {
-		cfg.MaxHops = 4*cfg.IDLen + 16
-	}
-	if cfg.JoinTimeout <= 0 {
-		cfg.JoinTimeout = 5 * time.Second
 	}
 	if cfg.PeerIOTimeout == 0 {
 		cfg.PeerIOTimeout = 10 * time.Second

@@ -264,54 +264,80 @@ func TestClusterDeadlinePropagation(t *testing.T) {
 	}
 }
 
-// TestClusterRedirect covers redirect mode: a miss names the owner
-// instead of proxying, and the named node answers first-hand.
-func TestClusterRedirect(t *testing.T) {
-	h := testHarness(t, HarnessConfig{Nodes: 3, Seed: 5, IDLen: 8, Replication: 1, Redirect: true})
+// TestForwardStopsWhereItLands pins the walk's two stop signals on
+// the receiving side: a forward frame whose hop budget is spent (TTL 0)
+// or that marks the final hop is answered by the node it lands on, even
+// one that holds no replica of its key and would otherwise step the
+// walk on. The same frame with a live budget is forwarded, so the stop
+// signal alone decides.
+func TestForwardStopsWhereItLands(t *testing.T) {
+	h := testHarness(t, HarnessConfig{Nodes: 3, Seed: 3, IDLen: 8, Replication: 1})
+	n0 := h.Node(0)
 	cc, err := h.Client(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cc.Close()
 
-	ctx := context.Background()
-	redirected := 0
-	for _, pair := range allPairs(t)[:200] {
-		req := serve.DistanceRequest(pair[0], pair[1], serve.Undirected)
-		resp, err := cc.Do(ctx, req)
+	// A query whose walk, resumed at node 0, steps on to a peer.
+	var req serve.Request
+	var fwd serve.ForwardState
+	for _, pair := range allPairs(t) {
+		r := serve.DistanceRequest(pair[0], pair[1], serve.Undirected)
+		q, err := serve.ParseQuery(r)
 		if err != nil {
-			t.Fatalf("Do: %v", err)
+			t.Fatal(err)
 		}
-		if resp.Status != serve.StatusRedirect {
-			continue
-		}
-		redirected++
-		if resp.RedirectAddr == "" {
-			t.Fatal("redirect without an address")
-		}
-		rc, err := serve.DialTransport(h.Transport, resp.RedirectAddr)
+		key, err := n0.placementKey(q)
 		if err != nil {
-			t.Fatalf("dial redirect target: %v", err)
+			t.Fatal(err)
 		}
-		resp2, err := rc.Do(ctx, req)
-		rc.Close()
-		if err != nil {
-			t.Fatalf("redirected Do: %v", err)
+		n0.mu.Lock()
+		holds := n0.holdsLocked(key)
+		st, err := n0.ring.StartWalkOptimized(n0.self, key)
+		stepsOn := false
+		if err == nil {
+			sr, serr := n0.ring.Step(n0.self, st)
+			stepsOn = serr == nil && sr.Next != nil && sr.Next != n0.self
 		}
-		if resp2.Status != serve.StatusOK {
-			t.Fatalf("redirect target answered %q (%+v)", resp2.Status, resp2)
+		n0.mu.Unlock()
+		if !holds && stepsOn {
+			req = r
+			fwd = serve.ForwardState{Origin: "test", Key: key.String(), Imag: st.Imaginary.String(), Remaining: st.Remaining, Hops: 1}
+			break
 		}
 	}
-	if redirected == 0 {
-		t.Fatal("no query redirected; mode untested")
+	if req.Kind == "" {
+		t.Fatal("no query walks on from node 0; cannot exercise the stop signals")
 	}
-	c := h.Counts()
-	if !c.Conserved() {
-		t.Fatalf("conservation violated: %+v", c)
-	}
-	// Redirects never ride the fabric, so nothing was forwarded in.
-	if c.ForwardedIn != 0 {
-		t.Fatalf("redirect mode admitted %d forwards", c.ForwardedIn)
+
+	for _, tc := range []struct {
+		name      string
+		ttl       int
+		final     bool
+		forwarded int64
+	}{
+		{"ttl spent", 0, false, 0},
+		{"final hop", maxHops(8), true, 0},
+		{"live budget", maxHops(8), false, 1},
+	} {
+		before := n0.Counts()
+		r := req
+		f := fwd
+		f.TTL, f.Final = tc.ttl, tc.final
+		r.Fwd = &f
+		resp, err := cc.Do(context.Background(), r)
+		if err != nil || resp.Status != serve.StatusOK {
+			t.Fatalf("%s: resp = %+v, %v", tc.name, resp, err)
+		}
+		after := n0.Counts()
+		answered := after.Answered - before.Answered
+		forwardedIn := after.ForwardedIn - before.ForwardedIn
+		forwarded := after.Forwarded - before.Forwarded
+		if forwardedIn != 1 || forwarded != tc.forwarded || answered != 1-tc.forwarded {
+			t.Errorf("%s: node 0 answered +%d, forwarded_in +%d, forwarded +%d; want +%d, +1, +%d",
+				tc.name, answered, forwardedIn, forwarded, 1-tc.forwarded, tc.forwarded)
+		}
 	}
 }
 

@@ -75,7 +75,7 @@ func (f *forwarder) Forward(ctx context.Context, req serve.Request, qs []serve.Q
 
 	var st dht.WalkState
 	var origin string
-	hops, ttl := 0, n.cfg.MaxHops
+	hops, ttl := 0, maxHops(n.cfg.IDLen)
 	if fwd := req.Fwd; fwd != nil {
 		// A mid-walk arrival: resume the state from the wire.
 		hops, ttl = fwd.Hops, fwd.TTL
@@ -108,25 +108,6 @@ func (f *forwarder) Forward(ctx context.Context, req serve.Request, qs []serve.Q
 		if n.closed || n.holdsLocked(key) {
 			n.mu.Unlock()
 			return serve.Response{}, serve.ForwardLocal
-		}
-		if n.cfg.Redirect {
-			// Redirect mode: name the owner and let the client go
-			// there itself. The owner is known from the membership
-			// view — redirects skip the walk entirely.
-			owner, oerr := n.ring.Owner(key)
-			var addr string
-			if oerr == nil {
-				if m, ok := n.mem.find(owner.ID().String()); ok {
-					addr = m.ClientAddr
-				}
-			}
-			n.mu.Unlock()
-			if addr == "" {
-				return serve.Response{}, serve.ForwardLocal
-			}
-			n.m.redirects.Inc()
-			n.m.forwarded.Inc()
-			return serve.Response{Status: serve.StatusRedirect, RedirectAddr: addr}, serve.ForwardRedirected
 		}
 		wst, werr := n.ring.StartWalkOptimized(n.self, key)
 		n.mu.Unlock()

@@ -41,10 +41,8 @@ type HarnessConfig struct {
 	// IDBase/IDLen default to the cluster defaults; small tests use a
 	// small space.
 	IDBase, IDLen int
-	// Replication, MaxHops, Redirect pass through to every node.
+	// Replication passes through to every node.
 	Replication int
-	MaxHops     int
-	Redirect    bool
 	// Serve is the per-node server config template. Registry must be
 	// nil: each node gets its own registry so per-node metrics stay
 	// separable.
@@ -128,8 +126,6 @@ func (h *Harness) Join() (int, error) {
 		PeerAddr:       fmt.Sprintf("peer-%d", i),
 		Transport:      h.link(),
 		Replication:    h.cfg.Replication,
-		MaxHops:        h.cfg.MaxHops,
-		Redirect:       h.cfg.Redirect,
 		Seeds:          seeds,
 		Serve:          scfg,
 		PeerIOTimeout:  h.cfg.PeerIOTimeout,

@@ -6,9 +6,9 @@ import "repro/internal/obs"
 // Config.Serve.Registry alongside the node's serve metrics, so one
 // /metrics scrape shows both layers.
 const (
-	// metricForwarded counts queries this node resolved via a peer
-	// (proxied or redirected) — the cluster-layer view of the serve
-	// forwarded outcome.
+	// metricForwarded counts queries this node proxied to a peer and
+	// answered with the peer's reply — the cluster-layer view of the
+	// serve forwarded outcome.
 	metricForwarded = "dn_cluster_forwarded_total"
 	// metricForwardHops is the inter-node hop count of forwarded
 	// queries, observed at the node that finally answers. Its mean is
@@ -17,8 +17,6 @@ const (
 	// metricFallback counts forwards that failed (peer dead, link
 	// severed, walk stuck) and were answered by local compute instead.
 	metricFallback = "dn_cluster_fallback_local_total"
-	// metricRedirects counts redirect responses issued (Redirect mode).
-	metricRedirects = "dn_cluster_redirects_total"
 	// metricFwdDeadline counts forwards abandoned because the request
 	// deadline expired mid-flight (the origin sheds reason deadline).
 	metricFwdDeadline = "dn_cluster_forward_deadline_total"
@@ -36,7 +34,6 @@ type clusterMetrics struct {
 	forwarded   *obs.Counter
 	forwardHops *obs.Histogram
 	fallback    *obs.Counter
-	redirects   *obs.Counter
 	fwdDeadline *obs.Counter
 	joins       *obs.Counter
 	leaves      *obs.Counter
@@ -50,7 +47,6 @@ func newClusterMetrics(reg *obs.Registry) clusterMetrics {
 		forwarded:   reg.Counter(metricForwarded),
 		forwardHops: reg.Histogram(metricForwardHops, obs.HopBuckets),
 		fallback:    reg.Counter(metricFallback),
-		redirects:   reg.Counter(metricRedirects),
 		fwdDeadline: reg.Counter(metricFwdDeadline),
 		joins:       reg.Counter(metricJoins),
 		leaves:      reg.Counter(metricLeaves),

@@ -162,7 +162,7 @@ func (n *Node) joinVia(seed string, self Member) (Membership, error) {
 // per-RPC connections keep the failure model trivial: any dead peer
 // fails the dial.
 func (n *Node) peerRPC(addr string, env envelope) (envelope, error) {
-	return rpcOverTransport(n.cfg.Transport, addr, n.cfg.JoinTimeout, env)
+	return rpcOverTransport(n.cfg.Transport, addr, joinTimeout, env)
 }
 
 // rpcOverTransport is one envelope exchange against a control listener

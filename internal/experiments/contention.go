@@ -21,7 +21,7 @@ type LatencyRow struct {
 // policy on the bi-directional DN(d,k) with unit link capacity.
 func Latency(d, k int, batches []int, seed int64) ([]LatencyRow, error) {
 	var rows []LatencyRow
-	for _, p := range []network.ContentionPolicy{network.PlanFirst{}, network.PlanRandom{}, network.PlanLeastLoaded{}} {
+	for _, p := range []network.Policy{network.PolicyFirst{}, network.PolicyRandom{}, network.PolicyLeastLoaded{}} {
 		for _, batch := range batches {
 			c, err := network.NewContention(network.ContentionConfig{D: d, K: k, Policy: p, Seed: seed})
 			if err != nil {

@@ -31,62 +31,12 @@ type ContentionConfig struct {
 	// Policy resolves wildcard hops at injection time (routes are
 	// fixed before queueing); PolicyFirst when nil. PolicyLeastLoaded
 	// balances against the *planned* load of already-routed messages.
-	Policy ContentionPolicy
+	Policy Policy
 	// Seed drives random policies and workload draws.
 	Seed int64
 	// MaxRounds aborts pathological runs; defaults to 64·k + #messages.
 	MaxRounds int
 }
-
-// ContentionPolicy resolves a wildcard hop during route planning.
-type ContentionPolicy interface {
-	// Choose picks the digit for wildcard hop h at site cur, given the
-	// planned per-link loads so far.
-	Choose(sim *Contention, cur word.Word, h core.Hop) byte
-	// Name identifies the policy in output.
-	Name() string
-}
-
-// PlanFirst resolves every wildcard to digit 0.
-type PlanFirst struct{}
-
-// Choose implements ContentionPolicy.
-func (PlanFirst) Choose(*Contention, word.Word, core.Hop) byte { return 0 }
-
-// Name implements ContentionPolicy.
-func (PlanFirst) Name() string { return "first" }
-
-// PlanRandom resolves wildcards uniformly at random.
-type PlanRandom struct{}
-
-// Choose implements ContentionPolicy.
-func (PlanRandom) Choose(sim *Contention, _ word.Word, _ core.Hop) byte {
-	return byte(sim.rng.Intn(sim.cfg.D))
-}
-
-// Name implements ContentionPolicy.
-func (PlanRandom) Name() string { return "random" }
-
-// PlanLeastLoaded resolves each wildcard toward the link with the
-// least planned traffic.
-type PlanLeastLoaded struct{}
-
-// Choose implements ContentionPolicy.
-func (PlanLeastLoaded) Choose(sim *Contention, cur word.Word, h core.Hop) byte {
-	curV := graph.DeBruijnVertex(cur)
-	best := byte(0)
-	bestLoad := int32(-1)
-	for b := 0; b < sim.cfg.D; b++ {
-		load := sim.planned[sim.ls.id(curV, sim.ls.shift(curV, h.Type, byte(b)))]
-		if bestLoad < 0 || load < bestLoad {
-			best, bestLoad = byte(b), load
-		}
-	}
-	return best
-}
-
-// Name implements ContentionPolicy.
-func (PlanLeastLoaded) Name() string { return "least-loaded" }
 
 // Contention is the batch store-and-forward simulator.
 type Contention struct {
@@ -111,7 +61,7 @@ func NewContention(cfg ContentionConfig) (*Contention, error) {
 		return nil, fmt.Errorf("network: link capacity %d must be positive", cfg.LinkCapacity)
 	}
 	if cfg.Policy == nil {
-		cfg.Policy = PlanFirst{}
+		cfg.Policy = PolicyFirst{}
 	}
 	return &Contention{
 		cfg:     cfg,

@@ -87,7 +87,7 @@ func TestContentionSerializesSharedLink(t *testing.T) {
 
 func TestContentionDeterministic(t *testing.T) {
 	run := func() ContentionResult {
-		c, err := NewContention(ContentionConfig{D: 2, K: 6, Seed: 5, Policy: PlanRandom{}})
+		c, err := NewContention(ContentionConfig{D: 2, K: 6, Seed: 5, Policy: PolicyRandom{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestContentionBalancedPolicyHelpsUnderLoad(t *testing.T) {
 	// With heavy uniform load, planning wildcards least-loaded must
 	// not be worse than always-first on planned max link load, and
 	// should improve mean latency.
-	run := func(p ContentionPolicy) (int, float64) {
+	run := func(p Policy) (int, float64) {
 		c, err := NewContention(ContentionConfig{D: 2, K: 6, Seed: 11, Policy: p})
 		if err != nil {
 			t.Fatal(err)
@@ -145,8 +145,8 @@ func TestContentionBalancedPolicyHelpsUnderLoad(t *testing.T) {
 		}
 		return plannedMax, res.MeanLatency
 	}
-	firstMax, firstLatency := run(PlanFirst{})
-	llMax, llLatency := run(PlanLeastLoaded{})
+	firstMax, firstLatency := run(PolicyFirst{})
+	llMax, llLatency := run(PolicyLeastLoaded{})
 	if llMax > firstMax {
 		t.Errorf("least-loaded planned max %d above first %d", llMax, firstMax)
 	}

@@ -20,20 +20,20 @@ func TestContentionRunPinned(t *testing.T) {
 		d, k           int
 		unidirectional bool
 		capacity       int
-		policy         ContentionPolicy
+		policy         Policy
 		seed           int64
 		uniform        int
 		pairs          [][2]string
 		planned        int
 		want           ContentionResult
 	}{
-		{"first-cap1", 2, 6, false, 1, PlanFirst{}, 1, 400, nil, 14, ContentionResult{Messages: 400, Rounds: 15, MeanLatency: 6.605, P95Latency: 12, MaxLatency: 15, MeanSlowdown: 1.9249583333333333, MaxQueue: 8}},
-		{"random-cap2", 2, 6, false, 2, PlanRandom{}, 7, 400, nil, 17, ContentionResult{Messages: 400, Rounds: 9, MeanLatency: 4.28, P95Latency: 7, MaxLatency: 9, MeanSlowdown: 1.273625000000001, MaxQueue: 8}},
-		{"least-loaded-cap1", 2, 6, false, 1, PlanLeastLoaded{}, 3, 1000, nil, 29, ContentionResult{Messages: 1000, Rounds: 30, MeanLatency: 12.216, P95Latency: 22, MaxLatency: 30, MeanSlowdown: 3.507066666666669, MaxQueue: 16}},
-		{"least-loaded-d3", 3, 4, false, 1, PlanLeastLoaded{}, 5, 600, nil, 10, ContentionResult{Messages: 600, Rounds: 12, MeanLatency: 4.4783333333333335, P95Latency: 8, MaxLatency: 12, MeanSlowdown: 1.613611111111108, MaxQueue: 6}},
-		{"uni-first-cap1", 2, 5, true, 1, PlanFirst{}, 2, 300, nil, 34, ContentionResult{Messages: 300, Rounds: 34, MeanLatency: 12.783333333333333, P95Latency: 25, MaxLatency: 34, MeanSlowdown: 3.735888888888888, MaxQueue: 14}},
-		{"uni-least-loaded-cap2", 3, 4, true, 2, PlanLeastLoaded{}, 4, 500, nil, 16, ContentionResult{Messages: 500, Rounds: 9, MeanLatency: 4.612, P95Latency: 7, MaxLatency: 9, MeanSlowdown: 1.378000000000002, MaxQueue: 8}},
-		{"constant-words", 2, 4, false, 1, PlanLeastLoaded{}, 9, 60, [][2]string{
+		{"first-cap1", 2, 6, false, 1, PolicyFirst{}, 1, 400, nil, 14, ContentionResult{Messages: 400, Rounds: 15, MeanLatency: 6.605, P95Latency: 12, MaxLatency: 15, MeanSlowdown: 1.9249583333333333, MaxQueue: 8}},
+		{"random-cap2", 2, 6, false, 2, PolicyRandom{}, 7, 400, nil, 17, ContentionResult{Messages: 400, Rounds: 9, MeanLatency: 4.28, P95Latency: 7, MaxLatency: 9, MeanSlowdown: 1.273625000000001, MaxQueue: 8}},
+		{"least-loaded-cap1", 2, 6, false, 1, PolicyLeastLoaded{}, 3, 1000, nil, 29, ContentionResult{Messages: 1000, Rounds: 30, MeanLatency: 12.216, P95Latency: 22, MaxLatency: 30, MeanSlowdown: 3.507066666666669, MaxQueue: 16}},
+		{"least-loaded-d3", 3, 4, false, 1, PolicyLeastLoaded{}, 5, 600, nil, 10, ContentionResult{Messages: 600, Rounds: 12, MeanLatency: 4.4783333333333335, P95Latency: 8, MaxLatency: 12, MeanSlowdown: 1.613611111111108, MaxQueue: 6}},
+		{"uni-first-cap1", 2, 5, true, 1, PolicyFirst{}, 2, 300, nil, 34, ContentionResult{Messages: 300, Rounds: 34, MeanLatency: 12.783333333333333, P95Latency: 25, MaxLatency: 34, MeanSlowdown: 3.735888888888888, MaxQueue: 14}},
+		{"uni-least-loaded-cap2", 3, 4, true, 2, PolicyLeastLoaded{}, 4, 500, nil, 16, ContentionResult{Messages: 500, Rounds: 9, MeanLatency: 4.612, P95Latency: 7, MaxLatency: 9, MeanSlowdown: 1.378000000000002, MaxQueue: 8}},
+		{"constant-words", 2, 4, false, 1, PolicyLeastLoaded{}, 9, 60, [][2]string{
 			{"0000", "1111"}, {"1111", "0000"}, {"0000", "0101"}, {"0101", "0000"},
 			{"1000", "0001"}, {"0001", "1000"}, {"1110", "0111"}, {"0000", "0000"},
 		}, 7, ContentionResult{Messages: 68, Rounds: 9, MeanLatency: 3.1029411764705883, P95Latency: 7, MaxLatency: 9, MeanSlowdown: 1.4975490196078436, MaxQueue: 6}},

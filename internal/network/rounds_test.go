@@ -52,7 +52,7 @@ func TestLinkSpace(t *testing.T) {
 // allocations: once the scratch has grown to the batch, stepping it
 // through to delivery reuses every buffer.
 func TestLinkRoundsStepAllocs(t *testing.T) {
-	c, err := NewContention(ContentionConfig{D: 2, K: 6, Policy: PlanRandom{}, Seed: 5})
+	c, err := NewContention(ContentionConfig{D: 2, K: 6, Policy: PolicyRandom{}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,14 +38,6 @@ type Config struct {
 	// its queued tasks shed (reason canceled), conservation intact.
 	// Default 30s; negative disables.
 	WriteTimeout time.Duration
-	// DegradeDetour and DegradeHigh are admission-queue fill
-	// fractions (measured when a worker dequeues): at or above Detour,
-	// undirected route queries answer with the fault-aware detour path
-	// instead of the optimal path; at or above High, route queries
-	// degrade to distance-only. At or above degradeCritical (0.90)
-	// every query degrades to layer bounds. Defaults 0.60 and 0.75.
-	DegradeDetour float64
-	DegradeHigh   float64
 	// Faults is the failed-link set detour answers route around
 	// (shared across shards; mutate it live via FailLink/RepairLink).
 	// Nil is valid — the detour rung still serves tree paths.
@@ -70,7 +62,7 @@ type Config struct {
 	MonitorInterval time.Duration
 	// Forwarder, when non-nil, is consulted by each worker after the
 	// shed checks and before local compute. It may resolve the
-	// request remotely (outcome "forwarded"), redirect it, or decline
+	// request with a peer's answer (outcome "forwarded") or decline
 	// (local compute proceeds). This is the hook internal/cluster
 	// plugs the de Bruijn fabric into; a nil Forwarder is the
 	// single-node server with unchanged behavior.
@@ -84,9 +76,8 @@ type Config struct {
 type Forwarder interface {
 	// Forward may resolve req (whose scalar queries are qs — one
 	// element unless the request is a batch) remotely. The returned
-	// verdict selects the outcome; for ForwardProxied and
-	// ForwardRedirected, resp is sent to the client after the server
-	// restamps its ID and trace id. req.TraceID carries the resolved
+	// verdict selects the outcome; for ForwardProxied, resp is sent to
+	// the client after the server restamps its ID and trace id. req.TraceID carries the resolved
 	// trace id, and tr (non-nil only for sampled requests) receives
 	// the forward span.
 	Forward(ctx context.Context, req Request, qs []Query, deadline time.Time, tr *obs.ReqTrace) (resp Response, verdict ForwardVerdict)
@@ -98,13 +89,9 @@ type ForwardVerdict uint8
 const (
 	// ForwardLocal declines: the request is answered on this node.
 	ForwardLocal ForwardVerdict = iota
-	// ForwardProxied resolves the request with a peer's response;
-	// the outcome is "forwarded".
+	// ForwardProxied resolves the request with the response a peer
+	// proxied back; the outcome is "forwarded".
 	ForwardProxied
-	// ForwardRedirected resolves the request with a redirect
-	// response naming the owner; counted as "forwarded" too (the
-	// query left this node unanswered, deliberately).
-	ForwardRedirected
 	// ForwardDeadline reports the deadline expired mid-forward; the
 	// request is shed with reason deadline.
 	ForwardDeadline
@@ -125,7 +112,7 @@ type Counts struct {
 	Answered     int64 // full-fidelity answers (cache hits included)
 	Degraded     int64 // answered below full fidelity (detour, distance, bounds)
 	Shed         int64 // sum over ShedByReason
-	Forwarded    int64 // resolved by a cluster peer (proxied or redirected)
+	Forwarded    int64 // answered by a cluster peer and proxied back
 	ShedByReason map[string]int64
 
 	ForwardedIn int64 // admissions carrying forward state (subset of Sent)
@@ -212,12 +199,6 @@ func NewServer(cfg Config) *Server {
 	}
 	if cfg.WriteTimeout == 0 {
 		cfg.WriteTimeout = 30 * time.Second
-	}
-	if cfg.DegradeDetour <= 0 {
-		cfg.DegradeDetour = 0.60
-	}
-	if cfg.DegradeHigh <= 0 {
-		cfg.DegradeHigh = 0.75
 	}
 	if cfg.TraceBufferSize < 1 {
 		cfg.TraceBufferSize = 256
@@ -695,10 +676,17 @@ func (s *Server) worker() {
 	}
 }
 
-// degradeCritical is the queue fill at or above which every query
-// degrades to layer bounds (above Config.DegradeHigh and
-// Config.DegradeDetour).
-const degradeCritical = 0.90
+// The degrade ladder's admission-queue fill thresholds, measured when
+// a worker dequeues: at or above degradeDetour, undirected route
+// queries answer with the fault-aware detour path instead of the
+// optimal path; at or above degradeHigh, route queries degrade to
+// distance-only; at or above degradeCritical, every query degrades to
+// the layer bounds D ∈ [1, k].
+const (
+	degradeDetour   = 0.60
+	degradeHigh     = 0.75
+	degradeCritical = 0.90
+)
 
 // degradeLevel maps the instantaneous queue fill to a ladder rung.
 func (s *Server) degradeLevel() Level {
@@ -706,9 +694,9 @@ func (s *Server) degradeLevel() Level {
 	switch {
 	case fill >= degradeCritical:
 		return LevelBounds
-	case fill >= s.cfg.DegradeHigh:
+	case fill >= degradeHigh:
 		return LevelDistance
-	case fill >= s.cfg.DegradeDetour:
+	case fill >= degradeDetour:
 		return LevelDetour
 	default:
 		return LevelFull
@@ -759,7 +747,7 @@ func (s *Server) forwardTask(t *task) bool {
 	resp, verdict := fw.Forward(ctx, req, qs, t.deadline, t.tr)
 	cancel()
 	switch verdict {
-	case ForwardProxied, ForwardRedirected:
+	case ForwardProxied:
 		s.forwarded.Add(1)
 		s.m.forwarded.Inc()
 		t.tr.SetOutcome("forwarded")

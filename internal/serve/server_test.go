@@ -336,16 +336,16 @@ func TestCanceledShed(t *testing.T) {
 	}
 }
 
-// TestDegradeLadder drives the queue through both thresholds and
+// TestDegradeLadder drives the queue down through every threshold and
 // checks responses visibly degrade — the first dequeue at fill 0.9
-// answers layer bounds, the next rungs distance-only, the drained tail
-// full fidelity — and that degraded outcomes are counted.
+// answers layer bounds, the next distance-only, the next two detour
+// paths, the drained tail full fidelity — and that degraded outcomes
+// are counted.
 func TestDegradeLadder(t *testing.T) {
 	g := newStallGate()
 	s := newTestServer(t, Config{
-		Shards:      1,
-		QueueDepth:  10,
-		DegradeHigh: 0.5,
+		Shards:     1,
+		QueueDepth: 10,
 	})
 	s.workerHook = g.hook
 	defer g.open()
@@ -358,9 +358,9 @@ func TestDegradeLadder(t *testing.T) {
 	blocked := sendBlocker(t, c, g)
 
 	// Queue 9 route queries behind the parked blocker. The blocker is
-	// answered first, at fill 9/10 ≥ 0.9: bounds. Each later dequeue
-	// sees the queue one shorter — fills 8..5 (≥ 0.5): distance-only;
-	// fills 4..0: full.
+	// answered first, at fill 9/10 ≥ 0.90: bounds. Each later dequeue
+	// sees the queue one shorter — fill 8 (≥ 0.75): distance-only;
+	// fills 7 and 6 (≥ 0.60): detour; fills 5..0: full.
 	src := mustWord(t, 2, "011010")
 	dst := mustWord(t, 2, "110100")
 	const n = 9
@@ -397,6 +397,10 @@ func TestDegradeLadder(t *testing.T) {
 			if resp.Path != nil || resp.Distance != wantDist {
 				t.Fatalf("distance-only resp %d = %+v", i, resp)
 			}
+		case "detour":
+			if resp.Distance != wantDist || len(resp.Path) < wantDist {
+				t.Fatalf("detour resp %d = %+v", i, resp)
+			}
 		case "":
 			if len(resp.Path) != wantDist {
 				t.Fatalf("full resp %d = %+v", i, resp)
@@ -405,12 +409,12 @@ func TestDegradeLadder(t *testing.T) {
 			t.Fatalf("resp %d unexpectedly at rung %q", i, resp.Degrade)
 		}
 	}
-	if byDegrade["distance"] != 4 || byDegrade[""] != 5 {
-		t.Fatalf("degrade mix = %v, want 4 distance-only and 5 full", byDegrade)
+	if byDegrade["distance"] != 1 || byDegrade["detour"] != 2 || byDegrade[""] != 6 {
+		t.Fatalf("degrade mix = %v, want 1 distance-only, 2 detour and 6 full", byDegrade)
 	}
 	counts := s.Counts()
-	if counts.Degraded != 5 || !counts.Conserved() { // blocker + 4 distance-only
-		t.Fatalf("counts = %+v, want Degraded 5", counts)
+	if counts.Degraded != 4 || !counts.Conserved() { // blocker + 1 distance-only + 2 detour
+		t.Fatalf("counts = %+v, want Degraded 4", counts)
 	}
 }
 

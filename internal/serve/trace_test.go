@@ -360,7 +360,6 @@ func TestDegradedTraceOutcome(t *testing.T) {
 	s := newTestServer(t, Config{
 		Shards:      1,
 		QueueDepth:  10,
-		DegradeHigh: 0.5,
 		TraceSample: 1,
 		Registry:    obs.NewRegistry(),
 	})
@@ -394,14 +393,15 @@ func TestDegradedTraceOutcome(t *testing.T) {
 		t.Fatalf("blocker = %+v (ok=%v), want bounds", resp, ok)
 	}
 
-	// blocker at fill 0.9 → degraded:bounds; next four → degraded:distance.
+	// blocker at fill 0.9 → degraded:bounds; next → degraded:distance;
+	// next two → degraded:detour.
 	waitFor(t, func() bool { return s.Traces().Total() >= 10 })
 	outcomes := map[string]int{}
 	for _, tr := range s.Traces().Recent() {
 		outcomes[tr.Outcome]++
 	}
-	if outcomes["degraded:bounds"] != 1 || outcomes["degraded:distance"] != 4 || outcomes["answered"] != 5 {
-		t.Fatalf("trace outcomes = %v, want 1 bounds / 4 distance / 5 answered", outcomes)
+	if outcomes["degraded:bounds"] != 1 || outcomes["degraded:distance"] != 1 || outcomes["degraded:detour"] != 2 || outcomes["answered"] != 6 {
+		t.Fatalf("trace outcomes = %v, want 1 bounds / 1 distance / 2 detour / 6 answered", outcomes)
 	}
 	// The bounds trace recorded the O(1) bounds kernel, not a routing one.
 	for _, tr := range s.Traces().Recent() {

@@ -102,11 +102,6 @@ const (
 	StatusOK    = "ok"    // answered, possibly degraded (see Degrade)
 	StatusShed  = "shed"  // load-shed; ShedReason says why
 	StatusError = "error" // invalid request; Error says why
-	// StatusRedirect is the cluster's redirect mode: the query was
-	// not answered here; RedirectAddr names the node that owns it.
-	// Proxying is the default, so plain PR 5 clients never see this
-	// status unless the cluster was explicitly configured for it.
-	StatusRedirect = "redirect"
 )
 
 // Response is one server answer frame. Status "ok" fills the payload
@@ -137,9 +132,6 @@ type Response struct {
 	ShedReason string     `json:"shed_reason,omitempty"`
 	Error      string     `json:"error,omitempty"`
 	Batch      []Response `json:"batch,omitempty"`
-	// RedirectAddr is the owning node's client address
-	// (StatusRedirect only).
-	RedirectAddr string `json:"redirect_addr,omitempty"`
 	// TraceID echoes the request's trace context (derived or supplied),
 	// present whenever the server resolved one.
 	TraceID obs.TraceID `json:"trace_id,omitempty"`
@@ -602,7 +594,6 @@ func appendResponse(b []byte, r *Response) []byte {
 		}
 		b = append(b, ']')
 	}
-	b = appendStringField(b, `,"redirect_addr":`, r.RedirectAddr)
 	b = appendTraceID(b, r.TraceID)
 	return append(b, '}')
 }
@@ -1454,7 +1445,7 @@ func (d *decoder) forward(p **ForwardState) error {
 	})
 }
 
-var responseFields = []string{"id", "status", "degrade", "cached", "distance", "path", "anchor", "next_hop", "done", "bounds", "shed_reason", "error", "batch", "redirect_addr", "trace_id"}
+var responseFields = []string{"id", "status", "degrade", "cached", "distance", "path", "anchor", "next_hop", "done", "bounds", "shed_reason", "error", "batch", "trace_id"}
 
 // response decodes a Response object (or null) into r.
 func (d *decoder) response(r *Response) error {
@@ -1492,8 +1483,6 @@ func (d *decoder) response(r *Response) error {
 		case "batch":
 			r.Batch, err = decodeSlice(d, r.Batch)
 			return err
-		case "redirect_addr":
-			return d.string(&r.RedirectAddr)
 		case "trace_id":
 			return d.traceID(&r.TraceID)
 		}
@@ -1586,8 +1575,6 @@ func intern(raw []byte) string {
 		return StatusShed
 	case StatusError:
 		return StatusError
-	case StatusRedirect:
-		return StatusRedirect
 	case "detour":
 		return "detour"
 	case "bounds":
