@@ -81,20 +81,22 @@ serve-check:
 	$(GO) run ./cmd/dbserve -selfcheck -shards 1 -queue 16 -rate 4000 -duration 300ms -hotset 64 -batch 64 -deadline 20ms
 	$(GO) run ./cmd/dbserve -selfcheck -clients 4 -requests 200 -hotset 64 -trace-sample 16 -flight-size 128
 
-# Short fuzz sessions over the fuzz targets.
+# Short fuzz sessions over every fuzz target, FUZZTIME each; CI's
+# fuzz step runs this target.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz=FuzzDistanceEquivalence -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzDirectedAgainstBFS -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzKernelTierEquivalence -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzFaultReroute -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzUnmarshalMessage -fuzztime=30s ./internal/network/
-	$(GO) test -fuzz=FuzzParseRoundTrip -fuzztime=30s ./internal/word/
-	$(GO) test -fuzz=FuzzShiftInverses -fuzztime=30s ./internal/word/
-	$(GO) test -fuzz=FuzzDeflectInvariant -fuzztime=30s ./internal/deflect/
-	$(GO) test -fuzz=FuzzCheckRoutes -fuzztime=30s ./internal/check/
-	$(GO) test -fuzz=FuzzServeDecode -fuzztime=30s ./internal/serve/
-	$(GO) test -fuzz=FuzzResponseCodec -fuzztime=30s ./internal/serve/
-	$(GO) test -fuzz=FuzzAnchorExpand -fuzztime=30s ./internal/serve/
+	$(GO) test -run xxx -fuzz=FuzzDistanceEquivalence -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run xxx -fuzz=FuzzDirectedAgainstBFS -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run xxx -fuzz=FuzzKernelTierEquivalence -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run xxx -fuzz=FuzzFaultReroute -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run xxx -fuzz=FuzzUnmarshalMessage -fuzztime=$(FUZZTIME) ./internal/network/
+	$(GO) test -run xxx -fuzz=FuzzParseRoundTrip -fuzztime=$(FUZZTIME) ./internal/word/
+	$(GO) test -run xxx -fuzz=FuzzShiftInverses -fuzztime=$(FUZZTIME) ./internal/word/
+	$(GO) test -run xxx -fuzz=FuzzDeflectInvariant -fuzztime=$(FUZZTIME) ./internal/deflect/
+	$(GO) test -run xxx -fuzz=FuzzCheckRoutes -fuzztime=$(FUZZTIME) ./internal/check/
+	$(GO) test -run xxx -fuzz=FuzzServeDecode -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -run xxx -fuzz=FuzzResponseCodec -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -run xxx -fuzz=FuzzAnchorExpand -fuzztime=$(FUZZTIME) ./internal/serve/
 
 # Regenerates every experiment table (EXPERIMENTS.md source data).
 experiments:

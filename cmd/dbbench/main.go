@@ -25,10 +25,13 @@
 // suite measures whole seeded simulation runs per iteration:
 // Contention (batch store-and-forward), OpenLoop (Bernoulli-arrival
 // store-and-forward), Deflect (bufferless deflection, layer-aware),
-// plus E18Cell, measured once at DG(2,6) whatever -d and -k say: one
-// seed of the sim-e18 cell loop, E18's five offered loads each through
-// the three deflection policies and the store-and-forward open loop,
-// 16 rounds of injection.
+// plus two cells measured once at their own (d,k) whatever -d and -k
+// say: E18Cell at DG(2,6), one seed of the sim-e18 cell loop, E18's
+// five offered loads each through the three deflection policies and
+// the store-and-forward open loop, 16 rounds of injection; and
+// DeflectOffTable at DG(2,12), a Deflect run on a graph past the
+// distance table's budget, whose distances come from a kernel call per
+// link and hop.
 // The serve suite measures the route-query serving engine per call:
 // ServeHit* (warmed LRU lookups, pinned at 0 allocs/op) and ServeMiss*
 // (cache-disabled computes at the kernels' allocation budgets), plus
@@ -110,7 +113,7 @@ func run(args []string, out io.Writer) error {
 	}
 	schema := Schema
 	cells := benchCells
-	var fixed func() (Result, error) // one cell at its own (d,k), measured once
+	var fixed []func() (Result, error) // cells at their own (d,k), measured once
 	switch *suite {
 	case "core":
 		if *ks == "" {
@@ -119,7 +122,7 @@ func run(args []string, out io.Writer) error {
 	case "network":
 		schema = SchemaNetwork
 		cells = benchNetworkCells
-		fixed = benchE18Cell
+		fixed = []func() (Result, error){benchE18Cell, benchDeflectOffTable}
 		if *ks == "" {
 			*ks = "5,7"
 		}
@@ -177,8 +180,8 @@ func run(args []string, out io.Writer) error {
 		rep.Results = append(rep.Results, cs...)
 		fmt.Fprintf(out, "d=%d k=%d done\n", *d, k)
 	}
-	if fixed != nil {
-		r, err := fixed()
+	for _, cell := range fixed {
+		r, err := cell()
 		if err != nil {
 			return err
 		}
@@ -662,6 +665,20 @@ var e18Rates = []float64{0.05, 0.15, 0.30, 0.60, 0.90}
 func benchE18Cell() (Result, error) {
 	return benchRun("E18Cell", 2, 6, func() error {
 		_, err := experiments.DeflectSweep(2, 6, e18Rates, 16, 17)
+		return err
+	})
+}
+
+// benchDeflectOffTable measures one layer-aware deflection run on
+// DG(2,12), past the distance table's budget: every site offers a
+// message with probability 0.02 per round for 40 rounds (about 3,300
+// messages to as many distinct destinations), then the network drains.
+func benchDeflectOffTable() (Result, error) {
+	return benchRun("DeflectOffTable", 2, 12, func() error {
+		_, err := deflect.RunLoad(deflect.LoadConfig{
+			D: 2, K: 12, Policy: deflect.PolicyLayerAware{},
+			Rate: 0.02, Rounds: 40, Seed: 17,
+		})
 		return err
 	})
 }

@@ -6,18 +6,17 @@
 //	dbcluster -replication 1                           # placement knob
 //	dbcluster -debug-addr :4720                        # plus /metrics and pprof
 //	dbcluster -status 127.0.0.1:4710                   # print a node's status JSON
-//	dbcluster -probe 127.0.0.1:4700                    # client smoke, then exit
 //
 // A node serves the ordinary dbserve wire protocol on -addr: any
 // member answers any query, proxying misses hop-by-hop over the
-// Koorde fabric toward the owner. The control listener on
+// Koorde fabric toward the owner, so `dbserve -probe -addr` smoke-tests
+// a cluster through any node. The control listener on
 // -peer speaks the join/membership/status protocol; -status is its
 // standalone client. On SIGINT/SIGTERM the node announces departure
 // (a clean leave) before shutting down.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -31,7 +30,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/word"
 )
 
 func main() {
@@ -64,16 +62,12 @@ func run(args []string, out io.Writer) error {
 	traceSample := fs.Int("trace-sample", 0, "record one request trace in every N (0 disables tracing)")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/traces, pprof on this address")
 	status := fs.String("status", "", "print the status JSON of the node at this control address, then exit")
-	probe := fs.String("probe", "", "send smoke queries to the node at this query address, then exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	if *status != "" {
 		return runStatus(*status, out)
-	}
-	if *probe != "" {
-		return runProbe(*probe, out)
 	}
 
 	reg := obs.NewRegistry()
@@ -110,7 +104,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *debugAddr != "" {
-		ds, err := obs.ServeDebugOpts(*debugAddr, obs.DebugOptions{
+		ds, err := obs.ServeDebug(*debugAddr, obs.DebugOptions{
 			Registry: reg, Traces: n.Server().Traces(),
 		})
 		if err != nil {
@@ -146,59 +140,4 @@ func runStatus(addr string, out io.Writer) error {
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(st)
-}
-
-// runProbe is the CI smoke client: it dials one node's query address,
-// issues traced queries across several key-space slices (so some land
-// outside the dialed node's replica set and must ride the fabric),
-// and verifies a full-fidelity answer for each.
-func runProbe(addr string, out io.Writer) error {
-	c, err := serve.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	pairs := []struct{ src, dst string }{
-		{"0110100101", "1010011010"},
-		{"0000011111", "1111100000"},
-		{"1001011001", "0110100110"},
-		{"0101010101", "1010101010"},
-		{"0011001100", "1100110011"},
-		{"1110001110", "0001110001"},
-		{"1011101000", "0010111010"},
-		{"0100101101", "1101001011"},
-	}
-	ok := 0
-	for i, p := range pairs {
-		src := word.MustParse(2, p.src)
-		dst := word.MustParse(2, p.dst)
-		var req serve.Request
-		switch i % 3 {
-		case 0:
-			req = serve.DistanceRequest(src, dst, serve.Undirected)
-		case 1:
-			req = serve.RouteRequest(src, dst, serve.Undirected)
-		default:
-			req = serve.NextHopRequest(src, dst, serve.Undirected)
-		}
-		req.TraceID = obs.TraceID(0xc10 + i)
-		resp, err := c.Do(ctx, req)
-		if err != nil {
-			return fmt.Errorf("probe %s→%s: %w", p.src, p.dst, err)
-		}
-		if resp.Status != serve.StatusOK || resp.Degrade != "" {
-			return fmt.Errorf("probe %s→%s: status %q (shed %q, degrade %q, error %q), want a full-fidelity answer",
-				p.src, p.dst, resp.Status, resp.ShedReason, resp.Degrade, resp.Error)
-		}
-		if resp.TraceID != req.TraceID {
-			return fmt.Errorf("probe %s→%s: trace id %v not echoed (got %v)", p.src, p.dst, req.TraceID, resp.TraceID)
-		}
-		ok++
-		fmt.Fprintf(out, "probe %-10s %s→%s ok trace=%v\n", req.Kind, p.src, p.dst, resp.TraceID)
-	}
-	fmt.Fprintf(out, "probe complete: %d/%d ok\n", ok, len(pairs))
-	return nil
 }

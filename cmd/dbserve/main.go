@@ -5,7 +5,7 @@
 //	dbserve -addr :4600 -debug-addr :4601     # plus /metrics and pprof
 //	dbserve -trace-sample 64 -flight-size 256 # tracing + flight recorder
 //	dbserve -selfcheck -rate 20000            # in-process load check, then exit
-//	dbserve -probe -addr :4600                # client smoke: traced queries
+//	dbserve -probe -addr :4600                # client smoke: traced queries to a server or cluster node
 //
 // The server owns one routing engine (and one reusable scratch state)
 // per shard, shares an LRU result cache across shards, sheds instead
@@ -127,7 +127,7 @@ func run(args []string, out io.Writer) error {
 	}
 	var scrapeURL string
 	if dbgAddr != "" {
-		ds, err := obs.ServeDebugOpts(dbgAddr, obs.DebugOptions{
+		ds, err := obs.ServeDebug(dbgAddr, obs.DebugOptions{
 			Registry: reg, Traces: srv.Traces(), Flight: srv.Flight(),
 		})
 		if err != nil {
@@ -364,46 +364,66 @@ func (f *failLinkFlags) Set(s string) error {
 	return nil
 }
 
-// runProbe is the CI smoke client: it dials a running dbserve, issues
-// one traced request of every kind plus a batch, and verifies status
-// and trace-id echo on each response.
+// probePairs spread the probe's queries over the DG(2,10) key space,
+// so that against a cluster node some land outside its replica set
+// and must ride the fabric.
+var probePairs = [][2]string{
+	{"0110100101", "1010011010"},
+	{"0000011111", "1111100000"},
+	{"1001011001", "0110100110"},
+	{"0101010101", "1010101010"},
+	{"0011001100", "1100110011"},
+	{"1110001110", "0001110001"},
+	{"1011101000", "0010111010"},
+	{"0100101101", "1101001011"},
+}
+
+// runProbe is the CI smoke client for a dbserve server or a dbcluster
+// node: it dials addr, issues one traced query per probe pair, cycling
+// distance, route and next-hop, plus one batch, and requires a
+// full-fidelity answer (status ok, no degrade) echoing its trace id
+// for each.
 func runProbe(addr string, out io.Writer) error {
 	c, err := serve.Dial(addr)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	src := word.MustParse(2, "0110100101")
-	dst := word.MustParse(2, "1010011010")
-	probes := []struct {
-		name string
-		req  serve.Request
-	}{
-		{"distance", serve.DistanceRequest(src, dst, serve.Undirected)},
-		{"route", serve.RouteRequest(src, dst, serve.Undirected)},
-		{"nexthop", serve.NextHopRequest(src, dst, serve.Undirected)},
-		{"batch", serve.BatchRequest(
-			serve.DistanceRequest(src, dst, serve.Undirected),
-			serve.RouteRequest(dst, src, serve.Undirected))},
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	for i, p := range probes {
-		req := p.req
+
+	var reqs []serve.Request
+	for i, p := range probePairs {
+		src, dst := word.MustParse(2, p[0]), word.MustParse(2, p[1])
+		switch i % 3 {
+		case 0:
+			reqs = append(reqs, serve.DistanceRequest(src, dst, serve.Undirected))
+		case 1:
+			reqs = append(reqs, serve.RouteRequest(src, dst, serve.Undirected))
+		default:
+			reqs = append(reqs, serve.NextHopRequest(src, dst, serve.Undirected))
+		}
+	}
+	src, dst := word.MustParse(2, probePairs[0][0]), word.MustParse(2, probePairs[0][1])
+	reqs = append(reqs, serve.BatchRequest(
+		serve.DistanceRequest(src, dst, serve.Undirected),
+		serve.RouteRequest(dst, src, serve.Undirected)))
+	for i, req := range reqs {
 		req.TraceID = obs.TraceID(0xdb0 + i)
 		resp, err := c.Do(ctx, req)
 		if err != nil {
-			return fmt.Errorf("probe %s: %w", p.name, err)
+			return fmt.Errorf("probe %d (%s): %w", i, req.Kind, err)
 		}
-		if resp.Status != serve.StatusOK {
-			return fmt.Errorf("probe %s: status %q (shed %q, error %q)", p.name, resp.Status, resp.ShedReason, resp.Error)
+		if resp.Status != serve.StatusOK || resp.Degrade != "" {
+			return fmt.Errorf("probe %d (%s): status %q (shed %q, degrade %q, error %q), want a full-fidelity answer",
+				i, req.Kind, resp.Status, resp.ShedReason, resp.Degrade, resp.Error)
 		}
 		if resp.TraceID != req.TraceID {
-			return fmt.Errorf("probe %s: trace id %v not echoed (got %v)", p.name, req.TraceID, resp.TraceID)
+			return fmt.Errorf("probe %d (%s): trace id %v not echoed (got %v)", i, req.Kind, req.TraceID, resp.TraceID)
 		}
-		fmt.Fprintf(out, "probe %-8s ok trace=%v\n", p.name, resp.TraceID)
+		fmt.Fprintf(out, "probe %-10s ok trace=%v\n", req.Kind, resp.TraceID)
 	}
-	fmt.Fprintln(out, "probe complete: 4/4 ok")
+	fmt.Fprintf(out, "probe complete: %d/%d ok\n", len(reqs), len(reqs))
 	return nil
 }
 

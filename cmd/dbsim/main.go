@@ -57,7 +57,7 @@ func run(args []string, out io.Writer) error {
 		reg = obs.NewRegistry()
 	}
 	if *debugAddr != "" {
-		srv, err := obs.ServeDebug(*debugAddr, reg)
+		srv, err := obs.ServeDebug(*debugAddr, obs.DebugOptions{Registry: reg})
 		if err != nil {
 			return err
 		}

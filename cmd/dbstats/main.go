@@ -182,7 +182,7 @@ func run(args []string, out io.Writer) error {
 		reg := obs.NewRegistry()
 		fault.SetObserver(reg)
 		defer fault.SetObserver(nil)
-		srv, err := obs.ServeDebug(o.debugAddr, reg)
+		srv, err := obs.ServeDebug(o.debugAddr, obs.DebugOptions{Registry: reg})
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -29,14 +30,20 @@ import (
 // concurrent use.
 //
 // Sites are vertex ranks throughout: out-links are the OutNeighbors of
-// the LayerCache's graph.DeBruijn graph, messages carry their
-// destination's rank, and no site word exists unless Word asks for
-// one.
+// a graph.DeBruijn graph and messages carry their destination's rank.
+// A site reads the distances it classifies its links by where the
+// message stands, as the paper's distance function allows (Property 1,
+// Theorem 2): from the shared rank table's row toward the destination
+// when the table tier answers an undirected graph, otherwise from
+// core.Kernels, D(u,dst) for each free out-neighbour u, with D(v,dst)
+// carried on the message from the hop that chose v. The engine keeps
+// no state per destination, so its memory is O(N·d) however many
+// destinations the traffic has.
 type Engine struct {
-	cfg   Config
-	g     *graph.Graph // the LayerCache's
-	rng   *rand.Rand
-	cache *LayerCache
+	cfg Config
+	g   *graph.Graph
+	kn  *core.Kernels
+	rng *rand.Rand
 
 	resident [][]*msg
 	inflight int
@@ -52,22 +59,38 @@ type Engine struct {
 
 	// per-Step scratch, written back after use so a warm round
 	// allocates nothing
-	free    []int32
-	cand    []int32
-	candIdx []int
-	minIdx  []int
-	moves   []move
-	spare   []*msg // messages that left the network, reused by Inject
+	free     []int32
+	freeDist []uint8 // D(u,dst) of each free link u, parallel to free
+	cand     []int32
+	candDist []uint8 // parallel to cand
+	candIdx  []int
+	minIdx   []int
+	moves    []move
+	spare    []*msg // messages that left the network, reused by Inject
+	// digit buffers the off-table distances unrank a site and the
+	// destination into
+	siteDigits, dstDigits []byte
 }
 
 type msg struct {
-	id          int
-	dstV        int     // destination rank
-	ly          *Layers // toward dst; resolved on the message's first round
-	born        int     // round at injection
+	id   int
+	dstV int // destination rank
+	// row is the rank table's row of distances toward dst when the
+	// table tier answered the undirected graph at injection; nil
+	// otherwise.
+	row []uint8
+	// dist is D(site, dst) where the message stands, when row is nil:
+	// noDist until the message's first round computes it, then the
+	// distance of the link each hop took.
+	dist        uint8
+	born        int // round at injection
 	hops        int
 	deflections int
 }
+
+// noDist marks a message whose distance has not been computed yet;
+// every distance is at most k < 255.
+const noDist = 0xff
 
 type move struct {
 	m  *msg
@@ -98,9 +121,18 @@ type Config struct {
 // adjacency entries and resident slots in a number of allocations that
 // does not grow with N.
 func New(cfg Config) (*Engine, error) {
-	cache, err := NewLayerCache(cfg.D, cfg.K, cfg.Unidirectional)
+	return newEngine(cfg, core.NewKernels(core.KernelConfig{}))
+}
+
+// newEngine is New with the distances read through kn.
+func newEngine(cfg Config, kn *core.Kernels) (*Engine, error) {
+	kind := graph.Undirected
+	if cfg.Unidirectional {
+		kind = graph.Directed
+	}
+	g, err := graph.DeBruijn(kind, cfg.D, cfg.K)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("deflect: %w", err)
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = PolicyRandom{}
@@ -111,12 +143,11 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.MaxAge < cfg.K {
 		return nil, fmt.Errorf("deflect: MaxAge %d below diameter %d", cfg.MaxAge, cfg.K)
 	}
-	g := cache.g
 	// A site holds at most one message per output link, so each
 	// resident set gets exactly that capacity from one backing array
 	// with a slot per arc.
 	arcs := g.NumEdges()
-	if g.Kind() == graph.Undirected {
+	if kind == graph.Undirected {
 		arcs *= 2 // an edge is an output link at both ends
 	}
 	backing := make([]*msg, arcs)
@@ -125,13 +156,16 @@ func New(cfg Config) (*Engine, error) {
 		c := len(g.OutNeighbors(v))
 		resident[v], backing = backing[:0:c], backing[c:]
 	}
+	digits := make([]byte, 2*cfg.K)
 	return &Engine{
-		cfg:      cfg,
-		g:        g,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		cache:    cache,
-		resident: resident,
-		m:        newDeflectMetrics(cfg.Obs),
+		cfg:        cfg,
+		g:          g,
+		kn:         kn,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		resident:   resident,
+		m:          newDeflectMetrics(cfg.Obs),
+		siteDigits: digits[:cfg.K],
+		dstDigits:  digits[cfg.K:],
 	}, nil
 }
 
@@ -153,9 +187,6 @@ func (e *Engine) Word(v int) word.Word {
 	}
 	return w
 }
-
-// Round returns the number of completed rounds.
-func (e *Engine) Round() int { return e.round }
 
 // Inflight returns the number of messages currently resident.
 func (e *Engine) Inflight() int { return e.inflight }
@@ -213,7 +244,7 @@ func (e *Engine) inject(sv, dv int) bool {
 	} else {
 		m = new(msg)
 	}
-	*m = msg{id: e.nextID, dstV: dv, born: e.round}
+	*m = msg{id: e.nextID, dstV: dv, row: e.rowTo(dv), dist: noDist, born: e.round}
 	e.nextID++
 	e.resident[sv] = append(e.resident[sv], m)
 	e.inflight++
@@ -243,36 +274,32 @@ func (e *Engine) Step() error {
 			if len(free) == 0 {
 				return fmt.Errorf("deflect: site %v holds more messages than output links (internal invariant)", e.Word(v))
 			}
-			if m.ly == nil {
-				ly, err := e.cache.For(m.dstV)
-				if err != nil {
-					return err
-				}
-				m.ly = ly
+			dv, freeDist, err := e.distances(m, v, free)
+			if err != nil {
+				return err
 			}
-			ly := m.ly
-			// Candidate links: the free advancing ones, else (a
-			// deflection) every free link.
-			cand, candIdx := e.cand[:0], e.candIdx[:0]
-			dv := ly.dist[v]
-			for i, u := range free {
-				if ly.dist[u]+1 == dv {
-					cand = append(cand, u)
-					candIdx = append(candIdx, i)
+			// Candidate links: the free advancing ones, all at
+			// distance dv-1, else (a deflection) every free link.
+			adv, advIdx := e.cand[:0], e.candIdx[:0]
+			for i, du := range freeDist {
+				if du+1 == dv {
+					adv, advIdx = append(adv, free[i]), append(advIdx, i)
 				}
 			}
-			deflected := len(cand) == 0
+			e.cand, e.candIdx = adv, advIdx
+			cand, candDist, deflected := adv, e.candDist[:0], len(adv) == 0
 			if deflected {
-				for i, u := range free {
-					cand = append(cand, u)
-					candIdx = append(candIdx, i)
-				}
+				cand, candDist = free, freeDist
 			}
-			e.cand, e.candIdx = cand, candIdx
 			choice := 0
 			if len(cand) > 1 {
-				var err error
-				choice, err = e.cfg.Policy.Choose(e, ly, v, cand)
+				if !deflected {
+					for range cand {
+						candDist = append(candDist, dv-1)
+					}
+					e.candDist = candDist
+				}
+				choice, err = e.cfg.Policy.Choose(e, v, cand, candDist)
 				if err != nil {
 					return err
 				}
@@ -280,8 +307,12 @@ func (e *Engine) Step() error {
 					return fmt.Errorf("deflect: policy %s chose %d of %d candidates", e.cfg.Policy.Name(), choice, len(cand))
 				}
 			}
-			to := int(cand[choice])
-			fi := candIdx[choice]
+			to, fi := int(cand[choice]), choice
+			if deflected {
+				m.dist = freeDist[choice]
+			} else {
+				m.dist, fi = dv-1, advIdx[choice]
+			}
 			free = append(free[:fi], free[fi+1:]...)
 			m.hops++
 			e.hopsMoved++
@@ -316,6 +347,66 @@ func (e *Engine) Step() error {
 	e.m.inflight.Set(float64(e.inflight))
 	e.m.throughput.Set(float64(e.delivered) / float64(e.round))
 	return nil
+}
+
+// distances returns D(v,dst) for the message m standing at v and
+// D(u,dst) for each link u in free, in a slice parallel to free that
+// the next call overwrites. With a table row they are byte loads;
+// otherwise each is one kernel call on operands unranked in place,
+// except D(v,dst), which the previous hop left on the message.
+func (e *Engine) distances(m *msg, v int, free []int32) (uint8, []uint8, error) {
+	dist := e.freeDist[:0]
+	if row := m.row; row != nil {
+		for _, u := range free {
+			dist = append(dist, row[u])
+		}
+		e.freeDist = dist
+		return row[v], dist, nil
+	}
+	dst, err := word.UnrankInPlace(e.dstDigits, e.cfg.D, uint64(m.dstV))
+	if err != nil {
+		return 0, nil, err
+	}
+	if m.dist == noDist {
+		if m.dist, err = e.distance(v, dst); err != nil {
+			return 0, nil, err
+		}
+	}
+	for _, u := range free {
+		du, err := e.distance(int(u), dst)
+		if err != nil {
+			return 0, nil, err
+		}
+		dist = append(dist, du)
+	}
+	e.freeDist = dist
+	return m.dist, dist, nil
+}
+
+// rowTo returns the rank table's row of distances toward dst, read in
+// place, when the table tier answers the undirected graph right now,
+// and nil otherwise.
+func (e *Engine) rowTo(dst int) []uint8 {
+	if e.cfg.Unidirectional {
+		return nil
+	}
+	return e.kn.UndirectedRow(e.cfg.D, e.cfg.K, dst)
+}
+
+// distance is D(v,dst) through the kernel ladder: Property 1 on the
+// directed graph, Theorem 2 on the undirected one.
+func (e *Engine) distance(v int, dst word.Word) (uint8, error) {
+	w, err := word.UnrankInPlace(e.siteDigits, e.cfg.D, uint64(v))
+	if err != nil {
+		return 0, err
+	}
+	var d int
+	if e.cfg.Unidirectional {
+		d, err = e.kn.DirectedDistance(w, dst)
+	} else {
+		d, err = e.kn.UndirectedDistance(w, dst)
+	}
+	return uint8(d), err
 }
 
 // byPriority sorts a site's residents oldest first: injection round,

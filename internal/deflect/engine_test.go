@@ -3,6 +3,7 @@ package deflect
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -251,12 +252,12 @@ func TestConfigValidation(t *testing.T) {
 type neverAdvance struct{}
 
 func (neverAdvance) Name() string { return "never-advance" }
-func (neverAdvance) Choose(e *Engine, ly *Layers, _ int, candidates []int32) (int, error) {
+func (neverAdvance) Choose(_ *Engine, _ int, _ []int32, dist []uint8) (int, error) {
 	// Pick the candidate farthest from the destination.
-	worst, worstDist := 0, -1
-	for i, u := range candidates {
-		if d := ly.Dist(int(u)); d > worstDist {
-			worst, worstDist = i, d
+	worst := 0
+	for i, d := range dist {
+		if d > dist[worst] {
+			worst = i
 		}
 	}
 	return worst, nil
@@ -413,43 +414,95 @@ func TestRunLoadValidation(t *testing.T) {
 	}
 }
 
+// TestEngineMemoryBounded runs one off-table engine, undirected
+// DG(2,12) past the table budget, to 8 and then to all 4096 distinct
+// destinations, one message per site each time, and checks that the
+// heap it retains after each drain does not grow with that number. An
+// engine that kept a distance column per destination would retain 4096
+// bytes for each new one, about 16 MiB.
+func TestEngineMemoryBounded(t *testing.T) {
+	e, err := New(Config{D: 2, K: 12, Policy: PolicyLayerAware{}, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tier := e.kn.TierFor(2, 12); tier == core.TierTable {
+		t.Fatalf("DG(2,12) resolves to the %v tier, want one off the table", tier)
+	}
+	n := e.NumSites()
+	retained := func(dests int) uint64 {
+		for v := 0; v < n; v++ {
+			// 7v+1 is a permutation of the ranks without fixed points.
+			e.inject(v, (7*v+1)%n/(n/dests)*(n/dests))
+		}
+		stepUntilEmpty(t, e, e.Config().MaxAge+1)
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	few := retained(8)
+	all := retained(n)
+	if s := e.Stats(); s.Delivered+s.GuardDropped != 2*n {
+		t.Fatalf("stats %+v after two waves of %d messages", s, n)
+	}
+	t.Logf("retained heap: %d bytes at 8 destinations, %d at %d", few, all, n)
+	if all > few+256<<10 {
+		t.Errorf("retained heap grew from %d to %d bytes going from 8 to %d destinations", few, all, n)
+	}
+	runtime.KeepAlive(e)
+}
+
 // TestStepAllocs pins a warm deflection round at zero allocations for
-// every policy: once every destination's layers exist, a round reuses
-// the engine's scratch (free links, candidates, moves) and the
-// resident sets, which New sizes to the sites' output links.
+// every policy, on the table tier's rows (undirected DG(2,6), table
+// built) and off it (undirected DG(2,9), past the table budget, and
+// directed DG(2,6)): a round reuses the engine's scratch (free links,
+// distances, candidates, digit buffers, moves) and the resident sets,
+// which New sizes to the sites' output links.
 func TestStepAllocs(t *testing.T) {
-	for _, pol := range Policies() {
-		e, err := New(Config{D: 2, K: 6, Policy: pol, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		k   int
+		uni bool
+	}{{6, false}, {9, false}, {6, true}} {
+		for _, pol := range Policies() {
+			testStepAllocs(t, tc.k, tc.uni, pol)
 		}
-		n := e.NumSites()
-		dsts := make([]word.Word, n)
-		for v := range dsts {
-			dsts[v] = e.Word(v)
-		}
-		// fill offers every site one message per output link.
-		fill := func() {
-			for v := 0; v < n; v++ {
-				for s := 0; s < len(e.Graph().OutNeighbors(v)); s++ {
-					if _, err := e.Inject(e.Word(v), dsts[(v+17*s+1)%n]); err != nil {
-						t.Fatal(err)
-					}
+	}
+}
+
+func testStepAllocs(t *testing.T, k int, uni bool, pol Policy) {
+	t.Helper()
+	e, err := newEngine(Config{D: 2, K: k, Unidirectional: uni, Policy: pol, Seed: 3},
+		core.NewKernels(core.KernelConfig{SyncTableBuild: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := e.NumSites()
+	dsts := make([]word.Word, n)
+	for v := range dsts {
+		dsts[v] = e.Word(v)
+	}
+	// fill offers every site one message per output link.
+	fill := func() {
+		for v := 0; v < n; v++ {
+			for s := 0; s < len(e.Graph().OutNeighbors(v)); s++ {
+				if _, err := e.Inject(e.Word(v), dsts[(v+17*s+1)%n]); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
-		step := func() {
-			if err := e.Step(); err != nil {
-				t.Fatal(err)
-			}
+	}
+	step := func() {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
 		}
-		fill()
-		stepUntilEmpty(t, e, 64*6)
-		fill()
-		// Saturated, the load takes well over the 6 measured rounds
-		// to drain.
-		if allocs := testing.AllocsPerRun(5, step); allocs != 0 || e.Inflight() == 0 {
-			t.Errorf("%s: a warm round allocated %.1f times (%d still in flight), want 0", pol.Name(), allocs, e.Inflight())
-		}
+	}
+	fill()
+	stepUntilEmpty(t, e, 64*k)
+	fill()
+	// Saturated, the load takes well over the 6 measured rounds
+	// to drain.
+	if allocs := testing.AllocsPerRun(5, step); allocs != 0 || e.Inflight() == 0 {
+		t.Errorf("DG(2,%d) directed=%v %s: a warm round allocated %.1f times (%d still in flight), want 0",
+			k, uni, pol.Name(), allocs, e.Inflight())
 	}
 }

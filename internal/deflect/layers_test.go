@@ -81,10 +81,8 @@ func testDests(rng *rand.Rand, n int) []int {
 
 // checkLayers asserts that ly, the decomposition of g toward the
 // vertex dv, matches BFS distances exactly, that its layers partition
-// the vertex set, that link classification is consistent, and that
-// every non-destination site has at least one advancing link — so the
-// engine deflects only under contention, never for lack of a
-// shortest-path move.
+// the vertex set, that Advancing counts each site's BFS-advancing
+// links, and that every non-destination site has at least one.
 func checkLayers(t *testing.T, name string, g *graph.Graph, ly *Layers, dv int) {
 	t.Helper()
 	n := g.NumVertices()
@@ -106,12 +104,8 @@ func checkLayers(t *testing.T, name string, g *graph.Graph, ly *Layers, dv int) 
 			t.Fatalf("%s: closed-form D(%d,%d)=%d, BFS says %d", name, v, dv, ly.Dist(v), want[v])
 		}
 		adv := 0
-		for _, lk := range ly.Links(v) {
-			wantAdv := ly.Dist(int(lk.To)) == ly.Dist(v)-1
-			if lk.Advancing != wantAdv {
-				t.Fatalf("%s dst %d: link %d→%d classified %v, want %v", name, dv, v, lk.To, lk.Advancing, wantAdv)
-			}
-			if lk.Advancing {
+		for _, u := range g.OutNeighbors(v) {
+			if want[u] == want[v]-1 {
 				adv++
 			}
 		}
@@ -150,14 +144,16 @@ func TestLayersAgreeWithBFS(t *testing.T) {
 	}
 }
 
-// TestLayerCacheAgreesWithBFS runs checkLayers on the engine's path to
-// a decomposition, LayerCache over the graph, on both of its
-// sources: the shared rank table's row, read in place (table tier
-// built synchronously), and the computed column (table tier disabled).
-// On the table side every undirected table-eligible graph must take
-// the row path — its distances alias the table — and at least one
-// graph must.
-func TestLayerCacheAgreesWithBFS(t *testing.T) {
+// TestStepDistancesAgreeWithBFS checks the distances Step classifies
+// links by, Engine.distances for a fresh message standing at each
+// vertex, against BFS on every graph smallGraphs lists, both kinds:
+// D(v,dst) and D(u,dst) for every out-neighbour u, and at least one
+// advancing link at every site but dst, so the engine deflects only
+// under contention. It runs with the table tier built synchronously,
+// where every undirected table-eligible graph must read the rank
+// table's row in place (and at least one does), and with the tier
+// disabled, where every distance comes from a kernel call.
+func TestStepDistancesAgreeWithBFS(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  core.KernelConfig
@@ -169,70 +165,60 @@ func TestLayerCacheAgreesWithBFS(t *testing.T) {
 		rows := 0
 		for _, kind := range []graph.Kind{graph.Directed, graph.Undirected} {
 			for _, dk := range smallGraphs() {
-				g, err := graph.DeBruijn(kind, dk.d, dk.k)
+				kn := core.NewKernels(tc.cfg)
+				e, err := newEngine(Config{D: dk.d, K: dk.k, Unidirectional: kind == graph.Directed}, kn)
 				if err != nil {
 					t.Fatal(err)
 				}
-				kn := core.NewKernels(tc.cfg)
-				c := newLayerCache(g, dk.d, dk.k, kn)
+				g := e.Graph()
 				name := fmt.Sprintf("%s DG(%v,%d,%d)", tc.name, kind, dk.d, dk.k)
-				for _, dv := range testDests(rng, g.NumVertices()) {
-					ly, err := c.For(dv)
-					if err != nil {
-						t.Fatalf("%s: For(%d): %v", name, dv, err)
-					}
-					checkLayers(t, name, g, ly, dv)
-					row := kn.UndirectedRow(dk.d, dk.k, dv)
+				for _, dst := range testDests(rng, g.NumVertices()) {
+					want := bfsToDst(t, g, dst)
+					row := kn.UndirectedRow(dk.d, dk.k, dst)
 					if tc.name == "computed" && row != nil {
 						t.Fatalf("%s: the table tier answers with the tier disabled", name)
 					}
-					if aliased := row != nil && &row[0] == &ly.dist[0]; aliased != (row != nil && kind == graph.Undirected) {
-						t.Fatalf("%s dst %d: distances alias the table row: %v, table row available: %v", name, dv, aliased, row != nil)
-					} else if aliased {
-						rows++
+					for v := range want {
+						m := &msg{dstV: dst, row: e.rowTo(dst), dist: noDist}
+						outs := g.OutNeighbors(v)
+						dv, dist, err := e.distances(m, v, outs)
+						if err != nil {
+							t.Fatalf("%s: distances(%d→%d): %v", name, v, dst, err)
+						}
+						if int(dv) != want[v] {
+							t.Fatalf("%s: D(%d,%d)=%d, BFS says %d", name, v, dst, dv, want[v])
+						}
+						adv := 0
+						for i, u := range outs {
+							if int(dist[i]) != want[u] {
+								t.Fatalf("%s: D(%d,%d)=%d at neighbour of %d, BFS says %d", name, u, dst, dist[i], v, want[u])
+							}
+							if dist[i]+1 == dv {
+								adv++
+							}
+						}
+						if v != dst && adv == 0 {
+							t.Fatalf("%s dst %d: site %d at distance %d has no advancing link", name, dst, v, dv)
+						}
+						if inPlace := m.row != nil && row != nil && &m.row[0] == &row[0]; inPlace != (row != nil && kind == graph.Undirected) {
+							t.Fatalf("%s dst %d: distances read from the table row: %v, table row available: %v", name, dst, inPlace, row != nil)
+						} else if inPlace {
+							rows++
+						}
 					}
 				}
 			}
 		}
 		if tc.name == "table" && rows == 0 {
-			t.Fatal("no decomposition was read from the rank table")
+			t.Fatal("no distance was read from the rank table")
 		}
-	}
-}
-
-func TestLayerCacheMemoizes(t *testing.T) {
-	c, err := NewLayerCache(2, 5, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := int(word.MustParse(2, "10110").MustRank())
-	a, err := c.For(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.For(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("cache rebuilt the decomposition for a seen destination")
-	}
-	if c.Size() != 1 {
-		t.Fatalf("Size() = %d, want 1", c.Size())
-	}
-	if _, err := c.For(0); err != nil {
-		t.Fatal(err)
-	}
-	if c.Size() != 2 {
-		t.Fatalf("Size() = %d, want 2", c.Size())
 	}
 }
 
 // TestAdjacencyMatchesGraph: the engine's sites have exactly the
 // links of graph.DeBruijn, at every vertex of every DG(d,k) with at
-// most 4096 vertices, both kinds. Its Graph's OutNeighbors and the
-// targets of its Layers' Links equal the freshly built graph's
-// OutNeighbors element for element, in order, and each site's
+// most 4096 vertices, both kinds. Its Graph's OutNeighbors equal the
+// freshly built graph's element for element, in order, and each site's
 // Capacity is its out-degree. The constant words, which lose their
 // self-loop, and on the undirected graph the alternating words, where
 // a left and a right shift coincide, have their capacities checked so
@@ -253,21 +239,10 @@ func TestAdjacencyMatchesGraph(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ly, err := e.cache.For(0)
-				if err != nil {
-					t.Fatal(err)
-				}
 				for v := 0; v < n; v++ {
 					want := g.OutNeighbors(v)
 					if got := e.Graph().OutNeighbors(v); !slices.Equal(got, want) {
 						t.Fatalf("%v DG(%d,%d) vertex %d: engine links %v, graph %v", kind, d, k, v, got, want)
-					}
-					var to []int32
-					for _, lk := range ly.Links(v) {
-						to = append(to, lk.To)
-					}
-					if !slices.Equal(to, want) {
-						t.Fatalf("%v DG(%d,%d) vertex %d: layer links %v, graph %v", kind, d, k, v, to, want)
 					}
 					if c, err := e.Capacity(e.Word(v)); err != nil || c != len(want) {
 						t.Fatalf("%v DG(%d,%d) vertex %d: capacity %d (%v), want %d", kind, d, k, v, c, err, len(want))
@@ -313,17 +288,15 @@ func TestNewLayersRejectsMismatchedGraph(t *testing.T) {
 // and an engine on DG(2,6), once its shared distance table exists:
 //   - NewLayers: at most five objects, independent of N (today just
 //     the Layers: the distances are the table's row);
-//   - a LayerCache hit allocates nothing and a miss at most the Layers
-//     header;
 //   - New allocates at most newBudget objects, the same number on
 //     DG(2,6) as on DG(2,10): its arrays grow with N, their count
 //     does not;
-//   - PolicyMinIncrease reads candidate distances from the layer
-//     without allocating.
+//   - PolicyMinIncrease picks from the candidates' distances without
+//     allocating.
 func TestAllocBudgets(t *testing.T) {
-	// The engine, its graph and LayerCache with their arrays,
-	// the Kernels, the seeded generator and its source, and the
-	// resident sets with their backing array.
+	// The engine, its graph with its arrays, the Kernels, the seeded
+	// generator and its source, the resident sets with their backing
+	// array, and the digit buffers.
 	const newBudget = 10
 
 	kn := core.NewKernels(core.KernelConfig{SyncTableBuild: true})
@@ -335,31 +308,12 @@ func TestAllocBudgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := word.MustParse(2, "011010")
-	var ly *Layers
 	if a := testing.AllocsPerRun(20, func() {
-		if ly, err = NewLayers(g, dst); err != nil {
+		if _, err = NewLayers(g, dst); err != nil {
 			t.Fatal(err)
 		}
 	}); a > 5 {
 		t.Errorf("NewLayers on DG(2,6): %v allocs, budget 5", a)
-	}
-
-	c := newLayerCache(g, 2, 6, kn)
-	next := 0
-	if a := testing.AllocsPerRun(20, func() {
-		if _, err := c.For(next); err != nil {
-			t.Fatal(err)
-		}
-		next++
-	}); a > 1 {
-		t.Errorf("LayerCache miss on DG(2,6): %v allocs, budget 1", a)
-	}
-	if a := testing.AllocsPerRun(20, func() {
-		if _, err := c.For(5); err != nil {
-			t.Fatal(err)
-		}
-	}); a != 0 {
-		t.Errorf("LayerCache hit: %v allocs, want 0", a)
 	}
 
 	newAllocs := func(k int) float64 {
@@ -374,9 +328,9 @@ func TestAllocBudgets(t *testing.T) {
 		t.Errorf("New: %v allocs on DG(2,6), %v on DG(2,10); want the same count, at most %d", a6, a10, newBudget)
 	}
 
-	cand := []int32{0, 21, 42, 63}
+	cand, dist := []int32{0, 21, 42, 63}, []uint8{3, 2, 2, 4}
 	if a := testing.AllocsPerRun(100, func() {
-		if _, err := (PolicyMinIncrease{}).Choose(nil, ly, 0, cand); err != nil {
+		if _, err := (PolicyMinIncrease{}).Choose(nil, 0, cand, dist); err != nil {
 			t.Fatal(err)
 		}
 	}); a != 0 {

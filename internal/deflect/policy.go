@@ -6,14 +6,14 @@ package deflect
 // (a deflection). Implementations return an index into candidates.
 //
 // The candidates slice holds the next-hop vertices in the adjacency
-// order of the graph; it is scratch owned by the engine and must not
-// be retained. Policies may use the engine's seeded generator (e.rng
-// via helpers) so runs stay reproducible.
+// order of the graph, and dist, parallel to it, each candidate's
+// distance to the message's destination; both are scratch owned by
+// the engine and must not be retained. Policies may use the engine's
+// seeded generator (e.rng via helpers) so runs stay reproducible.
 type Policy interface {
-	// Choose returns the index of the chosen candidate. ly is the
-	// layer decomposition toward the message's destination and from is
-	// the current site's vertex.
-	Choose(e *Engine, ly *Layers, from int, candidates []int32) (int, error)
+	// Choose returns the index of the chosen candidate. from is the
+	// current site's vertex.
+	Choose(e *Engine, from int, candidates []int32, dist []uint8) (int, error)
 	// Name is the stable identifier used in CLI flags and E18 rows.
 	Name() string
 }
@@ -27,12 +27,11 @@ type PolicyRandom struct{}
 func (PolicyRandom) Name() string { return "random" }
 
 // Choose implements Policy.
-func (PolicyRandom) Choose(e *Engine, _ *Layers, _ int, candidates []int32) (int, error) {
+func (PolicyRandom) Choose(e *Engine, _ int, candidates []int32, _ []uint8) (int, error) {
 	return e.rng.Intn(len(candidates)), nil
 }
 
-// PolicyMinIncrease reads each candidate's distance from the layer
-// decomposition and takes the first candidate of minimal distance. A
+// PolicyMinIncrease takes the first candidate of minimal distance. A
 // deflection under this policy costs the least distance increase the
 // free links allow; the first-of-minima tie-break makes the policy
 // fully deterministic.
@@ -42,33 +41,33 @@ type PolicyMinIncrease struct{}
 func (PolicyMinIncrease) Name() string { return "min-increase" }
 
 // Choose implements Policy.
-func (PolicyMinIncrease) Choose(_ *Engine, ly *Layers, _ int, candidates []int32) (int, error) {
-	best, bestDist := 0, -1
-	for i, u := range candidates {
-		if d := ly.Dist(int(u)); bestDist < 0 || d < bestDist {
-			best, bestDist = i, d
+func (PolicyMinIncrease) Choose(_ *Engine, _ int, _ []int32, dist []uint8) (int, error) {
+	best := 0
+	for i, d := range dist {
+		if d < dist[best] {
+			best = i
 		}
 	}
 	return best, nil
 }
 
-// PolicyLayerAware reads each candidate's layer index from the
-// decomposition, as PolicyMinIncrease does, and picks uniformly among
-// the candidates in the lowest layer. The two differ only in the
-// tie-break: the chosen layer is the same minimum, but the randomized
-// pick spreads contending traffic across equivalent links instead of
-// repeatedly colliding on the first one.
+// PolicyLayerAware reads each candidate's layer index, its distance,
+// as PolicyMinIncrease does, and picks uniformly among the candidates
+// in the lowest layer. The two differ only in the tie-break: the
+// chosen layer is the same minimum, but the randomized pick spreads
+// contending traffic across equivalent links instead of repeatedly
+// colliding on the first one.
 type PolicyLayerAware struct{}
 
 // Name implements Policy.
 func (PolicyLayerAware) Name() string { return "layer-aware" }
 
 // Choose implements Policy.
-func (PolicyLayerAware) Choose(e *Engine, ly *Layers, _ int, candidates []int32) (int, error) {
+func (PolicyLayerAware) Choose(e *Engine, _ int, _ []int32, dist []uint8) (int, error) {
 	minIdx := e.minIdx[:0]
 	bestDist := -1
-	for i, u := range candidates {
-		d := ly.Dist(int(u))
+	for i, d8 := range dist {
+		d := int(d8)
 		switch {
 		case bestDist < 0 || d < bestDist:
 			bestDist = d

@@ -23,17 +23,11 @@ type DebugOptions struct {
 }
 
 // Handler returns the debug mux: /metrics (Prometheus text),
-// /metrics.json, and the /debug/pprof/ profiling endpoints. A nil
-// registry serves empty metric pages (pprof still works), so binaries
-// can expose profiling without enabling metrics.
-func Handler(reg *Registry) http.Handler {
-	return HandlerOpts(DebugOptions{Registry: reg})
-}
-
-// HandlerOpts returns the debug mux with every configured endpoint:
-// /metrics, /metrics.json, /debug/traces, /debug/flight, and
-// /debug/pprof/.
-func HandlerOpts(opts DebugOptions) http.Handler {
+// /metrics.json, /debug/traces, /debug/flight, and the /debug/pprof/
+// profiling endpoints. A nil component serves an empty page (pprof
+// still works), so binaries can expose profiling without enabling
+// metrics or tracing.
+func Handler(opts DebugOptions) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -82,22 +76,16 @@ type DebugServer struct {
 }
 
 // ServeDebug binds addr (e.g. "localhost:6060"; ":0" picks a free
-// port) and serves Handler(reg) in a background goroutine. Bind
+// port) and serves Handler(opts) in a background goroutine. Bind
 // failures are returned directly; failures of the serve loop itself
 // are available from Err once Done is closed.
-func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
-	return ServeDebugOpts(addr, DebugOptions{Registry: reg})
-}
-
-// ServeDebugOpts is ServeDebug with the full endpoint set of
-// HandlerOpts (traces and flight recorder included).
-func ServeDebugOpts(addr string, opts DebugOptions) (*DebugServer, error) {
+func ServeDebug(addr string, opts DebugOptions) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	ds := &DebugServer{
-		srv:  &http.Server{Handler: HandlerOpts(opts)},
+		srv:  &http.Server{Handler: Handler(opts)},
 		ln:   ln,
 		addr: ln.Addr().String(),
 		done: make(chan struct{}),

@@ -13,7 +13,7 @@ import (
 func TestServeDebug(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("dn_sent_total").Add(11)
-	srv, err := ServeDebug("127.0.0.1:0", reg)
+	srv, err := ServeDebug("127.0.0.1:0", DebugOptions{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +53,13 @@ func TestServeDebugBindFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	if _, err := ServeDebug(ln.Addr().String(), nil); err == nil {
+	if _, err := ServeDebug(ln.Addr().String(), DebugOptions{}); err == nil {
 		t.Fatal("bind to an occupied port succeeded")
 	}
 }
 
 func TestServeDebugCloseIdempotent(t *testing.T) {
-	srv, err := ServeDebug("127.0.0.1:0", nil)
+	srv, err := ServeDebug("127.0.0.1:0", DebugOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestServeDebugCloseIdempotent(t *testing.T) {
 // however many callers race into Close, all of them wait for the serve
 // loop to exit and return the same outcome as the call that won.
 func TestServeDebugCloseConcurrent(t *testing.T) {
-	srv, err := ServeDebug("127.0.0.1:0", nil)
+	srv, err := ServeDebug("127.0.0.1:0", DebugOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestServeDebugCloseConcurrent(t *testing.T) {
 }
 
 func TestServeDebugSurfacesServeFailure(t *testing.T) {
-	srv, err := ServeDebug("127.0.0.1:0", nil)
+	srv, err := ServeDebug("127.0.0.1:0", DebugOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestServeDebugOptsTraceEndpoints(t *testing.T) {
 	flight.Record(FlightEvent{Kind: FlightMetric, Name: "shed_rate", Value: 0.1, TimeNs: 1})
 	flight.Trigger("shed_spike", "test storm", 0.9)
 
-	srv, err := ServeDebugOpts("127.0.0.1:0", DebugOptions{Registry: reg, Traces: traces, Flight: flight})
+	srv, err := ServeDebug("127.0.0.1:0", DebugOptions{Registry: reg, Traces: traces, Flight: flight})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestServeDebugOptsTraceEndpoints(t *testing.T) {
 
 func TestServeDebugOptsNilComponents(t *testing.T) {
 	// Every component optional: nil traces/flight serve empty documents.
-	srv, err := ServeDebugOpts("127.0.0.1:0", DebugOptions{})
+	srv, err := ServeDebug("127.0.0.1:0", DebugOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

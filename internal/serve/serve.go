@@ -4,9 +4,8 @@
 // result cache, and a degrade ladder that trades answer fidelity for
 // bounded latency under overload.
 //
-// The serving stack is the ROADMAP north star ("serve heavy traffic
-// from millions of users") built directly on the zero-allocation
-// kernels: each worker shard owns one core.Kernels, so a query is
+// The serving stack is built directly on the zero-allocation kernels:
+// each worker shard owns one core.Kernels, so a query is
 // answered in O(k) time or better with no per-query heap allocation
 // beyond the returned path — exactly the regime Liu's O(k) algorithms target
 // (per-query computation replacing O(N) routing state). The degrade
@@ -23,9 +22,9 @@
 //     non-blocking enqueue onto a bounded queue, shed-on-full) →
 //     worker shards → per-connection writer. Accept and admission
 //     never block on routing work.
-//   - engine.go semantics live in this file: Engine is the per-worker
-//     compute core (cache lookup + kernel dispatch) shared by the
-//     server, the benchmarks, and the load generator.
+//   - serve.go (this file): Engine is the per-worker compute core
+//     (cache lookup + kernel dispatch) shared by the server, the
+//     benchmarks, and the load generator.
 //   - cache.go: a mutex-guarded LRU keyed by (kind, mode, d, k, src,
 //     dst); hits return the stored answer with zero allocation.
 //   - client.go: a concurrent client for the wire protocol (TCP via

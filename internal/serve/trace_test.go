@@ -237,7 +237,7 @@ func TestShedStormFreezesFlight(t *testing.T) {
 	}
 
 	// /debug/flight serves the frozen snapshot as well-formed JSON.
-	ds, err := obs.ServeDebugOpts("127.0.0.1:0", obs.DebugOptions{
+	ds, err := obs.ServeDebug("127.0.0.1:0", obs.DebugOptions{
 		Registry: s.cfg.Registry, Traces: s.Traces(), Flight: s.Flight(),
 	})
 	if err != nil {

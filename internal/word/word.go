@@ -288,13 +288,21 @@ func (w Word) MustRank() uint64 {
 // Unrank is the inverse of Rank: it returns the r-th word of length k
 // over base d in lexicographic order.
 func Unrank(base, k int, r uint64) (Word, error) {
+	return UnrankInPlace(make([]byte, max(k, 0)), base, r)
+}
+
+// UnrankInPlace is Unrank without the allocation: it writes the
+// len(digits)-digit word of rank r into digits and returns a Word that
+// views them, as ForEachInPlace's words do, so the word holds only
+// until digits is written again.
+func UnrankInPlace(digits []byte, base int, r uint64) (Word, error) {
 	if base < 2 || base > MaxBase {
 		return Word{}, fmt.Errorf("%w: got %d", ErrBadBase, base)
 	}
+	k := len(digits)
 	if k < 1 {
 		return Word{}, ErrEmpty
 	}
-	digits := make([]byte, k)
 	for i := k - 1; i >= 0; i-- {
 		digits[i] = byte(r % uint64(base))
 		r /= uint64(base)

@@ -7,12 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/deflect"
 	"repro/internal/dht"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/network"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/word"
 )
 
@@ -20,8 +22,9 @@ import (
 // in both directions: the label-stripped names in the section's metric
 // table must equal the union of the series that every simulator
 // subsystem produces — an instrumented Network (faults, Adaptive and
-// Trace on), a deflection engine, a dht.Ring and a fault sweep that
-// finds a disconnecting set and disconnected pairs.
+// Trace on), a deflection engine, a dht.Ring, a fault sweep that
+// finds a disconnecting set and disconnected pairs, a serve.Server
+// whose flight recorder has been triggered, and a cluster node.
 func TestMetricDocsMatchRegistry(t *testing.T) {
 	const d, k = 2, 5
 	rng := rand.New(rand.NewSource(5))
@@ -96,8 +99,30 @@ func TestMetricDocsMatchRegistry(t *testing.T) {
 		t.Fatalf("stretch sample needs both outcomes: %+v", res)
 	}
 
+	// Every serve series but the trigger counters registers with the
+	// server (the cache's with its cache); TriggerFlight registers
+	// those.
+	serveReg := obs.NewRegistry()
+	srv := serve.NewServer(serve.Config{CacheSize: 16, FlightSize: 16, Registry: serveReg})
+	defer srv.Close()
+	srv.TriggerFlight(serve.TriggerDegrade, "catalog", 1)
+
+	// A cluster node registers its dn_cluster_* series next to its
+	// server's dn_serve_* ones.
+	clusterReg := obs.NewRegistry()
+	node, err := cluster.New(cluster.Config{
+		ClientAddr: "c",
+		PeerAddr:   "p",
+		Transport:  serve.NewMemTransport(),
+		Serve:      serve.Config{Shards: 2, Registry: clusterReg},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
 	produced := map[string]bool{}
-	for _, reg := range []*obs.Registry{netReg, deflectReg, dhtReg, faultReg} {
+	for _, reg := range []*obs.Registry{netReg, deflectReg, dhtReg, faultReg, serveReg, clusterReg} {
 		snap := reg.Snapshot()
 		for name := range snap.Counters {
 			produced[seriesBase(name)] = true
