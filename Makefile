@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test lint race cover bench bench-json bench-compare check serve-check chaos-check hang-check fuzz experiments examples clean
+.PHONY: all build vet test lint race cover bench bench-json bench-compare check serve-check cluster-smoke chaos-check hang-check fuzz experiments examples clean
 
 all: build vet test
 
@@ -80,6 +80,30 @@ serve-check:
 	$(GO) run ./cmd/dbserve -selfcheck -rate 5000 -duration 500ms -hotset 64
 	$(GO) run ./cmd/dbserve -selfcheck -shards 1 -queue 16 -rate 4000 -duration 300ms -hotset 64 -batch 64 -deadline 20ms
 	$(GO) run ./cmd/dbserve -selfcheck -clients 4 -requests 200 -hotset 64 -trace-sample 16 -flight-size 128
+
+# Three dbserve cluster nodes over TCP: node 1's -status must list 3
+# members, dbserve -probe through node 1 must get a full-fidelity
+# answer to every query, and at least one probe must ride the fabric
+# (dn_cluster_forwarded_total summed over the three /metrics pages is
+# at least 1). Needs jq and curl; CI's cluster-smoke job runs it.
+SMOKE_DIR ?= .cluster-smoke
+cluster-smoke:
+	$(GO) build -o $(SMOKE_DIR)/dbserve ./cmd/dbserve
+	@set -e; bin=$(SMOKE_DIR)/dbserve; node="-idlen 10 -replication 1"; \
+	trap 'kill $$n1 $$n2 $$n3 2>/dev/null; wait' EXIT; \
+	$$bin $$node -id 0000000000 -addr 127.0.0.1:4700 -peer 127.0.0.1:4710 -debug-addr 127.0.0.1:4720 & n1=$$!; \
+	for i in $$(seq 50); do $$bin -status 127.0.0.1:4710 >/dev/null 2>&1 && break; sleep 0.1; done; \
+	$$bin $$node -id 0101010101 -addr 127.0.0.1:4701 -peer 127.0.0.1:4711 -debug-addr 127.0.0.1:4721 -join 127.0.0.1:4710 & n2=$$!; \
+	$$bin $$node -id 1100110011 -addr 127.0.0.1:4702 -peer 127.0.0.1:4712 -debug-addr 127.0.0.1:4722 -join 127.0.0.1:4710 & n3=$$!; \
+	for i in $$(seq 50); do \
+		$$bin -status 127.0.0.1:4710 2>/dev/null | jq -e '.membership.members | length == 3' >/dev/null && break; sleep 0.1; \
+	done; \
+	$$bin -status 127.0.0.1:4710 | jq -e '.membership.members | length == 3'; \
+	$$bin -probe -addr 127.0.0.1:4700; \
+	total=$$(curl -sf http://127.0.0.1:4720/metrics http://127.0.0.1:4721/metrics http://127.0.0.1:4722/metrics \
+		| awk '$$1 == "dn_cluster_forwarded_total" { sum += $$2 } END { print sum+0 }'); \
+	echo "summed dn_cluster_forwarded_total = $$total"; \
+	test "$$total" -ge 1
 
 # Short fuzz sessions over every fuzz target, FUZZTIME each; CI's
 # fuzz step runs this target.

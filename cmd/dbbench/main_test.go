@@ -96,10 +96,14 @@ func TestNetworkSuiteRoundTrip(t *testing.T) {
 // every k the committed report measures: hits and distance misses are
 // allocation-free, a route miss allocates only its returned path, and
 // the wire round trips stay at their BENCH_serve.json counts.
+//
+// A fixed 100 iterations per cell keeps the counts steady: a timed
+// run of a few iterations (1ms of a ~100 µs batch round trip) spreads
+// a run's one-off allocations over too few operations to pin them.
 func TestServeSuiteRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
 	var b strings.Builder
-	if err := run([]string{"-suite", "serve", "-out", path, "-benchtime", "1ms", "-k", "8,64,256"}, &b); err != nil {
+	if err := run([]string{"-suite", "serve", "-out", path, "-benchtime", "100x", "-k", "8,64,256"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -1,11 +1,15 @@
 // Command dbserve runs the sharded route-query server over the
-// length-prefixed JSON wire protocol:
+// length-prefixed JSON wire protocol, alone or as one node of a
+// multi-node cluster (internal/cluster):
 //
 //	dbserve -addr :4600                       # serve until SIGINT/SIGTERM
 //	dbserve -addr :4600 -debug-addr :4601     # plus /metrics and pprof
 //	dbserve -trace-sample 64 -flight-size 256 # tracing + flight recorder
 //	dbserve -selfcheck -rate 20000            # in-process load check, then exit
 //	dbserve -probe -addr :4600                # client smoke: traced queries to a server or cluster node
+//	dbserve -addr :4700 -peer :4710           # boot a standalone cluster node
+//	dbserve -addr :4701 -peer :4711 -join :4710  # join a cluster through a member
+//	dbserve -status 127.0.0.1:4710            # print a cluster node's status JSON
 //
 // The server owns one routing engine (and one reusable scratch state)
 // per shard, shares an LRU result cache across shards, sheds instead
@@ -29,11 +33,23 @@
 // cross-checks the dn_serve_* counters against the in-process
 // conservation totals; drift fires the conservation_mismatch flight
 // trigger and fails the run.
+//
+// With -peer, the server is a cluster node: the same serving flags
+// shape its embedded server, which answers any query on -addr and
+// proxies misses hop-by-hop over the Koorde fabric toward the owner,
+// so `dbserve -probe -addr` smoke-tests a cluster through any node.
+// The control listener on -peer speaks the join/membership/status
+// protocol; -status is its standalone client. On SIGINT/SIGTERM the
+// node announces departure (a clean leave) before shutting down.
+// Fault views are per process, so -peer refuses -fail-link, and
+// -selfcheck, which drives a lone in-process server.
 package main
 
 import (
 	"bufio"
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,6 +62,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/word"
@@ -58,10 +75,17 @@ func main() {
 	}
 }
 
+// errPeerAlone rejects the flags that only a lone server can honour.
+var errPeerAlone = errors.New("-peer runs a cluster node, which takes neither -selfcheck nor -fail-link")
+
+// testStop, when non-nil, stops the serving loop in place of a
+// signal; tests close it to exercise the full shutdown path.
+var testStop chan struct{}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("dbserve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:4600", "TCP listen address")
-	shards := fs.Int("shards", 0, "worker shards (0: GOMAXPROCS)")
+	shards := fs.Int("shards", 0, "worker shards (0: GOMAXPROCS; a cluster node takes at least 2)")
 	queue := fs.Int("queue", 1024, "admission queue depth (full queue sheds)")
 	cacheSize := fs.Int("cache", 4096, "LRU result-cache capacity in answers (0 disables)")
 	deadline := fs.Duration("deadline", 100*time.Millisecond, "default per-request deadline")
@@ -84,26 +108,27 @@ func run(args []string, out io.Writer) error {
 	hotset := fs.Int("hotset", 0, "selfcheck: draw vertices from a pool of this size (0: uniform)")
 	batch := fs.Int("batch", 0, "selfcheck: sub-queries per request (0: scalar requests)")
 	seed := fs.Int64("seed", 1, "selfcheck: random seed")
+	peer := fs.String("peer", "", "run a cluster node with its control listener (join/membership/status) on this address")
+	join := fs.String("join", "", "cluster: comma-separated control addresses of existing members to join through")
+	id := fs.String("id", "", "cluster: node identifier digits in DG(2, idlen) (empty: derived from -addr)")
+	idLen := fs.Int("idlen", cluster.DefaultIDLen, "cluster: identifier length (all members must agree)")
+	replication := fs.Int("replication", cluster.DefaultReplication, "cluster: replica-set size R; the owner plus R-1 ring successors hold each key")
+	status := fs.String("status", "", "print the status JSON of the cluster node at this control address, then exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *probe {
+	switch {
+	case *probe:
 		return runProbe(*addr, out)
-	}
-
-	var faults *serve.FaultSet
-	if len(failLinks) > 0 {
-		faults = serve.NewFaultSet()
-		for _, l := range failLinks {
-			if err := faults.FailLink(l[0], l[1]); err != nil {
-				return err
-			}
-		}
+	case *status != "":
+		return runStatus(*status, out)
+	case *peer != "" && (*selfcheck || len(failLinks) > 0):
+		return errPeerAlone
 	}
 
 	reg := obs.NewRegistry()
-	srv := serve.NewServer(serve.Config{
+	cfg := serve.Config{
 		Shards:          *shards,
 		QueueDepth:      *queue,
 		CacheSize:       *cacheSize,
@@ -114,9 +139,39 @@ func run(args []string, out io.Writer) error {
 		TraceSeed:       *traceSeed,
 		TraceBufferSize: *traceBuffer,
 		FlightSize:      *flightSize,
-		Faults:          faults,
-	})
-	defer srv.Close()
+	}
+	if len(failLinks) > 0 {
+		cfg.Faults = serve.NewFaultSet()
+		for _, l := range failLinks {
+			if err := cfg.Faults.FailLink(l[0], l[1]); err != nil {
+				return err
+			}
+		}
+	}
+
+	var srv *serve.Server
+	var node *cluster.Node
+	if *peer != "" {
+		var err error
+		node, err = cluster.New(cluster.Config{
+			ID:          *id,
+			IDLen:       *idLen,
+			ClientAddr:  *addr,
+			PeerAddr:    *peer,
+			Transport:   serve.TCP{},
+			Replication: *replication,
+			Seeds:       splitList(*join),
+			Serve:       cfg,
+		})
+		if err != nil {
+			return err
+		}
+		defer node.Close() // after Leave, a no-op
+		srv = node.Server()
+	} else {
+		srv = serve.NewServer(cfg)
+		defer srv.Close()
+	}
 
 	// The selfcheck cross-checks the wire /metrics against in-process
 	// counters, so it gets an ephemeral debug server if none was asked
@@ -158,24 +213,58 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
+	serveErr := make(chan error, 1)
+	if node != nil {
+		fmt.Fprintf(out, "node %s serving on %s (control %s, %d member(s), R=%d)\n",
+			node.ID(), node.ClientAddr(), node.PeerAddr(), len(node.Membership().Members), *replication)
+	} else {
+		ln, err := net.Listen("tcp", *addr)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "serving DG route queries on %s (%d-deep queue, cache %d)\n",
+			ln.Addr(), *queue, *cacheSize)
+		go func() { serveErr <- srv.Serve(ln) }()
 	}
-	fmt.Fprintf(out, "serving DG route queries on %s (%d-deep queue, cache %d)\n",
-		ln.Addr(), *queue, *cacheSize)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
+	defer signal.Stop(sig)
 	select {
 	case <-sig:
-		fmt.Fprintln(out, "shutting down")
-		return srv.Close()
+	case <-testStop:
 	case err := <-serveErr:
 		return err
 	}
+	if node != nil {
+		fmt.Fprintln(out, "leaving cluster")
+		return node.Leave()
+	}
+	fmt.Fprintln(out, "shutting down")
+	return srv.Close()
+}
+
+// splitList parses a comma-separated address list, dropping blanks.
+func splitList(s string) []string {
+	var list []string
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			list = append(list, f)
+		}
+	}
+	return list
+}
+
+// runStatus prints the status document of one cluster node, fetched
+// over its control listener.
+func runStatus(addr string, out io.Writer) error {
+	st, err := cluster.RemoteStatus(serve.TCP{}, addr, 5*time.Second)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(st)
 }
 
 // runSelfcheck drives the in-process load sweep while scraping the
@@ -378,7 +467,7 @@ var probePairs = [][2]string{
 	{"0100101101", "1101001011"},
 }
 
-// runProbe is the CI smoke client for a dbserve server or a dbcluster
+// runProbe is the CI smoke client for a dbserve server or cluster
 // node: it dials addr, issues one traced query per probe pair, cycling
 // distance, route and next-hop, plus one batch, and requires a
 // full-fidelity answer (status ok, no degrade) echoing its trace id

@@ -161,12 +161,12 @@ func TestMembershipOrdering(t *testing.T) {
 // TestDeriveIDDeterministic pins identifier derivation: pure in
 // (seed, attempt), different across attempts.
 func TestDeriveIDDeterministic(t *testing.T) {
-	a := DeriveID(2, 16, "127.0.0.1:4600", 0)
-	b := DeriveID(2, 16, "127.0.0.1:4600", 0)
+	a := DeriveID(16, "127.0.0.1:4600", 0)
+	b := DeriveID(16, "127.0.0.1:4600", 0)
 	if a.String() != b.String() {
 		t.Fatal("derivation not deterministic")
 	}
-	c := DeriveID(2, 16, "127.0.0.1:4600", 1)
+	c := DeriveID(16, "127.0.0.1:4600", 1)
 	if a.String() == c.String() {
 		t.Fatal("attempt counter changed nothing")
 	}
@@ -208,7 +208,6 @@ func TestJoinCollisionRejected(t *testing.T) {
 	scfg := serve.Config{Shards: 2, QueueDepth: 16}
 	_, err := New(Config{
 		ID:         n0.ID().String(),
-		IDBase:     DefaultIDBase,
 		IDLen:      8,
 		ClientAddr: "collide-c",
 		PeerAddr:   "collide-p",

@@ -1,6 +1,6 @@
 // Package cluster runs N serving nodes as one logical route-query
 // service, routed over its own de Bruijn fabric. Each node owns a
-// slice of the query key space by consistent placement on a DG(d,k)
+// slice of the query key space by consistent placement on a DG(2,k)
 // identifier space — the same space the paper's routing works in —
 // and misses are forwarded between nodes with the Koorde walk of
 // internal/dht (successor + finger pointers, imaginary de Bruijn
@@ -42,30 +42,33 @@ import (
 
 // Defaults for Config zero values.
 const (
-	DefaultIDBase      = 2
 	DefaultIDLen       = 16
 	DefaultReplication = 2
 )
+
+// idBase is the alphabet size of every cluster's identifier space
+// DG(2, IDLen): the binary de Bruijn graph the Koorde walk runs on.
+const idBase = 2
 
 // joinTimeout bounds each control-plane RPC a node makes: a join
 // attempt, a membership push or gossip exchange, a leave broadcast.
 const joinTimeout = 5 * time.Second
 
-// maxHops is the forward TTL of a walk started on DG(d, idLen): a node
+// maxHops is the forward TTL of a walk started on DG(2, idLen): a node
 // receiving an exhausted budget answers locally. It sits comfortably
 // above the Koorde walk's own guard for any sane node count.
 func maxHops(idLen int) int { return 4*idLen + 16 }
 
 // Config describes one cluster node.
 type Config struct {
-	// ID is the node's identifier in the DG(IDBase, IDLen) space, as
-	// a digit string ("0110..."). Empty derives one by hashing
+	// ID is the node's identifier in the DG(2, IDLen) space, as a
+	// binary digit string ("0110..."). Empty derives one by hashing
 	// ClientAddr — fine for ad-hoc clusters, but explicit IDs are
 	// what make placements reproducible across restarts.
 	ID string
-	// IDBase and IDLen shape the identifier space DG(d,k); all nodes
-	// of a cluster must agree. Defaults 2 and 16 (65536 identifiers).
-	IDBase, IDLen int
+	// IDLen is the identifier length k of DG(2,k); all nodes of a
+	// cluster must agree. Default 16 (65536 identifiers).
+	IDLen int
 	// ClientAddr is the query listener (the dbserve wire protocol);
 	// PeerAddr is the control listener (join/leave/membership/status).
 	ClientAddr, PeerAddr string
@@ -130,13 +133,10 @@ func (cfg Config) withDefaults() (Config, error) {
 			cfg.Serve.Shards = 2
 		}
 	}
-	if cfg.IDBase == 0 {
-		cfg.IDBase = DefaultIDBase
-	}
 	if cfg.IDLen == 0 {
 		cfg.IDLen = DefaultIDLen
 	}
-	if _, err := word.Count(cfg.IDBase, cfg.IDLen); err != nil {
+	if _, err := word.Count(idBase, cfg.IDLen); err != nil {
 		return cfg, fmt.Errorf("cluster: identifier space: %w", err)
 	}
 	if cfg.Replication == 0 {
@@ -160,10 +160,10 @@ func (cfg Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// DeriveID hashes seed text into an identifier of DG(d,k) — the
+// DeriveID hashes seed text into an identifier of DG(2,k) — the
 // default node identity (seeded by ClientAddr) and the retry path on
 // join collisions (seeded by addr plus an attempt counter).
-func DeriveID(d, k int, seed string, attempt int) word.Word {
+func DeriveID(k int, seed string, attempt int) word.Word {
 	h := uint64(14695981039346656037) // FNV-64a offset
 	for i := 0; i < len(seed); i++ {
 		h ^= uint64(seed[i])
@@ -173,11 +173,11 @@ func DeriveID(d, k int, seed string, attempt int) word.Word {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	size, err := word.Count(d, k)
+	size, err := word.Count(idBase, k)
 	if err != nil {
 		panic(err) // caller validated the space
 	}
-	w, err := word.Unrank(d, k, h%uint64(size))
+	w, err := word.Unrank(idBase, k, h%uint64(size))
 	if err != nil {
 		panic(err)
 	}

@@ -135,9 +135,9 @@ func TestClusterHopsMatchLookup(t *testing.T) {
 	view := n0.Membership()
 	ids := make([]word.Word, 0, len(view.Members))
 	for _, m := range view.Members {
-		ids = append(ids, word.MustParse(DefaultIDBase, m.ID))
+		ids = append(ids, word.MustParse(idBase, m.ID))
 	}
-	ring := mustRing(t, DefaultIDBase, 10, ids)
+	ring := mustRing(t, idBase, 10, ids)
 	self, ok := ring.NodeAt(n0.ID())
 	if !ok {
 		t.Fatal("node 0 missing from oracle ring")

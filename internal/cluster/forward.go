@@ -28,13 +28,13 @@ func fnv64a(b []byte) uint64 {
 }
 
 // placementKey maps a query to its identifier-space word: FNV-64a
-// over the canonical cache-key bytes, reduced onto DG(d,k). Hashing
+// over the canonical cache-key bytes, reduced onto DG(2,k). Hashing
 // the cache key makes the partition exactly a partition of the cache
 // key space — each node's LRU holds its own slice, so the cluster
 // cache is additive.
 func (n *Node) placementKey(q serve.Query) (word.Word, error) {
 	rank := fnv64a(q.AppendKey(nil)) % n.space
-	return word.Unrank(n.cfg.IDBase, n.cfg.IDLen, rank)
+	return word.Unrank(idBase, n.cfg.IDLen, rank)
 }
 
 // holdsLocked reports whether this node is in the replica set of key:
@@ -82,11 +82,11 @@ func (f *forwarder) Forward(ctx context.Context, req serve.Request, qs []serve.Q
 		if fwd.Final || ttl <= 0 {
 			return n.localVerdict(hops)
 		}
-		key, err := word.Parse(n.cfg.IDBase, fwd.Key)
+		key, err := word.Parse(idBase, fwd.Key)
 		if err != nil || key.Len() != n.cfg.IDLen {
 			return n.localVerdict(hops)
 		}
-		imag, err := word.Parse(n.cfg.IDBase, fwd.Imag)
+		imag, err := word.Parse(idBase, fwd.Imag)
 		if err != nil || imag.Len() != n.cfg.IDLen {
 			return n.localVerdict(hops)
 		}

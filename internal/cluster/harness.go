@@ -38,9 +38,9 @@ type HarnessConfig struct {
 	Nodes int
 	// Seed drives identifier generation.
 	Seed int64
-	// IDBase/IDLen default to the cluster defaults; small tests use a
-	// small space.
-	IDBase, IDLen int
+	// IDLen defaults to the cluster default; small tests use a small
+	// space.
+	IDLen int
 	// Replication passes through to every node.
 	Replication int
 	// Serve is the per-node server config template. Registry must be
@@ -66,9 +66,6 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 	}
 	if cfg.Serve.Registry != nil {
 		return nil, fmt.Errorf("cluster: harness owns per-node registries")
-	}
-	if cfg.IDBase == 0 {
-		cfg.IDBase = DefaultIDBase
 	}
 	if cfg.IDLen == 0 {
 		cfg.IDLen = DefaultIDLen
@@ -98,7 +95,7 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 // freshID draws an unused identifier from the seeded generator.
 func (h *Harness) freshID() word.Word {
 	for {
-		w := word.Random(h.cfg.IDBase, h.cfg.IDLen, h.rng)
+		w := word.Random(idBase, h.cfg.IDLen, h.rng)
 		if !h.used[w.String()] {
 			h.used[w.String()] = true
 			return w
@@ -120,7 +117,6 @@ func (h *Harness) Join() (int, error) {
 	scfg.Registry = obs.NewRegistry()
 	node, err := New(Config{
 		ID:             h.freshID().String(),
-		IDBase:         h.cfg.IDBase,
 		IDLen:          h.cfg.IDLen,
 		ClientAddr:     fmt.Sprintf("client-%d", i),
 		PeerAddr:       fmt.Sprintf("peer-%d", i),

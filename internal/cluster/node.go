@@ -64,10 +64,10 @@ func New(cfg Config) (*Node, error) {
 		clients: make(map[string]*serve.Client),
 		stop:    make(chan struct{}),
 	}
-	size, _ := word.Count(cfg.IDBase, cfg.IDLen)
+	size, _ := word.Count(idBase, cfg.IDLen)
 	n.space = uint64(size)
 	if cfg.ID != "" {
-		n.id, err = word.Parse(cfg.IDBase, cfg.ID)
+		n.id, err = word.Parse(idBase, cfg.ID)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: Config.ID: %w", err)
 		}
@@ -75,7 +75,7 @@ func New(cfg Config) (*Node, error) {
 			return nil, fmt.Errorf("cluster: Config.ID %q is not length %d", cfg.ID, cfg.IDLen)
 		}
 	} else {
-		n.id = DeriveID(cfg.IDBase, cfg.IDLen, cfg.ClientAddr, 0)
+		n.id = DeriveID(cfg.IDLen, cfg.ClientAddr, 0)
 	}
 	n.idStr = n.id.String()
 
@@ -126,7 +126,7 @@ func (n *Node) bootstrap() error {
 				if errors.Is(err, errIDCollision) && n.cfg.ID == "" {
 					// Derived identity taken: re-derive and retry the
 					// whole seed list under the new one.
-					n.id = DeriveID(n.cfg.IDBase, n.cfg.IDLen, n.cfg.ClientAddr, attempt+1)
+					n.id = DeriveID(n.cfg.IDLen, n.cfg.ClientAddr, attempt+1)
 					n.idStr = n.id.String()
 					self.ID = n.idStr
 					lastErr = err
@@ -188,13 +188,13 @@ func (n *Node) applyMembershipLocked(mem Membership) error {
 	}
 	ids := make([]word.Word, 0, len(mem.Members))
 	for _, m := range mem.Members {
-		w, err := word.Parse(n.cfg.IDBase, m.ID)
+		w, err := word.Parse(idBase, m.ID)
 		if err != nil {
 			return fmt.Errorf("cluster: member id %q: %w", m.ID, err)
 		}
 		ids = append(ids, w)
 	}
-	ring, err := dht.NewRing(n.cfg.IDBase, n.cfg.IDLen, ids)
+	ring, err := dht.NewRing(idBase, n.cfg.IDLen, ids)
 	if err != nil {
 		return fmt.Errorf("cluster: membership ring: %w", err)
 	}
@@ -328,7 +328,7 @@ func (n *Node) ForwardHopStats() (sum, count int64) {
 }
 
 // Status is the control-plane status document (peer RPC and
-// dbcluster status).
+// dbserve -status).
 type Status struct {
 	ID         string       `json:"id"`
 	ClientAddr string       `json:"client_addr"`

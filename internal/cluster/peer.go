@@ -189,7 +189,7 @@ func rpcOverTransport(tr serve.Transport, addr string, timeout time.Duration, en
 }
 
 // RemoteStatus runs the status RPC against a node's control address —
-// the client side of dbcluster -status and the CI smoke assertions.
+// the client side of dbserve -status and the CI smoke assertions.
 // A non-positive timeout means 5s.
 func RemoteStatus(tr serve.Transport, addr string, timeout time.Duration) (Status, error) {
 	if timeout <= 0 {

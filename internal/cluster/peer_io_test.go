@@ -151,7 +151,6 @@ func TestForwardUnsticksFromStalledPeer(t *testing.T) {
 	mem := serve.NewMemTransport()
 	n0, err := New(Config{
 		ID:            "00000000",
-		IDBase:        2,
 		IDLen:         8,
 		ClientAddr:    "real-c",
 		PeerAddr:      "real-p",

@@ -237,13 +237,9 @@ func (kn *Kernels) DistanceColumn(dst word.Word, directed bool, col []uint8) err
 	if len(col) != n {
 		return fmt.Errorf("core: distance column has %d entries, DG(%d,%d) has %d vertices", len(col), d, k, n)
 	}
-	if ti := kn.resolve(d, k); ti.tier == TierTable {
-		dist := ti.tab.udist
-		if directed {
-			dist = ti.tab.ddist
-		}
+	if tab := kn.DistanceTable(d, k, directed); tab != nil {
 		for v, i := 0, int(dst.MustRank()); v < n; v, i = v+1, i+n {
-			col[v] = dist[i]
+			col[v] = tab[i]
 		}
 		return nil
 	}
@@ -265,20 +261,21 @@ func (kn *Kernels) DistanceColumn(dst word.Word, directed bool, col []uint8) err
 	return derr
 }
 
-// UndirectedRow returns the shared rank table's row of Theorem 2
-// distances from the vertex of rank v, row[u] = D(v,u), when the table
-// tier answers DG(d,k) right now, and nil otherwise (no table, or its
-// asynchronous build still running). The undirected distance is
-// symmetric, so the row equals DistanceColumn's undirected column
-// toward v without the copy. The row is a read-only view into the
-// table; v must be a rank of DG(d,k).
-func (kn *Kernels) UndirectedRow(d, k, v int) []uint8 {
+// DistanceTable returns the shared rank table's N×N distance matrix of
+// DG(d,k) by vertex rank, tab[x·N+y] = D(x,y) (Property 1 when
+// directed, Theorem 2 otherwise), when the table tier answers DG(d,k)
+// right now, and nil otherwise (no table, or its asynchronous build
+// still running). The matrix is a read-only view into the table.
+func (kn *Kernels) DistanceTable(d, k int, directed bool) []uint8 {
 	ti := kn.resolve(d, k)
-	if ti.tier != TierTable {
+	switch {
+	case ti.tier != TierTable:
 		return nil
+	case directed:
+		return ti.tab.ddist
+	default:
+		return ti.tab.udist
 	}
-	n := ti.tab.n
-	return ti.tab.udist[v*n : (v+1)*n : (v+1)*n]
 }
 
 func clampDist(k, dL, dR int) int {

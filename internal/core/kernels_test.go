@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -575,9 +574,9 @@ func TestKernelAllocBudgets(t *testing.T) {
 
 // TestDistanceColumn compares every tier's distance column with the
 // tier-free Theorem 2 and Property 1 functions toward every
-// destination, checks that UndirectedRow, on the table tier only,
-// reads the same values as the undirected column, and checks that a
-// column of the wrong length is refused.
+// destination, checks that DistanceTable, on the table tier only,
+// reads the same values as the column of either kind, and checks that
+// a column of the wrong length is refused.
 func TestDistanceColumn(t *testing.T) {
 	configs := map[string]KernelConfig{
 		"packed": {TableBudget: -1},
@@ -612,12 +611,14 @@ func TestDistanceColumn(t *testing.T) {
 							t.Fatalf("%s DG(%d,%d) directed=%v: column toward %v reads %d at %v, want %d", name, d, k, directed, y, col[v], x, want)
 						}
 					}
-					row := kn.UndirectedRow(d, k, int(y.MustRank()))
-					switch {
-					case (row != nil) != (name == "table"):
-						t.Fatalf("%s DG(%d,%d): UndirectedRow toward %v is nil: %v", name, d, k, y, row == nil)
-					case row != nil && !directed && !slices.Equal(row, col):
-						t.Fatalf("%s DG(%d,%d): UndirectedRow toward %v reads %v, column %v", name, d, k, y, row, col)
+					tab := kn.DistanceTable(d, k, directed)
+					if (tab != nil) != (name == "table") {
+						t.Fatalf("%s DG(%d,%d): DistanceTable is nil: %v", name, d, k, tab == nil)
+					}
+					for v := 0; tab != nil && v < len(words); v++ {
+						if got := tab[v*len(words)+int(y.MustRank())]; got != col[v] {
+							t.Fatalf("%s DG(%d,%d) directed=%v: DistanceTable reads %d from %v to %v, column %d", name, d, k, directed, got, words[v], y, col[v])
+						}
 					}
 				}
 			}

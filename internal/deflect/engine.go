@@ -33,12 +33,12 @@ import (
 // a graph.DeBruijn graph and messages carry their destination's rank.
 // A site reads the distances it classifies its links by where the
 // message stands, as the paper's distance function allows (Property 1,
-// Theorem 2): from the shared rank table's row toward the destination
-// when the table tier answers an undirected graph, otherwise from
-// core.Kernels, D(u,dst) for each free out-neighbour u, with D(v,dst)
-// carried on the message from the hop that chose v. The engine keeps
-// no state per destination, so its memory is O(N·d) however many
-// destinations the traffic has.
+// Theorem 2): D(u,dst) for each free out-neighbour u is a byte of the
+// shared rank table, tab[u·N+dst], when the table tier answers the
+// graph, and otherwise one core.Kernels call, with D(v,dst) carried on
+// the message from the hop that chose v. The engine keeps no state per
+// destination, so its memory is O(N·d) however many destinations the
+// traffic has.
 type Engine struct {
 	cfg Config
 	g   *graph.Graph
@@ -75,12 +75,8 @@ type Engine struct {
 type msg struct {
 	id   int
 	dstV int // destination rank
-	// row is the rank table's row of distances toward dst when the
-	// table tier answered the undirected graph at injection; nil
-	// otherwise.
-	row []uint8
-	// dist is D(site, dst) where the message stands, when row is nil:
-	// noDist until the message's first round computes it, then the
+	// dist is D(site, dst) where the message stands: noDist until the
+	// message's first round off the table computes it, then the
 	// distance of the link each hop took.
 	dist        uint8
 	born        int // round at injection
@@ -244,7 +240,7 @@ func (e *Engine) inject(sv, dv int) bool {
 	} else {
 		m = new(msg)
 	}
-	*m = msg{id: e.nextID, dstV: dv, row: e.rowTo(dv), dist: noDist, born: e.round}
+	*m = msg{id: e.nextID, dstV: dv, dist: noDist, born: e.round}
 	e.nextID++
 	e.resident[sv] = append(e.resident[sv], m)
 	e.inflight++
@@ -262,6 +258,7 @@ func (e *Engine) inject(sv, dv int) bool {
 func (e *Engine) Step() error {
 	e.round++
 	e.m.rounds.Inc()
+	tab := e.kn.DistanceTable(e.cfg.D, e.cfg.K, e.cfg.Unidirectional)
 	moves := e.moves[:0]
 	for v := 0; v < len(e.resident); v++ {
 		rs := e.resident[v]
@@ -274,7 +271,7 @@ func (e *Engine) Step() error {
 			if len(free) == 0 {
 				return fmt.Errorf("deflect: site %v holds more messages than output links (internal invariant)", e.Word(v))
 			}
-			dv, freeDist, err := e.distances(m, v, free)
+			dv, freeDist, err := e.distances(m, v, free, tab)
 			if err != nil {
 				return err
 			}
@@ -351,17 +348,19 @@ func (e *Engine) Step() error {
 
 // distances returns D(v,dst) for the message m standing at v and
 // D(u,dst) for each link u in free, in a slice parallel to free that
-// the next call overwrites. With a table row they are byte loads;
-// otherwise each is one kernel call on operands unranked in place,
-// except D(v,dst), which the previous hop left on the message.
-func (e *Engine) distances(m *msg, v int, free []int32) (uint8, []uint8, error) {
+// the next call overwrites. With the table's distance matrix tab they
+// are byte loads; otherwise each is one kernel call on operands
+// unranked in place, except D(v,dst), which the previous hop left on
+// the message.
+func (e *Engine) distances(m *msg, v int, free []int32, tab []uint8) (uint8, []uint8, error) {
 	dist := e.freeDist[:0]
-	if row := m.row; row != nil {
+	if tab != nil {
+		n, dst := len(e.resident), m.dstV
 		for _, u := range free {
-			dist = append(dist, row[u])
+			dist = append(dist, tab[int(u)*n+dst])
 		}
 		e.freeDist = dist
-		return row[v], dist, nil
+		return tab[v*n+dst], dist, nil
 	}
 	dst, err := word.UnrankInPlace(e.dstDigits, e.cfg.D, uint64(m.dstV))
 	if err != nil {
@@ -381,16 +380,6 @@ func (e *Engine) distances(m *msg, v int, free []int32) (uint8, []uint8, error) 
 	}
 	e.freeDist = dist
 	return m.dist, dist, nil
-}
-
-// rowTo returns the rank table's row of distances toward dst, read in
-// place, when the table tier answers the undirected graph right now,
-// and nil otherwise.
-func (e *Engine) rowTo(dst int) []uint8 {
-	if e.cfg.Unidirectional {
-		return nil
-	}
-	return e.kn.UndirectedRow(e.cfg.D, e.cfg.K, dst)
 }
 
 // distance is D(v,dst) through the kernel ladder: Property 1 on the

@@ -453,16 +453,16 @@ func TestEngineMemoryBounded(t *testing.T) {
 }
 
 // TestStepAllocs pins a warm deflection round at zero allocations for
-// every policy, on the table tier's rows (undirected DG(2,6), table
-// built) and off it (undirected DG(2,9), past the table budget, and
-// directed DG(2,6)): a round reuses the engine's scratch (free links,
-// distances, candidates, digit buffers, moves) and the resident sets,
-// which New sizes to the sites' output links.
+// every policy, on the table tier (DG(2,6) of both kinds, table built)
+// and off it (DG(2,9) of both kinds, past the table budget): a round
+// reuses the engine's scratch (free links, distances, candidates,
+// digit buffers, moves) and the resident sets, which New sizes to the
+// sites' output links.
 func TestStepAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		k   int
 		uni bool
-	}{{6, false}, {9, false}, {6, true}} {
+	}{{6, false}, {9, false}, {6, true}, {9, true}} {
 		for _, pol := range Policies() {
 			testStepAllocs(t, tc.k, tc.uni, pol)
 		}

@@ -74,10 +74,12 @@ func NewLayers(g *graph.Graph, dst word.Word) (*Layers, error) {
 	kn := core.NewKernels(core.KernelConfig{})
 	directed := g.Kind() == graph.Directed
 	ly := &Layers{g: g, k: k}
-	if !directed {
-		if ly.dist = kn.UndirectedRow(d, k, int(dst.MustRank())); ly.dist != nil {
-			return ly, nil
-		}
+	if tab := kn.DistanceTable(d, k, directed); tab != nil && !directed {
+		// Theorem 2's distance is symmetric: the row from dst is the
+		// column toward it.
+		r := int(dst.MustRank())
+		ly.dist = tab[r*n : (r+1)*n : (r+1)*n]
+		return ly, nil
 	}
 	ly.dist = make([]uint8, n)
 	if err := kn.DistanceColumn(dst, directed, ly.dist); err != nil {

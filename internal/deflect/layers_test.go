@@ -150,9 +150,9 @@ func TestLayersAgreeWithBFS(t *testing.T) {
 // D(v,dst) and D(u,dst) for every out-neighbour u, and at least one
 // advancing link at every site but dst, so the engine deflects only
 // under contention. It runs with the table tier built synchronously,
-// where every undirected table-eligible graph must read the rank
-// table's row in place (and at least one does), and with the tier
-// disabled, where every distance comes from a kernel call.
+// where the distances of at least one graph of each kind are the rank
+// table's bytes, and with the tier disabled, where every distance
+// comes from a kernel call.
 func TestStepDistancesAgreeWithBFS(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -162,7 +162,7 @@ func TestStepDistancesAgreeWithBFS(t *testing.T) {
 		{"computed", core.KernelConfig{TableBudget: -1}},
 	} {
 		rng := rand.New(rand.NewSource(43))
-		rows := 0
+		tables := map[graph.Kind]int{}
 		for _, kind := range []graph.Kind{graph.Directed, graph.Undirected} {
 			for _, dk := range smallGraphs() {
 				kn := core.NewKernels(tc.cfg)
@@ -174,14 +174,17 @@ func TestStepDistancesAgreeWithBFS(t *testing.T) {
 				name := fmt.Sprintf("%s DG(%v,%d,%d)", tc.name, kind, dk.d, dk.k)
 				for _, dst := range testDests(rng, g.NumVertices()) {
 					want := bfsToDst(t, g, dst)
-					row := kn.UndirectedRow(dk.d, dk.k, dst)
-					if tc.name == "computed" && row != nil {
+					tab := kn.DistanceTable(dk.d, dk.k, kind == graph.Directed)
+					if tc.name == "computed" && tab != nil {
 						t.Fatalf("%s: the table tier answers with the tier disabled", name)
 					}
+					if tab != nil {
+						tables[kind]++
+					}
 					for v := range want {
-						m := &msg{dstV: dst, row: e.rowTo(dst), dist: noDist}
+						m := &msg{dstV: dst, dist: noDist}
 						outs := g.OutNeighbors(v)
-						dv, dist, err := e.distances(m, v, outs)
+						dv, dist, err := e.distances(m, v, outs, tab)
 						if err != nil {
 							t.Fatalf("%s: distances(%d→%d): %v", name, v, dst, err)
 						}
@@ -200,17 +203,12 @@ func TestStepDistancesAgreeWithBFS(t *testing.T) {
 						if v != dst && adv == 0 {
 							t.Fatalf("%s dst %d: site %d at distance %d has no advancing link", name, dst, v, dv)
 						}
-						if inPlace := m.row != nil && row != nil && &m.row[0] == &row[0]; inPlace != (row != nil && kind == graph.Undirected) {
-							t.Fatalf("%s dst %d: distances read from the table row: %v, table row available: %v", name, dst, inPlace, row != nil)
-						} else if inPlace {
-							rows++
-						}
 					}
 				}
 			}
 		}
-		if tc.name == "table" && rows == 0 {
-			t.Fatal("no distance was read from the rank table")
+		if tc.name == "table" && (tables[graph.Directed] == 0 || tables[graph.Undirected] == 0) {
+			t.Fatalf("distances read from the rank table, by kind: %v; want both kinds", tables)
 		}
 	}
 }

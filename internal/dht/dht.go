@@ -28,11 +28,11 @@ import (
 
 // DHT metric names (README.md § Observability).
 const (
-	metricLookups       = "dht_lookups_total"
-	metricLookupHops    = "dht_lookup_hops"
-	metricDeBruijnHops  = "dht_debruijn_hops_total"
-	metricSuccessorHops = "dht_successor_hops_total"
-	metricTimeouts      = "dht_lookup_timeouts_total"
+	metricLookups       = "dn_dht_lookups_total"
+	metricLookupHops    = "dn_dht_lookup_hops"
+	metricDeBruijnHops  = "dn_dht_debruijn_hops_total"
+	metricSuccessorHops = "dn_dht_successor_hops_total"
+	metricTimeouts      = "dn_dht_lookup_timeouts_total"
 )
 
 // ringMetrics are pre-resolved instrument handles; all nil when

@@ -35,16 +35,16 @@ func TestRingObserver(t *testing.T) {
 
 	snap := reg.Snapshot()
 	want := int64(r.NumNodes())
-	if got := snap.Counter("dht_lookups_total"); got != want {
+	if got := snap.Counter("dn_dht_lookups_total"); got != want {
 		t.Errorf("lookups = %d, want %d", got, want)
 	}
-	if got := snap.Histograms["dht_lookup_hops"].Count; got != want {
+	if got := snap.Histograms["dn_dht_lookup_hops"].Count; got != want {
 		t.Errorf("lookup hop observations = %d, want %d", got, want)
 	}
-	if got := snap.Counter("dht_debruijn_hops_total"); got != int64(debruijn) {
+	if got := snap.Counter("dn_dht_debruijn_hops_total"); got != int64(debruijn) {
 		t.Errorf("de Bruijn hops = %d, want %d", got, debruijn)
 	}
-	succ := snap.Counter("dht_successor_hops_total")
+	succ := snap.Counter("dn_dht_successor_hops_total")
 	if int(succ)+debruijn != totalHops {
 		t.Errorf("successor (%d) + de Bruijn (%d) hops != total %d", succ, debruijn, totalHops)
 	}

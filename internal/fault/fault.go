@@ -18,10 +18,10 @@ import (
 
 // Fault metric names (README.md § Observability).
 const (
-	metricSetsExamined  = "fault_sets_examined_total"
-	metricDisconnecting = "fault_disconnecting_sets_total"
-	metricStretchPairs  = "fault_stretch_pairs_total"
-	metricDisconnected  = "fault_disconnected_pairs_total"
+	metricSetsExamined  = "dn_fault_sets_examined_total"
+	metricDisconnecting = "dn_fault_disconnecting_sets_total"
+	metricStretchPairs  = "dn_fault_stretch_pairs_total"
+	metricDisconnected  = "dn_fault_disconnected_pairs_total"
 )
 
 // observer is the package-wide registry: the tolerance checks are

@@ -29,16 +29,16 @@ func TestFaultObserver(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if got := snap.Counter("fault_sets_examined_total"); got != 16 {
+	if got := snap.Counter("dn_fault_sets_examined_total"); got != 16 {
 		t.Errorf("sets examined = %d, want 16", got)
 	}
-	if got := snap.Counter("fault_disconnecting_sets_total"); got != 0 {
+	if got := snap.Counter("dn_fault_disconnecting_sets_total"); got != 0 {
 		t.Errorf("disconnecting sets = %d, want 0", got)
 	}
-	if got := snap.Counter("fault_stretch_pairs_total"); got != int64(res.Pairs) {
+	if got := snap.Counter("dn_fault_stretch_pairs_total"); got != int64(res.Pairs) {
 		t.Errorf("stretch pairs = %d, want %d", got, res.Pairs)
 	}
-	if got := snap.Counter("fault_disconnected_pairs_total"); got != int64(res.Disconnected) {
+	if got := snap.Counter("dn_fault_disconnected_pairs_total"); got != int64(res.Disconnected) {
 		t.Errorf("disconnected pairs = %d, want %d", got, res.Disconnected)
 	}
 }

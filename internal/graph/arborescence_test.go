@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -147,56 +148,62 @@ func TestValidateArborescencesRejects(t *testing.T) {
 	}
 }
 
+// TestBFSArcAvoidance checks BFSToAvoidingArcs, one reverse search
+// toward each destination, against a forward search from every source
+// that takes only the arcs the predicate allows, on both kinds of
+// DG(2,4): with no failures, with every arc out of vertex 3 failed
+// (arcs into 3 still carry the reverse search), and with sampled arc
+// failures, where an undirected edge fails one direction at a time.
 func TestBFSArcAvoidance(t *testing.T) {
-	g, err := DeBruijn(Undirected, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.NumVertices()
-	// No failures: both arc-avoiding searches agree with plain BFS.
-	base, err := g.BFSFrom(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	from, err := g.BFSFromAvoidingArcs(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	to, err := g.BFSToAvoidingArcs(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < n; v++ {
-		if from[v] != base[v] {
-			t.Fatalf("BFSFromAvoidingArcs(nil) diverges at %d: %d vs %d", v, from[v], base[v])
+	for _, kind := range []Kind{Directed, Undirected} {
+		g, err := DeBruijn(kind, 2, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Undirected graph: distance to 3 equals distance from 3.
-		if to[v] != base[v] {
-			t.Fatalf("BFSToAvoidingArcs(nil) diverges at %d: %d vs %d", v, to[v], base[v])
+		n := g.NumVertices()
+		rng := rand.New(rand.NewSource(11))
+		sampled := []map[[2]int]bool{g.SampleArcs(4, rng), g.SampleArcs(12, rng)}
+		for i, failed := range []func(u, v int) bool{
+			nil,
+			func(u, _ int) bool { return u == 3 },
+			func(u, v int) bool { return sampled[0][[2]int{u, v}] },
+			func(u, v int) bool { return sampled[1][[2]int{u, v}] },
+		} {
+			for dst := 0; dst < n; dst++ {
+				to, err := g.BFSToAvoidingArcs(dst, failed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for src := 0; src < n; src++ {
+					if want := forwardDistance(g, src, dst, failed); to[src] != want {
+						t.Fatalf("%v predicate %d: BFSToAvoidingArcs(%d)[%d] = %d, forward search says %d",
+							kind, i, dst, src, to[src], want)
+					}
+				}
+			}
 		}
 	}
+}
 
-	// Fail every arc out of the source: nothing but src reachable,
-	// while arcs *into* the source still work for the reverse search.
-	failedOut := func(u, v int) bool { return u == 3 }
-	from, err = g.BFSFromAvoidingArcs(3, failedOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < n; v++ {
-		want := -1
-		if v == 3 {
-			want = 0
+// forwardDistance is the per-source reference of TestBFSArcAvoidance:
+// the hop count of a shortest path from src to dst over the arcs u→v
+// that failed allows, or -1.
+func forwardDistance(g *Graph, src, dst int, failed func(u, v int) bool) int {
+	dist := map[int]int{src: 0}
+	for frontier := []int{src}; len(frontier) > 0; {
+		var next []int
+		for _, u := range frontier {
+			if u == dst {
+				return dist[u]
+			}
+			for _, v := range g.OutNeighbors(u) {
+				if _, seen := dist[int(v)]; !seen && (failed == nil || !failed(u, int(v))) {
+					dist[int(v)] = dist[u] + 1
+					next = append(next, int(v))
+				}
+			}
 		}
-		if from[v] != want {
-			t.Fatalf("with all out-arcs failed, dist[%d] = %d, want %d", v, from[v], want)
-		}
+		frontier = next
 	}
-	to, err = g.BFSToAvoidingArcs(3, failedOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if to[int(g.OutNeighbors(3)[0])] != 1 {
-		t.Fatalf("arcs into 3 should survive failing arcs out of 3")
-	}
+	return -1
 }

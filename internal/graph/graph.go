@@ -147,86 +147,73 @@ func (g *Graph) BFSFromAvoiding(src int, blocked map[int]bool) ([]int, error) {
 		return nil, fmt.Errorf("graph: source %d is blocked", src)
 	}
 	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := make([]int32, 0, n)
-	queue = append(queue, int32(src))
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.OutNeighbors(int(u)) {
-			if dist[v] < 0 && !blocked[int(v)] {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist, nil
-}
-
-// BFSFromAvoidingArcs returns the distance from src to every vertex
-// using only arcs u→v for which failed(u, v) is false, with -1 for
-// unreachable vertices. For undirected graphs each edge {u,v} is two
-// independent arcs, matching the fault-routing failure model: failing
-// u→v does not fail v→u unless the caller's predicate says so. A nil
-// predicate makes this BFSFrom.
-func (g *Graph) BFSFromAvoidingArcs(src int, failed func(u, v int) bool) ([]int, error) {
-	n := g.NumVertices()
-	if src < 0 || src >= n {
-		return nil, fmt.Errorf("%w: %d", ErrVertexRange, src)
-	}
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := make([]int32, 0, n)
-	queue = append(queue, int32(src))
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.OutNeighbors(int(u)) {
-			if dist[v] < 0 && (failed == nil || !failed(int(u), int(v))) {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
+	g.bfs(src, g.OutNeighbors, avoiding(blocked), dist, nil)
 	return dist, nil
 }
 
 // BFSToAvoidingArcs returns, for every vertex u, the length of the
-// shortest path from u to dst using only arcs the predicate allows
-// (-1 when no such path exists). One call answers "how far is every
-// source from this destination on the faulted graph", which is how
-// the faultroutes oracle prices a whole failure set with a single
+// shortest path from u to dst using only arcs u→v for which failed(u,
+// v) is false (-1 when no such path exists). For undirected graphs
+// each edge {u,v} is two independent arcs, matching the fault-routing
+// failure model: failing u→v does not fail v→u unless the predicate
+// says so; a nil predicate fails nothing. One call answers "how far is
+// every source from this destination on the faulted graph", which is
+// how the faultroutes oracle prices a whole failure set with a single
 // search instead of one BFS per source.
 func (g *Graph) BFSToAvoidingArcs(dst int, failed func(u, v int) bool) ([]int, error) {
 	n := g.NumVertices()
 	if dst < 0 || dst >= n {
 		return nil, fmt.Errorf("%w: %d", ErrVertexRange, dst)
 	}
+	// The reverse search enters u from v through the arc u→v.
+	var skip func(v, u int) bool
+	if failed != nil {
+		skip = func(v, u int) bool { return failed(u, v) }
+	}
 	dist := make([]int, n)
+	g.bfs(dst, g.InNeighbors, skip, dist, nil)
+	return dist, nil
+}
+
+// bfs is the one breadth-first loop behind every search of this file.
+// From src it enters v from u for each v in next(u), unless skip is
+// non-nil and skip(u, v) holds (a blocked vertex is one whose entering
+// arcs are all skipped). It fills dist (length N) with each vertex's
+// hop count, -1 where unreached, and, when parent is non-nil, the
+// vertex each one was first entered from (-1 at src and where
+// unreached). It returns the number of vertices reached.
+func (g *Graph) bfs(src int, next func(int) []int32, skip func(u, v int) bool, dist []int, parent []int32) int {
 	for i := range dist {
 		dist[i] = -1
 	}
-	dist[dst] = 0
-	queue := make([]int32, 0, n)
-	queue = append(queue, int32(dst))
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		// u reaches dst through v via the arc u→v.
-		for _, u := range g.InNeighbors(int(v)) {
-			if dist[u] < 0 && (failed == nil || !failed(int(u), int(v))) {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
+	for i := range parent {
+		parent[i] = -1
+	}
+	dist[src] = 0
+	queue := make([]int32, 1, len(dist))
+	queue[0] = int32(src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range next(int(u)) {
+			if dist[v] < 0 && (skip == nil || !skip(int(u), int(v))) {
+				dist[v] = dist[u] + 1
+				if parent != nil {
+					parent[v] = u
+				}
+				queue = append(queue, v)
 			}
 		}
 	}
-	return dist, nil
+	return len(queue)
+}
+
+// avoiding turns a blocked vertex set into bfs's arc filter: every
+// arc into a blocked vertex is skipped.
+func avoiding(blocked map[int]bool) func(u, v int) bool {
+	if len(blocked) == 0 {
+		return nil
+	}
+	return func(_, v int) bool { return blocked[v] }
 }
 
 // SampleArcs draws size distinct arcs u→v of g: a uniform vertex u,
@@ -262,35 +249,14 @@ func (g *Graph) ShortestPathAvoiding(src, dst int, blocked map[int]bool) ([]int,
 	if blocked[src] || blocked[dst] {
 		return nil, nil
 	}
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = -2 // unvisited
-	}
-	parent[src] = -1
-	queue := []int32{int32(src)}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if int(u) == dst {
-			break
-		}
-		for _, v := range g.OutNeighbors(int(u)) {
-			if parent[v] == -2 && !blocked[int(v)] {
-				parent[v] = u
-				queue = append(queue, v)
-			}
-		}
-	}
-	if parent[dst] == -2 {
+	dist, parent := make([]int, n), make([]int32, n)
+	g.bfs(src, g.OutNeighbors, avoiding(blocked), dist, parent)
+	if dist[dst] < 0 {
 		return nil, nil
 	}
-	var rev []int
-	for v := int32(dst); v != -1; v = parent[v] {
-		rev = append(rev, int(v))
-	}
-	path := make([]int, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
+	path := make([]int, dist[dst]+1)
+	for i, v := len(path)-1, int32(dst); i >= 0; i, v = i-1, parent[v] {
+		path[i] = int(v)
 	}
 	return path, nil
 }
@@ -379,32 +345,14 @@ func (g *Graph) isConnectedAvoiding(blocked map[int]bool) bool {
 	if alive <= 1 {
 		return true
 	}
-	if !g.reachesAll(src, g.OutNeighbors, blocked, alive) {
+	dist := make([]int, n)
+	if g.bfs(src, g.OutNeighbors, avoiding(blocked), dist, nil) != alive {
 		return false
 	}
 	if g.kind == Directed {
-		return g.reachesAll(src, g.InNeighbors, blocked, alive)
+		return g.bfs(src, g.InNeighbors, avoiding(blocked), dist, nil) == alive
 	}
 	return true
-}
-
-func (g *Graph) reachesAll(src int, adj func(int) []int32, blocked map[int]bool, alive int) bool {
-	seen := make([]bool, g.NumVertices())
-	seen[src] = true
-	queue := []int32{int32(src)}
-	count := 1
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range adj(int(u)) {
-			if !seen[v] && !blocked[int(v)] {
-				seen[v] = true
-				count++
-				queue = append(queue, v)
-			}
-		}
-	}
-	return count == alive
 }
 
 // VertexDisjointPaths returns the maximum number of internally

@@ -12,7 +12,8 @@ import (
 // server and client code runs over real TCP, over in-process pipes,
 // and over the simulator's channel links interchangeably:
 //
-//   - TCP: the production transport (cmd/dbserve, cmd/dbcluster).
+//   - TCP: the production transport (cmd/dbserve, alone or as a
+//     cluster node).
 //   - MemTransport: a named, in-process channel-link fabric. Every
 //     Listen registers an address; Dial connects a net.Pipe through
 //     it. Links can carry injected latency and be severed, which is
