@@ -45,6 +45,20 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
+// TestPeerBadFlag checks that the cluster modes reject an unknown flag
+// as such: a node does not start and -status does not dial the peer.
+func TestPeerBadFlag(t *testing.T) {
+	for _, args := range [][]string{
+		{"-peer", "127.0.0.1:0", "-definitely-not-a-flag"},
+		{"-status", "127.0.0.1:1", "-definitely-not-a-flag"},
+	} {
+		err := run(args, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: err %v, want an unknown-flag error", args, err)
+		}
+	}
+}
+
 // TestRemovedClusterKnobs pins the cluster settings that are fixed
 // defaults, not flags: the identifier base (2), the peer I/O timeout
 // and the gossip interval.
