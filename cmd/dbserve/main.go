@@ -13,14 +13,13 @@
 //
 // The server owns one routing engine (and one reusable scratch state)
 // per shard, shares an LRU result cache across shards, sheds instead
-// of queueing unboundedly, and degrades route answers to fault-avoiding
-// detour paths, then distance-only, then layer-bound estimates as the
-// admission queue fills.
+// of queueing unboundedly, and degrades route answers to distance-only,
+// then layer-bound estimates as the admission queue fills.
 //
 // Link failures can be injected at startup with repeated -fail-link
 // flags ("d:srcword:dstword"); route answers then carry arborescence
 // detour paths around the failed links, labelled degrade="detour" on
-// the wire. The detour rung also engages on its own at 60% queue
+// the wire. Only failed links select the detour rung, never queue
 // fill.
 //
 // With -trace-sample N, one request in N records a full span trace

@@ -373,6 +373,15 @@ func (v *respValidator) scalar(req serve.Request, resp serve.Response) {
 	case "", "distance":
 		if resp.Distance != a.Distance {
 			v.wrongf("%s %s→%s: distance %d, clean engine %d", req.Kind, req.Src, req.Dst, resp.Distance, a.Distance)
+		} else if q.Kind == serve.KindNextHop && resp.Degrade == "" {
+			// The canonical hop, or done exactly when src == dst.
+			want := ""
+			if a.HasHop {
+				want = serve.FormatHop(a.Hop)
+			}
+			if resp.Done == a.HasHop || resp.NextHop != want {
+				v.wrongf("%s %s→%s: next hop %q done %v, clean engine %q done %v", req.Kind, req.Src, req.Dst, resp.NextHop, resp.Done, want, !a.HasHop)
+			}
 		}
 	case "bounds":
 		if resp.Bounds == nil || resp.Bounds.Lo > a.Distance || a.Distance > resp.Bounds.Hi {

@@ -96,4 +96,40 @@ func TestChaosValidatorCatchesLies(t *testing.T) {
 	if v.invalid != 1 {
 		t.Fatalf("bogus status not caught: %d", v.invalid)
 	}
+
+	// Next-hop answers: the clean engine's canonical hop, or done
+	// exactly when src == dst.
+	src, dst := word.MustParse(2, "00000000"), word.MustParse(2, "11111111")
+	hq, err := serve.ParseQuery(serve.NextHopRequest(src, dst, serve.Undirected))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ha, _, err := serve.NewEngine(nil).Answer(hq, serve.LevelFull)
+	if err != nil || !ha.HasHop {
+		t.Fatalf("clean next hop = %+v, %v", ha, err)
+	}
+	hop := serve.FormatHop(ha.Hop)
+	lie := "L1"
+	if hop == lie {
+		lie = "R1"
+	}
+	cases := []struct {
+		name string
+		req  serve.Request
+		resp serve.Response
+		lies int
+	}{
+		{"honest hop", serve.NextHopRequest(src, dst, serve.Undirected), serve.Response{Status: serve.StatusOK, NextHop: hop}, 0},
+		{"honest done", serve.NextHopRequest(src, src, serve.Undirected), serve.Response{Status: serve.StatusOK, Done: true}, 0},
+		{"lying hop", serve.NextHopRequest(src, dst, serve.Undirected), serve.Response{Status: serve.StatusOK, NextHop: lie}, 1},
+		{"false done", serve.NextHopRequest(src, dst, serve.Undirected), serve.Response{Status: serve.StatusOK, Done: true}, 1},
+		{"missing done", serve.NextHopRequest(src, src, serve.Undirected), serve.Response{Status: serve.StatusOK}, 1},
+	}
+	for _, c := range cases {
+		before := v.wrong
+		v.observe(c.req, c.resp)
+		if got := v.wrong - before; got != c.lies {
+			t.Fatalf("%s: counted %d wrong, want %d", c.name, got, c.lies)
+		}
+	}
 }

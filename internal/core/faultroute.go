@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/word"
@@ -51,15 +50,37 @@ func FaultTrees(d, k int) int {
 
 // FaultRouter answers fault-tolerant routing questions for one
 // DG(d,k). It is safe for concurrent use; decompositions are built on
-// demand and cached process-wide under an LRU budget.
+// demand and cached in the router's store.
 type FaultRouter struct {
 	d, k, n int
 	trees   int
 	g       *graph.Graph
+	st      *store[faultKey, any]
 }
 
-// NewFaultRouter builds the fault router for the undirected DG(d,k).
+// faultKey names one entry of a fault-routing store: DG(d,k)'s router
+// (root -1) or the arborescence family rooted at root.
+type faultKey struct{ d, k, root int }
+
+// faultRouting is the process-wide fault-routing store. It holds one
+// router per DG(d,k), charged at its adjacency's bytes, and the
+// arborescence families of the roots routed to, ~4·n·trees bytes
+// each: too much to precompute for every root of a large graph, so
+// families build on demand and evict LRU under the cap. Whatever it
+// has no room for is built and returned uncached.
+var faultRouting = newStore[faultKey, any](32 << 20)
+
+// FaultRoutingUsage reports the process-wide fault-routing store's
+// resident bytes, its byte cap and the builds it has started.
+func FaultRoutingUsage() (bytes, capacity, builds int64) { return faultRouting.usage() }
+
+// NewFaultRouter returns the fault router for the undirected DG(d,k):
+// one per graph, shared process-wide.
 func NewFaultRouter(d, k int) (*FaultRouter, error) {
+	return newFaultRouter(faultRouting, d, k)
+}
+
+func newFaultRouter(st *store[faultKey, any], d, k int) (*FaultRouter, error) {
 	n, err := word.Count(d, k)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFaultRoute, err)
@@ -71,11 +92,23 @@ func NewFaultRouter(d, k int) (*FaultRouter, error) {
 	if trees < 1 {
 		return nil, fmt.Errorf("%w: DG(%d,%d) supports no arborescence packing", ErrFaultRoute, d, k)
 	}
-	g, err := graph.DeBruijn(graph.Undirected, d, k)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFaultRoute, err)
+	build := func(faultKey) (any, error) {
+		g, err := graph.DeBruijn(graph.Undirected, d, k)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrFaultRoute, err)
+		}
+		return &FaultRouter{d: d, k: k, n: n, trees: trees, g: g, st: st}, nil
 	}
-	return &FaultRouter{d: d, k: k, n: n, trees: trees, g: g}, nil
+	// graph.DeBruijn's adjacency: n+1 offsets and 2d slots per vertex.
+	size := 4 * int64(n+1+2*d*n)
+	fr, err := st.get(faultKey{d, k, -1}, size, true, build)
+	if err == errNoRoom {
+		fr, err = build(faultKey{})
+	}
+	if err != nil {
+		return nil, err
+	}
+	return fr.(*FaultRouter), nil
 }
 
 // Trees returns the number of arc-disjoint arborescences per
@@ -101,81 +134,31 @@ func decompSeed(d, k, root int) int64 {
 	return int64(d)<<40 ^ int64(k)<<28 ^ int64(root)<<1 ^ 0x5bd1e995
 }
 
-// The process-wide decomposition store: parent arrays are ~4·n·trees
-// bytes per destination, too much to precompute for every root of a
-// 4096-vertex graph, so they build on demand and evict LRU under a
-// budget (mirroring the kernel table store).
-var decompStoreCap = int64(32 << 20)
-
-type decompKey struct{ d, k, root int }
-
-type decompEntry struct {
-	trees   [][]int32
-	size    int64
-	lastUse int64
-}
-
-var decompStore = struct {
-	sync.Mutex
-	m     map[decompKey]*decompEntry
-	bytes int64
-	clock int64
-}{m: map[decompKey]*decompEntry{}}
-
 // Decomposition returns the arc-disjoint in-arborescences rooted at
 // root (parent arrays indexed [tree][vertex], parent[root] = -1),
-// building and caching them on first use. The result is shared and
-// must not be modified.
+// building and caching them on first use: however many callers ask at
+// once, a root's family builds once. The result is shared and must
+// not be modified.
 func (fr *FaultRouter) Decomposition(root int) ([][]int32, error) {
 	if root < 0 || root >= fr.n {
 		return nil, fmt.Errorf("%w: root %d out of range [0,%d)", ErrFaultRoute, root, fr.n)
 	}
-	key := decompKey{fr.d, fr.k, root}
-	decompStore.Lock()
-	if e := decompStore.m[key]; e != nil {
-		decompStore.clock++
-		e.lastUse = decompStore.clock
-		decompStore.Unlock()
-		return e.trees, nil
-	}
-	decompStore.Unlock()
-
-	// Built outside the lock: concurrent callers may race to build the
-	// same key, but the seeded builder is deterministic so both get
-	// the identical family and the second insert is a no-op.
-	trees, err := graph.Arborescences(fr.g, root, fr.trees, decompSeed(fr.d, fr.k, root))
-	if err != nil {
-		return nil, fmt.Errorf("%w: root %d: %v", ErrFaultRoute, root, err)
-	}
-	size := int64(fr.trees) * int64(fr.n) * 4
-
-	decompStore.Lock()
-	defer decompStore.Unlock()
-	if e := decompStore.m[key]; e != nil {
-		decompStore.clock++
-		e.lastUse = decompStore.clock
-		return e.trees, nil
-	}
-	if size <= decompStoreCap {
-		for decompStore.bytes+size > decompStoreCap {
-			var victimKey decompKey
-			var victim *decompEntry
-			for k, e := range decompStore.m {
-				if victim == nil || e.lastUse < victim.lastUse {
-					victim, victimKey = e, k
-				}
-			}
-			if victim == nil {
-				break
-			}
-			delete(decompStore.m, victimKey)
-			decompStore.bytes -= victim.size
+	build := func(key faultKey) (any, error) {
+		trees, err := graph.Arborescences(fr.g, key.root, fr.trees, decompSeed(fr.d, fr.k, key.root))
+		if err != nil {
+			return nil, fmt.Errorf("%w: root %d: %v", ErrFaultRoute, key.root, err)
 		}
-		decompStore.clock++
-		decompStore.m[key] = &decompEntry{trees: trees, size: size, lastUse: decompStore.clock}
-		decompStore.bytes += size
+		return trees, nil
 	}
-	return trees, nil
+	key := faultKey{fr.d, fr.k, root}
+	trees, err := fr.st.get(key, int64(fr.trees)*int64(fr.n)*4, true, build)
+	if err == errNoRoom {
+		trees, err = build(key)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return trees.([][]int32), nil
 }
 
 // Walk failure reasons.

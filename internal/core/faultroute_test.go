@@ -195,15 +195,11 @@ func TestFaultRouterErrors(t *testing.T) {
 // byte-identical dbcheck verdicts and cross-process agreement rest on.
 func TestDecompositionDeterministic(t *testing.T) {
 	build := func() [][]int32 {
-		fr, err := NewFaultRouter(3, 3)
+		// A fresh store per build, so the second one is not a cache hit.
+		fr, err := newFaultRouter(newStore[faultKey, any](1<<20), 3, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Bypass the cache for the second build by evicting first.
-		decompStore.Lock()
-		decompStore.m = map[decompKey]*decompEntry{}
-		decompStore.bytes = 0
-		decompStore.Unlock()
 		dec, err := fr.Decomposition(11)
 		if err != nil {
 			t.Fatal(err)
@@ -211,6 +207,9 @@ func TestDecompositionDeterministic(t *testing.T) {
 		return dec
 	}
 	a, b := build(), build()
+	if &a[0][0] == &b[0][0] {
+		t.Fatal("two stores shared one decomposition")
+	}
 	for tr := range a {
 		for v := range a[tr] {
 			if a[tr][v] != b[tr][v] {
@@ -220,46 +219,62 @@ func TestDecompositionDeterministic(t *testing.T) {
 	}
 }
 
-// The decomposition store stays under its byte budget while cycling
-// through more destinations than fit.
+// The fault-routing store stays under its byte budget while cycling
+// through more destinations than fit, with the router resident beside
+// the families; a family that finds no room is still built and
+// returned, uncached.
 func TestDecompositionStoreBounded(t *testing.T) {
-	decompStore.Lock()
-	oldCap := decompStoreCap
-	decompStore.m = map[decompKey]*decompEntry{}
-	decompStore.bytes = 0
-	decompStore.Unlock()
-	defer func() {
-		decompStore.Lock()
-		decompStoreCap = oldCap
-		decompStore.m = map[decompKey]*decompEntry{}
-		decompStore.bytes = 0
-		decompStore.Unlock()
-	}()
-
-	fr, err := NewFaultRouter(2, 6) // 64 vertices, 2 trees: 512 B/root
+	const d, k = 2, 6 // 64 vertices, 2 trees: 512 B/root
+	probe := newStore[faultKey, any](1 << 20)
+	if _, err := newFaultRouter(probe, d, k); err != nil {
+		t.Fatal(err)
+	}
+	routerBytes, _, _ := probe.usage()
+	perRoot := int64(FaultTrees(d, k)) * 64 * 4
+	if routerBytes < perRoot {
+		t.Fatalf("router charged %d bytes, less than a family's %d", routerBytes, perRoot)
+	}
+	st := newStore[faultKey, any](routerBytes + 3*perRoot)
+	fr, err := newFaultRouter(st, d, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perRoot := int64(fr.Trees()) * int64(fr.NumVertices()) * 4
-	decompStore.Lock()
-	decompStoreCap = 3 * perRoot
-	decompStore.Unlock()
-
 	for round := 0; round < 3; round++ {
 		for root := 0; root < 8; root++ {
-			if _, err := fr.Decomposition(root); err != nil {
+			dec, err := fr.Decomposition(root)
+			if err != nil {
 				t.Fatal(err)
 			}
-			decompStore.Lock()
-			bytes, entries := decompStore.bytes, len(decompStore.m)
-			decompStore.Unlock()
-			if bytes > 3*perRoot {
-				t.Fatalf("decomp store at %d bytes, cap %d", bytes, 3*perRoot)
+			if len(dec) != fr.Trees() || dec[0][root] != -1 {
+				t.Fatalf("root %d: family of %d trees, parent[root] = %d", root, len(dec), dec[0][root])
 			}
-			if entries > 3 {
-				t.Fatalf("decomp store holds %d entries, cap admits 3", entries)
+			st.mu.Lock()
+			bytes, entries := st.bytes, len(st.m)
+			st.mu.Unlock()
+			if bytes > st.cap {
+				t.Fatalf("fault store at %d bytes, cap %d", bytes, st.cap)
+			}
+			// Every entry, the router's too, is at least a family's size.
+			if int64(entries) > st.cap/perRoot {
+				t.Fatalf("fault store holds %d entries, cap admits %d", entries, st.cap/perRoot)
 			}
 		}
+	}
+
+	// Room for neither the router nor a family: both are built and
+	// returned uncached.
+	tight := newStore[faultKey, any](perRoot - 1)
+	fr, err = newFaultRouter(tight, d, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for root := 0; root < 2; root++ {
+		if _, err := fr.Decomposition(root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes, _, builds := tight.usage(); bytes != 0 || builds != 0 {
+		t.Fatalf("tight store: %d bytes, %d builds; want nothing cached", bytes, builds)
 	}
 }
 

@@ -135,11 +135,11 @@ func (kn *Kernels) resolve(d, k int) tierInfo {
 func (kn *Kernels) resolveSlow(d, k int) (tierInfo, bool) {
 	pending := false
 	if size, ok := tableSize(d, k); ok && size <= kn.cfg.tableBudget() {
-		tab, bldg := getTable(d, k, size, kn.cfg.SyncTableBuild)
-		if tab != nil {
+		tab, err := tables.get([2]int{d, k}, size, kn.cfg.SyncTableBuild, buildRankTable)
+		if err == nil {
 			return tierInfo{tier: TierTable, tab: tab}, true
 		}
-		pending = bldg
+		pending = err == errBuilding
 	}
 	if packedEligible(d, k) {
 		return tierInfo{tier: TierPacked}, !pending

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/word"
 )
@@ -19,8 +18,8 @@ import (
 // SelfRoute over NextHopUndirected on a table-tier Kernels is the
 // table-forwarding mode of E13.
 //
-// Tables are immutable once built and shared process-wide: the store
-// is keyed by (d,k), a build runs once (asynchronously by default —
+// Tables are immutable once built and shared process-wide through the
+// tables store: a (d,k) builds once (asynchronously by default —
 // queries fall through to the packed/scratch tiers meanwhile, which
 // produce identical answers), and every Kernels whose budget admits
 // the size uses the same table.
@@ -31,12 +30,12 @@ import (
 // table-eligible size.
 const tableEntryBytes = 7
 
-// tableStoreCap bounds the total bytes of all tables in the process,
-// whatever the per-engine budgets say. When a new (d,k) would
-// overflow it, completed tables are evicted least-recently-used
-// first; a table too large to ever fit stays on the lower tiers. A
-// variable (not a const) so the eviction tests can shrink it.
-var tableStoreCap = int64(64 << 20)
+// tables is the process-wide table store, keyed by (d,k). It bounds
+// the bytes of all tables together, whatever the per-engine budgets
+// say: when a new (d,k) would overflow the cap, finished tables are
+// evicted least-recently-used first, and a table that cannot fit
+// stays on the lower tiers.
+var tables = newStore[[2]int, *rankTable](64 << 20)
 
 // tableSize returns the byte size of a DG(d,k) pair table and whether
 // it is representable at all (d^k small enough to square within
@@ -91,11 +90,12 @@ func (t *rankTable) anchor(i int) Anchor {
 	return Anchor{Line: int(t.uline[i]), S: int(t.as[i]), T: int(t.at[i]), Theta: int(t.ath[i])}
 }
 
-// buildRankTable computes the full pair matrix with the canonical
-// kernels (packed where the alphabet packs, scratch otherwise — the
-// table must read identically whoever builds it, so the builder's
-// config is fixed).
-func buildRankTable(d, k int) (*rankTable, error) {
+// buildRankTable computes DG(d,k)'s full pair matrix, dk = (d,k),
+// with the canonical kernels (packed where the alphabet packs, scratch
+// otherwise — the table must read identically whoever builds it, so
+// the builder's config is fixed). It is the tables store's builder.
+func buildRankTable(dk [2]int) (*rankTable, error) {
+	d, k := dk[0], dk[1]
 	n, err := word.Count(d, k)
 	if err != nil {
 		return nil, fmt.Errorf("core: table build: %w", err)
@@ -146,106 +146,4 @@ func buildRankTable(d, k int) (*rankTable, error) {
 		}
 	}
 	return t, nil
-}
-
-// tableEntry is one (d,k) slot of the shared store: done closes when
-// the build finishes; t stays nil if it failed. size, lastUse, and
-// built are guarded by the store mutex; t is published by the close
-// of done.
-type tableEntry struct {
-	done    chan struct{}
-	t       *rankTable
-	size    int64
-	lastUse int64
-	built   bool
-}
-
-type tableKey struct{ d, k int }
-
-var tableStore = struct {
-	sync.Mutex
-	m     map[tableKey]*tableEntry
-	bytes int64
-	clock int64
-}{m: map[tableKey]*tableEntry{}}
-
-// evictTablesLocked frees space for need more bytes by removing
-// completed entries in least-recently-used order. In-flight builds
-// are never evicted (their goroutine still owns the slot). Reports
-// whether the store now has room; callers hold the store mutex.
-func evictTablesLocked(need int64) bool {
-	for tableStore.bytes+need > tableStoreCap {
-		var victimKey tableKey
-		var victim *tableEntry
-		for key, e := range tableStore.m {
-			if !e.built {
-				continue
-			}
-			if victim == nil || e.lastUse < victim.lastUse {
-				victim, victimKey = e, key
-			}
-		}
-		if victim == nil {
-			return false
-		}
-		delete(tableStore.m, victimKey)
-		tableStore.bytes -= victim.size
-	}
-	return true
-}
-
-// getTable returns the shared DG(d,k) table, starting a build if none
-// exists and the global cap (after LRU eviction of idle tables)
-// admits it. The second result reports a build still in flight (the
-// caller should not memoize its fallback). With wait set, a pending
-// build is waited for instead.
-func getTable(d, k int, size int64, wait bool) (*rankTable, bool) {
-	key := tableKey{d, k}
-	tableStore.Lock()
-	e := tableStore.m[key]
-	if e == nil {
-		if size > tableStoreCap || !evictTablesLocked(size) {
-			tableStore.Unlock()
-			return nil, false
-		}
-		tableStore.clock++
-		e = &tableEntry{done: make(chan struct{}), size: size, lastUse: tableStore.clock}
-		tableStore.m[key] = e
-		tableStore.bytes += size
-		tableStore.Unlock()
-		build := func() {
-			t, err := buildRankTable(d, k)
-			tableStore.Lock()
-			if err == nil {
-				e.t = t
-			} else {
-				// A failed build keeps its slot as a zero-byte
-				// negative cache so the size isn't charged twice.
-				tableStore.bytes -= size
-				e.size = 0
-			}
-			e.built = true
-			tableStore.Unlock()
-			close(e.done)
-		}
-		if wait {
-			build()
-			return e.t, false
-		}
-		go build()
-		return nil, true
-	}
-	tableStore.clock++
-	e.lastUse = tableStore.clock
-	tableStore.Unlock()
-	select {
-	case <-e.done:
-		return e.t, false
-	default:
-	}
-	if wait {
-		<-e.done
-		return e.t, false
-	}
-	return nil, true
 }

@@ -94,33 +94,14 @@ func (e *Engine) SetFaults(f *FaultSet) { e.faults = f }
 // Faults returns the engine's failed-link set (nil when unset).
 func (e *Engine) Faults() *FaultSet { return e.faults }
 
-// faultRouter returns the (d,k) fault router, memoizing one per
-// network — including a nil for networks too large to fault-route,
-// so the size check runs once, not per query.
-func (e *Engine) faultRouter(d, k int) *core.FaultRouter {
-	key := [2]int{d, k}
-	if fr, ok := e.routers[key]; ok {
-		return fr
-	}
-	fr, err := core.NewFaultRouter(d, k)
-	if err != nil {
-		fr = nil
-	}
-	if e.routers == nil {
-		e.routers = make(map[[2]int]*core.FaultRouter)
-	}
-	e.routers[key] = fr
-	return fr
-}
-
 // detour answers an undirected route query with the fault-avoiding
 // arborescence path. ok is false when the network is too large for
 // fault routing or the walk could not deliver under the current
 // failure set (the caller then degrades to distance-only).
 func (e *Engine) detour(q Query) (core.Path, bool) {
 	d, k := q.Src.Base(), q.Src.Len()
-	fr := e.faultRouter(d, k)
-	if fr == nil {
+	fr, err := core.NewFaultRouter(d, k)
+	if err != nil {
 		return nil, false
 	}
 	var failed func(u, v int) bool

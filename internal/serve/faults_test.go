@@ -168,6 +168,48 @@ func TestEngineDetourFallsBack(t *testing.T) {
 	}
 }
 
+// TestDetourStateShared: Engines answering detours over many DG(d,k)
+// keep no fault routing state of their own. Once one engine has built
+// each graph's router and the asked root's family, more engines add
+// no build, and the process-wide fault-routing store stays under its
+// cap.
+func TestDetourStateShared(t *testing.T) {
+	var graphs [][2]int
+	for k := 2; k <= 9; k++ {
+		graphs = append(graphs, [2]int{2, k})
+	}
+	for _, dk := range [][2]int{{3, 3}, {3, 5}, {4, 3}, {4, 5}, {5, 3}, {6, 2}} {
+		graphs = append(graphs, dk)
+	}
+	detours := func() {
+		eng := NewEngine(nil)
+		for _, dk := range graphs {
+			d, k := dk[0], dk[1]
+			src, dst := make([]byte, k), make([]byte, k)
+			for i := range dst {
+				dst[i] = byte(d - 1)
+			}
+			q := Query{Kind: KindRoute, Src: word.MustNew(d, src), Dst: word.MustNew(d, dst)}
+			a, _, err := eng.Answer(q, LevelDetour)
+			if err != nil || a.Level != LevelDetour || len(a.Path) < a.Distance {
+				t.Fatalf("DG(%d,%d) detour = %+v, %v", d, k, a, err)
+			}
+		}
+	}
+	detours()
+	_, _, warm := core.FaultRoutingUsage()
+	for i := 0; i < 3; i++ {
+		detours()
+	}
+	bytes, capacity, builds := core.FaultRoutingUsage()
+	if builds != warm {
+		t.Fatalf("later engines ran %d more fault-routing builds, want 0", builds-warm)
+	}
+	if bytes > capacity {
+		t.Fatalf("fault-routing store at %d bytes, cap %d", bytes, capacity)
+	}
+}
+
 // TestServerFaultsForceDetour checks the server-side wiring: a
 // non-empty Config.Faults raises quiet-queue route answers to the
 // detour rung, labels them on the wire, and keeps them out of the

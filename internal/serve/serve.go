@@ -98,23 +98,23 @@ func (m Mode) String() string {
 // Level is a rung of the degrade ladder.
 type Level uint8
 
-// The ladder, mildest first. Under sustained overload the server
-// climbs: route queries trade the optimal path for the fault-aware
-// detour path (LevelDetour), then lose their paths entirely
-// (LevelDistance), then all queries collapse to layer-bound estimates
-// (LevelBounds).
+// The ladder, mildest first. Known link failures move undirected
+// route queries to the fault-aware detour path (LevelDetour); under
+// sustained overload the server climbs further: route queries lose
+// their paths entirely (LevelDistance), then all queries collapse to
+// layer-bound estimates (LevelBounds).
 const (
 	// LevelFull answers every kind completely.
 	LevelFull Level = iota
 	// LevelDetour answers undirected route queries with the exact
 	// distance plus the arborescence detour path around the server's
 	// failed-link set (stretch ≤ the fault router's hop bound) instead
-	// of the optimal path. The rung exists for two reasons: under
-	// known link failures it is the answer that actually works, and
-	// under mild overload the tree walk is O(path) with no anchor
-	// search. Detour answers are labelled on the wire and never
-	// cached. Other kinds, and directed route queries (arborescences
-	// live on the undirected graph), are answered as at LevelFull.
+	// of the optimal path, which may cross a failed link. The server
+	// enters it only when its failed-link set is non-empty: under
+	// overload alone a detour costs more than the optimal answer.
+	// Detour answers are labelled on the wire and never cached. Other
+	// kinds, and directed route queries (arborescences live on the
+	// undirected graph), are answered as at LevelFull.
 	LevelDetour
 	// LevelDistance answers route queries with the exact distance but
 	// no path (the path construction and its allocation are skipped);
@@ -229,13 +229,12 @@ type Engine struct {
 	key   []byte
 	dst   []byte // the route destination's digits
 
-	// Fault state for the LevelDetour rung: the shared failed-link set
+	// faults is the LevelDetour rung's shared failed-link set
 	// (SetFaults; nil means no faults and detour answers degenerate to
-	// tree paths) and the per-(d,k) fault routers, built lazily. A
-	// (d,k) too large for fault routing memoizes nil and the rung
-	// falls through to LevelDistance.
-	faults  *FaultSet
-	routers map[[2]int]*core.FaultRouter
+	// tree paths). The fault routers themselves are core's, one per
+	// (d,k) process-wide; a (d,k) too large for fault routing falls
+	// through to LevelDistance.
+	faults *FaultSet
 }
 
 // NewEngine returns an Engine with the default kernel configuration,

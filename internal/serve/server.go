@@ -677,13 +677,11 @@ func (s *Server) worker() {
 }
 
 // The degrade ladder's admission-queue fill thresholds, measured when
-// a worker dequeues: at or above degradeDetour, undirected route
-// queries answer with the fault-aware detour path instead of the
-// optimal path; at or above degradeHigh, route queries degrade to
+// a worker dequeues: at or above degradeHigh, route queries degrade to
 // distance-only; at or above degradeCritical, every query degrades to
-// the layer bounds D ∈ [1, k].
+// the layer bounds D ∈ [1, k]. Load alone never picks LevelDetour:
+// answerTask enters it only for known link failures.
 const (
-	degradeDetour   = 0.60
 	degradeHigh     = 0.75
 	degradeCritical = 0.90
 )
@@ -696,8 +694,6 @@ func (s *Server) degradeLevel() Level {
 		return LevelBounds
 	case fill >= degradeHigh:
 		return LevelDistance
-	case fill >= degradeDetour:
-		return LevelDetour
 	default:
 		return LevelFull
 	}
@@ -770,6 +766,7 @@ func (s *Server) answerTask(eng *Engine, t *task) {
 	if level < LevelDetour && s.cfg.Faults != nil && s.cfg.Faults.Len() > 0 {
 		// Known link failures: optimal paths may cross dead links, so
 		// route answers take the detour rung even with a quiet queue.
+		// This is the only way onto the rung.
 		level = LevelDetour
 	}
 	var resp Response

@@ -394,14 +394,14 @@ func TestDegradedTraceOutcome(t *testing.T) {
 	}
 
 	// blocker at fill 0.9 → degraded:bounds; next → degraded:distance;
-	// next two → degraded:detour.
+	// the rest, below fill 0.75 and with no failed links → answered.
 	waitFor(t, func() bool { return s.Traces().Total() >= 10 })
 	outcomes := map[string]int{}
 	for _, tr := range s.Traces().Recent() {
 		outcomes[tr.Outcome]++
 	}
-	if outcomes["degraded:bounds"] != 1 || outcomes["degraded:distance"] != 1 || outcomes["degraded:detour"] != 2 || outcomes["answered"] != 6 {
-		t.Fatalf("trace outcomes = %v, want 1 bounds / 1 distance / 2 detour / 6 answered", outcomes)
+	if outcomes["degraded:bounds"] != 1 || outcomes["degraded:distance"] != 1 || outcomes["answered"] != 8 {
+		t.Fatalf("trace outcomes = %v, want 1 bounds / 1 distance / 8 answered", outcomes)
 	}
 	// The bounds trace recorded the O(1) bounds kernel, not a routing one.
 	for _, tr := range s.Traces().Recent() {
